@@ -8,11 +8,10 @@
 //!
 //! OPTIONS
 //!   --quick            small sizes for smoke runs
-//!   --profile <name>   named experiment bundle: `deep` runs the
-//!                      deep-tree serving profile (ext-deep), `throughput`
-//!                      runs the serving-throughput profile
-//!                      (ext-throughput), `serve` runs the micro-batching
-//!                      front-end profile (ext-serve), `chaos` runs the
+//!   --profile <name>   named experiment bundle: `throughput` runs the
+//!                      serving-throughput profile (ext-throughput),
+//!                      `serve` runs the micro-batching front-end
+//!                      profile (ext-serve), `chaos` runs the
 //!                      fault-injection robustness profile (ext-chaos),
 //!                      `durability` runs the persistence/recovery
 //!                      profile (ext-durability), `queries` runs the
@@ -78,12 +77,10 @@ fn main() {
         }
     }
     // A named profile supplies its experiment bundle when the command
-    // line names none — `repro --quick --profile deep` is a complete
-    // invocation (the CI deep-tree smoke leg).
+    // line names none — `repro --quick --profile chaos` is a complete
+    // invocation.
     match profile.as_deref() {
         None => {}
-        Some("deep") if ids.is_empty() => ids.push("ext-deep".to_string()),
-        Some("deep") => {}
         Some("throughput") if ids.is_empty() => ids.push("ext-throughput".to_string()),
         Some("throughput") => {}
         Some("serve") if ids.is_empty() => ids.push("ext-serve".to_string()),
@@ -95,7 +92,7 @@ fn main() {
         Some("queries") if ids.is_empty() => ids.push("ext-queries".to_string()),
         Some("queries") => {}
         Some(other) => die(&format!(
-            "unknown profile {other} (known: deep, throughput, serve, chaos, durability, queries)"
+            "unknown profile {other} (known: throughput, serve, chaos, durability, queries)"
         )),
     }
     if ids.is_empty() {
@@ -157,7 +154,7 @@ fn die(msg: &str) -> ! {
 
 fn usage_and_exit() -> ! {
     eprintln!(
-        "usage: repro [--quick] [--profile deep|throughput|serve|chaos|durability|queries] [--scale N] [--queries N] \
+        "usage: repro [--quick] [--profile throughput|serve|chaos|durability|queries] [--scale N] [--queries N] \
          [--threads a,b,c] [--leaf N] [--quant on|off] [--write FILE] [--json FILE] \
          <experiment>...\nexperiments: {} | all",
         all_experiments().iter().map(|e| e.id).collect::<Vec<_>>().join(" ")

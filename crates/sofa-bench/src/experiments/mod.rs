@@ -4,7 +4,6 @@
 
 pub mod approx;
 pub mod chaos;
-pub mod deep;
 pub mod durability;
 pub mod illustrate;
 pub mod numeric;
@@ -196,11 +195,6 @@ pub fn all_experiments() -> Vec<Experiment> {
             run: throughput::ext_throughput,
         },
         Experiment {
-            id: "ext-deep",
-            title: "Extension: deep-tree collect (level blocks vs leaf-only)",
-            run: deep::ext_deep,
-        },
-        Experiment {
             id: "ext-serve",
             title: "Extension: micro-batching serve front-end (coalescer + shards)",
             run: serve::ext_serve,
@@ -257,7 +251,6 @@ mod tests {
             "ext-approx",
             "ext-numeric",
             "ext-throughput",
-            "ext-deep",
             "ext-serve",
             "ext-chaos",
             "ext-durability",

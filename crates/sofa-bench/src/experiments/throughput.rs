@@ -269,8 +269,7 @@ fn serve_profile(
     // from allocator layout alone, which would drown the tier's effect.
     // Single batch timings additionally swing under container scheduler
     // throttling, so the comparison rotates passes ABBA-style and keeps
-    // each side's minimum (the ext-deep recipe) instead of trusting one
-    // pass each.
+    // each side's minimum instead of trusting one pass each.
     if suite.cfg.quant_refine {
         let time_batch = |on: bool| {
             sofa.set_quant_refine(on);

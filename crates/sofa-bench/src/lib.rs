@@ -22,7 +22,6 @@
 //! | `tab6`   | Table VI/Fig14R| TLB on the 17-dataset registry |
 //! | `fig15`  | Figure 15      | critical-difference analysis |
 //! | `ext-throughput` | extension | single-query vs `knn_batch` QPS on the worker pool |
-//! | `ext-deep` | extension | deep-tree collect: level blocks vs leaf-only sweep (also `--profile deep`) |
 //! | `ext-serve` | extension | micro-batching serve front-end under open-loop load (also `--profile serve`) |
 //! | `ext-chaos` | extension | serving robustness under fault injection (also `--profile chaos`) |
 //! | `ext-durability` | extension | crash-safe persistence: snapshot/open vs rebuild, corruption matrix (also `--profile durability`) |

@@ -65,17 +65,16 @@ pub struct DatasetSpec {
 
 impl DatasetSpec {
     /// Returns this spec with the given root-key concentration — the
-    /// deep-tree variant of the dataset (used by the `ext-deep` bench
-    /// profile and the deep-tree exactness suite).
+    /// deep-tree variant of the dataset (used by the deep-tree exactness
+    /// suite).
     #[must_use]
     pub fn with_concentration(mut self, concentration: f32) -> Self {
         self.concentration = concentration.clamp(0.0, 1.0);
         self
     }
 
-    /// Returns this spec with the given family-delta shape — used by the
-    /// `ext-deep` bench profile to A/B the deep-tree workload between the
-    /// SFA-favoring (`Signal`) and MESSI-favoring (`Paa`) regimes.
+    /// Returns this spec with the given family-delta shape — the
+    /// SFA-favoring (`Signal`) or MESSI-favoring (`Paa`) deep-tree regime.
     #[must_use]
     pub fn with_family_shape(mut self, shape: FamilyShape) -> Self {
         self.family_shape = shape;

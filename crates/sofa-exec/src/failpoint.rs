@@ -8,10 +8,16 @@
 //! shard degradation, deadline shedding) is exercised deterministically
 //! instead of hoping a real fault shows up.
 //!
-//! The cost when disarmed is a single relaxed atomic load and a
-//! predictable not-taken branch ([`fire`] checks a global armed count
-//! before touching the registry mutex), so the hooks can live inside
-//! per-tick and per-leaf loops.
+//! The cost when disarmed is two relaxed atomic loads and a predictable
+//! not-taken branch ([`fire`] checks the armed counts before touching
+//! the registry mutex), so the hooks can live inside per-tick and
+//! per-leaf loops.
+//!
+//! [`arm`] is process-global: any thread that reaches the site fires it,
+//! which is what cross-thread sites (the serve tick, pool lanes) need.
+//! A site that fires on the calling thread — the snapshot writer — is
+//! better armed with [`arm_local`], which fires only on the arming
+//! thread, so concurrent tests cannot consume each other's fires.
 //!
 //! ```
 //! use sofa_exec::failpoint;
@@ -23,8 +29,10 @@
 //! failpoint::clear_all();
 //! ```
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
@@ -67,8 +75,17 @@ struct Armed {
     remaining: Option<usize>,
 }
 
-/// Number of armed failpoints; the [`fire`] fast path.
+/// Number of globally armed failpoints; the [`fire`] fast path.
 static ARMED_COUNT: AtomicUsize = AtomicUsize::new(0);
+
+/// Number of thread-scoped failpoints armed on any thread; the other
+/// half of the [`fire`] fast path.
+static LOCAL_ARMED_COUNT: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Name → armed action, for this thread only (see [`arm_local`]).
+    static LOCAL: RefCell<HashMap<String, Armed>> = RefCell::new(HashMap::new());
+}
 
 /// Name → armed action. Touched only when `ARMED_COUNT > 0` or by the
 /// arm/clear management calls.
@@ -106,37 +123,82 @@ pub fn clear_all() {
     ARMED_COUNT.fetch_sub(n, Ordering::Release);
 }
 
+/// A failpoint armed for the current thread only; dropping the guard
+/// disarms it (if its budget has not already). Returned by [`arm_local`].
+/// Not `Send`: the entry lives in the arming thread's registry.
+#[must_use = "dropping the guard disarms the failpoint"]
+pub struct LocalFailpoint {
+    name: String,
+    _not_send: PhantomData<*const ()>,
+}
+
+/// Arms failpoint `name` with `action` for the calling thread only: a
+/// [`fire`] on any other thread ignores it, so parallel tests that reach
+/// the same site cannot consume or trigger each other's fires. `times`
+/// and re-arming behave as in [`arm`]. The point stays armed until its
+/// budget runs out or the returned guard drops.
+pub fn arm_local(name: &str, action: FailAction, times: Option<usize>) -> LocalFailpoint {
+    let prev =
+        LOCAL.with(|m| m.borrow_mut().insert(name.to_string(), Armed { action, remaining: times }));
+    if prev.is_none() {
+        LOCAL_ARMED_COUNT.fetch_add(1, Ordering::Release);
+    }
+    LocalFailpoint { name: name.to_string(), _not_send: PhantomData }
+}
+
+impl Drop for LocalFailpoint {
+    fn drop(&mut self) {
+        if LOCAL.with(|m| m.borrow_mut().remove(&self.name)).is_some() {
+            LOCAL_ARMED_COUNT.fetch_sub(1, Ordering::Release);
+        }
+    }
+}
+
 /// Fires failpoint `name`: a no-op branch unless some failpoint is
-/// armed. Panics on [`FailAction::Panic`], sleeps on
-/// [`FailAction::Sleep`], returns `Err` on [`FailAction::Error`].
+/// armed. A point armed for this thread ([`arm_local`]) takes precedence
+/// over a global one ([`arm`]). Panics on [`FailAction::Panic`], sleeps
+/// on [`FailAction::Sleep`], returns `Err` on [`FailAction::Error`].
 #[inline]
 pub fn fire(name: &str) -> Result<(), FailpointError> {
-    if ARMED_COUNT.load(Ordering::Acquire) == 0 {
+    if ARMED_COUNT.load(Ordering::Acquire) == 0 && LOCAL_ARMED_COUNT.load(Ordering::Acquire) == 0 {
         return Ok(());
     }
     fire_slow(name)
 }
 
+/// Takes one hit of `name` from `map`: its action, or `None` when it is
+/// not armed there. An exhausted budget removes the entry and decrements
+/// `count`.
+fn take_hit(
+    map: &mut HashMap<String, Armed>,
+    name: &str,
+    count: &AtomicUsize,
+) -> Option<FailAction> {
+    let armed = map.get_mut(name)?;
+    match &mut armed.remaining {
+        Some(0) => None,
+        Some(n) => {
+            *n -= 1;
+            let action = armed.action.clone();
+            if *n == 0 {
+                map.remove(name);
+                count.fetch_sub(1, Ordering::Release);
+            }
+            Some(action)
+        }
+        None => Some(armed.action.clone()),
+    }
+}
+
 #[cold]
 fn fire_slow(name: &str) -> Result<(), FailpointError> {
-    let action = {
-        let mut map = lock(registry());
-        let Some(armed) = map.get_mut(name) else {
-            return Ok(());
-        };
-        match &mut armed.remaining {
-            Some(0) => return Ok(()),
-            Some(n) => {
-                *n -= 1;
-                let action = armed.action.clone();
-                if *n == 0 {
-                    map.remove(name);
-                    ARMED_COUNT.fetch_sub(1, Ordering::Release);
-                }
-                action
-            }
-            None => armed.action.clone(),
-        }
+    let local = LOCAL.with(|m| take_hit(&mut m.borrow_mut(), name, &LOCAL_ARMED_COUNT));
+    let action = match local {
+        Some(action) => action,
+        None => match take_hit(&mut lock(registry()), name, &ARMED_COUNT) {
+            Some(action) => action,
+            None => return Ok(()),
+        },
     };
     match action {
         FailAction::Panic => panic!("failpoint '{name}' fired: injected panic"),
@@ -187,5 +249,24 @@ mod tests {
 
         clear_all();
         assert_eq!(ARMED_COUNT.load(Ordering::Acquire), 0);
+    }
+
+    #[test]
+    fn local_arming_fires_only_on_the_arming_thread() {
+        let name = "fp::local";
+        let guard = arm_local(name, FailAction::Error, None);
+        // Another thread reaching the same site is untouched...
+        let other = std::thread::spawn(move || fire(name).is_ok()).join().expect("join");
+        assert!(other, "a thread-scoped failpoint fired on another thread");
+        // ...and the arming thread still fires.
+        assert!(fire(name).is_err());
+        drop(guard);
+        assert!(fire(name).is_ok());
+
+        // A budgeted local point auto-disarms; its guard then drops clean.
+        let guard = arm_local(name, FailAction::Error, Some(1));
+        assert!(fire(name).is_err());
+        assert!(fire(name).is_ok());
+        drop(guard);
     }
 }

@@ -329,7 +329,6 @@ impl<S: Summarization> Index<S> {
         let data = &self.data;
         let quant_grid = if quant_on { self.quant_grid.as_ref() } else { None };
         let summarization: &dyn Summarization = &self.summarization;
-        let collect_levels = self.config.collect_levels;
         let per_lane = self.subtrees.len().div_ceil(self.pool.threads()).max(1);
         self.pool.run(|scope| {
             for ((chunk, base_chunk), old_base_chunk) in self
@@ -401,11 +400,7 @@ impl<S: Summarization> Index<S> {
                         // XOR gate alone — so building one would only
                         // cost memory and scan locality.
                         st.collect = if st.nodes.len() > 1 {
-                            Some(crate::node::CollectBlock::build(
-                                summarization,
-                                st,
-                                collect_levels,
-                            ))
+                            Some(crate::node::CollectBlock::build(summarization, st))
                         } else {
                             None
                         };
@@ -840,9 +835,9 @@ mod tests {
     }
 
     #[test]
-    fn deep_tree_builds_collect_levels() {
+    fn deep_tree_sweeps_its_collect_block() {
         // Hand every row the same root key region by using one shared
-        // prototype shape: a concentrated tree deep enough for levels.
+        // prototype shape: a concentrated tree that splits deep.
         let n = 64;
         let mut data = Vec::with_capacity(1200 * n);
         for r in 0..1200 {
@@ -859,26 +854,18 @@ mod tests {
         let sax = ISax::new(n, &SaxConfig { word_len: 8, alphabet: 256 });
         let idx =
             Index::build(sax, &data, IndexConfig::with_threads(1).leaf_capacity(8)).expect("build");
-        let deep = idx
+        let (st, cb) = idx
             .subtrees()
             .iter()
-            .filter_map(|st| st.collect.as_ref())
-            .find(|cb| !cb.levels.is_empty())
-            .expect("a concentrated tree must build level blocks");
-        // Spans partition sanity: each level's spans are disjoint,
-        // ordered, and within the fringe.
-        for lanes in &deep.levels {
-            let mut prev_end = 0u32;
-            for &(lo, hi) in &lanes.leaf_spans {
-                assert!(lo < hi, "empty span");
-                assert!(lo >= prev_end, "overlapping spans");
-                assert!(hi as usize <= deep.node_ids.len());
-                prev_end = hi;
-            }
-        }
-        // The hierarchy engages at query time.
+            .find_map(|st| st.collect.as_ref().map(|cb| (st, cb)))
+            .expect("a concentrated tree must build a collect block");
+        // The fringe covers every leaf of the subtree exactly once.
+        assert_eq!(cb.node_ids.len(), st.leaves().count());
+        assert_eq!(cb.block.n(), cb.node_ids.len());
+        assert!(cb.node_ids.iter().all(|&id| st.nodes[id as usize].is_leaf()));
+        // The fringe sweep engages at query time.
         let (_, stats) = idx.knn_with_stats(&data[..n], 3).expect("query");
-        assert!(stats.collect_level_groups_swept > 0, "level sweep never ran: {stats:?}");
+        assert!(stats.collect_groups_swept > 0, "fringe sweep never ran: {stats:?}");
     }
 
     #[test]

@@ -28,14 +28,6 @@ pub struct IndexConfig {
     /// `None` disables the trigger (manual repacking only).
     /// Default: `Some(25)`.
     pub auto_repack_pct: Option<u32>,
-    /// How many levels of internal nodes below each subtree root the
-    /// collect phase prices through hierarchy-aware level blocks before
-    /// falling through to the leaf fringe. A pruned level lane retires its
-    /// whole descendant leaf range — the decisive saving on deep trees
-    /// (concentrated root keys), while shallow subtrees skip the levels
-    /// automatically. `0` disables the hierarchy sweep (leaf-only collect
-    /// blocks). Default: [`crate::node::DEFAULT_COLLECT_LEVELS`].
-    pub collect_levels: usize,
     /// Whether repacking builds the scalar-quantized refine tier: per-leaf
     /// int8 codes swept between the word lower bound and the exact `f32`
     /// scan, cutting refine-phase memory traffic ~4x for lanes the word
@@ -53,7 +45,6 @@ impl Default for IndexConfig {
             num_threads: threads,
             num_queues: threads,
             auto_repack_pct: Some(25),
-            collect_levels: crate::node::DEFAULT_COLLECT_LEVELS,
             quant_refine: true,
         }
     }
@@ -87,15 +78,6 @@ impl IndexConfig {
         self
     }
 
-    /// Sets how many hierarchy levels the collect phase sweeps through
-    /// level blocks before the leaf fringe (`0` = leaf-only collect, the
-    /// pre-hierarchy behavior).
-    #[must_use]
-    pub fn collect_levels(mut self, levels: usize) -> Self {
-        self.collect_levels = levels;
-        self
-    }
-
     /// Enables or disables the scalar-quantized refine tier (see the
     /// field docs; default on).
     #[must_use]
@@ -116,7 +98,6 @@ mod tests {
         assert_eq!(c.num_queues, c.num_threads);
         assert!(c.num_threads >= 1);
         assert_eq!(c.auto_repack_pct, Some(25));
-        assert_eq!(c.collect_levels, crate::node::DEFAULT_COLLECT_LEVELS);
         assert!(c.quant_refine);
     }
 
@@ -124,14 +105,6 @@ mod tests {
     fn quant_refine_configurable() {
         let c = IndexConfig::default().quant_refine(false);
         assert!(!c.quant_refine);
-    }
-
-    #[test]
-    fn collect_levels_configurable() {
-        let c = IndexConfig::default().collect_levels(0);
-        assert_eq!(c.collect_levels, 0);
-        let c = IndexConfig::default().collect_levels(9);
-        assert_eq!(c.collect_levels, 9);
     }
 
     #[test]

@@ -100,11 +100,9 @@ impl<S: Summarization> Index<S> {
             }
         };
 
-        // Descend to the home leaf by the word's bits, tracking its depth
-        // (root = 0) so a split can patch the matching hierarchy level.
+        // Descend to the home leaf by the word's bits.
         let subtree = &mut self.subtrees[subtree_idx];
         let mut id = 0u32;
-        let mut depth = 0usize;
         loop {
             match &subtree.nodes[id as usize].kind {
                 NodeKind::Leaf { .. } => break,
@@ -113,7 +111,6 @@ impl<S: Summarization> Index<S> {
                     let child_bits = subtree.nodes[id as usize].bits[pos] + 1;
                     let bit = (word[pos] >> (symbol_bits - child_bits)) & 1;
                     id = if bit == 0 { *left } else { *right };
-                    depth += 1;
                 }
             }
         }
@@ -135,20 +132,15 @@ impl<S: Summarization> Index<S> {
         // collect block is *not* rebuilt — the split node's lane keeps its
         // (parent-interval) bounds, which remain a valid lower bound for
         // both children; the collect sweep finishes such stale lanes with
-        // a scalar descent until the next repack. When the split lands on
-        // a recorded hierarchy level, the new inner node is appended to
-        // that level's lanes (span = its own fringe lane), so level
-        // pruning can retire the stale lane wholesale between repacks.
+        // a scalar descent until the next repack.
         let splits = split_while_overfull(
             subtree,
             id,
-            depth,
             &self.words,
             &self.row_to_slot,
             self.word_len,
             symbol_bits,
             self.config.leaf_capacity,
-            &self.summarization,
         );
         // Stale-lane accounting is per subtree (the incremental repack
         // rebuilds exactly the subtrees whose count is non-zero) with the
@@ -212,40 +204,25 @@ impl<S: Summarization> Index<S> {
     }
 }
 
-/// Splits `leaf` (at `leaf_depth`, root = 0) — and any over-full child
-/// produced by the split — using the balanced-split rule, mutating the
-/// subtree arena in place. `words` is in storage order; `row_to_slot`
-/// maps the row ids stored in leaves to it. Returns the number of splits
-/// performed (each adds one leaf).
-///
-/// When the splitting node is a recorded fringe lane of the subtree's
-/// collect block and its depth lands on a kept hierarchy level, the new
-/// inner node is appended to that level ([`LevelLanes`] +
-/// [`sofa_summaries::LevelBlocks::push_level_lane`]) with a 1-wide span
-/// covering exactly its own fringe lane. Pruning that lane then retires
-/// the stale fringe lane — and with it the scalar descent into the split
-/// children — wholesale, keeping level pruning sharp between repacks.
-/// Deeper descendants of online splits have no fringe lane of their own
-/// and are skipped: a 1-wide span over the shared ancestor lane would
-/// retire the *sibling's* rows too, which would be unsound.
-#[allow(clippy::too_many_arguments)]
+/// Splits `leaf` — and any over-full child produced by the split — using
+/// the balanced-split rule, mutating the subtree arena in place. `words`
+/// is in storage order; `row_to_slot` maps the row ids stored in leaves to
+/// it. Returns the number of splits performed (each adds one leaf).
 fn split_while_overfull(
     subtree: &mut Subtree,
     leaf: u32,
-    leaf_depth: usize,
     words: &[u8],
     row_to_slot: &[u32],
     l: usize,
     symbol_bits: u8,
     leaf_capacity: usize,
-    summarization: &dyn Summarization,
 ) -> usize {
     let word_bit = |r: u32, j: usize, shift: u8| {
         (words[row_to_slot[r as usize] as usize * l + j] >> shift) & 1
     };
     let mut splits = 0usize;
-    let mut pending = vec![(leaf, leaf_depth)];
-    while let Some((id, depth)) = pending.pop() {
+    let mut pending = vec![leaf];
+    while let Some(id) = pending.pop() {
         let (rows, prefixes, bits) = {
             let node = &subtree.nodes[id as usize];
             let NodeKind::Leaf { rows, .. } = &node.kind else { continue };
@@ -300,23 +277,8 @@ fn split_while_overfull(
         subtree.nodes[id as usize].kind =
             NodeKind::Inner { left, right, split_pos: split_pos as u16 };
         splits += 1;
-        // Level patch (see the fn docs): only nodes that *are* a fringe
-        // lane — build-time leaves — qualify, and only within the levels
-        // the build actually kept.
-        if let Some(cb) = subtree.collect.as_mut() {
-            if (1..=cb.levels.len()).contains(&depth) {
-                if let Some(lane) = cb.node_ids.iter().position(|&nid| nid == id) {
-                    let li = depth - 1;
-                    cb.levels[li].node_ids.push(id);
-                    // Lossless: lane indexes cb.node_ids, whose length
-                    // is bounded by the (u32) node count.
-                    cb.levels[li].leaf_spans.push((lane as u32, lane as u32 + 1));
-                    cb.level_blocks.push_level_lane(li, summarization, &prefixes, &bits);
-                }
-            }
-        }
-        pending.push((left, depth + 1));
-        pending.push((right, depth + 1));
+        pending.push(left);
+        pending.push(right);
     }
     splits
 }
@@ -458,77 +420,9 @@ mod tests {
     }
 
     #[test]
-    fn split_on_a_recorded_level_appends_a_level_lane() {
-        use crate::node::CollectBlock;
-        let l = 8usize;
-        let sax = ISax::new(64, &SaxConfig { word_len: 8, alphabet: 256 });
-        // Left-comb subtree: inner_i at depth i, left child a leaf, right
-        // child inner_{i+1} (the last inner gets a right leaf). 26 leaves
-        // clear the level-recording gate; the budget keeps depth 1, whose
-        // only lane is inner_1 — and the depth-1 leaf (fringe lane 0) is
-        // exactly the node a recorded-level split can patch.
-        let n_inner = 25u32;
-        let node = |kind| Node { prefixes: vec![0; l], bits: vec![1; l], kind };
-        let mut nodes: Vec<Node> = (0..n_inner)
-            .map(|i| {
-                let right = if i + 1 < n_inner { i + 1 } else { n_inner + n_inner };
-                node(NodeKind::Inner { left: n_inner + i, right, split_pos: 0 })
-            })
-            .collect();
-        for _ in 0..=n_inner {
-            nodes.push(node(NodeKind::Leaf { rows: vec![], pack: None }));
-        }
-        let mut subtree = Subtree { key: 0, nodes, collect: None, stale_leaves: 0 };
-        subtree.collect = Some(CollectBlock::build(&sax, &subtree, 6));
-        let cb = subtree.collect.as_ref().unwrap();
-        assert_eq!(cb.levels.len(), 1, "budget must keep exactly depth 1");
-        let lanes_before = cb.levels[0].node_ids.len();
-        assert_eq!(cb.node_ids[0], n_inner, "depth-1 leaf must be fringe lane 0");
-
-        // Over-fill the depth-1 leaf with 12 rows whose words differ only
-        // in position 0's second bit (6/6), then split it.
-        let target = n_inner;
-        let rows: Vec<u32> = (0..12).collect();
-        let mut words = vec![0u8; 12 * l];
-        for r in 0..12 {
-            words[r * l] = if r % 2 == 0 { 0x00 } else { 0x40 };
-        }
-        let row_to_slot: Vec<u32> = (0..12).collect();
-        match &mut subtree.nodes[target as usize].kind {
-            NodeKind::Leaf { rows: slot, .. } => *slot = rows,
-            NodeKind::Inner { .. } => unreachable!(),
-        }
-        let splits =
-            split_while_overfull(&mut subtree, target, 1, &words, &row_to_slot, l, 8, 8, &sax);
-        assert_eq!(splits, 1);
-        let cb = subtree.collect.as_ref().unwrap();
-        assert_eq!(cb.levels[0].node_ids.len(), lanes_before + 1, "lane not appended");
-        assert_eq!(*cb.levels[0].node_ids.last().unwrap(), target);
-        // The appended span covers exactly the split node's own fringe
-        // lane — never the siblings'.
-        assert_eq!(*cb.levels[0].leaf_spans.last().unwrap(), (0, 1));
-        assert_eq!(cb.level_blocks.level(0).n(), lanes_before + 1);
-
-        // A deeper split (depth 2 leaf = left child of inner_1; no lane
-        // of its own on the kept level... and past cb.levels anyway) must
-        // append nothing.
-        let deep_leaf = n_inner + 1;
-        let rows: Vec<u32> = (0..12).collect();
-        match &mut subtree.nodes[deep_leaf as usize].kind {
-            NodeKind::Leaf { rows: slot, .. } => *slot = rows,
-            NodeKind::Inner { .. } => unreachable!(),
-        }
-        let splits =
-            split_while_overfull(&mut subtree, deep_leaf, 2, &words, &row_to_slot, l, 8, 8, &sax);
-        assert_eq!(splits, 1);
-        let cb = subtree.collect.as_ref().unwrap();
-        assert_eq!(cb.levels[0].node_ids.len(), lanes_before + 1, "deep split must not patch");
-    }
-
-    #[test]
-    fn insert_splits_keep_level_lanes_consistent() {
+    fn insert_splits_keep_stale_collect_lanes_exact() {
         // Concentrated square-wave data: every row shares one root key, so
-        // the single subtree grows deep enough to record level blocks.
+        // the single subtree grows deep enough to carry a collect block.
         let n = 64;
         let square = |r: usize, t: usize| {
             let base = if (t / 8) % 2 == 0 { 1.0f32 } else { -1.0 };
@@ -544,15 +438,12 @@ mod tests {
         let mut idx = Index::build(
             sax,
             &data,
-            // Auto-repack off so the split-time patch (not a rebuild) is
-            // what the assertions observe.
+            // Auto-repack off so the stale lanes the splits leave behind
+            // (not a rebuild) are what the queries below sweep.
             IndexConfig::with_threads(1).leaf_capacity(8).auto_repack_pct(None),
         )
         .expect("build");
-        assert!(
-            !idx.subtrees()[0].collect.as_ref().expect("collect block").levels.is_empty(),
-            "deep build must record levels"
-        );
+        let fringe = idx.subtrees()[0].collect.as_ref().expect("collect block").node_ids.clone();
 
         // Insert enough rows to force splits across the tree.
         let mut extra = Vec::with_capacity(400 * n);
@@ -563,18 +454,13 @@ mod tests {
         }
         idx.insert_all(&extra).expect("insert");
 
-        let cb = idx.subtrees()[0].collect.as_ref().expect("collect block");
-        // After the burst every level lane — build-time or appended —
-        // stays consistent with its level block and fringe.
-        for (li, lanes) in cb.levels.iter().enumerate() {
-            assert_eq!(lanes.node_ids.len(), lanes.leaf_spans.len());
-            assert_eq!(lanes.node_ids.len(), cb.level_blocks.level(li).n());
-            for (lane, &(lo, hi)) in lanes.node_ids.iter().zip(&lanes.leaf_spans) {
-                assert!(lo < hi, "empty span");
-                assert!((hi as usize) <= cb.node_ids.len());
-                assert!(!idx.subtrees()[0].nodes[*lane as usize].is_leaf());
-            }
-        }
+        // Splits never rebuild the block: the fringe is unchanged, and
+        // some of its lanes now point at inner nodes (stale lanes).
+        let st = &idx.subtrees()[0];
+        let cb = st.collect.as_ref().expect("collect block");
+        assert_eq!(cb.node_ids, fringe);
+        assert_eq!(cb.block.n(), fringe.len());
+        assert!(cb.node_ids.iter().any(|&id| !st.nodes[id as usize].is_leaf()), "no stale lane");
 
         // Exactness is untouched: every inserted row finds itself, and
         // results match a bulk-built index over the same rows.

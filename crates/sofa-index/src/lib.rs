@@ -52,7 +52,7 @@ pub mod stats;
 pub use bsf::{AtomicDistance, IpNeighbor, KnnSet, Neighbor};
 pub use config::IndexConfig;
 pub use filter::RowFilter;
-pub use node::{CollectBlock, LeafPack, LevelLanes, Node, NodeKind, Subtree};
+pub use node::{CollectBlock, LeafPack, Node, NodeKind, Subtree};
 pub use query::{QueryKind, QueryStats};
 pub use snapshot::{
     describe, SectionInfo, SectionReader, SnapshotCapabilities, SnapshotInfo,

@@ -9,7 +9,7 @@
 //! one position by one bit (set to 0 and 1 — the iSAX split), chosen to
 //! balance the series between them (as in iSAX 2.0 / MESSI).
 
-use sofa_summaries::{LevelBlocks, NodeBlock, QuantBlock, Summarization, WordBlock};
+use sofa_summaries::{NodeBlock, QuantBlock, Summarization, WordBlock};
 
 /// Node id within one subtree's arena.
 pub type NodeId = u32;
@@ -105,54 +105,23 @@ impl Node {
     }
 }
 
-/// Lane metadata of one hierarchy level in a [`CollectBlock`]: the arena
-/// node ids of the level's internal nodes (left-to-right) and, per lane,
-/// the half-open span `[leaf_lo, leaf_hi)` of *leaf-fringe lane indices*
-/// its subtree covers. Pruning a level lane retires that whole span — the
-/// coarse prune a leaf-only sweep cannot express.
-#[derive(Clone, Debug, Default)]
-pub struct LevelLanes {
-    /// Arena node id per lane (always `Inner` nodes at build time).
-    pub node_ids: Vec<u32>,
-    /// Per-lane descendant leaf range in fringe-lane index space.
-    pub leaf_spans: Vec<(u32, u32)>,
-}
-
-/// Hierarchy levels below which a [`CollectBlock`] stops recording
-/// internal nodes; deeper subtrees fall through to the leaf fringe. See
-/// [`crate::IndexConfig::collect_levels`].
-pub const DEFAULT_COLLECT_LEVELS: usize = 6;
-
-/// A level sweep only pays off once the leaf fringe spans several kernel
-/// groups; below this many leaves the block is built fringe-only. The
-/// value is the smallest fringe whose cost budget (a quarter of its
-/// kernel groups, see [`CollectBlock::build`]) admits at least one level
-/// group — matching the gate to the budget, so the DFS never records
-/// level lanes the truncation is guaranteed to discard.
-const MIN_LEAVES_FOR_LEVELS: usize = 3 * sofa_simd::BLOCK_LANES + 1;
-
 /// Collect-phase acceleration state of one subtree: the subtree's leaves'
 /// prefix quantization intervals as a structure-of-arrays
-/// [`NodeBlock`] (padded groups of 8), lane-parallel with `node_ids`,
-/// plus — for subtrees deep enough to profit — [`LevelBlocks`] over the
-/// top levels of internal nodes so whole descendant leaf ranges retire on
-/// one pruned ancestor lane.
+/// [`NodeBlock`] (padded groups of 8), lane-parallel with `node_ids`.
 ///
 /// The leaf fringe is stored in **DFS (pre-order) order**, not arena
-/// order: that makes every internal node's descendant leaves a contiguous
-/// range of fringe lanes, which is what lets a level lane carry a
-/// `(leaf_lo, leaf_hi)` span (see [`LevelLanes`]).
+/// order, so sibling leaves share kernel groups.
 ///
-/// The collect phase sweeps the levels top-down and then the surviving
-/// fringe, 8 lanes per dispatched kernel call, instead of walking the
-/// arena with a scalar `mindist_node` per node. Coherence across online
-/// splits is maintained *without rebuilding*: a split keeps the node's
-/// `prefixes`/`bits` and only changes its kind to `Inner`, so the lane's
-/// interval bounds remain a valid (parent-interval) lower bound for
-/// everything below it — the sweep detects such stale lanes by node kind
-/// and finishes them with a tiny scalar DFS over the freshly split
-/// descendants. [`crate::Index::repack_leaves`] (or the incremental
-/// repack) rebuilds the block to pure leaves.
+/// The collect phase sweeps the fringe, 8 lanes per dispatched kernel
+/// call, instead of walking the arena with a scalar `mindist_node` per
+/// node. Coherence across online splits is maintained *without
+/// rebuilding*: a split keeps the node's `prefixes`/`bits` and only
+/// changes its kind to `Inner`, so the lane's interval bounds remain a
+/// valid (parent-interval) lower bound for everything below it — the
+/// sweep detects such stale lanes by node kind and finishes them with a
+/// tiny scalar DFS over the freshly split descendants.
+/// [`crate::Index::repack_leaves`] (or the incremental repack) rebuilds
+/// the block to pure leaves.
 #[derive(Clone, Debug)]
 pub struct CollectBlock {
     /// Arena node id per fringe lane, DFS order (leaves at build time; a
@@ -160,99 +129,31 @@ pub struct CollectBlock {
     pub node_ids: Vec<u32>,
     /// SoA interval bounds of the fringe lanes' `prefixes`/`bits`.
     pub block: NodeBlock,
-    /// Lane metadata per hierarchy level (depth 1 first; the subtree root
-    /// is priced by the caller's `RootLbd` gate). Empty for shallow
-    /// subtrees or `collect_levels == 0`.
-    pub levels: Vec<LevelLanes>,
-    /// SoA interval bounds per level, parallel with `levels`.
-    pub level_blocks: LevelBlocks,
-}
-
-/// DFS traversal event (explicit stack; `Close` patches a level lane's
-/// span end once its subtree has fully emitted).
-enum Visit {
-    Node(NodeId, usize),
-    Close { level: usize, lane: usize },
 }
 
 impl CollectBlock {
-    /// Builds the block over every leaf of `subtree` in DFS order, and —
-    /// when the fringe is wide enough — [`LevelBlocks`] over the internal
-    /// nodes of the top `max_levels` levels.
-    ///
-    /// Levels are only recorded within a **cost budget**: the kernel
-    /// groups needed to sweep every kept level must total at most a
-    /// quarter of the leaf fringe's groups. That bounds the worst case —
-    /// a query the hierarchy cannot prune for pays at most ~25% extra
-    /// collect work — while a single mid-level prune on a deep tree still
-    /// retires hundreds of fringe groups for a handful of level calls.
+    /// Builds the block over every leaf of `subtree` in DFS order.
     #[must_use]
-    pub fn build(summarization: &dyn Summarization, subtree: &Subtree, max_levels: usize) -> Self {
-        let n_leaves = subtree.nodes.iter().filter(|n| n.is_leaf()).count();
-        let record_levels = max_levels > 0 && n_leaves >= MIN_LEAVES_FOR_LEVELS;
+    pub fn build(summarization: &dyn Summarization, subtree: &Subtree) -> Self {
+        let n_leaves = subtree.leaves().count();
         let mut node_ids = Vec::with_capacity(n_leaves);
         let mut labels: Vec<(&[u8], &[u8])> = Vec::with_capacity(n_leaves);
-        let mut levels: Vec<LevelLanes> = Vec::new();
-        let mut level_labels: Vec<Vec<(&[u8], &[u8])>> = Vec::new();
-        let mut stack = vec![Visit::Node(0, 0)];
-        while let Some(visit) = stack.pop() {
-            match visit {
-                Visit::Node(id, depth) => {
-                    let node = &subtree.nodes[id as usize];
-                    match &node.kind {
-                        NodeKind::Leaf { .. } => {
-                            node_ids.push(id);
-                            labels.push((&node.prefixes, &node.bits));
-                        }
-                        NodeKind::Inner { left, right, .. } => {
-                            if record_levels && (1..=max_levels).contains(&depth) {
-                                let li = depth - 1;
-                                if levels.len() <= li {
-                                    levels.push(LevelLanes::default());
-                                    level_labels.push(Vec::new());
-                                }
-                                levels[li].node_ids.push(id);
-                                // Span start = next fringe lane; the end is
-                                // patched by the matching `Close`.
-                                levels[li].leaf_spans.push((node_ids.len() as u32, 0));
-                                level_labels[li].push((&node.prefixes, &node.bits));
-                                stack.push(Visit::Close {
-                                    level: li,
-                                    lane: levels[li].leaf_spans.len() - 1,
-                                });
-                            }
-                            // Pre-order: left subtree fully, then right.
-                            stack.push(Visit::Node(*right, depth + 1));
-                            stack.push(Visit::Node(*left, depth + 1));
-                        }
-                    }
+        let mut stack: Vec<NodeId> = vec![0];
+        while let Some(id) = stack.pop() {
+            let node = &subtree.nodes[id as usize];
+            match &node.kind {
+                NodeKind::Leaf { .. } => {
+                    node_ids.push(id);
+                    labels.push((&node.prefixes, &node.bits));
                 }
-                Visit::Close { level, lane } => {
-                    levels[level].leaf_spans[lane].1 = node_ids.len() as u32;
+                NodeKind::Inner { left, right, .. } => {
+                    // Pre-order: left subtree fully, then right.
+                    stack.push(*right);
+                    stack.push(*left);
                 }
             }
         }
-        // Enforce the cost budget (see the doc comment): keep the level
-        // prefix whose cumulative group count fits a quarter of the
-        // fringe's groups; everything below the first offender is dropped
-        // with it.
-        let budget = n_leaves.div_ceil(sofa_simd::BLOCK_LANES) / 4;
-        let mut spent = 0usize;
-        let cut = levels
-            .iter()
-            .position(|l| {
-                spent += l.node_ids.len().div_ceil(sofa_simd::BLOCK_LANES);
-                spent > budget
-            })
-            .unwrap_or(levels.len());
-        levels.truncate(cut);
-        level_labels.truncate(cut);
-        CollectBlock {
-            node_ids,
-            block: NodeBlock::build(summarization, &labels),
-            level_blocks: LevelBlocks::build(summarization, &level_labels),
-            levels,
-        }
+        CollectBlock { node_ids, block: NodeBlock::build(summarization, &labels) }
     }
 }
 
@@ -370,10 +271,9 @@ mod tests {
     }
 
     #[test]
-    fn collect_block_levels_carry_dfs_leaf_spans() {
+    fn collect_block_fringe_is_in_dfs_order() {
         use sofa_summaries::{ISax, SaxConfig};
-        // Right-spine chain: root -> (leaf, inner -> (leaf, inner -> ...)),
-        // 129 leaves so the fringe clears the level cost budget.
+        // Right-spine chain: root -> (leaf, inner -> (leaf, inner -> ...)).
         let l = 2usize;
         let spine = 128u32;
         let leaf = |rows: Vec<u32>| Node {
@@ -400,26 +300,11 @@ mod tests {
         }
         let subtree = Subtree { key: 0, nodes, collect: None, stale_leaves: 0 };
         let sax = ISax::new(64, &SaxConfig { word_len: l, alphabet: 4 });
-        let cb = CollectBlock::build(&sax, &subtree, 4);
+        let cb = CollectBlock::build(&sax, &subtree);
         // Fringe: leaves in DFS order = arena ids 128, 129, ..., 256.
         assert_eq!(cb.node_ids.len(), 129);
         assert_eq!(cb.node_ids, (spine..=2 * spine).collect::<Vec<u32>>());
         assert_eq!(cb.block.n(), 129);
-        // Levels 1..=4: one spine inner each (1 kernel group per level —
-        // 4 total, within the 17-group fringe's budget of 4); the depth-d
-        // spine covers every leaf after the d leaves emitted above it.
-        assert_eq!(cb.levels.len(), 4);
-        assert_eq!(cb.level_blocks.n_levels(), 4);
-        for (li, lanes) in cb.levels.iter().enumerate() {
-            assert_eq!(lanes.node_ids, vec![li as u32 + 1], "level {li}");
-            assert_eq!(lanes.leaf_spans, vec![(li as u32 + 1, 129)], "level {li}");
-            assert_eq!(cb.level_blocks.level(li).n(), 1);
-        }
-        // Shallow trees and collect_levels == 0 skip the hierarchy.
-        let cb0 = CollectBlock::build(&sax, &subtree, 0);
-        assert!(cb0.levels.is_empty());
-        assert!(cb0.level_blocks.is_empty());
-        assert_eq!(cb0.node_ids, cb.node_ids);
     }
 
     #[test]

@@ -40,14 +40,14 @@ use crate::bsf::{IpNeighbor, Neighbor};
 use crate::filter::RowFilter;
 use crate::node::{root_key, LeafPack, NodeKind, Subtree};
 use crate::prune::{IpBound, KnnBound, PruneBound, RangeBound};
-use crate::scratch::{LaneScratch, LeafQueue, QueryScratch, QueueEntry};
+use crate::scratch::{LeafQueue, QueryScratch, QueueEntry};
 use crate::{Index, IndexError};
 use parking_lot::Mutex;
 use sofa_exec::CancelToken;
 use sofa_simd::{quant_lower_bound, quant_lower_bound_masked, BLOCK_LANES, BOUNDS_STRIDE};
 use sofa_summaries::{
-    mindist_block, mindist_block_masked, mindist_level_block, mindist_node, mindist_node_block,
-    mindist_simd, QueryContext, RootLbd, Summarization,
+    mindist_block, mindist_block_masked, mindist_node, mindist_node_block, mindist_simd,
+    QueryContext, RootLbd, Summarization,
 };
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -89,12 +89,6 @@ pub struct QueryStats {
     pub block_lanes_abandoned: usize,
     /// 8-leaf groups swept by the collect-phase node-block kernel.
     pub collect_groups_swept: usize,
-    /// 8-node groups swept by the hierarchy-level collect kernel (deep
-    /// trees only; each pruned lane retires a whole leaf range).
-    pub collect_level_groups_swept: usize,
-    /// Leaf-fringe lanes retired wholesale by a pruned ancestor level
-    /// lane — leaves the collect phase never had to price individually.
-    pub collect_leaves_retired_by_levels: usize,
     /// 8-candidate groups swept by the quantized refine kernel (the
     /// compressed middle tier between the word bound and the exact scan).
     pub quant_groups_swept: usize,
@@ -131,8 +125,6 @@ struct AtomicStats {
     block_groups_swept: AtomicUsize,
     block_lanes_abandoned: AtomicUsize,
     collect_groups_swept: AtomicUsize,
-    collect_level_groups_swept: AtomicUsize,
-    collect_leaves_retired_by_levels: AtomicUsize,
     quant_groups_swept: AtomicUsize,
     quant_lanes_killed: AtomicUsize,
     predicate_lanes_masked: AtomicUsize,
@@ -168,10 +160,6 @@ impl AtomicStats {
             block_groups_swept: self.block_groups_swept.load(Ordering::Relaxed),
             block_lanes_abandoned: self.block_lanes_abandoned.load(Ordering::Relaxed),
             collect_groups_swept: self.collect_groups_swept.load(Ordering::Relaxed),
-            collect_level_groups_swept: self.collect_level_groups_swept.load(Ordering::Relaxed),
-            collect_leaves_retired_by_levels: self
-                .collect_leaves_retired_by_levels
-                .load(Ordering::Relaxed),
             quant_groups_swept: self.quant_groups_swept.load(Ordering::Relaxed),
             quant_lanes_killed: self.quant_lanes_killed.load(Ordering::Relaxed),
             predicate_lanes_masked: self.predicate_lanes_masked.load(Ordering::Relaxed),
@@ -884,7 +872,7 @@ impl<S: Summarization> Index<S> {
         let push_counter = AtomicUsize::new(0);
         if serial {
             {
-                let mut lane_scratch = s.lanes[0].lock();
+                let mut stack = s.lanes[0].lock();
                 for (i, subtree) in self.subtrees.iter().enumerate() {
                     if fired(cancel) {
                         break;
@@ -898,7 +886,7 @@ impl<S: Summarization> Index<S> {
                         pb,
                         &s.queues,
                         &push_counter,
-                        &mut lane_scratch,
+                        &mut stack,
                         stats,
                         cancel,
                     );
@@ -914,7 +902,7 @@ impl<S: Summarization> Index<S> {
         // Pool lanes claim subtrees off an atomic counter.
         let next_subtree = AtomicUsize::new(0);
         self.pool.broadcast(|lane| {
-            let mut lane_scratch = s.lanes[lane].lock();
+            let mut stack = s.lanes[lane].lock();
             loop {
                 let i = next_subtree.fetch_add(1, Ordering::Relaxed);
                 if i >= self.subtrees.len() || fired(cancel) {
@@ -929,7 +917,7 @@ impl<S: Summarization> Index<S> {
                     pb,
                     &s.queues,
                     &push_counter,
-                    &mut lane_scratch,
+                    &mut stack,
                     stats,
                     cancel,
                 );
@@ -985,11 +973,7 @@ impl<S: Summarization> Index<S> {
             stats.block_groups_swept as u64,
             stats.block_lanes_abandoned as u64,
         );
-        self.counters.record_collect_sweep(
-            stats.collect_groups_swept as u64,
-            stats.collect_level_groups_swept as u64,
-            stats.collect_leaves_retired_by_levels as u64,
-        );
+        self.counters.record_collect_sweep(stats.collect_groups_swept as u64);
         self.counters.record_quant_sweep(
             stats.quant_groups_swept as u64,
             stats.quant_lanes_killed as u64,
@@ -1093,13 +1077,10 @@ impl<S: Summarization> Index<S> {
 
     /// Prices one subtree against the bound and pushes its surviving
     /// leaves into the queues: one [`RootLbd`] XOR evaluation gates the
-    /// whole subtree; on deep subtrees a top-down **level sweep** then
-    /// prices the top levels of internal nodes 8 per dispatched kernel
-    /// call, where each pruned lane retires its entire descendant leaf
-    /// range; finally the surviving leaf-fringe lanes are priced 8 per
-    /// call (whole groups abandoning mid-sum against the bound). Lanes
-    /// left stale by online splits — and subtrees without a block — fall
-    /// back to the scalar DFS.
+    /// whole subtree; the leaf-fringe lanes are then priced 8 per
+    /// dispatched kernel call (whole groups abandoning mid-sum against
+    /// the bound). Lanes left stale by online splits — and subtrees
+    /// without a block — fall back to the scalar DFS.
     ///
     /// Collect is filter-agnostic: node bounds hold for every row under a
     /// node, admitted or not, so pruning decisions are unchanged and the
@@ -1114,7 +1095,7 @@ impl<S: Summarization> Index<S> {
         pb: &B,
         queues: &[Mutex<LeafQueue>],
         push_counter: &AtomicUsize,
-        lane_scratch: &mut LaneScratch,
+        stack: &mut Vec<u32>,
         stats: &AtomicStats,
         cancel: Option<&CancelToken>,
     ) {
@@ -1141,7 +1122,6 @@ impl<S: Summarization> Index<S> {
             }
         }
         let Some(cb) = &subtree.collect else {
-            let stack = &mut lane_scratch.stack;
             stack.clear();
             stack.push(0);
             self.collect_dfs(
@@ -1159,62 +1139,6 @@ impl<S: Summarization> Index<S> {
             return;
         };
         let mut lbs = [0.0f32; BLOCK_LANES];
-
-        // --- Level sweep (deep subtrees only): price the top levels of
-        // internal nodes top-down; a pruned lane marks its whole
-        // descendant leaf range dead before the fringe is ever touched.
-        // Because the fringe is in DFS order, every lane's descendants
-        // form the contiguous span `[leaf_lo, leaf_hi)`; at the moment
-        // level `d` is swept, a lane's span is either fully alive or was
-        // killed wholesale by an ancestor, so checking its first leaf
-        // suffices.
-        let use_levels = !cb.levels.is_empty();
-        if use_levels {
-            lane_scratch.reset_dead(cb.node_ids.len());
-            let mut retired = 0usize;
-            for (lvl, lanes_meta) in cb.levels.iter().enumerate() {
-                let block = cb.level_blocks.level(lvl);
-                for g in 0..block.n_groups() {
-                    // Cancellation checkpoint at group-sweep granularity:
-                    // an expired query stops pricing levels mid-subtree.
-                    if fired(cancel) {
-                        return;
-                    }
-                    let lanes = block.lanes_in(g);
-                    let base = g * BLOCK_LANES;
-                    if (0..lanes)
-                        .all(|i| lane_scratch.dead[lanes_meta.leaf_spans[base + i].0 as usize])
-                    {
-                        continue;
-                    }
-                    stats.collect_level_groups_swept.fetch_add(1, Ordering::Relaxed);
-                    let bound = pb.l2_bound();
-                    let group_abandoned =
-                        mindist_level_block(ctx, &cb.level_blocks, lvl, g, bound, &mut lbs);
-                    for (i, &lbd) in lbs.iter().enumerate().take(lanes) {
-                        let (lo, hi) = lanes_meta.leaf_spans[base + i];
-                        if lane_scratch.dead[lo as usize] {
-                            continue;
-                        }
-                        // On a whole-group abandon every lane's (partial)
-                        // sum already exceeded the kernel threshold
-                        // (strictly — valid for every policy); otherwise
-                        // re-ask the policy, whose bound only tightens as
-                        // refinement overlaps.
-                        if group_abandoned || pb.prunes(lbd) {
-                            stats.nodes_pruned.fetch_add(1, Ordering::Relaxed);
-                            retired += (hi - lo) as usize;
-                            lane_scratch.mark_dead(lo as usize, hi as usize);
-                        }
-                    }
-                }
-            }
-            stats.collect_leaves_retired_by_levels.fetch_add(retired, Ordering::Relaxed);
-        }
-
-        // --- Leaf-fringe sweep over the survivors.
-        let LaneScratch { stack, dead, dead_in_group } = lane_scratch;
-        #[allow(clippy::needless_range_loop)] // g also derives the lane base
         for g in 0..cb.block.n_groups() {
             // Cancellation checkpoint at group-sweep granularity.
             if fired(cancel) {
@@ -1222,11 +1146,6 @@ impl<S: Summarization> Index<S> {
             }
             let lanes = cb.block.lanes_in(g);
             let base = g * BLOCK_LANES;
-            if use_levels && dead_in_group[g] as usize == lanes {
-                // The whole group was retired by ancestor prunes: no
-                // kernel call, and the skip test is one byte compare.
-                continue;
-            }
             let bound = pb.l2_bound();
             stats.collect_groups_swept.fetch_add(1, Ordering::Relaxed);
             if mindist_node_block(ctx, &cb.block, g, bound, &mut lbs) {
@@ -1236,9 +1155,6 @@ impl<S: Summarization> Index<S> {
                 continue;
             }
             for (i, &lbd) in lbs.iter().enumerate().take(lanes) {
-                if use_levels && dead[base + i] {
-                    continue; // already counted at the ancestor prune
-                }
                 // Re-ask the policy: its bound tightens as refinement
                 // overlaps.
                 if pb.prunes(lbd) {

@@ -51,46 +51,6 @@ impl PartialOrd for QueueEntry {
 /// One refinement queue: a min-queue on leaf lower bound.
 pub(crate) type LeafQueue = BinaryHeap<Reverse<QueueEntry>>;
 
-/// Per-pool-lane collect-phase working state: the DFS stack of the scalar
-/// fallback paths and the dead-lane markers of the hierarchy sweep (one
-/// flag per leaf-fringe lane of the subtree currently being priced). Both
-/// keep their capacity across queries, so warm queries never allocate.
-#[derive(Default)]
-pub(crate) struct LaneScratch {
-    /// Scalar collect-DFS stack (blockless subtrees, stale lanes).
-    pub stack: Vec<u32>,
-    /// Fringe lanes retired by a pruned ancestor level lane.
-    pub dead: Vec<bool>,
-    /// Dead-lane count per fringe kernel group — the O(1) whole-group
-    /// skip test of the fringe sweep (scanning 8 bools per group would
-    /// cost as much as the abandoning kernel call it avoids).
-    pub dead_in_group: Vec<u8>,
-}
-
-impl LaneScratch {
-    /// Re-arms the dead-lane markers for a fringe of `n_lanes` lanes.
-    pub fn reset_dead(&mut self, n_lanes: usize) {
-        self.dead.clear();
-        self.dead.resize(n_lanes, false);
-        self.dead_in_group.clear();
-        self.dead_in_group.resize(n_lanes.div_ceil(sofa_simd::BLOCK_LANES), 0);
-    }
-
-    /// Marks fringe lanes `lo..hi` dead, maintaining the group counts.
-    /// Spans never overlap (the sweep checks a span's head before
-    /// marking), so plain addition keeps the counts exact.
-    pub fn mark_dead(&mut self, lo: usize, hi: usize) {
-        for d in &mut self.dead[lo..hi] {
-            *d = true;
-        }
-        const LANES: usize = sofa_simd::BLOCK_LANES;
-        for g in lo / LANES..hi.div_ceil(LANES) {
-            let overlap = hi.min((g + 1) * LANES) - lo.max(g * LANES);
-            self.dead_in_group[g] += overlap as u8;
-        }
-    }
-}
-
 /// Every buffer one query needs, with no lifetime parameters so the index
 /// can pool instances across queries. See the module docs.
 pub(crate) struct QueryScratch {
@@ -114,10 +74,10 @@ pub(crate) struct QueryScratch {
     pub queues: Vec<Mutex<LeafQueue>>,
     /// Per-queue abandon flags for the refinement phase.
     pub done: Vec<AtomicBool>,
-    /// Per-lane collect-phase state (DFS stack + dead-lane markers; one
-    /// per pool lane; each lane locks only its own, so the locks are
-    /// uncontended).
-    pub lanes: Vec<Mutex<LaneScratch>>,
+    /// Per-lane scalar collect-DFS stacks (blockless subtrees, stale
+    /// lanes; one per pool lane; each lane locks only its own, so the
+    /// locks are uncontended).
+    pub lanes: Vec<Mutex<Vec<u32>>>,
 }
 
 impl QueryScratch {
@@ -135,7 +95,7 @@ impl QueryScratch {
             range: Mutex::new(Vec::new()),
             queues: (0..num_queues).map(|_| Mutex::new(BinaryHeap::new())).collect(),
             done: (0..num_queues).map(|_| AtomicBool::new(false)).collect(),
-            lanes: (0..lanes).map(|_| Mutex::new(LaneScratch::default())).collect(),
+            lanes: (0..lanes).map(|_| Mutex::new(Vec::new())).collect(),
         }
     }
 

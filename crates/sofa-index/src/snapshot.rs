@@ -7,7 +7,7 @@
 //! topology, leaf packs, collect blocks, quantizer) are rehydrated into
 //! their owned in-memory forms; they are a small fraction of the file.
 //!
-//! ## File format (version 1)
+//! ## File format (version 2)
 //!
 //! ```text
 //! offset 0   magic            b"SOFASNAP"
@@ -41,13 +41,13 @@
 
 use crate::arena::Arena;
 use crate::config::IndexConfig;
-use crate::node::{CollectBlock, LeafPack, LevelLanes, Node, NodeKind, Subtree};
+use crate::node::{CollectBlock, LeafPack, Node, NodeKind, Subtree};
 use crate::{Index, IndexError};
 use sofa_exec::{failpoint, ExecPool};
 use sofa_mmap::{Advice, Mmap};
 use sofa_summaries::{
-    CoeffPos, ISax, LevelBlocks, McbModel, NodeBlock, QuantBlock, QuantGrid, SaxConfig, Sfa,
-    Summarization, WordBlock,
+    CoeffPos, ISax, McbModel, NodeBlock, QuantBlock, QuantGrid, SaxConfig, Sfa, Summarization,
+    WordBlock,
 };
 use std::fs::File;
 use std::io::Write;
@@ -58,7 +58,7 @@ use std::sync::Arc;
 /// First 8 bytes of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SOFASNAP";
 /// The one format version this build writes and reads.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
 /// Failpoint fired before each section write (torn-write injection).
 pub const SNAPSHOT_WRITE_FAILPOINT: &str = "sofa-index::snapshot::write";
 /// Failpoint fired before the final atomic rename.
@@ -561,8 +561,6 @@ pub struct SnapshotCapabilities {
     pub word_len: usize,
     /// Maximum rows per tree leaf.
     pub leaf_capacity: usize,
-    /// Depth of the hierarchical collect-block ladder (0 = fringe only).
-    pub collect_levels: usize,
     /// Whether the config asks for the int8 quantized refine tier.
     pub quant_refine: bool,
     /// Whether that tier was actually enabled when the snapshot was cut
@@ -722,7 +720,6 @@ pub fn describe<P: AsRef<Path>>(path: P) -> Result<SnapshotInfo, IndexError> {
             series_len: meta.series_len,
             word_len: meta.word_len,
             leaf_capacity: meta.leaf_capacity,
-            collect_levels: meta.collect_levels,
             quant_refine: meta.quant_refine,
             quant_enabled: meta.quant_enabled,
             quant_grid_present: meta.grid_present,
@@ -870,7 +867,6 @@ impl<S: SnapshotSummarization> Index<S> {
         put_len(&mut out, self.word_len);
         put_len(&mut out, self.slot_to_row.len());
         put_len(&mut out, self.config.leaf_capacity);
-        put_len(&mut out, self.config.collect_levels);
         put_len(&mut out, self.subtrees.len());
         match self.config.auto_repack_pct {
             Some(pct) => {
@@ -942,22 +938,9 @@ impl<S: SnapshotSummarization> Index<S> {
                     put_u8(&mut out, 1);
                     put_len(&mut out, cb.node_ids.len());
                     put_u32_slice(&mut out, &cb.node_ids);
-                    encode_node_block(&mut out, &cb.block);
-                    put_len(&mut out, cb.levels.len());
-                    for lanes in &cb.levels {
-                        put_len(&mut out, lanes.node_ids.len());
-                        put_u32_slice(&mut out, &lanes.node_ids);
-                        put_len(&mut out, lanes.leaf_spans.len());
-                        for &(lo, hi) in &lanes.leaf_spans {
-                            put_u32(&mut out, lo);
-                            put_u32(&mut out, hi);
-                        }
-                    }
-                    let level_blocks = cb.level_blocks.levels();
-                    put_len(&mut out, level_blocks.len());
-                    for block in level_blocks {
-                        encode_node_block(&mut out, block);
-                    }
+                    put_len(&mut out, cb.block.n());
+                    put_len(&mut out, cb.block.bounds().len());
+                    put_f32_slice(&mut out, cb.block.bounds());
                 }
             }
         }
@@ -997,12 +980,6 @@ impl<S: SnapshotSummarization> Index<S> {
     }
 }
 
-fn encode_node_block(out: &mut Vec<u8>, block: &NodeBlock) {
-    put_len(out, block.n());
-    put_len(out, block.bounds().len());
-    put_f32_slice(out, block.bounds());
-}
-
 // ---------------------------------------------------------------------
 // Open (read) side.
 
@@ -1011,7 +988,6 @@ struct Meta {
     word_len: usize,
     n_slots: usize,
     leaf_capacity: usize,
-    collect_levels: usize,
     n_subtrees: usize,
     auto_repack_pct: Option<u32>,
     quant_refine: bool,
@@ -1034,7 +1010,6 @@ fn decode_meta(buf: &[u8]) -> Result<Meta, IndexError> {
     let word_len = r.count()?;
     let n_slots = r.count()?;
     let leaf_capacity = r.count()?;
-    let collect_levels = r.count()?;
     let n_subtrees = r.count()?;
     let has_auto = decode_flag(&mut r, "auto-repack")?;
     let auto_pct = r.u32()?;
@@ -1072,7 +1047,6 @@ fn decode_meta(buf: &[u8]) -> Result<Meta, IndexError> {
         word_len,
         n_slots,
         leaf_capacity,
-        collect_levels,
         n_subtrees,
         auto_repack_pct: has_auto.then_some(auto_pct),
         quant_refine,
@@ -1265,20 +1239,6 @@ fn decode_packs(
     r.finish()
 }
 
-fn decode_one_node_block(
-    r: &mut SectionReader<'_>,
-    word_len: usize,
-    expect_n: Option<usize>,
-) -> Result<NodeBlock, IndexError> {
-    let n = r.count()?;
-    if expect_n.is_some_and(|e| e != n) {
-        return Err(r.invalid(format!("node block covers {n} nodes, expected {:?}", expect_n)));
-    }
-    let bounds_len = r.bounded_count(4)?;
-    let bounds = r.f32_vec(bounds_len)?;
-    NodeBlock::from_raw_parts(n, word_len, bounds).map_err(|d| corrupt("collect", d))
-}
-
 fn decode_collect(buf: &[u8], meta: &Meta, subtrees: &mut [Subtree]) -> Result<(), IndexError> {
     let mut r = SectionReader::new(buf, "collect");
     for (si, subtree) in subtrees.iter_mut().enumerate() {
@@ -1296,50 +1256,15 @@ fn decode_collect(buf: &[u8], meta: &Meta, subtrees: &mut [Subtree]) -> Result<(
                 );
             }
         }
-        let block = decode_one_node_block(&mut r, meta.word_len, Some(n_fringe))?;
-        let n_levels = r.bounded_count(1)?;
-        let mut levels = Vec::with_capacity(n_levels);
-        for _ in 0..n_levels {
-            let n_lane = r.bounded_count(4)?;
-            let lane_ids = r.u32_vec(n_lane)?;
-            if lane_ids.iter().any(|&id| id as usize >= n_nodes) {
-                return Err(r.invalid(format!("level lane references a node outside subtree {si}")));
-            }
-            let n_spans = r.bounded_count(8)?;
-            if n_spans != n_lane {
-                return Err(r.invalid(format!("{n_spans} spans for {n_lane} level lanes")));
-            }
-            let mut leaf_spans = Vec::with_capacity(n_spans);
-            for _ in 0..n_spans {
-                let lo = r.u32()?;
-                let hi = r.u32()?;
-                if lo > hi || hi as usize > n_fringe {
-                    return Err(r.invalid(format!(
-                        "level span {lo}..{hi} exceeds the {n_fringe}-leaf fringe"
-                    )));
-                }
-                leaf_spans.push((lo, hi));
-            }
-            levels.push(LevelLanes { node_ids: lane_ids, leaf_spans });
+        let n = r.count()?;
+        if n != n_fringe {
+            return Err(r.invalid(format!("node block covers {n} nodes, expected {n_fringe}")));
         }
-        let n_blocks = r.bounded_count(1)?;
-        if n_blocks != n_levels {
-            return Err(r.invalid(format!("{n_blocks} level blocks for {n_levels} levels")));
-        }
-        let mut level_blocks = Vec::with_capacity(n_blocks);
-        for level in &levels {
-            level_blocks.push(decode_one_node_block(
-                &mut r,
-                meta.word_len,
-                Some(level.node_ids.len()),
-            )?);
-        }
-        subtree.collect = Some(CollectBlock {
-            node_ids,
-            block,
-            levels,
-            level_blocks: LevelBlocks::from_levels(level_blocks),
-        });
+        let bounds_len = r.bounded_count(4)?;
+        let bounds = r.f32_vec(bounds_len)?;
+        let block = NodeBlock::from_raw_parts(n, meta.word_len, bounds)
+            .map_err(|d| corrupt("collect", d))?;
+        subtree.collect = Some(CollectBlock { node_ids, block });
     }
     r.finish()
 }
@@ -1552,7 +1477,6 @@ impl<S: SnapshotSummarization> Index<S> {
             num_threads: threads,
             num_queues: threads,
             auto_repack_pct: meta.auto_repack_pct,
-            collect_levels: meta.collect_levels,
             quant_refine: meta.quant_refine,
         };
         let query_env = sofa_summaries::QueryEnv::new(&summarization);
@@ -1682,7 +1606,6 @@ mod tests {
         assert_eq!(caps.series_len, 64);
         assert_eq!(caps.word_len, 8);
         assert_eq!(caps.leaf_capacity, 25);
-        assert_eq!(caps.collect_levels, idx.config().collect_levels);
         assert_eq!(caps.quant_refine, idx.config().quant_refine);
         assert_eq!(caps.quant_enabled, idx.quant_refine_enabled());
         assert_eq!(caps.quant_grid_present, idx.quant_grid.is_some());
@@ -1715,6 +1638,29 @@ mod tests {
     }
 
     #[test]
+    fn version_1_snapshot_fails_closed_with_format_error() {
+        let idx = sax_index(200);
+        let path = tmp_path("v1");
+        idx.snapshot(&path).expect("snapshot");
+        // Version 1 files carry hierarchy-level collect state this build
+        // no longer reads: the version check rejects them before any
+        // section is interpreted.
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes[8..12].copy_from_slice(&1u32.to_ne_bytes());
+        std::fs::write(&path, &bytes).expect("write");
+        match Index::<ISax>::open(&path) {
+            Err(IndexError::SnapshotFormat { section, detail }) => {
+                assert_eq!(section, "header");
+                assert!(detail.contains("unsupported format version 1"), "{detail}");
+            }
+            Err(other) => panic!("expected SnapshotFormat, got {other:?}"),
+            Ok(_) => panic!("v1 open must fail"),
+        }
+        assert!(matches!(describe(&path), Err(IndexError::SnapshotFormat { .. })));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn bit_flip_is_detected_by_checksums() {
         let idx = sax_index(300);
         let path = tmp_path("flip");
@@ -1739,11 +1685,13 @@ mod tests {
         let before = std::fs::read(&path).expect("read");
 
         // Die before the third section write: target intact, tmp removed.
-        failpoint::arm(SNAPSHOT_WRITE_FAILPOINT, failpoint::FailAction::Error, Some(3));
-        // The first two fires are budgeted no-ops... arm with times=Some(3)
-        // fires on the first three calls; the snapshot errors on call 1.
+        // Armed for this thread only, so sibling tests' snapshots neither
+        // consume nor trip the fires. With times=Some(3) the point fires
+        // on the first three calls; the snapshot errors on call 1.
+        let crash =
+            failpoint::arm_local(SNAPSHOT_WRITE_FAILPOINT, failpoint::FailAction::Error, Some(3));
         let err = idx.snapshot(&path).expect_err("failpoint must abort");
-        failpoint::clear(SNAPSHOT_WRITE_FAILPOINT);
+        drop(crash);
         assert!(matches!(err, IndexError::SnapshotIo { .. }), "{err:?}");
         assert_eq!(std::fs::read(&path).expect("read"), before, "target must be untouched");
         let tmp = path.with_file_name(format!(
@@ -1753,9 +1701,10 @@ mod tests {
         assert!(!tmp.exists(), "tmp file must be cleaned up");
 
         // Same for a failure at the rename step.
-        failpoint::arm(SNAPSHOT_RENAME_FAILPOINT, failpoint::FailAction::Error, Some(1));
+        let crash =
+            failpoint::arm_local(SNAPSHOT_RENAME_FAILPOINT, failpoint::FailAction::Error, Some(1));
         let err = idx.snapshot(&path).expect_err("rename failpoint must abort");
-        failpoint::clear(SNAPSHOT_RENAME_FAILPOINT);
+        drop(crash);
         assert!(matches!(err, IndexError::SnapshotIo { .. }), "{err:?}");
         assert_eq!(std::fs::read(&path).expect("read"), before);
         assert!(!tmp.exists());

@@ -31,10 +31,6 @@ pub(crate) struct KernelCounters {
     pub block_lanes_abandoned: AtomicU64,
     /// 8-leaf groups swept by the collect-phase node-block kernel.
     pub collect_groups_swept: AtomicU64,
-    /// 8-node groups swept by the hierarchy-level collect kernel.
-    pub collect_level_groups_swept: AtomicU64,
-    /// Leaf-fringe lanes retired wholesale by pruned ancestor level lanes.
-    pub collect_leaves_retired_by_levels: AtomicU64,
     /// 8-candidate groups swept by the quantized refine kernel.
     pub quant_groups_swept: AtomicU64,
     /// Candidate lanes the quantized tier pruned after the word bound let
@@ -59,10 +55,8 @@ impl KernelCounters {
         self.block_lanes_abandoned.fetch_add(lanes_abandoned, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_collect_sweep(&self, groups: u64, level_groups: u64, retired: u64) {
+    pub(crate) fn record_collect_sweep(&self, groups: u64) {
         self.collect_groups_swept.fetch_add(groups, Ordering::Relaxed);
-        self.collect_level_groups_swept.fetch_add(level_groups, Ordering::Relaxed);
-        self.collect_leaves_retired_by_levels.fetch_add(retired, Ordering::Relaxed);
     }
 
     pub(crate) fn record_quant_sweep(&self, groups: u64, lanes_killed: u64, bytes: u64) {
@@ -115,12 +109,6 @@ pub struct IndexStats {
     /// 8-leaf groups swept by the collect-phase node-block kernel (each
     /// replaces up to 8 scalar `mindist_node` evaluations).
     pub collect_groups_swept: u64,
-    /// 8-node groups swept by the hierarchy-level collect kernel (deep
-    /// trees only).
-    pub collect_level_groups_swept: u64,
-    /// Leaf-fringe lanes the level sweep retired wholesale via pruned
-    /// ancestors — collect work that never happened.
-    pub collect_leaves_retired_by_levels: u64,
     /// 8-candidate groups swept by the quantized refine kernel.
     pub quant_groups_swept: u64,
     /// Candidate lanes the quantized tier pruned after the word bound let
@@ -183,14 +171,6 @@ impl<S: Summarization> Index<S> {
             block_groups_swept: self.counters.block_groups_swept.load(Ordering::Relaxed),
             block_lanes_abandoned: self.counters.block_lanes_abandoned.load(Ordering::Relaxed),
             collect_groups_swept: self.counters.collect_groups_swept.load(Ordering::Relaxed),
-            collect_level_groups_swept: self
-                .counters
-                .collect_level_groups_swept
-                .load(Ordering::Relaxed),
-            collect_leaves_retired_by_levels: self
-                .counters
-                .collect_leaves_retired_by_levels
-                .load(Ordering::Relaxed),
             quant_groups_swept: self.counters.quant_groups_swept.load(Ordering::Relaxed),
             quant_lanes_killed: self.counters.quant_lanes_killed.load(Ordering::Relaxed),
             refine_bytes_per_query: {

@@ -315,57 +315,6 @@ impl NodeBlock {
         Ok(NodeBlock { n, word_len, bounds })
     }
 
-    /// Appends one node's resolved intervals as a new lane, preserving the
-    /// padding invariant (pad lanes mirror the last real lane). Used by
-    /// the index's split-time level patching: when an insert splits a node
-    /// at a depth this block covers, the new node's tighter label joins
-    /// the sweep immediately instead of waiting for the next repack.
-    ///
-    /// When the last group is full a fresh group is appended (all 8 lanes
-    /// the new node); otherwise the first pad lane is overwritten and the
-    /// remaining pads re-mirrored.
-    ///
-    /// # Panics
-    /// Panics if `prefixes`/`bits` length differs from the block's word
-    /// length.
-    pub fn push_lane(&mut self, summarization: &dyn Summarization, prefixes: &[u8], bits: &[u8]) {
-        let l = self.word_len;
-        assert_eq!(prefixes.len(), l, "node prefixes must span the word");
-        assert_eq!(bits.len(), l, "node bits must span the word");
-        let alphabet = summarization.alphabet();
-        let symbol_bits = summarization.symbol_bits();
-        let lane = self.n % BLOCK_LANES;
-        if lane == 0 {
-            for j in 0..l {
-                let (lo, hi) = prefix_interval(
-                    prefixes[j],
-                    bits[j],
-                    symbol_bits,
-                    alphabet,
-                    summarization.breakpoints(j),
-                );
-                self.bounds.extend(std::iter::repeat(lo).take(BLOCK_LANES));
-                self.bounds.extend(std::iter::repeat(hi).take(BLOCK_LANES));
-            }
-        } else {
-            let base = (self.n / BLOCK_LANES) * l * BOUNDS_STRIDE;
-            for j in 0..l {
-                let (lo, hi) = prefix_interval(
-                    prefixes[j],
-                    bits[j],
-                    symbol_bits,
-                    alphabet,
-                    summarization.breakpoints(j),
-                );
-                for k in lane..BLOCK_LANES {
-                    self.bounds[base + j * BOUNDS_STRIDE + k] = lo;
-                    self.bounds[base + j * BOUNDS_STRIDE + BLOCK_LANES + k] = hi;
-                }
-            }
-        }
-        self.n += 1;
-    }
-
     /// The bounds slice of `group`.
     #[inline]
     #[must_use]
@@ -398,127 +347,6 @@ fn build_bounds(n: usize, l: usize, resolve: impl Fn(usize, usize) -> (f32, f32)
         }
     }
     bounds
-}
-
-/// Position-major SoA interval blocks over the top levels of a subtree —
-/// the [`NodeBlock`] treatment generalized from one flat lane set to a
-/// *hierarchy*.
-///
-/// Level `d` holds one [`NodeBlock`] over the subtree's internal nodes at
-/// depth `d + 1` (the root itself is priced by the caller's root gate).
-/// The index's collect phase sweeps the levels top-down through the same
-/// dispatched [`sofa_simd::block_lower_bound`] tiers: a level lane whose
-/// bound meets the best-so-far retires its *entire descendant leaf range*
-/// before the leaf fringe is ever priced — the coarse-subtree pruning that
-/// a leaf-only block sweep gives up on deep trees. Which lane covers
-/// which leaves is the caller's bookkeeping (the index stores per-lane
-/// leaf spans next to its node ids); this type owns only the interval
-/// data, so the bit-for-bit guarantee of [`mindist_node_block`] carries
-/// over level by level.
-#[derive(Clone, Debug, PartialEq, Default)]
-pub struct LevelBlocks {
-    /// One node block per hierarchy level, top-down.
-    levels: Vec<NodeBlock>,
-}
-
-impl LevelBlocks {
-    /// Builds one [`NodeBlock`] per level over `levels`, each a top-down
-    /// list of the `(prefixes, bits)` labels at that depth.
-    ///
-    /// # Panics
-    /// Panics if any node's `prefixes`/`bits` length differs from the
-    /// model's word length.
-    #[must_use]
-    pub fn build(summarization: &dyn Summarization, levels: &[Vec<(&[u8], &[u8])>]) -> Self {
-        LevelBlocks {
-            levels: levels.iter().map(|nodes| NodeBlock::build(summarization, nodes)).collect(),
-        }
-    }
-
-    /// An empty hierarchy (no level sweep — the leaf-only fallback).
-    #[must_use]
-    pub fn empty() -> Self {
-        LevelBlocks::default()
-    }
-
-    /// Number of levels.
-    #[must_use]
-    pub fn n_levels(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// `true` when no level was built.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.levels.is_empty()
-    }
-
-    /// Appends one node's lane to an existing level's block (see
-    /// [`NodeBlock::push_lane`]). Only levels built at the last repack can
-    /// be patched — callers never grow the hierarchy here.
-    ///
-    /// # Panics
-    /// Panics if `level` is out of range or the label length differs from
-    /// the block's word length.
-    pub fn push_level_lane(
-        &mut self,
-        level: usize,
-        summarization: &dyn Summarization,
-        prefixes: &[u8],
-        bits: &[u8],
-    ) {
-        self.levels[level].push_lane(summarization, prefixes, bits);
-    }
-
-    /// The node block of one level (0 = the level just below the root).
-    ///
-    /// # Panics
-    /// Panics if `level` is out of range.
-    #[must_use]
-    pub fn level(&self, level: usize) -> &NodeBlock {
-        &self.levels[level]
-    }
-
-    /// All level blocks, top-down — the flat serialization form.
-    #[must_use]
-    pub fn levels(&self) -> &[NodeBlock] {
-        &self.levels
-    }
-
-    /// Rebuilds a hierarchy from already-validated per-level blocks (each
-    /// constructed through [`NodeBlock::from_raw_parts`], which enforces
-    /// the layout invariant).
-    #[must_use]
-    pub fn from_levels(levels: Vec<NodeBlock>) -> Self {
-        LevelBlocks { levels }
-    }
-
-    /// Heap bytes held across all levels (for stats/reports).
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.levels.iter().map(NodeBlock::heap_bytes).sum()
-    }
-}
-
-/// Squared lower bounds between `ctx`'s query and the 8 nodes of group
-/// `group` at `level` of `blocks` — [`mindist_node_block`] applied to one
-/// level of a hierarchy; identical kernel, identical bit-for-bit
-/// guarantee versus the scalar [`crate::mindist_node`].
-///
-/// # Panics
-/// Panics if `level`/`group` are out of range or the context's word
-/// length differs from the block's.
-#[inline]
-#[must_use]
-pub fn mindist_level_block(
-    ctx: &QueryContext<'_>,
-    blocks: &LevelBlocks,
-    level: usize,
-    group: usize,
-    bsf_sq: f32,
-    out: &mut [f32; BLOCK_LANES],
-) -> bool {
-    mindist_node_block(ctx, blocks.level(level), group, bsf_sq, out)
 }
 
 /// Squared lower bounds between `ctx`'s query and the 8 nodes of `block`
@@ -720,32 +548,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn push_lane_matches_batch_build() {
-        // Pushing lanes one at a time must reproduce the batch-built block
-        // bit-for-bit, across both the overwrite-pad and new-group paths.
-        let n = 64;
-        let data = dataset(19, n);
-        let sfa =
-            Sfa::learn(&data, n, &SfaConfig { word_len: 16, alphabet: 64, ..Default::default() });
-        let words = words_of(&sfa, &data, n);
-        let nodes = nodes_from_words(&words, 16, sfa.symbol_bits());
-        let refs: Vec<(&[u8], &[u8])> =
-            nodes.iter().map(|(p, b)| (p.as_slice(), b.as_slice())).collect();
-        for split in [1usize, 7, 8, 9, 16] {
-            let mut grown = NodeBlock::build(&sfa, &refs[..split]);
-            for (p, b) in &refs[split..] {
-                grown.push_lane(&sfa, p, b);
-            }
-            let batch = NodeBlock::build(&sfa, &refs);
-            assert_eq!(grown.n(), batch.n(), "split={split}");
-            assert_eq!(grown.bounds.len(), batch.bounds.len(), "split={split}");
-            for (i, (a, b)) in grown.bounds.iter().zip(batch.bounds.iter()).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "split={split} float {i}");
-            }
-        }
-    }
-
     /// Derives per-node `(prefixes, bits)` pairs from full-cardinality
     /// words: node `i` keeps `(i % (symbol_bits + 1))` bits per position.
     fn nodes_from_words(words: &[u8], l: usize, symbol_bits: u8) -> Vec<(Vec<u8>, Vec<u8>)> {
@@ -835,62 +637,6 @@ mod tests {
     }
 
     #[test]
-    fn level_blocks_match_scalar_mindist_node_per_level() {
-        let n = 64;
-        let data = dataset(30, n);
-        let sfa =
-            Sfa::learn(&data, n, &SfaConfig { word_len: 16, alphabet: 64, ..Default::default() });
-        let words = words_of(&sfa, &data, n);
-        let symbol_bits = sfa.symbol_bits();
-        // Three "levels" of increasing cardinality, ragged lane counts.
-        let levels_owned: Vec<Vec<(Vec<u8>, Vec<u8>)>> = [(2usize, 1u8), (7, 2), (11, 3)]
-            .iter()
-            .map(|&(count, b)| {
-                words
-                    .chunks(16)
-                    .take(count)
-                    .map(|w| {
-                        let prefixes: Vec<u8> = w.iter().map(|&s| s >> (symbol_bits - b)).collect();
-                        (prefixes, vec![b; 16])
-                    })
-                    .collect()
-            })
-            .collect();
-        let level_refs: Vec<Vec<(&[u8], &[u8])>> = levels_owned
-            .iter()
-            .map(|lvl| lvl.iter().map(|(p, b)| (p.as_slice(), b.as_slice())).collect())
-            .collect();
-        let blocks = LevelBlocks::build(&sfa, &level_refs);
-        assert_eq!(blocks.n_levels(), 3);
-        assert!(!blocks.is_empty());
-        assert!(blocks.heap_bytes() > 0);
-        let ctx = QueryContext::new(&sfa, &data[9 * n..10 * n]);
-        let mut out = [0.0f32; BLOCK_LANES];
-        for (lvl, nodes) in levels_owned.iter().enumerate() {
-            let block = blocks.level(lvl);
-            assert_eq!(block.n(), nodes.len());
-            for g in 0..block.n_groups() {
-                let abandoned = mindist_level_block(&ctx, &blocks, lvl, g, f32::INFINITY, &mut out);
-                assert!(!abandoned);
-                for (lane, &lb) in out.iter().enumerate().take(block.lanes_in(g)) {
-                    let (p, b) = &nodes[g * BLOCK_LANES + lane];
-                    let scalar = crate::lbd::mindist_node(&ctx, p, b);
-                    assert_eq!(lb.to_bits(), scalar.to_bits(), "level {lvl} group {g} lane {lane}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn empty_level_blocks() {
-        let blocks = LevelBlocks::empty();
-        assert!(blocks.is_empty());
-        assert_eq!(blocks.n_levels(), 0);
-        assert_eq!(blocks.heap_bytes(), 0);
-        assert_eq!(blocks, LevelBlocks::default());
-    }
-
-    #[test]
     fn empty_node_list_builds_empty_block() {
         let n = 64;
         let data = dataset(5, n);
@@ -920,9 +666,6 @@ mod tests {
         assert!(NodeBlock::from_raw_parts(3, 4, vec![0.0; 63]).is_err());
         let nb = NodeBlock::from_raw_parts(3, 4, vec![0.0; 64]).expect("1 group x 4 x 16");
         assert_eq!(nb.n(), 3);
-        let lb = LevelBlocks::from_levels(vec![nb.clone()]);
-        assert_eq!(lb.n_levels(), 1);
-        assert_eq!(lb.levels()[0], nb);
     }
 
     #[test]

@@ -109,7 +109,6 @@ pub struct Builder {
     seed: u64,
     pool: Option<Arc<ExecPool>>,
     auto_repack_pct: Option<u32>,
-    collect_levels: usize,
     quant_refine: bool,
 }
 
@@ -128,7 +127,6 @@ impl Default for Builder {
             seed: 0x50FA,
             pool: None,
             auto_repack_pct: IndexConfig::default().auto_repack_pct,
-            collect_levels: IndexConfig::default().collect_levels,
             quant_refine: IndexConfig::default().quant_refine,
         }
     }
@@ -219,15 +217,6 @@ impl Builder {
         self
     }
 
-    /// How many hierarchy levels the collect phase prices through level
-    /// blocks before the leaf fringe — the deep-tree coarse prune. `0`
-    /// restores the leaf-only collect sweep (useful for A/B benchmarks).
-    #[must_use]
-    pub fn collect_levels(mut self, levels: usize) -> Self {
-        self.collect_levels = levels;
-        self
-    }
-
     /// Enables or disables the scalar-quantized refine tier: per-leaf
     /// int8 codes swept between the word lower bound and the exact `f32`
     /// scan (default on). Results are identical either way — the
@@ -247,7 +236,6 @@ impl Builder {
         IndexConfig::with_threads(lanes)
             .leaf_capacity(self.leaf_capacity)
             .auto_repack_pct(self.auto_repack_pct)
-            .collect_levels(self.collect_levels)
             .quant_refine(self.quant_refine)
     }
 

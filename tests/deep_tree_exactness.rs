@@ -1,12 +1,12 @@
-//! Deep-tree exactness under churn: the serving cycle this PR makes
-//! first-class — concentrated root keys (one hierarchically clustered
-//! prototype family, so the index builds deep subtrees with level
-//! blocks), online insert bursts that leave lanes stale mid-query-stream,
-//! and incremental repacks — must return brute-force answers at every
-//! stage, for 500 queries across the suite.
+//! Deep-tree exactness under churn: concentrated root keys (one
+//! hierarchically clustered prototype family, so the index builds deep
+//! subtrees whose collect blocks hold many fringe lanes), online insert
+//! bursts that leave lanes stale mid-query-stream, and incremental
+//! repacks — must return brute-force answers at every stage, for 500
+//! queries across the suite.
 //!
 //! CI replays this binary under `SOFA_FORCE_SCALAR=1` as well, so the
-//! level-order collect sweep is proven exact on every dispatch tier.
+//! leaf-fringe collect sweep is proven exact on every dispatch tier.
 
 use sofa::baselines::FlatL2;
 use sofa::data::registry;
@@ -81,18 +81,18 @@ fn deep_tree_serving_stays_exact_through_inserts_and_incremental_repacks() {
     let stats = index.stats();
     assert!(stats.max_depth >= 4, "workload must build a deep tree: {stats:?}");
 
-    // Phase 1: freshly built (every leaf packed, level blocks live).
+    // Phase 1: freshly built (every leaf packed, collect blocks live).
     let flat = FlatL2::new(&all[..initial], n, 2);
     assert_exact(&index, &flat, &holdout[..per_phase * n], n, 3, "phase1-holdout");
 
     // Phase 2: known-item stream on the packed tree; also prove the
-    // hierarchy actually engages under the active dispatch tier.
-    let mut level_groups = 0usize;
+    // fringe sweep actually engages under the active dispatch tier.
+    let mut collect_groups = 0usize;
     for q in dups.chunks(n) {
         let (_, s) = index.knn_with_stats(q, 1).expect("stats query");
-        level_groups += s.collect_level_groups_swept;
+        collect_groups += s.collect_groups_swept;
     }
-    assert!(level_groups > 0, "deep workload must exercise the level sweep");
+    assert!(collect_groups > 0, "deep workload must exercise the collect sweep");
     assert_exact(&index, &flat, &dups, n, 1, "phase2-dups");
 
     // Phase 3: first insert burst — lanes go stale mid-stream (splits

@@ -15,9 +15,8 @@ use sofa::simd::{
     znormalize, BLOCK_LANES,
 };
 use sofa::summaries::{
-    mindist_level_block, mindist_node, mindist_node_block, mindist_scalar, mindist_simd, ISax,
-    LevelBlocks, NodeBlock, QuantBlock, QuantGrid, QueryContext, SaxConfig, Sfa, SfaConfig,
-    Summarization,
+    mindist_node, mindist_node_block, mindist_scalar, mindist_simd, ISax, NodeBlock, QuantBlock,
+    QuantGrid, QueryContext, SaxConfig, Sfa, SfaConfig, Summarization,
 };
 use sofa::SofaIndex;
 
@@ -207,73 +206,6 @@ proptest! {
             for (lane, &lb) in out.iter().enumerate().take(block.lanes_in(g)) {
                 let (p, b) = &nodes[g * BLOCK_LANES + lane];
                 prop_assert_eq!(lb.to_bits(), mindist_node(&ctx, p, b).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn level_blocks_are_bitwise_equal_to_scalar_mindist_node(
-        data in dataset_strategy(40, 32),
-        level_sizes in proptest::collection::vec(1usize..=11, 1..=5),
-        bit_depths in proptest::collection::vec(0u8..=8, 5 * 11),
-        scale_sel in 0usize..4,
-    ) {
-        // The hierarchy-aware collect sweep prices one NodeBlock per tree
-        // level; every lane of every level must agree with the scalar
-        // per-node evaluation to the bit, across dispatch tiers (CI
-        // replays this under SOFA_FORCE_SCALAR=1; the sofa-simd proptests
-        // pin the tiers to identical bits).
-        let scale_exp = [0i32, -20, -38, -44][scale_sel];
-        let n = 32;
-        let l = 8;
-        let z = znorm_rows(&data, n);
-        let sax = ISax::new(n, &SaxConfig { word_len: l, alphabet: 256 });
-        let mut tr = sax.transformer();
-        let rows = z.len() / n;
-        let mut flat_idx = 0usize;
-        let levels_owned: Vec<Vec<(Vec<u8>, Vec<u8>)>> = level_sizes
-            .iter()
-            .map(|&count| {
-                (0..count)
-                    .map(|_| {
-                        let word = tr.word(&z[(flat_idx % rows) * n..][..n], l);
-                        let bits: Vec<u8> =
-                            (0..l).map(|j| bit_depths[(flat_idx * l + j) % bit_depths.len()]).collect();
-                        flat_idx += 1;
-                        let prefixes: Vec<u8> = word
-                            .iter()
-                            .zip(bits.iter())
-                            .map(|(&s, &b)| if b == 0 { 0 } else { s >> (8 - b) })
-                            .collect();
-                        (prefixes, bits)
-                    })
-                    .collect()
-            })
-            .collect();
-        let level_refs: Vec<Vec<(&[u8], &[u8])>> = levels_owned
-            .iter()
-            .map(|lvl| lvl.iter().map(|(p, b)| (p.as_slice(), b.as_slice())).collect())
-            .collect();
-        let blocks = LevelBlocks::build(&sax, &level_refs);
-        prop_assert_eq!(blocks.n_levels(), level_sizes.len());
-        let scale = 10f32.powi(scale_exp);
-        let query: Vec<f32> = z[..n].iter().map(|&v| v * scale).collect();
-        let ctx = QueryContext::new(&sax, &query);
-        let mut out = [0.0f32; BLOCK_LANES];
-        for (lvl, nodes) in levels_owned.iter().enumerate() {
-            let block = blocks.level(lvl);
-            prop_assert_eq!(block.n(), nodes.len());
-            for g in 0..block.n_groups() {
-                let abandoned = mindist_level_block(&ctx, &blocks, lvl, g, f32::INFINITY, &mut out);
-                prop_assert!(!abandoned, "nothing abandons against an infinite bound");
-                for (lane, &lb) in out.iter().enumerate().take(block.lanes_in(g)) {
-                    let (p, b) = &nodes[g * BLOCK_LANES + lane];
-                    let scalar = mindist_node(&ctx, p, b);
-                    prop_assert_eq!(
-                        lb.to_bits(), scalar.to_bits(),
-                        "level {} group {} lane {}: block {} vs scalar {}", lvl, g, lane, lb, scalar
-                    );
-                }
             }
         }
     }

@@ -187,9 +187,12 @@ fn torn_write_preserves_old_snapshot_and_rebuild_recovers() {
         (SNAPSHOT_WRITE_FAILPOINT, 4),
         (SNAPSHOT_RENAME_FAILPOINT, 1),
     ] {
-        failpoint::arm(point, FailAction::Error, Some(fires));
+        // Armed for this thread only: the snapshot writer fires on the
+        // calling thread, and a sibling test's `snapshot()` must neither
+        // consume the injected crash nor trip over it.
+        let crash = failpoint::arm_local(point, FailAction::Error, Some(fires));
         let err = idx.snapshot(&path).expect_err("injected crash must abort the snapshot");
-        failpoint::clear(point);
+        drop(crash);
         assert!(matches!(err, IndexError::SnapshotIo { .. }), "{point}: {err:?}");
         assert_eq!(std::fs::read(&path).expect("read"), before, "{point}: old snapshot damaged");
         assert!(!tmp.exists(), "{point}: tmp litter left behind");
