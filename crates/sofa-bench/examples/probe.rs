@@ -11,7 +11,7 @@
 //! ```
 
 use sofa::data::registry;
-use sofa::{MessiIndex, SofaIndex};
+use sofa::Builder;
 use std::time::Instant;
 
 fn main() {
@@ -19,14 +19,14 @@ fn main() {
         let spec = registry().into_iter().find(|s| s.name == name).unwrap();
         let d = spec.generate(20_000, 10);
         let n = d.series_len();
-        let sofa = SofaIndex::builder()
+        let sofa = Builder::default()
             .threads(1)
             .leaf_capacity(500)
             .sample_ratio(0.05)
             .build_sofa(d.data(), n)
             .unwrap();
         let messi =
-            MessiIndex::builder().threads(1).leaf_capacity(500).build_messi(d.data(), n).unwrap();
+            Builder::default().threads(1).leaf_capacity(500).build_messi(d.data(), n).unwrap();
         let mut st = 0.0;
         let mut mt = 0.0;
         let mut sr = 0;

@@ -12,7 +12,7 @@
 use super::Suite;
 use crate::report::{f2, f3, Report};
 use sofa::stats::mean;
-use sofa::{MessiIndex, SofaIndex};
+use sofa::Builder;
 
 /// Runs the approximate-quality extension experiment (`ext-approx`).
 pub fn ext_approx(suite: &Suite) -> Report {
@@ -32,13 +32,13 @@ pub fn ext_approx(suite: &Suite) -> Report {
     for spec in suite.specs() {
         let dataset = suite.dataset(spec);
         let n = dataset.series_len();
-        let sofa = SofaIndex::builder()
+        let sofa = Builder::default()
             .threads(threads)
             .leaf_capacity(suite.cfg.leaf_capacity)
             .sample_ratio(suite.cfg.sample_ratio)
             .build_sofa(dataset.data(), n)
             .expect("sofa build");
-        let messi = MessiIndex::builder()
+        let messi = Builder::default()
             .threads(threads)
             .leaf_capacity(suite.cfg.leaf_capacity)
             .build_messi(dataset.data(), n)

@@ -29,7 +29,10 @@ use crate::report::{f1, f2, Report};
 use sofa::baselines::FlatL2;
 use sofa::exec::failpoint::{self, FailAction};
 use sofa::serve::TICK_FAILPOINT;
-use sofa::{AdmissionPolicy, DegradedMode, Neighbor, ServeConfig, ServeError, Server, SofaIndex};
+use sofa::{
+    AdmissionPolicy, Builder, DegradedMode, Neighbor, QueryKind, ServeConfig, ServeError, Server,
+    SofaIndex,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -83,7 +86,7 @@ fn drive(
                 }
                 let qi = i % nq;
                 let q = &queries[qi * n..][..n];
-                match server.knn(q, CHAOS_K) {
+                match server.query(q, QueryKind::Knn { k: CHAOS_K }) {
                     Ok(got) => {
                         if got != reference[qi] {
                             outcomes.deviations.fetch_add(1, Ordering::Relaxed);
@@ -120,7 +123,7 @@ pub fn ext_chaos(suite: &Suite) -> Report {
     let nq = queries.len() / n;
 
     let index = Arc::new(
-        SofaIndex::builder()
+        Builder::default()
             .threads(threads)
             .leaf_capacity(suite.cfg.leaf_capacity)
             .sample_ratio(suite.cfg.sample_ratio)
@@ -204,7 +207,10 @@ pub fn ext_chaos(suite: &Suite) -> Report {
     assert_eq!(deviations, 0, "successful answers must stay exact under chaos");
     // And the server must have outlived its faults.
     let q0 = &queries[..n];
-    assert_eq!(server.knn(q0, CHAOS_K).expect("post-chaos query"), reference[0]);
+    assert_eq!(
+        server.query(q0, QueryKind::Knn { k: CHAOS_K }).expect("post-chaos query"),
+        reference[0]
+    );
     drop(server);
 
     r.para(&format!(
@@ -278,7 +284,7 @@ pub fn ext_chaos(suite: &Suite) -> Report {
     r.metric("shed_p50_sojourn_us", stats.p50_sojourn_us);
 
     // ---- Scenario 3: degraded shards serve flagged partial answers. -
-    let sharded = SofaIndex::builder()
+    let sharded = Builder::default()
         .threads(threads)
         .leaf_capacity(suite.cfg.leaf_capacity)
         .sample_ratio(suite.cfg.sample_ratio)
@@ -290,7 +296,7 @@ pub fn ext_chaos(suite: &Suite) -> Report {
     sharded.mark_degraded(0);
     let mut partial_ok = 0u64;
     for q in queries.chunks(n) {
-        let got = sharded.knn(q, 1).expect("degraded query");
+        let got = sharded.query(q, QueryKind::Knn { k: 1 }).expect("degraded query");
         assert!(
             got.iter().all(|nb| nb.row >= shard0_rows),
             "a quarantined shard's rows must not appear in partial answers"

@@ -24,7 +24,7 @@ use crate::report::{f1, f2, Report};
 use sofa::baselines::FlatL2;
 use sofa::exec::failpoint::{self, FailAction};
 use sofa::index::{SNAPSHOT_RENAME_FAILPOINT, SNAPSHOT_WRITE_FAILPOINT};
-use sofa::{describe, ExecPool, IndexError, ServeConfig, Server, SofaIndex};
+use sofa::{describe, Builder, ExecPool, IndexError, QueryKind, ServeConfig, Server};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -64,7 +64,7 @@ pub fn ext_durability(suite: &Suite) -> Report {
     // neither side of the rebuild-vs-reopen comparison.
     let pool = ExecPool::shared(threads);
     let builder = || {
-        SofaIndex::builder()
+        Builder::default()
             .pool(Arc::clone(&pool))
             .leaf_capacity(suite.cfg.leaf_capacity)
             .sample_ratio(suite.cfg.sample_ratio)
@@ -144,7 +144,7 @@ pub fn ext_durability(suite: &Suite) -> Report {
     );
     let (_, served_secs) = crate::timed(|| {
         for q in queries.chunks(n) {
-            server.knn(q, 1).expect("served query");
+            server.query(q, QueryKind::Knn { k: 1 }).expect("served query");
         }
     });
     let served_ms = 1e3 * served_secs / nq as f64;

@@ -22,7 +22,7 @@ use super::Suite;
 use crate::report::{f1, f2, Report};
 use sofa::simd::{dot, euclidean_sq_early_abandon, znormalize};
 use sofa::summaries::ip_score;
-use sofa::{IpNeighbor, Neighbor, RowFilter, ServeConfig, Server, SofaIndex};
+use sofa::{Builder, IpNeighbor, Neighbor, QueryKind, RowFilter, ServeConfig, Server, SofaIndex};
 use std::sync::Arc;
 
 /// Brute-force oracle over the same bits the index stores: rows are
@@ -120,7 +120,7 @@ pub fn ext_queries(suite: &Suite) -> Report {
     let nq = queries.len() / n;
     let k = 10usize;
 
-    let index = SofaIndex::builder()
+    let index = Builder::default()
         .threads(threads)
         .leaf_capacity(suite.cfg.leaf_capacity)
         .sample_ratio(suite.cfg.sample_ratio)
@@ -132,18 +132,20 @@ pub fn ext_queries(suite: &Suite) -> Report {
     // ---- Scenario 1: filtered k-NN vs query-all-then-filter. --------
     // 50% selectivity, the even rows — candidate lanes interleave
     // admitted and rejected rows in every kernel group.
-    let half = RowFilter::from_fn(count, |row| row % 2 == 0);
+    let half = Arc::new(RowFilter::from_fn(count, |row| row % 2 == 0));
     assert_eq!(2 * half.count(), count + (count % 2), "selectivity must be 50%");
+    let filtered_kind = QueryKind::KnnFiltered { k, filter: Arc::clone(&half) };
+    let mut out = Vec::new();
 
     // Warm both paths once (page-faults, lazily allocated scratches),
     // then measure.
     for q in queries.chunks(n).take(2) {
-        index.knn_filtered(q, k, &half).expect("warm filtered");
+        index.query_into(q, &filtered_kind, &mut out).expect("warm filtered");
         post_filter_knn(&index, q, k, count, |row| row % 2 == 0);
     }
     let (_, filtered_secs) = crate::timed(|| {
         for q in queries.chunks(n) {
-            index.knn_filtered(q, k, &half).expect("filtered");
+            index.query_into(q, &filtered_kind, &mut out).expect("filtered");
         }
     });
     let (_, baseline_secs) = crate::timed(|| {
@@ -174,8 +176,7 @@ pub fn ext_queries(suite: &Suite) -> Report {
         );
     }
 
-    let (_, fstats) =
-        index.knn_filtered_with_stats(&queries[..n], k, &half).expect("filtered stats");
+    let fstats = index.query_into(&queries[..n], &filtered_kind, &mut out).expect("filtered stats");
     r.para(&format!(
         "Filtered k-NN (k = {k}, 50% selectivity, {count} series): the \
          in-funnel predicate answers in {} ms/query against {} ms/query \
@@ -204,7 +205,10 @@ pub fn ext_queries(suite: &Suite) -> Report {
         }
     });
     let range_ms = 1e3 * range_secs / nq as f64;
-    let (hits, rstats) = index.range_with_stats(&queries[..n], radii[0]).expect("range stats");
+    let mut hits = Vec::new();
+    let rstats = index
+        .query_into(&queries[..n], &QueryKind::Range { r_sq: radii[0] }, &mut hits)
+        .expect("range stats");
     let (_, ip_secs) = crate::timed(|| {
         for q in queries.chunks(n) {
             index.knn_ip(q, k).expect("knn_ip");
@@ -237,7 +241,7 @@ pub fn ext_queries(suite: &Suite) -> Report {
     let mut checks = 0u64;
     let server = Server::new(
         Arc::new(
-            SofaIndex::builder()
+            Builder::default()
                 .threads(threads)
                 .leaf_capacity(suite.cfg.leaf_capacity)
                 .sample_ratio(suite.cfg.sample_ratio)
@@ -277,12 +281,16 @@ pub fn ext_queries(suite: &Suite) -> Report {
         checks += 1;
         let agree = match qi % 3 {
             0 => {
-                let got = server.knn_filtered(q, k, Arc::clone(&shared)).expect("serve filtered");
+                let got = server
+                    .query(q, QueryKind::KnnFiltered { k, filter: Arc::clone(&shared) })
+                    .expect("serve filtered");
                 bits_eq(&got, &filtered)
             }
-            1 => bits_eq(&server.range(q, r_sq).expect("serve range"), &ranged),
+            1 => {
+                bits_eq(&server.query(q, QueryKind::Range { r_sq }).expect("serve range"), &ranged)
+            }
             _ => {
-                let got = server.knn_ip(q, k).expect("serve ip");
+                let got = server.query(q, QueryKind::Ip { k }).expect("serve ip");
                 got.len() == ip.len() && got.iter().zip(ip.iter()).all(|(g, w)| g.row == w.row)
             }
         };

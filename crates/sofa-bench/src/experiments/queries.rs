@@ -4,7 +4,7 @@ use super::Suite;
 use crate::methods::{Built, MethodKind};
 use crate::report::{f1, f2, f3, Report};
 use sofa::stats::{mean, median, pearson, Summary};
-use sofa::{MessiIndex, SofaIndex};
+use sofa::Builder;
 
 /// Table II: mean and median 1-NN query time per method and core count
 /// over the mixed 17-dataset workload.
@@ -136,13 +136,13 @@ pub fn compute_comparison(suite: &Suite) -> Vec<DatasetComparison> {
     for spec in suite.specs() {
         let dataset = suite.dataset(spec);
         let n = dataset.series_len();
-        let sofa = SofaIndex::builder()
+        let sofa = Builder::default()
             .threads(threads)
             .leaf_capacity(suite.cfg.leaf_capacity)
             .sample_ratio(suite.cfg.sample_ratio)
             .build_sofa(dataset.data(), n)
             .expect("sofa build");
-        let messi = MessiIndex::builder()
+        let messi = Builder::default()
             .threads(threads)
             .leaf_capacity(suite.cfg.leaf_capacity)
             .build_messi(dataset.data(), n)
@@ -165,7 +165,7 @@ pub fn compute_comparison(suite: &Suite) -> Vec<DatasetComparison> {
             name: spec.name.to_string(),
             sofa_ms: mean(&sofa_times),
             messi_ms: mean(&messi_times),
-            mean_coeff: sofa.mean_selected_coefficient(),
+            mean_coeff: sofa.summarization().mean_selected_coefficient(),
             expected_rank: spec.expected_speedup_rank,
             refined: (sofa_refined as f64 / nq, messi_refined as f64 / nq),
         });

@@ -35,7 +35,7 @@ use super::Suite;
 use crate::report::{f1, f2, f3, Report};
 use sofa::baselines::FlatL2;
 use sofa::stats::percentile;
-use sofa::{ServeConfig, Server, SofaIndex};
+use sofa::{Builder, QueryKind, ServeConfig, Server};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -130,7 +130,7 @@ fn serve_profile(suite: &Suite, r: &mut Report, spec_name: &str, count_cap: usiz
     let m = |name: &str| format!("{name}{suffix}");
 
     let index = Arc::new(
-        SofaIndex::builder()
+        Builder::default()
             .threads(threads)
             .leaf_capacity(suite.cfg.leaf_capacity)
             .sample_ratio(suite.cfg.sample_ratio)
@@ -168,7 +168,7 @@ fn serve_profile(suite: &Suite, r: &mut Report, spec_name: &str, count_cap: usiz
     let server = Server::new(Arc::clone(&index), bench_config());
     let mut serve_dev = 0usize;
     for q in queries.chunks(n) {
-        let via = server.knn(q, 5).expect("coalesced query");
+        let via = server.query(q, QueryKind::Knn { k: 5 }).expect("coalesced query");
         let direct = index.knn(q, 5).expect("direct query");
         let truth = flat.nn(q).dist_sq;
         if via != direct || (via[0].dist_sq - truth).abs() > 1e-3 * truth.max(1.0) {
@@ -197,7 +197,7 @@ fn serve_profile(suite: &Suite, r: &mut Report, spec_name: &str, count_cap: usiz
 
     let before = index.stats().queries_served;
     let coalesced = open_loop(queries, n, offered, total, |q| {
-        server.knn(q, 1).expect("coalesced query");
+        server.query(q, QueryKind::Knn { k: 1 }).expect("coalesced query");
     });
     let served_delta = index.stats().queries_served - before;
     assert_eq!(served_delta, total as u64, "one queries_served count per coalesced query");
@@ -211,7 +211,7 @@ fn serve_profile(suite: &Suite, r: &mut Report, spec_name: &str, count_cap: usiz
     // 2-way sharded arm: bit-identical answers first, then the same
     // open-loop stream through a server over the sharded index.
     let sharded = Arc::new(
-        SofaIndex::builder()
+        Builder::default()
             .threads(threads)
             .leaf_capacity(suite.cfg.leaf_capacity)
             .sample_ratio(suite.cfg.sample_ratio)
@@ -221,7 +221,9 @@ fn serve_profile(suite: &Suite, r: &mut Report, spec_name: &str, count_cap: usiz
     );
     let mut shard_dev = 0usize;
     for q in queries.chunks(n) {
-        if sharded.knn(q, 5).expect("sharded query") != index.knn(q, 5).expect("direct query") {
+        if sharded.query(q, QueryKind::Knn { k: 5 }).expect("sharded query")
+            != index.knn(q, 5).expect("direct query")
+        {
             shard_dev += 1;
         }
     }
@@ -229,7 +231,7 @@ fn serve_profile(suite: &Suite, r: &mut Report, spec_name: &str, count_cap: usiz
     r.metric(&m("serve_shard_exactness_deviations"), shard_dev as f64);
     let shard_server = Server::new(Arc::clone(&sharded), bench_config());
     let shard_arm = open_loop(queries, n, offered, total, |q| {
-        shard_server.knn(q, 1).expect("sharded coalesced query");
+        shard_server.query(q, QueryKind::Knn { k: 1 }).expect("sharded coalesced query");
     });
     drop(shard_server);
 

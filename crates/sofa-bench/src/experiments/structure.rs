@@ -4,7 +4,7 @@ use super::Suite;
 use crate::report::{f1, f2, Report};
 use crate::timed;
 use sofa::baselines::FlatL2;
-use sofa::{MessiIndex, SofaIndex};
+use sofa::Builder;
 use sofa_summaries::{Sfa, SfaConfig};
 
 /// Figure 7: mean index-creation time by phase and core count for FAISS
@@ -32,7 +32,7 @@ pub fn fig7(suite: &Suite) -> Report {
             faiss_total += t_faiss;
 
             let (messi_ix, _) = timed(|| {
-                MessiIndex::builder()
+                Builder::default()
                     .threads(threads)
                     .leaf_capacity(suite.cfg.leaf_capacity)
                     .build_messi(dataset.data(), n)
@@ -120,12 +120,12 @@ pub fn fig8(suite: &Suite) -> Report {
     for spec in suite.specs() {
         let dataset = suite.dataset(spec);
         let n = dataset.series_len();
-        let messi = MessiIndex::builder()
+        let messi = Builder::default()
             .threads(threads)
             .leaf_capacity(leaf_capacity)
             .build_messi(dataset.data(), n)
             .expect("messi build");
-        let sofa = SofaIndex::builder()
+        let sofa = Builder::default()
             .threads(threads)
             .leaf_capacity(leaf_capacity)
             .sample_ratio(suite.cfg.sample_ratio)

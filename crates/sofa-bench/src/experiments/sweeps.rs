@@ -3,7 +3,7 @@
 use super::Suite;
 use crate::report::{f2, Report};
 use sofa::stats::{mean, median};
-use sofa::{BinningStrategy, MessiIndex, SofaIndex};
+use sofa::{BinningStrategy, Builder};
 
 /// Figure 11: 1-NN query time as the leaf capacity grows, for MESSI,
 /// SOFA with equi-depth and SOFA with equi-width binning.
@@ -28,18 +28,18 @@ pub fn fig11(suite: &Suite) -> Report {
         for spec in suite.sweep_specs() {
             let dataset = suite.dataset(&spec);
             let n = dataset.series_len();
-            let messi = MessiIndex::builder()
+            let messi = Builder::default()
                 .threads(threads)
                 .leaf_capacity(leaf)
                 .build_messi(dataset.data(), n)
                 .expect("messi build");
-            let sofa_ew = SofaIndex::builder()
+            let sofa_ew = Builder::default()
                 .threads(threads)
                 .leaf_capacity(leaf)
                 .sample_ratio(suite.cfg.sample_ratio)
                 .build_sofa(dataset.data(), n)
                 .expect("sofa build");
-            let sofa_ed = SofaIndex::builder()
+            let sofa_ed = Builder::default()
                 .threads(threads)
                 .leaf_capacity(leaf)
                 .sample_ratio(suite.cfg.sample_ratio)
@@ -83,7 +83,7 @@ pub fn tab4(suite: &Suite) -> Report {
         for spec in suite.sweep_specs() {
             let dataset = suite.dataset(&spec);
             let n = dataset.series_len();
-            let sofa = SofaIndex::builder()
+            let sofa = Builder::default()
                 .threads(threads)
                 .leaf_capacity(suite.cfg.leaf_capacity)
                 .sample_ratio(rate)

@@ -40,7 +40,7 @@ use super::Suite;
 use crate::report::{f2, f3, Report};
 use sofa::baselines::FlatL2;
 use sofa::stats::percentile;
-use sofa::SofaIndex;
+use sofa::Builder;
 
 /// Times a per-query closure over the whole stream, returning
 /// `(total_secs, per_query_ms)`.
@@ -117,7 +117,7 @@ fn serve_profile(
         spec.name
     ));
 
-    let sofa = SofaIndex::builder()
+    let sofa = Builder::default()
         .threads(threads)
         .leaf_capacity(suite.cfg.leaf_capacity)
         .sample_ratio(suite.cfg.sample_ratio)

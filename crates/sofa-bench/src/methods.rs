@@ -4,7 +4,7 @@
 use crate::BenchConfig;
 use sofa::baselines::{FlatL2, UcrScan};
 use sofa::data::Dataset;
-use sofa::{MessiIndex, Neighbor, SofaIndex};
+use sofa::{Builder, MessiIndex, Neighbor, SofaIndex};
 
 /// The competitors of §V.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -59,7 +59,7 @@ impl Built {
         let n = dataset.series_len();
         match kind {
             MethodKind::Sofa => Built::Sofa(Box::new(
-                SofaIndex::builder()
+                Builder::default()
                     .threads(threads)
                     .leaf_capacity(cfg.leaf_capacity)
                     .sample_ratio(cfg.sample_ratio)
@@ -67,7 +67,7 @@ impl Built {
                     .expect("SOFA build"),
             )),
             MethodKind::Messi => Built::Messi(Box::new(
-                MessiIndex::builder()
+                Builder::default()
                     .threads(threads)
                     .leaf_capacity(cfg.leaf_capacity)
                     .build_messi(dataset.data(), n)

@@ -69,33 +69,6 @@ pub enum SignalKind {
     },
 }
 
-/// How the concentrated family's perturbation deltas are shaped (see
-/// [`Generator::family_shape`]).
-///
-/// The binary cluster hierarchy of [`Generator::concentration`] displaces
-/// each family member from the base prototype by a chain of deltas. *Where
-/// in the spectrum* those deltas live decides which summarization can see
-/// the family structure: SFA picks coefficients by variance, so it adapts
-/// either way, but a PAA front end (iSAX/MESSI) averages each segment and
-/// is blind to any displacement that cancels within a segment.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum FamilyShape {
-    /// Deltas are raw prototype differences — they inherit the signal
-    /// kind's spectrum. For high-frequency kinds the branches are largely
-    /// invisible to PAA (the SOFA-favoring regime).
-    #[default]
-    Signal,
-    /// Deltas are projected onto a piecewise-constant profile of
-    /// `segments` equal segments *before* being applied — i.e. the family
-    /// branches live entirely in PAA space, so an iSAX/MESSI front end
-    /// separates them as well as SFA does (the MESSI-favoring regime;
-    /// match `segments` to the index's word length for a fair A/B).
-    Paa {
-        /// Number of piecewise-constant segments the deltas collapse to.
-        segments: usize,
-    },
-}
-
 /// A seeded generator of fixed-length series with **prototype structure**.
 ///
 /// Real archives are clustered: events from one seismic source, descriptors
@@ -129,8 +102,6 @@ pub struct Generator {
     /// Instance-noise fraction (kept so `concentration` can rescale the
     /// family members' noise after blending).
     instance_noise: f32,
-    /// Spectral shape of the family's perturbation deltas.
-    family_shape: FamilyShape,
     rng: StdRng,
 }
 
@@ -201,7 +172,6 @@ impl Generator {
             family: Vec::new(),
             family_noise_scales: Vec::new(),
             instance_noise,
-            family_shape: FamilyShape::Signal,
             rng,
         }
     }
@@ -234,24 +204,12 @@ impl Generator {
         self
     }
 
-    /// Sets the spectral **shape of the family's deltas** (see
-    /// [`FamilyShape`]) and re-derives the family. Order-independent with
-    /// [`Generator::concentration`]; a no-op on the emitted stream while
-    /// the concentration knob is `0`, so default datasets stay
-    /// byte-identical regardless of shape.
-    #[must_use]
-    pub fn family_shape(mut self, shape: FamilyShape) -> Self {
-        self.family_shape = shape;
-        self.rebuild_family();
-        self
-    }
-
     /// Re-derives the concentrated family from the pristine pool for the
-    /// current `(concentration, family_shape)` knobs.
+    /// current concentration knob.
     ///
     /// The family lives next to the pool rather than overwriting its head,
-    /// so the pristine prototypes survive: setting either knob back to its
-    /// default (or calling the builders repeatedly) always re-derives from
+    /// so the pristine prototypes survive: setting the knob back to its
+    /// default (or calling the builder repeatedly) always re-derives from
     /// — and samples — the original pool. No RNG state is consumed here,
     /// which keeps knob changes from perturbing the instance stream.
     fn rebuild_family(&mut self) {
@@ -264,7 +222,6 @@ impl Generator {
             // (one per (level, branch-prefix)), so no extra RNG state is
             // introduced.
             let base = &self.protos[0];
-            let shape = self.family_shape;
             let dir = |k: usize, prefix: usize| -> &Vec<f32> {
                 // Unique pool index per tree node: 2^k + prefix walks
                 // level k's nodes; wrap within the pool tail.
@@ -276,7 +233,7 @@ impl Generator {
                 let mut scale = FAMILY_SCALE;
                 for k in 0..FAMILY_DEPTH {
                     let prefix = j >> (FAMILY_DEPTH - 1 - k);
-                    apply_family_delta(&mut member, base, dir(k, prefix), scale, shape);
+                    apply_family_delta(&mut member, base, dir(k, prefix), scale);
                     scale *= FAMILY_DECAY;
                 }
                 self.family.push(member);
@@ -336,41 +293,10 @@ impl Generator {
     }
 }
 
-/// Adds one scaled perturbation delta `scale * (dir - base)` to `member`,
-/// shaped per [`FamilyShape`]: raw (full-spectrum) for `Signal`, collapsed
-/// to per-segment means (pure PAA-space displacement) for `Paa`.
-fn apply_family_delta(
-    member: &mut [f32],
-    base: &[f32],
-    dir: &[f32],
-    scale: f32,
-    shape: FamilyShape,
-) {
-    match shape {
-        FamilyShape::Signal => {
-            for ((x, &b), &d) in member.iter_mut().zip(base).zip(dir) {
-                *x += scale * (d - b);
-            }
-        }
-        FamilyShape::Paa { segments } => {
-            let n = member.len();
-            if n == 0 {
-                return;
-            }
-            let seg = segments.clamp(1, n);
-            for s in 0..seg {
-                // PAA's equi-width partition (floor boundaries): with
-                // seg <= n every segment is non-empty.
-                let lo = s * n / seg;
-                let hi = (s + 1) * n / seg;
-                let mean: f32 =
-                    base[lo..hi].iter().zip(&dir[lo..hi]).map(|(&b, &d)| d - b).sum::<f32>()
-                        / (hi - lo) as f32;
-                for x in &mut member[lo..hi] {
-                    *x += scale * mean;
-                }
-            }
-        }
+/// Adds one scaled perturbation delta `scale * (dir - base)` to `member`.
+fn apply_family_delta(member: &mut [f32], base: &[f32], dir: &[f32], scale: f32) {
+    for ((x, &b), &d) in member.iter_mut().zip(base).zip(dir) {
+        *x += scale * (d - b);
     }
 }
 
@@ -687,60 +613,6 @@ mod tests {
         let mut d =
             Generator::new(SignalKind::RandomWalk, 64, 5).concentration(0.3).concentration(0.9);
         assert_eq!(c.generate_flat(10), d.generate_flat(10));
-    }
-
-    #[test]
-    fn paa_family_deltas_are_piecewise_constant() {
-        // With the Paa shape every family member's displacement from the
-        // base prototype must be constant within each of the `segments`
-        // equal segments — i.e. fully visible to a PAA front end.
-        let segments = 8;
-        let g = Generator::new(SignalKind::Seismic { hf: 0.9, snr: 5.0 }, 128, 21)
-            .concentration(0.9)
-            .family_shape(FamilyShape::Paa { segments });
-        assert_eq!(g.family.len(), FAMILY_SIZE);
-        let base = &g.protos[0];
-        let n = base.len();
-        for member in &g.family {
-            let delta: Vec<f32> = member.iter().zip(base).map(|(m, b)| m - b).collect();
-            for s in 0..segments {
-                let seg = &delta[s * n / segments..(s + 1) * n / segments];
-                for &d in seg {
-                    // Small tolerance: (b + c) - b re-rounds per element.
-                    assert!(
-                        (d - seg[0]).abs() <= 1e-4 * seg[0].abs().max(1.0),
-                        "delta not constant within segment {s}: {d} vs {}",
-                        seg[0]
-                    );
-                }
-            }
-        }
-        // The displacement is real, not zero.
-        assert!(g.family.iter().any(|m| m.iter().zip(base).any(|(a, b)| (a - b).abs() > 1e-3)));
-    }
-
-    #[test]
-    fn family_shape_builders_are_order_independent() {
-        let mk = |f: fn(Generator) -> Generator| {
-            f(Generator::new(SignalKind::Broadband { hf: 0.9 }, 96, 31)).generate_flat(20)
-        };
-        let a = mk(|g| g.concentration(0.8).family_shape(FamilyShape::Paa { segments: 12 }));
-        let b = mk(|g| g.family_shape(FamilyShape::Paa { segments: 12 }).concentration(0.8));
-        assert_eq!(a, b, "knob order must not matter");
-        // Explicit Signal is the default.
-        let c = mk(|g| g.concentration(0.8));
-        let d = mk(|g| g.concentration(0.8).family_shape(FamilyShape::Signal));
-        assert_eq!(c, d);
-        // And the Paa shape genuinely changes the concentrated stream.
-        assert_ne!(a, c, "Paa-shaped family must differ from Signal-shaped");
-    }
-
-    #[test]
-    fn family_shape_without_concentration_is_byte_identical_to_default() {
-        let mut a = Generator::new(SignalKind::RandomWalk, 64, 5);
-        let mut b = Generator::new(SignalKind::RandomWalk, 64, 5)
-            .family_shape(FamilyShape::Paa { segments: 16 });
-        assert_eq!(a.generate_flat(10), b.generate_flat(10));
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod registry;
 pub mod ucr;
 pub mod workload;
 
-pub use gen::{FamilyShape, Generator, SignalKind};
+pub use gen::{Generator, SignalKind};
 pub use registry::{registry, DatasetSpec, FrequencyProfile};
 pub use ucr::{ucr_like_archive, UcrDataset};
 pub use workload::Dataset;

@@ -10,7 +10,7 @@
 //! (relative SOFA-vs-MESSI query time, ascending — rank 0 = LenDB, the
 //! 38x case), which the `fig12`/`fig13` reproductions compare against.
 
-use crate::gen::{FamilyShape, Generator, SignalKind};
+use crate::gen::{Generator, SignalKind};
 use crate::workload::Dataset;
 
 /// Spectral character of a dataset, as discussed in §V-D of the paper.
@@ -53,12 +53,6 @@ pub struct DatasetSpec {
     /// [`DatasetSpec::with_concentration`] so a few deep, separably
     /// branched subtrees dominate at bench scale.
     pub concentration: f32,
-    /// Spectral shape of the concentrated family's deltas (see
-    /// [`FamilyShape`]): `Signal` (the default) inherits the dataset
-    /// kind's spectrum, `Paa` collapses the branches into PAA space so
-    /// iSAX/MESSI front ends can separate them too. Inert while
-    /// `concentration` is `0`.
-    pub family_shape: FamilyShape,
     /// Deterministic per-dataset seed.
     pub seed: u64,
 }
@@ -70,14 +64,6 @@ impl DatasetSpec {
     #[must_use]
     pub fn with_concentration(mut self, concentration: f32) -> Self {
         self.concentration = concentration.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Returns this spec with the given family-delta shape — the
-    /// SFA-favoring (`Signal`) or MESSI-favoring (`Paa`) deep-tree regime.
-    #[must_use]
-    pub fn with_family_shape(mut self, shape: FamilyShape) -> Self {
-        self.family_shape = shape;
         self
     }
 
@@ -111,7 +97,6 @@ impl DatasetSpec {
             prototypes,
             noise,
         )
-        .family_shape(self.family_shape)
         .concentration(self.concentration);
         let data = g.generate_flat(count);
         let mut qg = Generator::with_options(
@@ -122,7 +107,6 @@ impl DatasetSpec {
             prototypes,
             noise,
         )
-        .family_shape(self.family_shape)
         .concentration(self.concentration);
         let queries = qg.generate_flat(n_queries);
         Dataset::new(self.name.to_string(), self.series_len, data, queries)
@@ -171,7 +155,6 @@ pub fn registry() -> Vec<DatasetSpec> {
                 expected_speedup_rank: rank,
                 instance_noise,
                 concentration: 0.0,
-                family_shape: FamilyShape::Signal,
                 seed: 0x50FA_0000 + i as u64,
             }
         })
@@ -246,21 +229,6 @@ mod tests {
         assert_ne!(base.data(), deep.data(), "concentration must reshape the stream");
         // Clamping.
         assert_eq!(r[0].clone().with_concentration(7.0).concentration, 1.0);
-    }
-
-    #[test]
-    fn family_shape_variant_changes_only_the_concentrated_stream() {
-        let r = registry();
-        let spec = r[0].clone().with_concentration(0.97);
-        let signal = spec.clone().generate(60, 4);
-        let paa = spec.with_family_shape(FamilyShape::Paa { segments: 16 }).generate(60, 4);
-        assert_ne!(signal.data(), paa.data(), "Paa shape must reshape the deep stream");
-        // Inert without concentration: default datasets stay byte-identical.
-        let base = r[0].generate(30, 2);
-        let shaped =
-            r[0].clone().with_family_shape(FamilyShape::Paa { segments: 16 }).generate(30, 2);
-        assert_eq!(base.data(), shaped.data());
-        assert_eq!(base.queries(), shaped.queries());
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use bsf::{AtomicDistance, IpNeighbor, KnnSet, Neighbor};
 pub use config::IndexConfig;
 pub use filter::RowFilter;
 pub use node::{CollectBlock, LeafPack, Node, NodeKind, Subtree};
-pub use query::{QueryKind, QueryStats};
+pub use query::{validate_batch, QueryKind, QueryStats};
 pub use snapshot::{
     describe, SectionInfo, SectionReader, SnapshotCapabilities, SnapshotInfo,
     SnapshotSummarization, SNAPSHOT_FORMAT_VERSION, SNAPSHOT_MAGIC, SNAPSHOT_RENAME_FAILPOINT,

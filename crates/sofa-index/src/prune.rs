@@ -12,10 +12,11 @@
 //! [`PruneBound`] captures those three decisions, so the identical
 //! collect/refine machinery in [`crate::query`] serves:
 //!
-//! * **k-NN** ([`KnnBound`]) — the shrinking k-th-best bound, pruning on
-//!   `lb >= bound` (a candidate *at* the bound cannot improve the set
-//!   except through the row tie-break, which real-valued distances make
-//!   measure-zero; this is the pre-existing MESSI semantic, unchanged).
+//! * **k-NN** ([`KnnBound`]) — the shrinking k-th-best bound, pruning
+//!   strictly on `lb > bound` and scoring `d <= bound`: a candidate tied
+//!   *at* the bound can still enter the set through the `(dist_sq, row)`
+//!   tie-break, and ties are common, not measure-zero — a constant query
+//!   z-normalizes to zeros and puts every row at distance `≈ n`.
 //! * **range / epsilon** ([`RangeBound`]) — a *fixed* radius, pruning
 //!   strictly on `lb > r²` and accepting `d <= r²`, so candidates tied
 //!   exactly at the radius are returned (the kernels abandon on strict
@@ -76,19 +77,22 @@ impl PruneBound for KnnBound<'_> {
 
     #[inline]
     fn prunes(&self, lb: f32) -> bool {
-        lb >= self.set.bound()
+        lb > self.set.bound()
     }
 
     #[inline]
     fn prunes_f64(&self, lb: f64) -> bool {
-        lb >= f64::from(self.set.bound())
+        lb > f64::from(self.set.bound())
     }
 
     #[inline]
     fn score_and_offer(&self, q: &[f32], x: &[f32], row: u32) {
         let bound = self.set.bound();
+        // Strict early abandon (`partial > bound`), so a row tied with
+        // the k-th best comes back exact and the set's row tie-break
+        // decides it.
         let d = euclidean_sq_early_abandon(q, x, bound);
-        if d < bound {
+        if d <= bound {
             self.set.offer(Neighbor { row, dist_sq: d });
         }
     }
@@ -152,12 +156,12 @@ impl PruneBound for IpBound<'_> {
 
     #[inline]
     fn prunes(&self, lb: f32) -> bool {
-        lb >= self.l2_bound()
+        lb > self.l2_bound()
     }
 
     #[inline]
     fn prunes_f64(&self, lb: f64) -> bool {
-        lb >= f64::from(self.l2_bound())
+        lb > f64::from(self.l2_bound())
     }
 
     #[inline]
@@ -180,9 +184,12 @@ mod tests {
         assert!(!pb.prunes(1e30));
         pb.score_and_offer(&[0.0, 0.0], &[1.0, 1.0], 7);
         assert_eq!(pb.l2_bound(), 2.0);
-        assert!(pb.prunes(2.0));
+        // A candidate tied at the bound may still win on row order.
+        assert!(!pb.prunes(2.0));
+        assert!(pb.prunes(2.0000002));
         assert!(!pb.prunes(1.999));
-        assert!(pb.prunes_f64(2.0));
+        assert!(!pb.prunes_f64(2.0));
+        assert!(pb.prunes_f64(2.0000002));
     }
 
     #[test]
@@ -215,7 +222,8 @@ mod tests {
         let radius = pb.l2_bound();
         // score B=4, n=4: radius = 2*(B - n + n*margin) = small positive.
         assert!(radius > 0.0 && radius < 1.0, "radius {radius}");
-        assert!(pb.prunes(radius));
+        assert!(!pb.prunes(radius));
+        assert!(pb.prunes(radius * 1.001));
         assert!(!pb.prunes(0.0));
     }
 }

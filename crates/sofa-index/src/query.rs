@@ -44,6 +44,7 @@ use crate::scratch::{LeafQueue, QueryScratch, QueueEntry};
 use crate::{Index, IndexError};
 use parking_lot::Mutex;
 use sofa_exec::CancelToken;
+use sofa_simd::{dot, znormalize};
 use sofa_simd::{quant_lower_bound, quant_lower_bound_masked, BLOCK_LANES, BOUNDS_STRIDE};
 use sofa_summaries::{
     mindist_block, mindist_block_masked, mindist_node, mindist_node_block, mindist_simd,
@@ -170,9 +171,9 @@ impl AtomicStats {
     }
 }
 
-/// One ticket's query type, for mixed batches ([`Index::query_batch_into_cancel`])
-/// and serving front-ends that coalesce heterogeneous tickets into one
-/// tick.
+/// What one query asks for — the argument of [`Index::query_into`], the
+/// per-query entry of a mixed batch ([`Index::query_batch_into_cancel`])
+/// and the ticket a serving front-end coalesces into ticks.
 ///
 /// Results always travel as [`Neighbor`] vectors, best first:
 ///
@@ -212,53 +213,79 @@ pub enum QueryKind {
 }
 
 impl QueryKind {
-    /// The internal execution plan this kind resolves to.
-    fn exec(&self) -> QueryExec<'_> {
+    /// The admission check of every query path — direct calls, batches,
+    /// shards and the server all run this one function: `query` must
+    /// hold `series_len` values, `k` must be at least 1, a radius finite
+    /// and non-negative, and a filter must cover exactly `n_rows` rows
+    /// (checked when the row count is known).
+    ///
+    /// # Errors
+    /// Returns [`IndexError::BadQuery`] naming the first violation.
+    pub fn validate(
+        &self,
+        query: &[f32],
+        series_len: usize,
+        n_rows: Option<usize>,
+    ) -> Result<(), IndexError> {
+        let bad = |msg: String| Err(IndexError::BadQuery(msg));
+        if query.len() != series_len {
+            return bad(format!("query length {} != series length {series_len}", query.len()));
+        }
         match self {
-            QueryKind::Knn { k } => QueryExec::Knn { k: *k, filter: None },
-            QueryKind::KnnFiltered { k, filter } => QueryExec::Knn { k: *k, filter: Some(filter) },
-            QueryKind::Range { r_sq } => QueryExec::Range { r_sq: *r_sq, filter: None },
-            QueryKind::Ip { k } => QueryExec::Ip { k: *k, filter: None },
+            QueryKind::Knn { k: 0 }
+            | QueryKind::KnnFiltered { k: 0, .. }
+            | QueryKind::Ip { k: 0 } => bad("k must be at least 1".into()),
+            QueryKind::KnnFiltered { filter, .. } if n_rows.is_some_and(|n| n != filter.len()) => {
+                bad(format!(
+                    "filter covers {} rows but the index holds {}",
+                    filter.len(),
+                    n_rows.unwrap_or_default()
+                ))
+            }
+            QueryKind::Range { r_sq } if !(r_sq.is_finite() && *r_sq >= 0.0) => {
+                bad(format!("range radius² must be finite and non-negative, got {r_sq}"))
+            }
+            _ => Ok(()),
         }
     }
-}
 
-/// The resolved execution plan of one query: which [`PruneBound`] drives
-/// the funnel, plus the optional row predicate.
-#[derive(Copy, Clone)]
-enum QueryExec<'a> {
-    Knn { k: usize, filter: Option<&'a RowFilter> },
-    Range { r_sq: f32, filter: Option<&'a RowFilter> },
-    Ip { k: usize, filter: Option<&'a RowFilter> },
-}
-
-impl QueryExec<'_> {
     /// The `k` the scratch's result set is armed with (range queries
     /// don't use the k-NN set; 1 keeps the reset cheap).
-    fn prep_k(&self) -> usize {
+    fn set_k(&self) -> usize {
         match self {
-            QueryExec::Knn { k, .. } | QueryExec::Ip { k, .. } => *k,
-            QueryExec::Range { .. } => 1,
+            QueryKind::Knn { k } | QueryKind::KnnFiltered { k, .. } | QueryKind::Ip { k } => *k,
+            QueryKind::Range { .. } => 1,
         }
     }
 }
 
-/// Where a batch's per-query kinds come from: the uniform k-NN fast path
-/// (no per-query allocation, the historical `knn_batch_into` shape) or a
-/// fully mixed [`QueryKind`] slice.
-#[derive(Copy, Clone)]
-enum KindSource<'a> {
-    UniformKnn(&'a [usize]),
-    PerQuery(&'a [QueryKind]),
-}
-
-impl<'a> KindSource<'a> {
-    fn exec(&self, i: usize) -> QueryExec<'a> {
-        match self {
-            KindSource::UniformKnn(ks) => QueryExec::Knn { k: ks[i], filter: None },
-            KindSource::PerQuery(kinds) => kinds[i].exec(),
-        }
+/// Checks a row-major batch of `kinds.len()` queries before it runs: the
+/// buffer holds exactly one series per kind, `n_outs` output slots and
+/// `n_cancels` tokens (0 = uncancellable) match the query count, and
+/// every query passes [`QueryKind::validate`] against `n_rows` rows.
+///
+/// # Errors
+/// Returns [`IndexError::BadQuery`] naming the first violation.
+pub fn validate_batch(
+    queries: &[f32],
+    kinds: &[QueryKind],
+    n_outs: usize,
+    n_cancels: usize,
+    series_len: usize,
+    n_rows: usize,
+) -> Result<(), IndexError> {
+    let m = kinds.len();
+    if queries.len() != m * series_len || n_outs != m || (n_cancels != 0 && n_cancels != m) {
+        return Err(IndexError::BadQuery(format!(
+            "{} floats of series length {series_len} for {m} kinds, {n_outs} output slots \
+             and {n_cancels} cancellation tokens",
+            queries.len()
+        )));
     }
+    for (query, kind) in queries.chunks_exact(series_len).zip(kinds) {
+        kind.validate(query, series_len, Some(n_rows))?;
+    }
+    Ok(())
 }
 
 /// Has this query's cancellation token fired? (`None` = uncancellable.)
@@ -267,7 +294,47 @@ fn fired(cancel: Option<&CancelToken>) -> bool {
     cancel.is_some_and(CancelToken::is_cancelled)
 }
 
+/// Moves one answered query's results out of the scratch into `out`
+/// (cleared first, best first): the sorted hit list for range, the
+/// k-NN/IP set for every other kind.
+fn drain_results(scratch: &mut QueryScratch, kind: &QueryKind, out: &mut Vec<Neighbor>) {
+    out.clear();
+    if let QueryKind::Range { .. } = kind {
+        let hits = scratch.range.get_mut();
+        // Deterministic output independent of worker interleaving.
+        hits.sort_unstable();
+        out.append(hits);
+    } else {
+        scratch.knn.drain_sorted_into(out);
+    }
+}
+
 impl<S: Summarization> Index<S> {
+    /// Answers one query of any [`QueryKind`] into a caller-owned buffer
+    /// (cleared first, best first, in the kind's result encoding) and
+    /// returns its work counters. Every other single-query method is a
+    /// thin wrapper over this one.
+    ///
+    /// With a warmed-up scratch pool and a buffer that has held a
+    /// result this large before, the call performs no heap allocation.
+    ///
+    /// # Errors
+    /// Returns [`IndexError::BadQuery`] when [`QueryKind::validate`]
+    /// rejects the query.
+    pub fn query_into(
+        &self,
+        query: &[f32],
+        kind: &QueryKind,
+        out: &mut Vec<Neighbor>,
+    ) -> Result<QueryStats, IndexError> {
+        kind.validate(query, self.series_len, Some(self.n_series()))?;
+        let mut scratch = self.scratch();
+        let stats =
+            self.query_on_scratch(&mut scratch, query, kind, None, self.pool.threads() == 1);
+        drain_results(&mut scratch, kind, out);
+        Ok(stats)
+    }
+
     /// Exact 1-NN under z-normalized Euclidean distance.
     ///
     /// # Errors
@@ -284,27 +351,6 @@ impl<S: Summarization> Index<S> {
         self.knn_with_stats(query, k).map(|(nn, _)| nn)
     }
 
-    /// Exact k-NN written into a caller-owned buffer (cleared first, best
-    /// first) — the allocation-free serving form of [`Index::knn`]: with a
-    /// warmed-up scratch pool and a buffer that has held `k` results
-    /// before, the call performs no heap allocation at all.
-    ///
-    /// # Errors
-    /// Returns [`IndexError::BadQuery`] on a length mismatch or `k == 0`.
-    pub fn knn_into(
-        &self,
-        query: &[f32],
-        k: usize,
-        out: &mut Vec<Neighbor>,
-    ) -> Result<(), IndexError> {
-        self.validate(query, k)?;
-        let mut scratch = self.scratch();
-        let exec = QueryExec::Knn { k, filter: None };
-        let _ = self.query_on_scratch(&mut scratch, query, exec, None, self.pool.threads() == 1);
-        self.drain_exec_results(&mut scratch, &exec, out);
-        Ok(())
-    }
-
     /// Exact k-NN plus per-query work counters.
     ///
     /// # Errors
@@ -314,13 +360,8 @@ impl<S: Summarization> Index<S> {
         query: &[f32],
         k: usize,
     ) -> Result<(Vec<Neighbor>, QueryStats), IndexError> {
-        self.validate(query, k)?;
-        let mut scratch = self.scratch();
-        let exec = QueryExec::Knn { k, filter: None };
-        let stats =
-            self.query_on_scratch(&mut scratch, query, exec, None, self.pool.threads() == 1);
-        let mut out = Vec::with_capacity(k.min(self.n_series()));
-        self.drain_exec_results(&mut scratch, &exec, &mut out);
+        let mut out = Vec::new();
+        let stats = self.query_into(query, &QueryKind::Knn { k }, &mut out)?;
         Ok((out, stats))
     }
 
@@ -332,6 +373,8 @@ impl<S: Summarization> Index<S> {
     /// groups AND the bitmap into the SIMD sweeps (dead lanes price as
     /// `+inf` and speed up whole-group abandons) — not by post-filtering
     /// a wider answer, which would be both wrong at the bound and slower.
+    /// (This form copies `filter`; pass a shared [`QueryKind::KnnFiltered`]
+    /// to [`Index::query_into`] to avoid the copy.)
     ///
     /// # Errors
     /// Returns [`IndexError::BadQuery`] on a length mismatch, `k == 0`,
@@ -342,49 +385,10 @@ impl<S: Summarization> Index<S> {
         k: usize,
         filter: &RowFilter,
     ) -> Result<Vec<Neighbor>, IndexError> {
-        self.knn_filtered_with_stats(query, k, filter).map(|(nn, _)| nn)
-    }
-
-    /// [`Index::knn_filtered`] plus per-query work counters (see
-    /// [`QueryStats::predicate_lanes_masked`]).
-    ///
-    /// # Errors
-    /// Same conditions as [`Index::knn_filtered`].
-    pub fn knn_filtered_with_stats(
-        &self,
-        query: &[f32],
-        k: usize,
-        filter: &RowFilter,
-    ) -> Result<(Vec<Neighbor>, QueryStats), IndexError> {
-        self.validate(query, k)?;
-        self.validate_filter(filter)?;
-        let mut scratch = self.scratch();
-        let exec = QueryExec::Knn { k, filter: Some(filter) };
-        let stats =
-            self.query_on_scratch(&mut scratch, query, exec, None, self.pool.threads() == 1);
-        let mut out = Vec::with_capacity(k.min(filter.count()));
-        self.drain_exec_results(&mut scratch, &exec, &mut out);
-        Ok((out, stats))
-    }
-
-    /// [`Index::knn_filtered`] into a caller-owned buffer (cleared first).
-    ///
-    /// # Errors
-    /// Same conditions as [`Index::knn_filtered`].
-    pub fn knn_filtered_into(
-        &self,
-        query: &[f32],
-        k: usize,
-        filter: &RowFilter,
-        out: &mut Vec<Neighbor>,
-    ) -> Result<(), IndexError> {
-        self.validate(query, k)?;
-        self.validate_filter(filter)?;
-        let mut scratch = self.scratch();
-        let exec = QueryExec::Knn { k, filter: Some(filter) };
-        let _ = self.query_on_scratch(&mut scratch, query, exec, None, self.pool.threads() == 1);
-        self.drain_exec_results(&mut scratch, &exec, out);
-        Ok(())
+        let kind = QueryKind::KnnFiltered { k, filter: Arc::new(filter.clone()) };
+        let mut out = Vec::new();
+        self.query_into(query, &kind, &mut out)?;
+        Ok(out)
     }
 
     /// Exact range search: every row with squared distance `<= r_sq`,
@@ -395,65 +399,13 @@ impl<S: Summarization> Index<S> {
     /// Returns [`IndexError::BadQuery`] on a length mismatch or a
     /// non-finite/negative radius.
     pub fn range(&self, query: &[f32], r_sq: f32) -> Result<Vec<Neighbor>, IndexError> {
-        self.range_with_stats(query, r_sq).map(|(hits, _)| hits)
-    }
-
-    /// [`Index::range`] plus per-query work counters (see
-    /// [`QueryStats::range_hits`]).
-    ///
-    /// # Errors
-    /// Same conditions as [`Index::range`].
-    pub fn range_with_stats(
-        &self,
-        query: &[f32],
-        r_sq: f32,
-    ) -> Result<(Vec<Neighbor>, QueryStats), IndexError> {
-        self.validate(query, 1)?;
-        Self::validate_radius(r_sq)?;
-        let mut scratch = self.scratch();
-        let exec = QueryExec::Range { r_sq, filter: None };
-        let stats =
-            self.query_on_scratch(&mut scratch, query, exec, None, self.pool.threads() == 1);
         let mut out = Vec::new();
-        self.drain_exec_results(&mut scratch, &exec, &mut out);
-        Ok((out, stats))
-    }
-
-    /// [`Index::range`] into a caller-owned buffer (cleared first) — the
-    /// allocation-free serving form.
-    ///
-    /// # Errors
-    /// Same conditions as [`Index::range`].
-    pub fn range_into(
-        &self,
-        query: &[f32],
-        r_sq: f32,
-        out: &mut Vec<Neighbor>,
-    ) -> Result<(), IndexError> {
-        self.validate(query, 1)?;
-        Self::validate_radius(r_sq)?;
-        let mut scratch = self.scratch();
-        let exec = QueryExec::Range { r_sq, filter: None };
-        let _ = self.query_on_scratch(&mut scratch, query, exec, None, self.pool.threads() == 1);
-        self.drain_exec_results(&mut scratch, &exec, out);
-        Ok(())
-    }
-
-    /// The row maximizing the inner product `q·x` with the z-normalized
-    /// query (exact; ties broken by lowest row).
-    ///
-    /// # Errors
-    /// Returns [`IndexError::BadQuery`] on a length mismatch or an empty
-    /// index.
-    pub fn nn_ip(&self, query: &[f32]) -> Result<IpNeighbor, IndexError> {
-        self.knn_ip(query, 1)?
-            .first()
-            .copied()
-            .ok_or_else(|| IndexError::BadQuery("index is empty".into()))
+        self.query_into(query, &QueryKind::Range { r_sq }, &mut out)?;
+        Ok(out)
     }
 
     /// Exact top-k rows by inner product with the z-normalized query,
-    /// best (largest dot) first.
+    /// best (largest dot) first; ties broken by lowest row.
     ///
     /// Internally this runs through the same L2 pruning funnel as k-NN:
     /// maximizing `q·x` over z-normalized rows is minimizing the Parseval
@@ -466,182 +418,56 @@ impl<S: Summarization> Index<S> {
     /// # Errors
     /// Returns [`IndexError::BadQuery`] on a length mismatch or `k == 0`.
     pub fn knn_ip(&self, query: &[f32], k: usize) -> Result<Vec<IpNeighbor>, IndexError> {
-        self.validate(query, k)?;
-        let mut scratch = self.scratch();
-        let exec = QueryExec::Ip { k, filter: None };
-        let _ = self.query_on_scratch(&mut scratch, query, exec, None, self.pool.threads() == 1);
-        let mut raw = Vec::with_capacity(k.min(self.n_series()));
-        scratch.knn.drain_sorted_into(&mut raw);
-        // Scores sort ascending = best inner product first. Report true
-        // dot products (the score transport is exact in-process, but the
-        // dot is the quantity the caller asked for).
-        Ok(raw
-            .into_iter()
-            .map(|nb| IpNeighbor {
-                row: nb.row,
-                ip: sofa_simd::dot(&scratch.q, self.series(nb.row as usize)),
-            })
-            .collect())
-    }
-
-    fn validate(&self, query: &[f32], k: usize) -> Result<(), IndexError> {
-        if query.len() != self.series_len {
-            return Err(IndexError::BadQuery(format!(
-                "query length {} != series length {}",
-                query.len(),
-                self.series_len
-            )));
-        }
-        if k == 0 {
-            return Err(IndexError::BadQuery("k must be at least 1".into()));
-        }
-        Ok(())
-    }
-
-    fn validate_filter(&self, filter: &RowFilter) -> Result<(), IndexError> {
-        if filter.len() != self.n_series() {
-            return Err(IndexError::BadQuery(format!(
-                "filter covers {} rows but the index holds {}",
-                filter.len(),
-                self.n_series()
-            )));
-        }
-        Ok(())
-    }
-
-    fn validate_radius(r_sq: f32) -> Result<(), IndexError> {
-        if !(r_sq.is_finite() && r_sq >= 0.0) {
-            return Err(IndexError::BadQuery(format!(
-                "range radius² must be finite and non-negative, got {r_sq}"
-            )));
-        }
-        Ok(())
-    }
-
-    fn validate_kind(&self, kind: &QueryKind) -> Result<(), IndexError> {
-        match kind {
-            QueryKind::Knn { k } | QueryKind::Ip { k } => {
-                if *k == 0 {
-                    return Err(IndexError::BadQuery("k must be at least 1".into()));
-                }
-            }
-            QueryKind::KnnFiltered { k, filter } => {
-                if *k == 0 {
-                    return Err(IndexError::BadQuery("k must be at least 1".into()));
-                }
-                self.validate_filter(filter)?;
-            }
-            QueryKind::Range { r_sq } => Self::validate_radius(*r_sq)?,
-        }
-        Ok(())
+        let (mut out, mut q) = (Vec::new(), query.to_vec());
+        self.query_into(query, &QueryKind::Ip { k }, &mut out)?;
+        znormalize(&mut q);
+        let ip = |n: &Neighbor| IpNeighbor { row: n.row, ip: dot(&q, self.series(n.row as usize)) };
+        Ok(out.iter().map(ip).collect())
     }
 
     /// Exact k-NN for a batch of queries (row-major), best first per
-    /// query. Queries are distributed across the worker pool — each runs
-    /// the serial per-query path, so a batch keeps every lane busy with
-    /// zero intra-query synchronization (the FAISS mini-batch model the
-    /// paper uses for its flat competitor, applied to the tree). Each
-    /// lane checks out one scratch for the whole batch, so the per-query
-    /// allocations are limited to the output vectors.
+    /// query — [`Index::query_batch_into_cancel`] with one uniform kind.
     ///
     /// # Errors
     /// Returns [`IndexError::BadQuery`] if the buffer is not a whole
     /// number of series or `k == 0`.
     pub fn knn_batch(&self, queries: &[f32], k: usize) -> Result<Vec<Vec<Neighbor>>, IndexError> {
-        if k == 0 {
-            return Err(IndexError::BadQuery("k must be at least 1".into()));
-        }
-        if queries.len() % self.series_len != 0 {
-            return Err(IndexError::BadQuery(format!(
-                "query buffer of {} floats is not a multiple of series length {}",
-                queries.len(),
-                self.series_len
-            )));
-        }
-        let n_queries = queries.len() / self.series_len;
-        if n_queries == 0 {
-            return Ok(Vec::new());
-        }
-        let ks = vec![k; n_queries];
-        let results: Vec<Mutex<Vec<Neighbor>>> =
-            (0..n_queries).map(|_| Mutex::new(Vec::new())).collect();
-        self.knn_batch_into(queries, &ks, &results)?;
-        Ok(results.into_iter().map(Mutex::into_inner).collect())
+        let kinds = vec![QueryKind::Knn { k }; queries.len() / self.series_len];
+        let outs: Vec<Mutex<Vec<Neighbor>>> = kinds.iter().map(|_| Mutex::default()).collect();
+        self.query_batch_into_cancel(queries, &kinds, &outs, &[])?;
+        Ok(outs.into_iter().map(Mutex::into_inner).collect())
     }
 
-    /// Exact k-NN for a batch of queries written into caller-owned output
-    /// slots (each cleared first, best first) — the allocation-free
-    /// serving form of [`Index::knn_batch`], with a per-query `k`. This
-    /// is the engine behind micro-batching front-ends: a coalesced tick
-    /// of `m` single-query tickets runs through here on
-    /// `min(m, threads())` pool lanes, each lane reusing one pooled
-    /// scratch for every query it claims, so a warm tick allocates
-    /// nothing.
+    /// A mixed batch: query `i` (row-major in `queries`) runs as
+    /// `kinds[i]` into `outs[i]` (cleared first, best first; see
+    /// [`QueryKind`] for each kind's encoding). Queries are distributed
+    /// across the worker pool — each runs the serial per-query path, so
+    /// a batch keeps every lane busy with zero intra-query
+    /// synchronization (the FAISS mini-batch model the paper uses for
+    /// its flat competitor, applied to the tree). A batch of `m` queries
+    /// runs on `min(m, threads())` pool lanes, each lane reusing one
+    /// pooled scratch for every query it claims, so a warm batch
+    /// allocates nothing; a lone query keeps intra-query parallelism.
+    /// This is the engine behind micro-batching front-ends.
     ///
     /// Exactly one [`crate::IndexStats::queries_served`] count is
-    /// recorded per slot, the same as `m` individual [`Index::knn`]
-    /// calls — batch lanes and coalesced ticks are indistinguishable in
-    /// the counters.
+    /// recorded per answered slot, the same as `m` individual calls.
+    ///
+    /// `cancels` is either empty (no cancellation) or one
+    /// [`CancelToken`] per query. A query whose token fires — its
+    /// deadline passed or a canceller called [`CancelToken::cancel`] —
+    /// is abandoned at the next checkpoint (group-sweep granularity
+    /// inside collect and refine): its output slot is **not** written,
+    /// it is **not** counted in `queries_served` (it lands in
+    /// `queries_cancelled` instead), and its partial work is discarded —
+    /// a query either completes exactly or produces nothing.
+    /// Abandonment always latches the token's fired flag first, so a
+    /// caller that observes `!is_cancelled_now()` after this returns
+    /// knows that slot holds a complete exact answer.
     ///
     /// # Errors
-    /// Returns [`IndexError::BadQuery`] if the buffer is not a whole
-    /// number of series, `ks`/`outs` lengths don't match the query
-    /// count, or any `k == 0`.
-    pub fn knn_batch_into(
-        &self,
-        queries: &[f32],
-        ks: &[usize],
-        outs: &[Mutex<Vec<Neighbor>>],
-    ) -> Result<(), IndexError> {
-        self.knn_batch_into_cancel(queries, ks, outs, &[])
-    }
-
-    /// [`Index::knn_batch_into`] with per-query cooperative cancellation.
-    ///
-    /// `cancels` is either empty (no cancellation — identical to
-    /// `knn_batch_into`) or one [`CancelToken`] per query. A query whose
-    /// token fires — its deadline passed or a canceller called
-    /// [`CancelToken::cancel`] — is abandoned at the next checkpoint
-    /// (group-sweep granularity inside collect and refine): its output
-    /// slot is **not** written, it is **not** counted in
-    /// `queries_served` (it lands in `queries_cancelled` instead), and
-    /// its partial work is discarded — a query either completes exactly
-    /// or produces nothing. Abandonment always latches the token's fired
-    /// flag first, so a caller that observes `!is_cancelled_now()` after
-    /// this returns knows that slot holds a complete exact answer.
-    ///
-    /// # Errors
-    /// Returns [`IndexError::BadQuery`] on the same shape violations as
-    /// [`Index::knn_batch_into`], or when `cancels` is non-empty but its
-    /// length does not match the query count.
-    pub fn knn_batch_into_cancel(
-        &self,
-        queries: &[f32],
-        ks: &[usize],
-        outs: &[Mutex<Vec<Neighbor>>],
-        cancels: &[CancelToken],
-    ) -> Result<(), IndexError> {
-        let n_queries = self.validate_batch_shape(queries, ks.len(), outs.len(), cancels)?;
-        if ks.contains(&0) {
-            return Err(IndexError::BadQuery("k must be at least 1".into()));
-        }
-        if n_queries == 0 {
-            return Ok(());
-        }
-        self.batch_dispatch(queries, KindSource::UniformKnn(ks), outs, cancels)
-    }
-
-    /// A mixed batch: per-query [`QueryKind`] (k-NN, filtered k-NN,
-    /// range, inner-product) answered through the same coalesced
-    /// machinery as [`Index::knn_batch_into_cancel`] — one pool pass, one
-    /// scratch per lane, per-query cancellation. See [`QueryKind`] for
-    /// how each kind's results are encoded in its output slot.
-    ///
-    /// # Errors
-    /// Returns [`IndexError::BadQuery`] on shape violations (buffer not a
-    /// whole number of series; `kinds`/`outs`/non-empty `cancels` length
-    /// mismatches) or an invalid kind (`k == 0`, bad radius, filter row
-    /// count mismatch).
+    /// Returns [`IndexError::BadQuery`] when [`validate_batch`] rejects
+    /// the batch.
     pub fn query_batch_into_cancel(
         &self,
         queries: &[f32],
@@ -649,47 +475,18 @@ impl<S: Summarization> Index<S> {
         outs: &[Mutex<Vec<Neighbor>>],
         cancels: &[CancelToken],
     ) -> Result<(), IndexError> {
-        let n_queries = self.validate_batch_shape(queries, kinds.len(), outs.len(), cancels)?;
-        for kind in kinds {
-            self.validate_kind(kind)?;
+        validate_batch(
+            queries,
+            kinds,
+            outs.len(),
+            cancels.len(),
+            self.series_len,
+            self.n_series(),
+        )?;
+        if !kinds.is_empty() {
+            self.batch_dispatch(queries, kinds, outs, cancels);
         }
-        if n_queries == 0 {
-            return Ok(());
-        }
-        self.batch_dispatch(queries, KindSource::PerQuery(kinds), outs, cancels)
-    }
-
-    /// Shared shape validation of the batch entry points. Returns the
-    /// query count.
-    fn validate_batch_shape(
-        &self,
-        queries: &[f32],
-        n_kinds: usize,
-        n_outs: usize,
-        cancels: &[CancelToken],
-    ) -> Result<usize, IndexError> {
-        let n = self.series_len;
-        if queries.len() % n != 0 {
-            return Err(IndexError::BadQuery(format!(
-                "query buffer of {} floats is not a multiple of series length {}",
-                queries.len(),
-                n
-            )));
-        }
-        let n_queries = queries.len() / n;
-        if n_kinds != n_queries || n_outs != n_queries {
-            return Err(IndexError::BadQuery(format!(
-                "{n_queries} queries but {n_kinds} kinds/ks and {n_outs} output slots"
-            )));
-        }
-        if !cancels.is_empty() && cancels.len() != n_queries {
-            return Err(IndexError::BadQuery(format!(
-                "{} queries but {} cancellation tokens",
-                n_queries,
-                cancels.len()
-            )));
-        }
-        Ok(n_queries)
+        Ok(())
     }
 
     /// Validated batch execution: a lone query keeps intra-query
@@ -699,35 +496,33 @@ impl<S: Summarization> Index<S> {
     fn batch_dispatch(
         &self,
         queries: &[f32],
-        kinds: KindSource<'_>,
+        kinds: &[QueryKind],
         outs: &[Mutex<Vec<Neighbor>>],
         cancels: &[CancelToken],
-    ) -> Result<(), IndexError> {
+    ) {
         let n_queries = outs.len();
         if n_queries == 1 {
             // A lone query still gets intra-query parallelism, with the
             // token (if any) threaded through the phases.
-            let exec = kinds.exec(0);
             let mut scratch = self.scratch();
             let stats = self.query_on_scratch(
                 &mut scratch,
                 queries,
-                exec,
+                &kinds[0],
                 cancels.first(),
                 self.pool.threads() == 1,
             );
             if stats.cancelled == 0 {
-                let mut out = outs[0].lock();
-                self.drain_exec_results(&mut scratch, &exec, &mut out);
+                drain_results(&mut scratch, &kinds[0], &mut outs[0].lock());
             }
-            return Ok(());
+            return;
         }
         if self.pool.threads() == 1 {
             let mut scratch = self.scratch();
             for i in 0..n_queries {
                 self.batch_query_on_scratch(&mut scratch, queries, kinds, outs, cancels, i);
             }
-            return Ok(());
+            return;
         }
         let next_query = AtomicUsize::new(0);
         // A tick smaller than the pool leaves the excess lanes asleep:
@@ -745,7 +540,6 @@ impl<S: Summarization> Index<S> {
                 self.batch_query_on_scratch(&mut scratch, queries, kinds, outs, cancels, i);
             }
         });
-        Ok(())
     }
 
     /// One batch lane's handling of query `i`: run the serial per-query
@@ -756,60 +550,29 @@ impl<S: Summarization> Index<S> {
         &self,
         scratch: &mut QueryScratch,
         queries: &[f32],
-        kinds: KindSource<'_>,
+        kinds: &[QueryKind],
         outs: &[Mutex<Vec<Neighbor>>],
         cancels: &[CancelToken],
         i: usize,
     ) {
         let n = self.series_len;
-        let exec = kinds.exec(i);
-        let stats = self.query_on_scratch(
-            scratch,
-            &queries[i * n..(i + 1) * n],
-            exec,
-            cancels.get(i),
-            true,
-        );
-        if stats.cancelled != 0 {
-            return;
-        }
-        let mut out = outs[i].lock();
-        self.drain_exec_results(scratch, &exec, &mut out);
-    }
-
-    /// Moves one answered query's results out of the scratch into `out`
-    /// (cleared first, best first): the k-NN/IP set for bounded kinds,
-    /// the sorted hit list for range.
-    fn drain_exec_results(
-        &self,
-        scratch: &mut QueryScratch,
-        exec: &QueryExec<'_>,
-        out: &mut Vec<Neighbor>,
-    ) {
-        out.clear();
-        match exec {
-            QueryExec::Range { .. } => {
-                let hits = scratch.range.get_mut();
-                // Deterministic output independent of worker interleaving.
-                hits.sort_unstable();
-                out.append(hits);
-            }
-            QueryExec::Knn { .. } | QueryExec::Ip { .. } => {
-                scratch.knn.drain_sorted_into(out);
-            }
+        let query = &queries[i * n..(i + 1) * n];
+        let stats = self.query_on_scratch(scratch, query, &kinds[i], cancels.get(i), true);
+        if stats.cancelled == 0 {
+            drain_results(scratch, &kinds[i], &mut outs[i].lock());
         }
     }
 
-    /// Normalizes `query` into the scratch and answers it under `exec`'s
-    /// plan — on the pool when `serial` is false, inline otherwise. The
-    /// results are left in the scratch (`knn` or `range` per the plan);
-    /// if `cancel` fired the snapshot has `cancelled == 1` and the
-    /// scratch contents must be discarded.
+    /// Normalizes `query` into the scratch and answers it as `kind` —
+    /// on the pool when `serial` is false, inline otherwise. The results
+    /// are left in the scratch (`knn` or `range` per the kind); if
+    /// `cancel` fired the snapshot has `cancelled == 1` and the scratch
+    /// contents must be discarded.
     fn query_on_scratch(
         &self,
         scratch: &mut QueryScratch,
         query: &[f32],
-        exec: QueryExec<'_>,
+        kind: &QueryKind,
         cancel: Option<&CancelToken>,
         serial: bool,
     ) -> QueryStats {
@@ -817,32 +580,31 @@ impl<S: Summarization> Index<S> {
             // Expired before any work: skip even the query transform.
             return self.finish_query(&AtomicStats::default(), true);
         }
-        self.prepare_scratch(scratch, query, exec.prep_k());
+        self.prepare_scratch(scratch, query, kind.set_k());
         let s: &QueryScratch = scratch;
         let ctx = QueryContext::borrowed(&self.query_env, &s.values);
         let stats = AtomicStats::default();
-        match exec {
-            QueryExec::Knn { filter, .. } => {
-                let pb = KnnBound { set: &s.knn };
-                self.drive(s, &ctx, &pb, filter, true, serial, &stats, cancel);
+        let knn = KnnBound { set: &s.knn };
+        match kind {
+            QueryKind::Knn { .. } => self.drive(s, &ctx, &knn, None, true, serial, &stats, cancel),
+            QueryKind::KnnFiltered { filter, .. } => {
+                self.drive(s, &ctx, &knn, Some(filter), true, serial, &stats, cancel);
             }
-            QueryExec::Range { r_sq, filter } => {
+            QueryKind::Range { r_sq } => {
                 // No approximate seed: the radius is fixed (seeding can't
                 // tighten it), and the hit list has no row dedup, so
                 // scoring the home leaf twice would double-report.
-                let pb = RangeBound { r_sq, hits: &s.range };
-                self.drive(s, &ctx, &pb, filter, false, serial, &stats, cancel);
+                let pb = RangeBound { r_sq: *r_sq, hits: &s.range };
+                self.drive(s, &ctx, &pb, None, false, serial, &stats, cancel);
             }
-            QueryExec::Ip { filter, .. } => {
+            QueryKind::Ip { .. } => {
                 let pb = IpBound { set: &s.knn, n: self.series_len };
-                self.drive(s, &ctx, &pb, filter, true, serial, &stats, cancel);
+                self.drive(s, &ctx, &pb, None, true, serial, &stats, cancel);
             }
         }
         let mut snapshot = self.finish_query(&stats, fired(cancel));
-        if snapshot.cancelled == 0 {
-            if let QueryExec::Range { .. } = exec {
-                snapshot.range_hits = s.range.lock().len();
-            }
+        if snapshot.cancelled == 0 && matches!(kind, QueryKind::Range { .. }) {
+            snapshot.range_hits = s.range.lock().len();
         }
         snapshot
     }
@@ -988,7 +750,7 @@ impl<S: Summarization> Index<S> {
     /// # Errors
     /// Returns [`IndexError::BadQuery`] on a length mismatch.
     pub fn approximate_nn(&self, query: &[f32]) -> Result<Neighbor, IndexError> {
-        self.validate(query, 1)?;
+        QueryKind::Knn { k: 1 }.validate(query, self.series_len, None)?;
         let mut scratch = self.scratch();
         self.prepare_scratch(&mut scratch, query, 1);
         let s: &QueryScratch = &scratch;

@@ -12,7 +12,7 @@
 //!   first), answers the whole tick through the index's batch engine,
 //!   and fans results back out through per-ticket slots. Tickets,
 //!   queues, tick buffers and result vectors are all pooled, and the
-//!   tick itself runs on [`sofa_index::Index::knn_batch_into`]'s pooled
+//!   tick itself runs on [`sofa_index::Index::query_batch_into_cancel`]'s pooled
 //!   per-lane scratches — so the warm tick path performs no heap
 //!   allocation.
 //! * [`ShardedIndex`] — N-way row-partitioned sharding with a per-shard

@@ -35,8 +35,7 @@
 use crate::stats::{ServeStats, StatCounters};
 use crate::{CancelToken, ResultSlot, TickExec};
 use sofa_exec::sync::lock;
-use sofa_index::{IndexError, IpNeighbor, Neighbor, QueryKind, RowFilter};
-use sofa_summaries::ip_from_score;
+use sofa_index::{IndexError, Neighbor, QueryKind};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -307,120 +306,20 @@ impl<E: TickExec> Server<E> {
         self.inner.counters.snapshot(self.inner.exec.degraded_answers())
     }
 
-    /// Exact k-NN through the coalescer, best first. Blocks until the
-    /// query's tick completes; results are identical to
-    /// `Index::knn(query, k)` on the same index.
+    /// Submits one query of any [`QueryKind`] and blocks until its
+    /// tick completes. The answer is identical to
+    /// [`sofa_index::Index::query_into`] on the same index, in the same
+    /// funnel encoding (an `Ip` result carries scores `2n - q·x` in
+    /// `dist_sq`; convert with [`sofa_summaries::ip_from_score`]).
+    /// Mixed kinds coalesce into shared ticks.
     ///
     /// # Errors
-    /// [`ServeError::Index`] on a malformed query; [`ServeError::ShutDown`]
-    /// if the server stops first; [`ServeError::Overloaded`] if shed at
-    /// admission; [`ServeError::DeadlineExceeded`] if the configured
-    /// deadline fires first; [`ServeError::Aborted`] if the executor
-    /// panicked on this query.
-    pub fn knn(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>, ServeError> {
-        let mut out = Vec::new();
-        self.knn_into(query, k, &mut out)?;
-        Ok(out)
-    }
-
-    /// Exact 1-NN through the coalescer.
-    ///
-    /// # Errors
-    /// As [`Server::knn`]; additionally rejects an empty index.
-    pub fn nn(&self, query: &[f32]) -> Result<Neighbor, ServeError> {
-        self.knn(query, 1)?
-            .first()
-            .copied()
-            .ok_or_else(|| ServeError::Index(IndexError::BadQuery("index is empty".into())))
-    }
-
-    /// [`Server::knn`] into a caller-owned buffer (cleared first): the
-    /// allocation-free submission form — ticket, queue slot and result
-    /// hand-off all reuse pooled buffers once warm. (A configured
-    /// deadline adds one token allocation per submission.)
-    ///
-    /// # Errors
-    /// As [`Server::knn`].
-    pub fn knn_into(
-        &self,
-        query: &[f32],
-        k: usize,
-        out: &mut Vec<Neighbor>,
-    ) -> Result<(), ServeError> {
-        self.query_into(query, QueryKind::Knn { k }, out)
-    }
-
-    /// Exact k-NN restricted to the rows `filter` admits, through the
-    /// coalescer — identical to `Index::knn_filtered` on the same
-    /// index. Filtered submissions coalesce into the same ticks as
-    /// every other kind.
-    ///
-    /// # Errors
-    /// As [`Server::knn`]; additionally rejects a filter whose length
-    /// disagrees with the executor's row count (when known).
-    pub fn knn_filtered(
-        &self,
-        query: &[f32],
-        k: usize,
-        filter: Arc<RowFilter>,
-    ) -> Result<Vec<Neighbor>, ServeError> {
-        let mut out = Vec::new();
-        self.query_into(query, QueryKind::KnnFiltered { k, filter }, &mut out)?;
-        Ok(out)
-    }
-
-    /// Every row within squared radius `r_sq` of the query, sorted by
-    /// `(dist_sq, row)`, through the coalescer — identical to
-    /// `Index::range` on the same index (ties exactly at the radius
-    /// included).
-    ///
-    /// # Errors
-    /// As [`Server::knn`]; additionally rejects a non-finite or
-    /// negative radius.
-    pub fn range(&self, query: &[f32], r_sq: f32) -> Result<Vec<Neighbor>, ServeError> {
-        let mut out = Vec::new();
-        self.query_into(query, QueryKind::Range { r_sq }, &mut out)?;
-        Ok(out)
-    }
-
-    /// Exact top-k rows by inner product with the z-normalized query,
-    /// best (largest dot) first, through the coalescer. The reported
-    /// `ip` is recovered from the funnel's score transport
-    /// (`ip = 2n - score`, one `f64` rounding from the direct dot
-    /// product); row ranking is identical to `Index::knn_ip`.
-    ///
-    /// # Errors
-    /// As [`Server::knn`].
-    pub fn knn_ip(&self, query: &[f32], k: usize) -> Result<Vec<IpNeighbor>, ServeError> {
-        let mut out = Vec::new();
-        self.query_into(query, QueryKind::Ip { k }, &mut out)?;
-        let n = self.inner.series_len;
-        Ok(out
-            .into_iter()
-            .map(|nb| IpNeighbor { row: nb.row, ip: ip_from_score(n, nb.dist_sq) })
-            .collect())
-    }
-
-    /// The single best row by inner product (see [`Server::knn_ip`]).
-    ///
-    /// # Errors
-    /// As [`Server::knn_ip`]; additionally rejects an empty index.
-    pub fn nn_ip(&self, query: &[f32]) -> Result<IpNeighbor, ServeError> {
-        self.knn_ip(query, 1)?
-            .first()
-            .copied()
-            .ok_or_else(|| ServeError::Index(IndexError::BadQuery("index is empty".into())))
-    }
-
-    /// Submits one query of any [`QueryKind`] and blocks for its
-    /// answer, in the raw funnel encoding (an `Ip` result carries
-    /// scores in `dist_sq`; the typed wrappers convert). This is the
-    /// generic submission path every per-kind method goes through —
-    /// mixed kinds coalesce into shared ticks.
-    ///
-    /// # Errors
-    /// As [`Server::knn`], plus kind-specific validation (zero `k`,
-    /// bad radius, wrong filter length).
+    /// [`ServeError::Index`] when [`QueryKind::validate`] rejects the
+    /// query; [`ServeError::ShutDown`] if the server stops first;
+    /// [`ServeError::Overloaded`] if shed at admission;
+    /// [`ServeError::DeadlineExceeded`] if the configured deadline fires
+    /// first; [`ServeError::Aborted`] if the executor panicked on this
+    /// query.
     pub fn query(&self, query: &[f32], kind: QueryKind) -> Result<Vec<Neighbor>, ServeError> {
         let mut out = Vec::new();
         self.query_into(query, kind, &mut out)?;
@@ -428,7 +327,9 @@ impl<E: TickExec> Server<E> {
     }
 
     /// [`Server::query`] into a caller-owned buffer (cleared first) —
-    /// the allocation-free generic submission form.
+    /// the allocation-free submission form: ticket, queue slot and
+    /// result hand-off all reuse pooled buffers once warm. (A
+    /// configured deadline adds one token allocation per submission.)
     ///
     /// # Errors
     /// As [`Server::query`].
@@ -439,15 +340,7 @@ impl<E: TickExec> Server<E> {
         out: &mut Vec<Neighbor>,
     ) -> Result<(), ServeError> {
         let inner = &*self.inner;
-        if query.len() != inner.series_len {
-            return Err(IndexError::BadQuery(format!(
-                "query length {} != series length {}",
-                query.len(),
-                inner.series_len
-            ))
-            .into());
-        }
-        Self::validate_kind(&kind, inner.exec.n_rows())?;
+        kind.validate(query, inner.series_len, inner.exec.n_rows())?;
 
         let ticket = lock(&inner.tickets).pop().unwrap_or_else(|| Arc::new(Ticket::new()));
         let now = Instant::now();
@@ -511,43 +404,6 @@ impl<E: TickExec> Server<E> {
             // The wait loop above only exits on a non-Pending outcome.
             Outcome::Pending => unreachable!("woke with a pending ticket"),
         }
-    }
-
-    /// Admission-time kind validation; `n_rows` is the executor's row
-    /// count when it knows it (filter lengths are then checked here
-    /// instead of panicking mid-tick).
-    fn validate_kind(kind: &QueryKind, n_rows: Option<usize>) -> Result<(), ServeError> {
-        match kind {
-            QueryKind::Knn { k } | QueryKind::Ip { k } => {
-                if *k == 0 {
-                    return Err(IndexError::BadQuery("k must be at least 1".into()).into());
-                }
-            }
-            QueryKind::KnnFiltered { k, filter } => {
-                if *k == 0 {
-                    return Err(IndexError::BadQuery("k must be at least 1".into()).into());
-                }
-                if let Some(rows) = n_rows {
-                    if filter.len() != rows {
-                        return Err(IndexError::BadQuery(format!(
-                            "row filter covers {} rows but the index holds {}",
-                            filter.len(),
-                            rows
-                        ))
-                        .into());
-                    }
-                }
-            }
-            QueryKind::Range { r_sq } => {
-                if !(r_sq.is_finite() && *r_sq >= 0.0) {
-                    return Err(IndexError::BadQuery(format!(
-                        "range radius² must be finite and non-negative, got {r_sq}"
-                    ))
-                    .into());
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Stops accepting submissions. Already-queued tickets are still
@@ -807,7 +663,7 @@ mod tests {
     #[test]
     fn single_submission_round_trips() {
         let server = Server::new(EchoExec::new(4), ServeConfig::new());
-        let got = server.knn(&[7.0, 0.0, 0.0, 0.0], 3).unwrap();
+        let got = server.query(&[7.0, 0.0, 0.0, 0.0], QueryKind::Knn { k: 3 }).unwrap();
         assert_eq!(got, expected(7.0, 3));
         let stats = server.stats();
         assert_eq!(stats.queries, 1);
@@ -817,8 +673,14 @@ mod tests {
     #[test]
     fn rejects_bad_queries_before_queueing() {
         let server = Server::new(EchoExec::new(4), ServeConfig::new());
-        assert!(matches!(server.knn(&[1.0; 3], 1), Err(ServeError::Index(_))));
-        assert!(matches!(server.knn(&[1.0; 4], 0), Err(ServeError::Index(_))));
+        assert!(matches!(
+            server.query(&[1.0; 3], QueryKind::Knn { k: 1 }),
+            Err(ServeError::Index(_))
+        ));
+        assert!(matches!(
+            server.query(&[1.0; 4], QueryKind::Knn { k: 0 }),
+            Err(ServeError::Index(_))
+        ));
         assert_eq!(server.stats().queries, 0);
     }
 
@@ -835,7 +697,8 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..per_thread {
                         let q0 = (t * per_thread + i) as f32;
-                        let got = server.knn(&[q0, 1.0, 2.0, 3.0], 2).unwrap();
+                        let got =
+                            server.query(&[q0, 1.0, 2.0, 3.0], QueryKind::Knn { k: 2 }).unwrap();
                         assert_eq!(got, expected(q0, 2), "submitter {t} query {i}");
                     }
                 });
@@ -866,7 +729,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..10usize {
                         let q0 = (t * 10 + i) as f32;
-                        let got = server.knn(&[q0, 0.0], 1).unwrap();
+                        let got = server.query(&[q0, 0.0], QueryKind::Knn { k: 1 }).unwrap();
                         assert_eq!(got, expected(q0, 1));
                         answered.fetch_add(1, Ordering::Relaxed);
                     }
@@ -892,7 +755,7 @@ mod tests {
                     // or reports the shutdown — never hangs, never lies.
                     for i in 0..20usize {
                         let q0 = (t * 20 + i) as f32;
-                        match server.knn(&[q0, 0.0], 1) {
+                        match server.query(&[q0, 0.0], QueryKind::Knn { k: 1 }) {
                             Ok(got) => assert_eq!(got, expected(q0, 1)),
                             Err(ServeError::ShutDown) => break,
                             Err(e) => panic!("unexpected error: {e}"),
@@ -903,7 +766,10 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
             server.shutdown();
         });
-        assert!(matches!(server.knn(&[1.0, 2.0], 1), Err(ServeError::ShutDown)));
+        assert!(matches!(
+            server.query(&[1.0, 2.0], QueryKind::Knn { k: 1 }),
+            Err(ServeError::ShutDown)
+        ));
     }
 
     #[test]
@@ -926,8 +792,8 @@ mod tests {
         let server = Server::new(BoomExec, ServeConfig::new());
         // Each submission is aborted — not hung, and not a shutdown:
         // the server survives its executor's panics.
-        assert_eq!(server.knn(&[1.0, 2.0], 1), Err(ServeError::Aborted));
-        assert_eq!(server.knn(&[1.0, 2.0], 1), Err(ServeError::Aborted));
+        assert_eq!(server.query(&[1.0, 2.0], QueryKind::Knn { k: 1 }), Err(ServeError::Aborted));
+        assert_eq!(server.query(&[1.0, 2.0], QueryKind::Knn { k: 1 }), Err(ServeError::Aborted));
         let stats = server.stats();
         assert_eq!(stats.aborted, 2);
         assert_eq!(stats.queries, 0);
@@ -964,7 +830,7 @@ mod tests {
                 let server = Arc::clone(&server);
                 s.spawn(move || {
                     let q0 = if t == 3 { 13.0 } else { t as f32 };
-                    let got = server.knn(&[q0, 0.0], 2);
+                    let got = server.query(&[q0, 0.0], QueryKind::Knn { k: 2 });
                     if t == 3 {
                         assert_eq!(got, Err(ServeError::Aborted));
                     } else {
@@ -977,7 +843,7 @@ mod tests {
         assert_eq!(stats.aborted, 1);
         assert_eq!(stats.queries, 7);
         // And the server is still alive for fresh (clean) submissions.
-        assert_eq!(server.knn(&[40.0, 0.0], 1).unwrap(), expected(40.0, 1));
+        assert_eq!(server.query(&[40.0, 0.0], QueryKind::Knn { k: 1 }).unwrap(), expected(40.0, 1));
     }
 
     #[test]
@@ -992,7 +858,7 @@ mod tests {
             let handles: Vec<_> = (0..6)
                 .map(|t| {
                     let server = Arc::clone(&server);
-                    s.spawn(move || server.knn(&[t as f32, 0.0], 1))
+                    s.spawn(move || server.query(&[t as f32, 0.0], QueryKind::Knn { k: 1 }))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -1025,7 +891,7 @@ mod tests {
             for t in 0..8usize {
                 let server = Arc::clone(&server);
                 let shed = &shed;
-                s.spawn(move || match server.knn(&[t as f32, 0.0], 1) {
+                s.spawn(move || match server.query(&[t as f32, 0.0], QueryKind::Knn { k: 1 }) {
                     Ok(got) => assert_eq!(got, expected(t as f32, 1)),
                     Err(ServeError::Overloaded) => {
                         shed.fetch_add(1, Ordering::Relaxed);
@@ -1047,7 +913,7 @@ mod tests {
         let server = Server::new(EchoExec::new(2), ServeConfig::new());
         let mut out = Vec::new();
         for i in 0..50 {
-            server.knn_into(&[i as f32, 0.0], 1, &mut out).unwrap();
+            server.query_into(&[i as f32, 0.0], QueryKind::Knn { k: 1 }, &mut out).unwrap();
             assert_eq!(out, expected(i as f32, 1));
         }
         let stats = server.stats();

@@ -18,7 +18,9 @@
 
 use crate::{CancelToken, ResultSlot};
 use sofa_exec::sync::lock;
-use sofa_index::{ExecPool, Index, IndexError, IndexStats, KnnSet, Neighbor, QueryKind, RowFilter};
+use sofa_index::{
+    validate_batch, ExecPool, Index, IndexError, IndexStats, KnnSet, Neighbor, QueryKind, RowFilter,
+};
 use sofa_summaries::Summarization;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -31,7 +33,7 @@ pub enum DegradedMode {
     /// Every subsequent tick panics immediately (the default). Behind a
     /// [`crate::Server`] the panic is contained per tick, so submitters
     /// see [`crate::ServeError::Aborted`] rather than wrong answers;
-    /// direct callers of [`ShardedIndex::knn_tick`] observe the panic.
+    /// direct callers of [`ShardedIndex::query_tick_cancel`] observe the panic.
     #[default]
     FailFast,
     /// Subsequent ticks skip quarantined shards and answer from the
@@ -224,102 +226,20 @@ impl<S: Summarization> ShardedIndex<S> {
         self.shards.iter().map(Index::stats).collect()
     }
 
-    /// Exact 1-NN across all shards.
+    /// Answers a single query of any [`QueryKind`] across all shards,
+    /// bit-identical to an unsharded index over the same rows, with
+    /// global row ids. Results use the funnel encoding of [`QueryKind`]
+    /// (an `Ip` answer carries scores `2n - q·x` in `dist_sq`, ascending
+    /// score = best first; convert with
+    /// [`sofa_summaries::ip_from_score`]). A `KnnFiltered` kind takes a
+    /// filter over *global* row ids; each shard sees its rebased slice.
     ///
     /// # Errors
-    /// Returns [`IndexError::BadQuery`] on a length mismatch.
-    pub fn nn(&self, query: &[f32]) -> Result<Neighbor, IndexError> {
-        Ok(self.knn(query, 1)?[0])
-    }
-
-    /// Exact k-NN across all shards, best first — bit-identical to an
-    /// unsharded index over the same rows. Returns
-    /// `min(k, n_series)` neighbors with global row ids.
-    ///
-    /// # Errors
-    /// Returns [`IndexError::BadQuery`] on a length mismatch or `k == 0`.
-    pub fn knn(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>, IndexError> {
-        let mut out = Vec::new();
-        self.knn_into(query, k, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`ShardedIndex::knn`] into a caller-owned buffer (cleared first).
-    ///
-    /// # Errors
-    /// As [`ShardedIndex::knn`].
-    pub fn knn_into(
-        &self,
-        query: &[f32],
-        k: usize,
-        out: &mut Vec<Neighbor>,
-    ) -> Result<(), IndexError> {
-        let slot = [ResultSlot::new(std::mem::take(out))];
-        let ks = [k];
-        self.knn_tick(query, &ks, &slot)?;
-        let [slot] = slot;
-        *out = slot.into_inner();
-        Ok(())
-    }
-
-    /// Answers one tick of queries (row-major, `ks[i]` neighbors for
-    /// query `i`) into `outs[i]` (cleared first, best first, global row
-    /// ids). The fan-out pool runs one lane per shard, each lane
-    /// driving its shard's batch engine; the per-slot merge then rebases
-    /// and drains through the reusable [`KnnSet`].
-    ///
-    /// # Errors
-    /// Returns [`IndexError::BadQuery`] if the buffer is not a whole
-    /// number of series, `ks`/`outs` lengths don't match the query
-    /// count, or any `k == 0`.
+    /// Returns [`IndexError::BadQuery`] when [`QueryKind::validate`]
+    /// rejects the query.
     ///
     /// # Panics
-    /// In [`DegradedMode::FailFast`] (the default), panics when a shard
-    /// panics during the tick or is already quarantined — behind a
-    /// [`crate::Server`] the panic is contained per tick.
-    pub fn knn_tick(
-        &self,
-        queries: &[f32],
-        ks: &[usize],
-        outs: &[ResultSlot],
-    ) -> Result<(), IndexError> {
-        self.knn_tick_cancel(queries, ks, outs, &[])
-    }
-
-    /// [`ShardedIndex::knn_tick`] with per-query cooperative
-    /// cancellation. `cancels` is empty or one token per query; a
-    /// query whose token fires is abandoned by every shard and its
-    /// output slot is left unwritten (the token is latched fired, so
-    /// the caller can tell).
-    ///
-    /// # Errors
-    /// As [`ShardedIndex::knn_tick`], plus [`IndexError::BadQuery`]
-    /// when `cancels` is non-empty but does not match the query count.
-    ///
-    /// # Panics
-    /// As [`ShardedIndex::knn_tick`].
-    pub fn knn_tick_cancel(
-        &self,
-        queries: &[f32],
-        ks: &[usize],
-        outs: &[ResultSlot],
-        cancels: &[CancelToken],
-    ) -> Result<(), IndexError> {
-        let kinds: Vec<QueryKind> = ks.iter().map(|&k| QueryKind::Knn { k }).collect();
-        self.query_tick_cancel(queries, &kinds, outs, cancels)
-    }
-
-    /// Answers a single query of any [`QueryKind`] across all shards —
-    /// the generic form of [`ShardedIndex::knn`]. Results use the
-    /// funnel encoding of [`QueryKind`] (an `Ip` answer carries scores
-    /// `2n - q·x` in `dist_sq`, ascending score = best first; convert
-    /// with [`sofa_summaries::ip_from_score`]). A `KnnFiltered` kind
-    /// takes a filter over *global* row ids; each shard sees its
-    /// rebased slice.
-    ///
-    /// # Errors
-    /// Returns [`IndexError::BadQuery`] on a length mismatch or an
-    /// invalid kind (zero `k`, non-finite radius, wrong filter length).
+    /// As [`ShardedIndex::query_tick_cancel`].
     pub fn query(&self, query: &[f32], kind: QueryKind) -> Result<Vec<Neighbor>, IndexError> {
         let slot = [ResultSlot::new(Vec::new())];
         self.query_tick_cancel(query, std::slice::from_ref(&kind), &slot, &[])?;
@@ -347,9 +267,10 @@ impl<S: Summarization> ShardedIndex<S> {
     /// rows.
     ///
     /// # Errors
-    /// Returns [`IndexError::BadQuery`] if the buffer is not a whole
-    /// number of series, `kinds`/`outs`/`cancels` lengths don't match
-    /// the query count, or any kind is invalid.
+    /// Returns [`IndexError::BadQuery`] when
+    /// [`sofa_index::validate_batch`] rejects the tick (filters are
+    /// checked against the global row count; each shard re-checks its
+    /// rebased slice).
     ///
     /// # Panics
     /// In [`DegradedMode::FailFast`] (the default), panics when a shard
@@ -362,33 +283,8 @@ impl<S: Summarization> ShardedIndex<S> {
         outs: &[ResultSlot],
         cancels: &[CancelToken],
     ) -> Result<(), IndexError> {
-        let n = self.series_len;
-        if queries.len() % n != 0 {
-            return Err(IndexError::BadQuery(format!(
-                "query buffer of {} floats is not a multiple of series length {}",
-                queries.len(),
-                n
-            )));
-        }
-        let m = queries.len() / n;
-        if kinds.len() != m || outs.len() != m {
-            return Err(IndexError::BadQuery(format!(
-                "{} queries but {} kinds and {} output slots",
-                m,
-                kinds.len(),
-                outs.len()
-            )));
-        }
-        for kind in kinds {
-            self.validate_kind(kind)?;
-        }
-        if !cancels.is_empty() && cancels.len() != m {
-            return Err(IndexError::BadQuery(format!(
-                "{} queries but {} cancellation tokens",
-                m,
-                cancels.len()
-            )));
-        }
+        validate_batch(queries, kinds, outs.len(), cancels.len(), self.series_len, self.n_series)?;
+        let m = kinds.len();
         if m == 0 {
             return Ok(());
         }
@@ -514,38 +410,6 @@ impl<S: Summarization> ShardedIndex<S> {
         }
         Ok(())
     }
-
-    /// Validates one kind against the *global* row space (per-shard
-    /// validation happens again inside each shard, over its slice).
-    fn validate_kind(&self, kind: &QueryKind) -> Result<(), IndexError> {
-        match kind {
-            QueryKind::Knn { k } | QueryKind::Ip { k } => {
-                if *k == 0 {
-                    return Err(IndexError::BadQuery("k must be at least 1".into()));
-                }
-            }
-            QueryKind::KnnFiltered { k, filter } => {
-                if *k == 0 {
-                    return Err(IndexError::BadQuery("k must be at least 1".into()));
-                }
-                if filter.len() != self.n_series {
-                    return Err(IndexError::BadQuery(format!(
-                        "row filter covers {} rows but the sharded index holds {}",
-                        filter.len(),
-                        self.n_series
-                    )));
-                }
-            }
-            QueryKind::Range { r_sq } => {
-                if !(r_sq.is_finite() && *r_sq >= 0.0) {
-                    return Err(IndexError::BadQuery(format!(
-                        "range radius² must be finite and non-negative, got {r_sq}"
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 impl<S: Summarization> std::fmt::Debug for ShardedIndex<S> {
@@ -610,7 +474,7 @@ mod tests {
                 let q = &data[qi * LEN..(qi + 1) * LEN];
                 for k in [1, 5] {
                     assert_eq!(
-                        parts.knn(q, k).unwrap(),
+                        parts.query(q, QueryKind::Knn { k }).unwrap(),
                         whole.knn(q, k).unwrap(),
                         "query row {qi}, k {k}, {n_shards} shards"
                     );
@@ -625,11 +489,16 @@ mod tests {
         let parts = sharded(&data, 2, 1);
         let queries: Vec<f32> = data[..4 * LEN].to_vec();
         let ks = [1usize, 3, 5, 2];
+        let kinds: Vec<QueryKind> = ks.iter().map(|&k| QueryKind::Knn { k }).collect();
         let outs: Vec<ResultSlot> = (0..4).map(|_| ResultSlot::new(Vec::new())).collect();
-        parts.knn_tick(&queries, &ks, &outs).unwrap();
+        parts.query_tick_cancel(&queries, &kinds, &outs, &[]).unwrap();
         for (slot, &k) in ks.iter().enumerate() {
             let q = &queries[slot * LEN..(slot + 1) * LEN];
-            assert_eq!(*outs[slot].lock(), parts.knn(q, k).unwrap(), "slot {slot}");
+            assert_eq!(
+                *outs[slot].lock(),
+                parts.query(q, QueryKind::Knn { k }).unwrap(),
+                "slot {slot}"
+            );
         }
     }
 
@@ -638,9 +507,10 @@ mod tests {
         let data = dataset(120, 3);
         let parts = sharded(&data, 3, 1);
         let q = &data[..LEN];
-        parts.knn(q, 2).unwrap();
+        parts.query(q, QueryKind::Knn { k: 2 }).unwrap();
         let outs: Vec<ResultSlot> = (0..2).map(|_| ResultSlot::new(Vec::new())).collect();
-        parts.knn_tick(&data[..2 * LEN], &[1, 1], &outs).unwrap();
+        let kinds = [QueryKind::Knn { k: 1 }, QueryKind::Knn { k: 1 }];
+        parts.query_tick_cancel(&data[..2 * LEN], &kinds, &outs, &[]).unwrap();
         // 3 logical queries total; each shard also saw each of them once.
         assert_eq!(parts.queries_served(), 3);
         for stats in parts.shard_stats() {
@@ -654,13 +524,13 @@ mod tests {
         let parts = sharded(&data, 3, 1).with_degraded_mode(DegradedMode::ServePartial);
         let rows_per_shard = 100usize;
         let q = &data[..LEN]; // row 0 lives in shard 0
-        let full = parts.knn(q, 3).unwrap();
+        let full = parts.query(q, QueryKind::Knn { k: 3 }).unwrap();
         assert_eq!(full[0].row, 0);
         parts.mark_degraded(0);
         assert_eq!(parts.degraded_shards(), vec![0]);
         // Same query, shard 0 quarantined: still answered, exactly over
         // the surviving rows — nothing from shard 0 can appear.
-        let partial = parts.knn(q, 3).unwrap();
+        let partial = parts.query(q, QueryKind::Knn { k: 3 }).unwrap();
         assert_eq!(partial.len(), 3);
         for nb in &partial {
             assert!(
@@ -678,10 +548,11 @@ mod tests {
         let data = dataset(100, 9);
         let parts = sharded(&data, 2, 1);
         assert_eq!(parts.degraded_mode(), DegradedMode::FailFast);
-        parts.knn(&data[..LEN], 1).unwrap();
+        parts.query(&data[..LEN], QueryKind::Knn { k: 1 }).unwrap();
         parts.mark_degraded(1);
-        let boom =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| parts.knn(&data[..LEN], 1)));
+        let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            parts.query(&data[..LEN], QueryKind::Knn { k: 1 })
+        }));
         assert!(boom.is_err(), "FailFast must refuse to serve past a quarantined shard");
     }
 
@@ -690,11 +561,17 @@ mod tests {
         assert!(matches!(ShardedIndex::<ISax>::new(Vec::new()), Err(IndexError::BadDataset(_))));
         let data = dataset(100, 5);
         let parts = sharded(&data, 2, 1);
-        assert!(matches!(parts.knn(&data[..LEN - 1], 1), Err(IndexError::BadQuery(_))));
-        assert!(matches!(parts.knn(&data[..LEN], 0), Err(IndexError::BadQuery(_))));
+        assert!(matches!(
+            parts.query(&data[..LEN - 1], QueryKind::Knn { k: 1 }),
+            Err(IndexError::BadQuery(_))
+        ));
+        assert!(matches!(
+            parts.query(&data[..LEN], QueryKind::Knn { k: 0 }),
+            Err(IndexError::BadQuery(_))
+        ));
         let outs: Vec<ResultSlot> = (0..1).map(|_| ResultSlot::new(Vec::new())).collect();
         assert!(matches!(
-            parts.knn_tick(&data[..2 * LEN], &[1], &outs),
+            parts.query_tick_cancel(&data[..2 * LEN], &[QueryKind::Knn { k: 1 }], &outs, &[]),
             Err(IndexError::BadQuery(_))
         ));
     }

@@ -52,10 +52,10 @@ fn injected_tick_faults_are_contained() {
     // is then spent, so every later submission serves normally.
     let server = Server::new(EchoExec, ServeConfig::new());
     failpoint::arm(TICK_FAILPOINT, FailAction::Panic, Some(1));
-    assert_eq!(server.knn(&[5.0, 0.0], 1), Err(ServeError::Aborted));
+    assert_eq!(server.query(&[5.0, 0.0], QueryKind::Knn { k: 1 }), Err(ServeError::Aborted));
     for i in 0..10 {
         let q0 = 10.0 + i as f32;
-        assert_eq!(server.knn(&[q0, 0.0], 2).unwrap(), expected(q0, 2));
+        assert_eq!(server.query(&[q0, 0.0], QueryKind::Knn { k: 2 }).unwrap(), expected(q0, 2));
     }
     let stats = server.stats();
     assert_eq!(stats.aborted, 1);
@@ -65,8 +65,8 @@ fn injected_tick_faults_are_contained() {
     // --- An injected error takes the same containment path as a panic.
     let server = Server::new(EchoExec, ServeConfig::new());
     failpoint::arm(TICK_FAILPOINT, FailAction::Error, Some(1));
-    assert_eq!(server.knn(&[1.0, 0.0], 1), Err(ServeError::Aborted));
-    assert_eq!(server.knn(&[2.0, 0.0], 1).unwrap(), expected(2.0, 1));
+    assert_eq!(server.query(&[1.0, 0.0], QueryKind::Knn { k: 1 }), Err(ServeError::Aborted));
+    assert_eq!(server.query(&[2.0, 0.0], QueryKind::Knn { k: 1 }).unwrap(), expected(2.0, 1));
     drop(server);
 
     // --- An injected delay overshoots the tick's own 2ms deadline:
@@ -74,8 +74,11 @@ fn injected_tick_faults_are_contained() {
     let server =
         Server::new(EchoExec, ServeConfig::new().fill_target(1).deadline(Duration::from_millis(2)));
     failpoint::arm(TICK_FAILPOINT, FailAction::Sleep(Duration::from_millis(8)), Some(1));
-    assert_eq!(server.knn(&[1.0, 0.0], 1), Err(ServeError::DeadlineExceeded));
-    assert_eq!(server.knn(&[2.0, 0.0], 1).unwrap(), expected(2.0, 1));
+    assert_eq!(
+        server.query(&[1.0, 0.0], QueryKind::Knn { k: 1 }),
+        Err(ServeError::DeadlineExceeded)
+    );
+    assert_eq!(server.query(&[2.0, 0.0], QueryKind::Knn { k: 1 }).unwrap(), expected(2.0, 1));
     let stats = server.stats();
     assert_eq!(stats.expired, 1);
     assert_eq!(stats.queries, 1);

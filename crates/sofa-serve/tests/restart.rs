@@ -2,7 +2,7 @@
 //! opened from a snapshot must answer exactly like one wrapped around
 //! the live index that wrote it.
 
-use sofa_index::{Index, IndexConfig};
+use sofa_index::{Index, IndexConfig, QueryKind};
 use sofa_serve::{ServeConfig, Server};
 use sofa_summaries::{ISax, SaxConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -49,8 +49,8 @@ fn server_over_opened_snapshot_matches_live_index() {
         for chunk in queries.chunks(n * 6) {
             s.spawn(|| {
                 for q in chunk.chunks(n) {
-                    let a = before.knn(q, 5).expect("live serve");
-                    let b = after.knn(q, 5).expect("snapshot serve");
+                    let a = before.query(q, QueryKind::Knn { k: 5 }).expect("live serve");
+                    let b = after.query(q, QueryKind::Knn { k: 5 }).expect("snapshot serve");
                     assert_eq!(a.len(), b.len());
                     for (x, y) in a.iter().zip(b.iter()) {
                         assert_eq!(x.row, y.row);

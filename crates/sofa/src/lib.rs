@@ -4,13 +4,17 @@
 //! in less than a Blink of an Eye"* (Schäfer, Brand, Leser, Peng,
 //! Palpanas — ICDE 2025): the **SOFA** index, which combines the learned
 //! **Symbolic Fourier Approximation** (SFA) summarization with a
-//! MESSI-style parallel tree index to answer *exact* 1-NN and k-NN queries
+//! MESSI-style parallel tree index to answer *exact* similarity queries
 //! under z-normalized Euclidean distance.
 //!
 //! ## Quick start
 //!
+//! [`Builder`] learns the SFA model, sizes the worker pool and builds the
+//! tree; [`SofaIndex`] is the index it returns. Every query goes through
+//! one door, [`index::Index::query_into`], which takes a [`QueryKind`]:
+//!
 //! ```
-//! use sofa::SofaIndex;
+//! use sofa::{Builder, QueryKind};
 //!
 //! // 1000 series of length 128, row-major.
 //! let n = 128;
@@ -18,14 +22,23 @@
 //!     .map(|i| ((i / n) as f32 * 0.7 + (i % n) as f32 * 0.21).sin())
 //!     .collect();
 //!
-//! let index = SofaIndex::build(&data, n).expect("build");
+//! let index = Builder::default().build_sofa(&data, n).expect("build");
 //! let query: Vec<f32> = (0..n).map(|t| (t as f32 * 0.21).sin()).collect();
-//! let nearest = index.nn(&query).expect("query");
-//! println!("row {} at squared distance {}", nearest.row, nearest.dist_sq);
 //!
-//! // Exact k-NN:
-//! let top5 = index.knn(&query, 5).expect("query");
+//! // Exact k-NN into a reused buffer, plus the query's work counters.
+//! let mut top5 = Vec::new();
+//! let stats = index.query_into(&query, &QueryKind::Knn { k: 5 }, &mut top5).expect("query");
 //! assert_eq!(top5.len(), 5);
+//! println!("row {} at squared distance {}", top5[0].row, top5[0].dist_sq);
+//! assert!(stats.series_refined <= 1000);
+//!
+//! // Every row within a squared radius, through the same door.
+//! let mut ball = Vec::new();
+//! index.query_into(&query, &QueryKind::Range { r_sq: top5[4].dist_sq }, &mut ball).unwrap();
+//! assert!(ball.len() >= 5);
+//!
+//! // Convenience forms allocate their answer: `nn`, `knn`, `range`, ...
+//! assert_eq!(index.nn(&query).unwrap(), top5[0]);
 //!
 //! // Batch queries amortize dispatch across the worker pool: one call,
 //! // one Vec of per-query answers, every pool lane kept busy.
@@ -35,24 +48,28 @@
 //! ```
 //!
 //! Ingest can be zero-copy — hand the buffer over and no duplicate is
-//! ever made (`SofaIndex::build_owned(data, n)`) — and several indexes
-//! can share one persistent worker pool:
+//! ever made ([`Builder::build_sofa_owned`]) — and several indexes can
+//! share one persistent worker pool:
 //!
 //! ```
-//! use sofa::{ExecPool, SofaIndex};
+//! use sofa::{Builder, ExecPool};
 //!
 //! let n = 64;
 //! let data: Vec<f32> = (0..500 * n).map(|i| (i as f32 * 0.37).sin()).collect();
 //! let pool = ExecPool::shared(2);
-//! let a = SofaIndex::builder().pool(pool.clone()).build_sofa_owned(data.clone(), n).unwrap();
-//! let b = SofaIndex::builder().pool(pool).build_sofa_owned(data, n).unwrap();
+//! let a = Builder::default().pool(pool.clone()).build_sofa_owned(data.clone(), n).unwrap();
+//! let b = Builder::default().pool(pool).build_messi_owned(data, n).unwrap();
 //! assert_eq!(a.n_series(), b.n_series());
+//! assert_eq!(a.summarization().model().word_len(), 16);
 //! ```
 //!
 //! ## What's in the box
 //!
 //! * [`SofaIndex`] — the paper's contribution: SFA + tree index.
 //! * [`MessiIndex`] — the same tree over iSAX: the MESSI baseline.
+//! * [`ShardedSofaIndex`] / [`ShardedMessiIndex`] — N-way row-partitioned
+//!   shards behind one logical index, and [`Server`], the coalescing
+//!   front-end that answers concurrent single queries in batch ticks.
 //! * [`baselines::UcrScan`] / [`baselines::FlatL2`] — the paper's other
 //!   competitors (parallel SIMD scan; FAISS-flat-style brute force).
 //! * [`data`] — synthetic analogues of the paper's 17-dataset benchmark
@@ -95,7 +112,9 @@ use sofa_index::Index;
 use sofa_summaries::{ISax, SaxConfig, Sfa, SfaConfig};
 use std::sync::Arc;
 
-/// Builder for [`SofaIndex`] and [`MessiIndex`] with the paper's defaults.
+/// The constructor of [`SofaIndex`] and [`MessiIndex`] (plain, sharded or
+/// reopened from a snapshot) with the paper's defaults: it learns the SFA
+/// model from the z-normalized data and sizes the worker pool.
 #[derive(Clone, Debug)]
 pub struct Builder {
     word_len: usize,
@@ -290,12 +309,11 @@ impl Builder {
             ..Default::default()
         };
         let sfa = Sfa::learn(&data, series_len, &cfg);
-        let inner = Index::build_with_pool(sfa, data, self.index_config(), pool)?;
-        Ok(SofaIndex { inner })
+        Index::build_with_pool(sfa, data, self.index_config(), pool)
     }
 
     /// Opens a [`SofaIndex`] snapshot written by
-    /// [`SofaIndex::snapshot`], serving straight from the mapped file
+    /// [`Index::snapshot`], serving straight from the mapped file
     /// (no deserialization of the dataset). Only [`Builder::pool`] and
     /// [`Builder::threads`] apply — every structural parameter comes
     /// from the snapshot itself.
@@ -305,16 +323,16 @@ impl Builder {
     /// `SnapshotCorrupt` / `SnapshotLayout` when the file is missing,
     /// foreign, damaged, or was written by an incompatible layout.
     pub fn open_sofa<P: AsRef<std::path::Path>>(&self, path: P) -> Result<SofaIndex, IndexError> {
-        Ok(SofaIndex { inner: Index::open_with_pool(path, self.make_pool())? })
+        Index::open_with_pool(path, self.make_pool())
     }
 
     /// Opens a [`MessiIndex`] snapshot written by
-    /// [`MessiIndex::snapshot`] (see [`Builder::open_sofa`]).
+    /// [`Index::snapshot`] (see [`Builder::open_sofa`]).
     ///
     /// # Errors
     /// As [`Builder::open_sofa`].
     pub fn open_messi<P: AsRef<std::path::Path>>(&self, path: P) -> Result<MessiIndex, IndexError> {
-        Ok(MessiIndex { inner: Index::open_with_pool(path, self.make_pool())? })
+        Index::open_with_pool(path, self.make_pool())
     }
 
     /// Builds a [`MessiIndex`] over row-major `data` of `series_len`,
@@ -344,8 +362,7 @@ impl Builder {
         }
         let sax =
             ISax::new(series_len, &SaxConfig { word_len: self.word_len, alphabet: self.alphabet });
-        let inner = Index::build_with_pool(sax, data, self.index_config(), self.make_pool())?;
-        Ok(MessiIndex { inner })
+        Index::build_with_pool(sax, data, self.index_config(), self.make_pool())
     }
 
     /// Builds an N-way row-partitioned [`ShardedSofaIndex`]: `data` is
@@ -369,7 +386,7 @@ impl Builder {
         let (per_shard, builder) = self.shard_plan(data, series_len, n_shards)?;
         let shards = data
             .chunks(per_shard * series_len)
-            .map(|chunk| builder.build_sofa_owned(chunk.to_vec(), series_len).map(|ix| ix.inner))
+            .map(|chunk| builder.build_sofa_owned(chunk.to_vec(), series_len))
             .collect::<Result<Vec<_>, _>>()?;
         ShardedIndex::new(shards)
     }
@@ -387,7 +404,7 @@ impl Builder {
         let (per_shard, builder) = self.shard_plan(data, series_len, n_shards)?;
         let shards = data
             .chunks(per_shard * series_len)
-            .map(|chunk| builder.build_messi_owned(chunk.to_vec(), series_len).map(|ix| ix.inner))
+            .map(|chunk| builder.build_messi_owned(chunk.to_vec(), series_len))
             .collect::<Result<Vec<_>, _>>()?;
         ShardedIndex::new(shards)
     }
@@ -419,456 +436,20 @@ impl Builder {
     }
 }
 
-macro_rules! forward_index_api {
-    ($ty:ident, $summ:ty) => {
-        impl $ty {
-            /// Exact 1-NN under z-normalized Euclidean distance.
-            ///
-            /// # Errors
-            /// Returns [`IndexError::BadQuery`] on a length mismatch.
-            pub fn nn(&self, query: &[f32]) -> Result<Neighbor, IndexError> {
-                self.inner.nn(query)
-            }
+/// The SOFA index: SFA summarization + MESSI-style tree (the paper's
+/// contribution). Build it with [`Builder::build_sofa`]; the learned
+/// model is [`Index::summarization`].
+pub type SofaIndex = Index<Sfa>;
 
-            /// Exact k-NN, best first.
-            ///
-            /// # Errors
-            /// Returns [`IndexError::BadQuery`] on a length mismatch or `k == 0`.
-            pub fn knn(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>, IndexError> {
-                self.inner.knn(query, k)
-            }
-
-            /// Exact k-NN written into a caller-owned buffer (cleared
-            /// first, best first) — the allocation-free serving form of
-            /// `knn`: with a warm index and a reused buffer, the
-            /// steady-state serial path performs zero heap allocations.
-            ///
-            /// # Errors
-            /// Returns [`IndexError::BadQuery`] on a length mismatch or `k == 0`.
-            pub fn knn_into(
-                &self,
-                query: &[f32],
-                k: usize,
-                out: &mut Vec<Neighbor>,
-            ) -> Result<(), IndexError> {
-                self.inner.knn_into(query, k, out)
-            }
-
-            /// Exact k-NN for a row-major batch of queries, best first
-            /// per query. Queries are spread across the worker pool (one
-            /// serial query per lane at a time), which amortizes dispatch
-            /// and keeps every lane busy — the high-throughput serving
-            /// path.
-            ///
-            /// # Errors
-            /// Returns [`IndexError::BadQuery`] if the buffer is not a
-            /// whole number of series or `k == 0`.
-            pub fn knn_batch(
-                &self,
-                queries: &[f32],
-                k: usize,
-            ) -> Result<Vec<Vec<Neighbor>>, IndexError> {
-                self.inner.knn_batch(queries, k)
-            }
-
-            /// Exact k-NN for a row-major batch with a per-query `k`,
-            /// written into caller-owned slots (each cleared first, best
-            /// first) — the allocation-free batch form that serving
-            /// ticks run on (see [`serve::Server`]).
-            ///
-            /// # Errors
-            /// Returns [`IndexError::BadQuery`] if the buffer is not a
-            /// whole number of series, `ks`/`outs` lengths don't match
-            /// the query count, or any `k == 0`.
-            pub fn knn_batch_into(
-                &self,
-                queries: &[f32],
-                ks: &[usize],
-                outs: &[serve::ResultSlot],
-            ) -> Result<(), IndexError> {
-                self.inner.knn_batch_into(queries, ks, outs)
-            }
-
-            /// Exact k-NN with per-query work counters.
-            ///
-            /// # Errors
-            /// Returns [`IndexError::BadQuery`] on a length mismatch or `k == 0`.
-            pub fn knn_with_stats(
-                &self,
-                query: &[f32],
-                k: usize,
-            ) -> Result<(Vec<Neighbor>, QueryStats), IndexError> {
-                self.inner.knn_with_stats(query, k)
-            }
-
-            /// Exact k-NN restricted to the rows a [`RowFilter`]
-            /// admits — exactly the result of running k-NN over the
-            /// admitted subset alone, evaluated *inside* the pruning
-            /// funnel (rejected rows are masked out of the SIMD
-            /// lower-bound sweep rather than filtered from a larger
-            /// answer afterwards).
-            ///
-            /// # Errors
-            /// Returns [`IndexError::BadQuery`] on a length mismatch,
-            /// `k == 0`, or a filter whose length is not the row count.
-            pub fn knn_filtered(
-                &self,
-                query: &[f32],
-                k: usize,
-                filter: &RowFilter,
-            ) -> Result<Vec<Neighbor>, IndexError> {
-                self.inner.knn_filtered(query, k, filter)
-            }
-
-            /// [`Self::knn_filtered`] plus per-query work counters (see
-            /// [`QueryStats::predicate_lanes_masked`]).
-            ///
-            /// # Errors
-            /// As [`Self::knn_filtered`].
-            pub fn knn_filtered_with_stats(
-                &self,
-                query: &[f32],
-                k: usize,
-                filter: &RowFilter,
-            ) -> Result<(Vec<Neighbor>, QueryStats), IndexError> {
-                self.inner.knn_filtered_with_stats(query, k, filter)
-            }
-
-            /// Every row within squared distance `r_sq` of the query,
-            /// sorted by `(dist_sq, row)` — the epsilon-range query.
-            /// Rows exactly at the radius are included.
-            ///
-            /// # Errors
-            /// Returns [`IndexError::BadQuery`] on a length mismatch or
-            /// a non-finite/negative radius.
-            pub fn range(&self, query: &[f32], r_sq: f32) -> Result<Vec<Neighbor>, IndexError> {
-                self.inner.range(query, r_sq)
-            }
-
-            /// [`Self::range`] plus per-query work counters (see
-            /// [`QueryStats::range_hits`]).
-            ///
-            /// # Errors
-            /// As [`Self::range`].
-            pub fn range_with_stats(
-                &self,
-                query: &[f32],
-                r_sq: f32,
-            ) -> Result<(Vec<Neighbor>, QueryStats), IndexError> {
-                self.inner.range_with_stats(query, r_sq)
-            }
-
-            /// [`Self::range`] into a caller-owned buffer (cleared
-            /// first) — the allocation-free serving form.
-            ///
-            /// # Errors
-            /// As [`Self::range`].
-            pub fn range_into(
-                &self,
-                query: &[f32],
-                r_sq: f32,
-                out: &mut Vec<Neighbor>,
-            ) -> Result<(), IndexError> {
-                self.inner.range_into(query, r_sq, out)
-            }
-
-            /// The row with the largest inner product `q·x` against the
-            /// z-normalized query — exact max-inner-product search run
-            /// through the same pruning funnel via the Parseval score
-            /// conversion.
-            ///
-            /// # Errors
-            /// Returns [`IndexError::BadQuery`] on a length mismatch or
-            /// an empty index.
-            pub fn nn_ip(&self, query: &[f32]) -> Result<IpNeighbor, IndexError> {
-                self.inner.nn_ip(query)
-            }
-
-            /// Exact top-k rows by inner product, best (largest dot)
-            /// first (see [`Self::nn_ip`]).
-            ///
-            /// # Errors
-            /// Returns [`IndexError::BadQuery`] on a length mismatch or `k == 0`.
-            pub fn knn_ip(&self, query: &[f32], k: usize) -> Result<Vec<IpNeighbor>, IndexError> {
-                self.inner.knn_ip(query, k)
-            }
-
-            /// Mixed-kind batch: each query `i` runs as `kinds[i]`
-            /// (k-NN, filtered k-NN, range, or inner product) into
-            /// `outs[i]`, spread across the worker pool — the engine
-            /// behind [`serve::Server`]'s coalesced mixed ticks.
-            /// Results use the funnel encoding of [`QueryKind`].
-            ///
-            /// # Errors
-            /// Returns [`IndexError::BadQuery`] on shape mismatches or
-            /// any invalid kind.
-            pub fn query_batch_into_cancel(
-                &self,
-                queries: &[f32],
-                kinds: &[QueryKind],
-                outs: &[serve::ResultSlot],
-                cancels: &[CancelToken],
-            ) -> Result<(), IndexError> {
-                self.inner.query_batch_into_cancel(queries, kinds, outs, cancels)
-            }
-
-            /// Fast approximate 1-NN (tree descent only; not exact).
-            ///
-            /// # Errors
-            /// Returns [`IndexError::BadQuery`] on a length mismatch.
-            pub fn approximate_nn(&self, query: &[f32]) -> Result<Neighbor, IndexError> {
-                self.inner.approximate_nn(query)
-            }
-
-            /// Inserts one series online (iSAX-2.0-style leaf splitting),
-            /// returning its row id.
-            ///
-            /// # Errors
-            /// Returns [`IndexError::BadQuery`] on a length mismatch.
-            pub fn insert(&mut self, series: &[f32]) -> Result<u32, IndexError> {
-                self.inner.insert(series)
-            }
-
-            /// Inserts a row-major buffer of series, returning the first
-            /// new row id.
-            ///
-            /// # Errors
-            /// Returns [`IndexError::BadDataset`] on an empty/ragged buffer.
-            pub fn insert_all(&mut self, buffer: &[f32]) -> Result<u32, IndexError> {
-                self.inner.insert_all(buffer)
-            }
-
-            /// Rebuilds the leaf-contiguous storage layout and per-leaf
-            /// word blocks after online inserts, restoring the batched
-            /// lower-bound sweep for every leaf. Queries stay exact either
-            /// way; this only restores the fast path.
-            pub fn repack_leaves(&mut self) {
-                self.inner.repack_leaves();
-            }
-
-            /// Incremental form of `repack_leaves`: only subtrees with
-            /// stale lanes rebuild their word/collect blocks; untouched
-            /// subtrees reuse theirs (runs shifted by a constant at
-            /// most). This is what the auto-repack trigger runs; call it
-            /// manually after insert bursts when the trigger is disabled.
-            pub fn repack_incremental(&mut self) {
-                self.inner.repack_incremental();
-            }
-
-            /// Structural statistics (Figure 8).
-            #[must_use]
-            pub fn stats(&self) -> IndexStats {
-                self.inner.stats()
-            }
-
-            /// Number of indexed series.
-            #[must_use]
-            pub fn n_series(&self) -> usize {
-                self.inner.n_series()
-            }
-
-            /// Indexed series length.
-            #[must_use]
-            pub fn series_len(&self) -> usize {
-                self.inner.series_len()
-            }
-
-            /// Build-phase timing breakdown `(transform_secs, tree_secs)`.
-            #[must_use]
-            pub fn build_breakdown(&self) -> (f64, f64) {
-                self.inner.build_breakdown()
-            }
-
-            /// Enables or disables the quantized refine tier at query
-            /// time, without a rebuild (see
-            /// [`Builder::quant_refine`] for the build-time switch that
-            /// controls whether codes exist at all). Results are exact
-            /// either way.
-            pub fn set_quant_refine(&self, on: bool) {
-                self.inner.set_quant_refine(on);
-            }
-
-            /// Whether queries currently consult the quantized refine
-            /// tier.
-            #[must_use]
-            pub fn quant_refine_enabled(&self) -> bool {
-                self.inner.quant_refine_enabled()
-            }
-
-            /// The persistent worker pool executing this index's
-            /// parallel phases; clone it into other builders to share
-            /// one set of threads.
-            #[must_use]
-            pub fn pool(&self) -> &std::sync::Arc<ExecPool> {
-                self.inner.pool()
-            }
-
-            /// Writes an atomic, checksummed snapshot of the index to
-            /// `path` (tmp file, fsync, rename — a crash mid-write
-            /// never damages an existing snapshot) and returns the file
-            /// size in bytes. Reopen it with `open` and serve straight
-            /// from the mapped file.
-            ///
-            /// # Errors
-            /// Returns [`IndexError::SnapshotIo`] when the filesystem
-            /// rejects any step.
-            pub fn snapshot<P: AsRef<std::path::Path>>(&self, path: P) -> Result<u64, IndexError> {
-                self.inner.snapshot(path)
-            }
-
-            /// Whether this index serves the dataset from a mapped
-            /// snapshot file (true after `open`) rather than from owned
-            /// heap memory (true after `build`, or after any online
-            /// insert promotes the storage).
-            #[must_use]
-            pub fn is_mapped(&self) -> bool {
-                self.inner.is_mapped()
-            }
-
-            /// Access to the generic index for advanced use.
-            #[must_use]
-            pub fn raw(&self) -> &Index<$summ> {
-                &self.inner
-            }
-        }
-
-        /// Lets a [`serve::Server`] coalesce concurrent single-query
-        /// callers into batch ticks over this index (wrap it in an
-        /// `Arc` to share it between the server and direct callers).
-        impl TickExec for $ty {
-            fn series_len(&self) -> usize {
-                self.inner.series_len()
-            }
-
-            fn n_rows(&self) -> Option<usize> {
-                TickExec::n_rows(&self.inner)
-            }
-
-            fn run_tick(
-                &self,
-                queries: &[f32],
-                kinds: &[QueryKind],
-                outs: &[serve::ResultSlot],
-                cancels: &[serve::CancelToken],
-            ) {
-                TickExec::run_tick(&self.inner, queries, kinds, outs, cancels);
-            }
-
-            fn degraded_answers(&self) -> u64 {
-                TickExec::degraded_answers(&self.inner)
-            }
-        }
-    };
-}
+/// The MESSI baseline: iSAX summarization + the same tree. Build it with
+/// [`Builder::build_messi`].
+pub type MessiIndex = Index<ISax>;
 
 /// An N-way sharded SOFA index (see [`Builder::build_sofa_sharded`]).
 pub type ShardedSofaIndex = ShardedIndex<Sfa>;
 
 /// An N-way sharded MESSI index (see [`Builder::build_messi_sharded`]).
 pub type ShardedMessiIndex = ShardedIndex<ISax>;
-
-/// The SOFA index: SFA summarization + MESSI-style tree (the paper's
-/// contribution). Build with [`SofaIndex::build`] or [`SofaIndex::builder`].
-pub struct SofaIndex {
-    inner: Index<Sfa>,
-}
-
-impl SofaIndex {
-    /// Builds with the paper's default parameters.
-    ///
-    /// # Errors
-    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer.
-    pub fn build(data: &[f32], series_len: usize) -> Result<Self, IndexError> {
-        Builder::default().build_sofa(data, series_len)
-    }
-
-    /// Zero-copy build with the paper's default parameters: takes
-    /// ownership of `data`, normalizes it in place, and never duplicates
-    /// the dataset.
-    ///
-    /// # Errors
-    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer.
-    pub fn build_owned(data: Vec<f32>, series_len: usize) -> Result<Self, IndexError> {
-        Builder::default().build_sofa_owned(data, series_len)
-    }
-
-    /// Opens a snapshot written by [`SofaIndex::snapshot`] with default
-    /// execution settings, mapping the file and serving without
-    /// deserializing the dataset. Use [`Builder::open_sofa`] to control
-    /// the thread count or share a pool.
-    ///
-    /// # Errors
-    /// As [`Builder::open_sofa`].
-    pub fn open<P: AsRef<std::path::Path>>(path: P) -> Result<Self, IndexError> {
-        Builder::default().open_sofa(path)
-    }
-
-    /// A configuration builder.
-    #[must_use]
-    pub fn builder() -> Builder {
-        Builder::default()
-    }
-
-    /// Mean selected DFT coefficient index (Figure 13 diagnostics).
-    #[must_use]
-    pub fn mean_selected_coefficient(&self) -> f64 {
-        self.inner.summarization().mean_selected_coefficient()
-    }
-
-    /// The learned SFA model.
-    #[must_use]
-    pub fn sfa(&self) -> &Sfa {
-        self.inner.summarization()
-    }
-}
-
-/// The MESSI baseline: iSAX summarization + the same tree.
-pub struct MessiIndex {
-    inner: Index<ISax>,
-}
-
-impl MessiIndex {
-    /// Builds with the paper's default parameters.
-    ///
-    /// # Errors
-    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer.
-    pub fn build(data: &[f32], series_len: usize) -> Result<Self, IndexError> {
-        Builder::default().build_messi(data, series_len)
-    }
-
-    /// Zero-copy build with the paper's default parameters: takes
-    /// ownership of `data` and never duplicates the dataset.
-    ///
-    /// # Errors
-    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer.
-    pub fn build_owned(data: Vec<f32>, series_len: usize) -> Result<Self, IndexError> {
-        Builder::default().build_messi_owned(data, series_len)
-    }
-
-    /// Opens a snapshot written by [`MessiIndex::snapshot`] with
-    /// default execution settings (see [`SofaIndex::open`]).
-    ///
-    /// # Errors
-    /// As [`Builder::open_messi`].
-    pub fn open<P: AsRef<std::path::Path>>(path: P) -> Result<Self, IndexError> {
-        Builder::default().open_messi(path)
-    }
-
-    /// A configuration builder.
-    #[must_use]
-    pub fn builder() -> Builder {
-        Builder::default()
-    }
-
-    /// The iSAX model.
-    #[must_use]
-    pub fn isax(&self) -> &ISax {
-        self.inner.summarization()
-    }
-}
-
-forward_index_api!(SofaIndex, Sfa);
-forward_index_api!(MessiIndex, ISax);
 
 #[cfg(test)]
 mod tests {
@@ -890,14 +471,13 @@ mod tests {
     fn sofa_and_messi_agree() {
         let n = 64;
         let data = dataset(500, n, 0);
-        let sofa = SofaIndex::builder()
+        let sofa = Builder::default()
             .leaf_capacity(50)
             .threads(2)
             .sample_ratio(0.5)
             .build_sofa(&data, n)
             .unwrap();
-        let messi =
-            MessiIndex::builder().leaf_capacity(50).threads(2).build_messi(&data, n).unwrap();
+        let messi = Builder::default().leaf_capacity(50).threads(2).build_messi(&data, n).unwrap();
         let queries = dataset(5, n, 700);
         for q in queries.chunks(n) {
             let a = sofa.nn(q).unwrap();
@@ -910,38 +490,39 @@ mod tests {
     fn builder_parameters_apply() {
         let n = 64;
         let data = dataset(300, n, 0);
-        let sofa = SofaIndex::builder()
+        let sofa = Builder::default()
             .word_len(8)
             .alphabet(64)
             .leaf_capacity(25)
             .threads(1)
             .build_sofa(&data, n)
             .unwrap();
-        assert_eq!(sofa.sfa().model().word_len(), 8);
-        assert_eq!(sofa.sfa().model().alphabet, 64);
+        assert_eq!(sofa.summarization().model().word_len(), 8);
+        assert_eq!(sofa.summarization().model().alphabet, 64);
         assert!(sofa.stats().max_leaf_size <= 25 || sofa.stats().leaves == 1);
     }
 
     #[test]
     fn build_rejects_bad_input() {
-        assert!(SofaIndex::build(&[], 64).is_err());
-        assert!(SofaIndex::build(&vec![0.0; 65], 64).is_err());
-        assert!(MessiIndex::build(&vec![0.0; 65], 64).is_err());
-        assert!(SofaIndex::build_owned(vec![0.0; 65], 64).is_err());
-        assert!(MessiIndex::build_owned(Vec::new(), 64).is_err());
+        let b = Builder::default();
+        assert!(b.build_sofa(&[], 64).is_err());
+        assert!(b.build_sofa(&vec![0.0; 65], 64).is_err());
+        assert!(b.build_messi(&vec![0.0; 65], 64).is_err());
+        assert!(b.build_sofa_owned(vec![0.0; 65], 64).is_err());
+        assert!(b.build_messi_owned(Vec::new(), 64).is_err());
     }
 
     #[test]
     fn owned_build_matches_borrowing_build() {
         let n = 64;
         let data = dataset(400, n, 2);
-        let borrow = SofaIndex::builder()
+        let borrow = Builder::default()
             .threads(2)
             .leaf_capacity(40)
             .sample_ratio(0.5)
             .build_sofa(&data, n)
             .unwrap();
-        let owned = SofaIndex::builder()
+        let owned = Builder::default()
             .threads(2)
             .leaf_capacity(40)
             .sample_ratio(0.5)
@@ -962,13 +543,13 @@ mod tests {
         let n = 64;
         let data = dataset(300, n, 1);
         let pool = ExecPool::shared(2);
-        let sofa = SofaIndex::builder()
+        let sofa = Builder::default()
             .pool(Arc::clone(&pool))
             .leaf_capacity(30)
             .sample_ratio(0.5)
             .build_sofa(&data, n)
             .unwrap();
-        let messi = MessiIndex::builder()
+        let messi = Builder::default()
             .pool(Arc::clone(&pool))
             .leaf_capacity(30)
             .build_messi(&data, n)
@@ -985,7 +566,7 @@ mod tests {
     fn facade_knn_batch_matches_knn() {
         let n = 64;
         let data = dataset(350, n, 4);
-        let sofa = SofaIndex::builder().threads(2).leaf_capacity(40).build_sofa(&data, n).unwrap();
+        let sofa = Builder::default().threads(2).leaf_capacity(40).build_sofa(&data, n).unwrap();
         let queries = dataset(6, n, 1234);
         let batch = sofa.knn_batch(&queries, 4).unwrap();
         assert_eq!(batch.len(), 6);
@@ -998,10 +579,10 @@ mod tests {
     fn facade_surface() {
         let n = 64;
         let data = dataset(200, n, 3);
-        let sofa = SofaIndex::builder().threads(2).leaf_capacity(30).build_sofa(&data, n).unwrap();
+        let sofa = Builder::default().threads(2).leaf_capacity(30).build_sofa(&data, n).unwrap();
         assert_eq!(sofa.n_series(), 200);
         assert_eq!(sofa.series_len(), n);
-        assert!(sofa.mean_selected_coefficient() >= 0.0);
+        assert!(sofa.summarization().mean_selected_coefficient() >= 0.0);
         let (t, b) = sofa.build_breakdown();
         assert!(t >= 0.0 && b >= 0.0);
         let q = dataset(1, n, 50);

@@ -8,7 +8,7 @@
 
 use sofa::baselines::UcrScan;
 use sofa::data::{Generator, SignalKind};
-use sofa::SofaIndex;
+use sofa::Builder;
 use std::time::Instant;
 
 fn main() {
@@ -28,10 +28,8 @@ fn main() {
 
     println!("building SOFA index (SFA word length 16, alphabet 256)...");
     let t = Instant::now();
-    let index = SofaIndex::builder()
-        .leaf_capacity(1000)
-        .build_sofa(&data, series_len)
-        .expect("index build");
+    let index =
+        Builder::default().leaf_capacity(1000).build_sofa(&data, series_len).expect("index build");
     println!(
         "  built in {:.2?}: {} subtrees, {} leaves, avg depth {:.1}",
         t.elapsed(),

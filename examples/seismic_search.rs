@@ -14,7 +14,7 @@
 //! ```
 
 use sofa::data::registry;
-use sofa::{MessiIndex, SofaIndex};
+use sofa::Builder;
 use std::time::Instant;
 
 fn main() {
@@ -28,13 +28,13 @@ fn main() {
 
     println!("building SOFA and MESSI indexes...");
     let t = Instant::now();
-    let sofa = SofaIndex::builder()
+    let sofa = Builder::default()
         .leaf_capacity(1000)
         .build_sofa(dataset.data(), dataset.series_len())
         .expect("sofa build");
     let sofa_build = t.elapsed();
     let t = Instant::now();
-    let messi = MessiIndex::builder()
+    let messi = Builder::default()
         .leaf_capacity(1000)
         .build_messi(dataset.data(), dataset.series_len())
         .expect("messi build");
@@ -42,7 +42,7 @@ fn main() {
     println!("  SOFA  built in {sofa_build:.2?} | MESSI built in {messi_build:.2?}");
     println!(
         "  SFA selected coefficients with mean index {:.1} (higher = more high-frequency)",
-        sofa.mean_selected_coefficient()
+        sofa.summarization().mean_selected_coefficient()
     );
 
     let mut sofa_ms = Vec::new();

@@ -14,7 +14,7 @@
 
 use sofa::baselines::FlatL2;
 use sofa::data::registry;
-use sofa::SofaIndex;
+use sofa::Builder;
 use std::time::Instant;
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
 
     println!("building SOFA index and FlatL2 baseline...");
     let t = Instant::now();
-    let sofa = SofaIndex::builder()
+    let sofa = Builder::default()
         .leaf_capacity(1000)
         .build_sofa(dataset.data(), dataset.series_len())
         .expect("sofa build");

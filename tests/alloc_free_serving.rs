@@ -1,13 +1,13 @@
 //! Zero-allocation steady-state serving, asserted by a counting allocator.
 //!
-//! The collect-batching PR's claim is not "fewer" allocations but **zero**
-//! on the warm serial `knn` path: every per-query buffer lives in a
-//! pooled `QueryScratch`, the query context borrows an index-owned
-//! `QueryEnv`, and results drain into a caller-owned buffer via
-//! `knn_into`. This binary installs a global allocator that counts every
-//! `alloc`/`realloc` and proves the claim: after a warm-up pass over the
-//! query set, replaying the same queries performs not a single heap
-//! allocation.
+//! The claim is not "fewer" allocations but **zero** on the warm
+//! single-query path: every per-query buffer lives in a pooled
+//! `QueryScratch`, the query context borrows an index-owned `QueryEnv`,
+//! and results drain into a caller-owned buffer through
+//! `Index::query_into`, the one single-query entry point. This binary
+//! installs a global allocator that counts every `alloc`/`realloc` and
+//! proves the claim: after a warm-up pass over the query set, replaying
+//! the same queries performs not a single heap allocation.
 //!
 //! Two configurations are proven inside the single `#[test]` (a second
 //! test function would run concurrently and pollute the counter): the
@@ -16,7 +16,7 @@
 //! per lane — the hole the pre-sized shared-task slots in `sofa-exec`
 //! closed.
 
-use sofa::{Neighbor, SofaIndex};
+use sofa::{Builder, Neighbor, QueryKind, SofaIndex};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -74,8 +74,8 @@ fn measure_warm_replay(sofa: &SofaIndex, queries: &[f32], n: usize) -> u64 {
     // to this query set, and resolve the kernel-dispatch OnceLock.
     for _ in 0..2 {
         for (qi, q) in queries.chunks(n).enumerate() {
-            let k = [1usize, 5, 10][qi % 3];
-            sofa.knn_into(q, k, &mut out).expect("warmup query");
+            let kind = QueryKind::Knn { k: [1usize, 5, 10][qi % 3] };
+            sofa.query_into(q, &kind, &mut out).expect("warmup query");
         }
     }
 
@@ -84,8 +84,8 @@ fn measure_warm_replay(sofa: &SofaIndex, queries: &[f32], n: usize) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for _ in 0..4 {
         for (qi, q) in queries.chunks(n).enumerate() {
-            let k = [1usize, 5, 10][qi % 3];
-            sofa.knn_into(q, k, &mut out).expect("measured query");
+            let kind = QueryKind::Knn { k: [1usize, 5, 10][qi % 3] };
+            sofa.query_into(q, &kind, &mut out).expect("measured query");
             assert!(!out.is_empty());
         }
     }
@@ -100,7 +100,7 @@ fn steady_state_knn_performs_zero_heap_allocations() {
 
     // threads(1): the serial path — the per-query algorithm and nothing
     // else.
-    let serial = SofaIndex::builder()
+    let serial = Builder::default()
         .threads(1)
         .leaf_capacity(40)
         .sample_ratio(0.2)
@@ -109,14 +109,14 @@ fn steady_state_knn_performs_zero_heap_allocations() {
     let allocations = measure_warm_replay(&serial, &queries, n);
     assert_eq!(
         allocations, 0,
-        "steady-state serial knn_into path allocated {allocations} time(s) across 96 queries"
+        "steady-state serial query_into path allocated {allocations} time(s) across 96 queries"
     );
 
     // threads(2): the pool-parallel single-query path — collect and
     // refine each broadcast over the pool. The broadcasts carry borrowed
     // shared tasks and a cached scope state, so this path must be just as
     // allocation-free as the serial one.
-    let parallel = SofaIndex::builder()
+    let parallel = Builder::default()
         .threads(2)
         .leaf_capacity(40)
         .sample_ratio(0.2)
@@ -126,7 +126,7 @@ fn steady_state_knn_performs_zero_heap_allocations() {
     let allocations = measure_warm_replay(&parallel, &queries, n);
     assert_eq!(
         allocations, 0,
-        "steady-state pool-parallel knn_into path allocated {allocations} time(s) \
+        "steady-state pool-parallel query_into path allocated {allocations} time(s) \
          across 96 queries"
     );
 }

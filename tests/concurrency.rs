@@ -14,7 +14,7 @@
 //! runs on `ExecPool` lanes.
 
 use sofa::baselines::FlatL2;
-use sofa::{ExecPool, MessiIndex, Neighbor, SofaIndex};
+use sofa::{Builder, ExecPool, Neighbor};
 use std::sync::Arc;
 
 fn dataset(count: usize, n: usize, seed: usize) -> Vec<f32> {
@@ -46,7 +46,7 @@ fn assert_same(got: &[Neighbor], want: &[Neighbor], what: &str) {
 fn concurrent_callers_get_exact_answers() {
     let n = 64;
     let data = dataset(600, n, 0);
-    let index = SofaIndex::builder()
+    let index = Builder::default()
         .threads(2)
         .leaf_capacity(50)
         .sample_ratio(0.3)
@@ -79,13 +79,13 @@ fn shared_pool_two_indexes_concurrent_callers() {
     let n = 64;
     let data = dataset(400, n, 3);
     let pool = ExecPool::shared(2);
-    let sofa = SofaIndex::builder()
+    let sofa = Builder::default()
         .pool(Arc::clone(&pool))
         .leaf_capacity(40)
         .sample_ratio(0.3)
         .build_sofa(&data, n)
         .expect("build sofa");
-    let messi = MessiIndex::builder()
+    let messi = Builder::default()
         .pool(Arc::clone(&pool))
         .leaf_capacity(40)
         .build_messi(&data, n)
@@ -117,13 +117,13 @@ fn knn_batch_equals_per_query_knn() {
     let data = dataset(500, n, 7);
     let queries = dataset(20, n, 9999);
     for threads in [1usize, 2, 3] {
-        let sofa = SofaIndex::builder()
+        let sofa = Builder::default()
             .threads(threads)
             .leaf_capacity(40)
             .sample_ratio(0.3)
             .build_sofa(&data, n)
             .expect("build");
-        let messi = MessiIndex::builder()
+        let messi = Builder::default()
             .threads(threads)
             .leaf_capacity(40)
             .build_messi(&data, n)
@@ -157,7 +157,7 @@ fn knn_batch_equals_per_query_knn() {
 fn concurrent_batches_share_the_pool() {
     let n = 64;
     let data = dataset(400, n, 11);
-    let index = SofaIndex::builder()
+    let index = Builder::default()
         .threads(2)
         .leaf_capacity(40)
         .sample_ratio(0.3)
@@ -190,7 +190,7 @@ fn insert_then_concurrent_queries() {
     let n = 64;
     let base = dataset(200, n, 0);
     let extra = dataset(100, n, 6000);
-    let mut index = SofaIndex::builder()
+    let mut index = Builder::default()
         .threads(2)
         .leaf_capacity(20)
         .sample_ratio(0.5)

@@ -5,7 +5,7 @@
 
 use sofa::baselines::{FlatL2, UcrScan};
 use sofa::data::registry;
-use sofa::{MessiIndex, SofaIndex};
+use sofa::Builder;
 
 #[test]
 fn all_methods_agree_on_every_dataset_profile() {
@@ -16,13 +16,13 @@ fn all_methods_agree_on_every_dataset_profile() {
         let dataset = spec.generate(600, 3);
         let n = dataset.series_len();
 
-        let sofa = SofaIndex::builder()
+        let sofa = Builder::default()
             .leaf_capacity(64)
             .threads(2)
             .sample_ratio(0.25)
             .build_sofa(dataset.data(), n)
             .expect("sofa build");
-        let messi = MessiIndex::builder()
+        let messi = Builder::default()
             .leaf_capacity(64)
             .threads(2)
             .build_messi(dataset.data(), n)
@@ -49,7 +49,7 @@ fn knn_sets_agree_between_sofa_and_scan() {
     let spec = registry().into_iter().find(|s| s.name == "SCEDC").expect("registry");
     let dataset = spec.generate(500, 2);
     let n = dataset.series_len();
-    let sofa = SofaIndex::builder()
+    let sofa = Builder::default()
         .leaf_capacity(50)
         .threads(2)
         .sample_ratio(0.25)
@@ -80,13 +80,13 @@ fn sofa_prunes_more_than_messi_on_high_frequency_data() {
     let spec = registry().into_iter().find(|s| s.name == "LenDB").expect("registry");
     let dataset = spec.generate(2000, 5);
     let n = dataset.series_len();
-    let sofa = SofaIndex::builder()
+    let sofa = Builder::default()
         .leaf_capacity(100)
         .threads(2)
         .sample_ratio(0.25)
         .build_sofa(dataset.data(), n)
         .expect("build");
-    let messi = MessiIndex::builder()
+    let messi = Builder::default()
         .leaf_capacity(100)
         .threads(2)
         .build_messi(dataset.data(), n)

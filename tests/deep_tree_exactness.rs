@@ -10,7 +10,7 @@
 
 use sofa::baselines::FlatL2;
 use sofa::data::registry;
-use sofa::SofaIndex;
+use sofa::{Builder, SofaIndex};
 
 /// Builds the deep-tree workload: a concentrated Deep1b-like archive.
 fn deep_spec() -> sofa::data::DatasetSpec {
@@ -70,7 +70,7 @@ fn deep_tree_serving_stays_exact_through_inserts_and_incremental_repacks() {
     // Small leaves + a 12-symbol word force genuinely deep subtrees at
     // this scale; auto-repack is off so stale lanes persist until the
     // explicit incremental repacks below.
-    let mut index = SofaIndex::builder()
+    let mut index = Builder::default()
         .threads(2)
         .leaf_capacity(8)
         .word_len(12)

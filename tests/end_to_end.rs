@@ -3,7 +3,7 @@
 
 use sofa::data::{registry, ucr_like_archive, Dataset};
 use sofa::summaries::{tlb_of, ISax, SaxConfig, Sfa, SfaConfig};
-use sofa::{BinningStrategy, CoefficientSelection, MessiIndex, SofaIndex};
+use sofa::{BinningStrategy, Builder, CoefficientSelection};
 
 #[test]
 fn full_workflow_on_registry_dataset() {
@@ -11,7 +11,7 @@ fn full_workflow_on_registry_dataset() {
     let dataset = spec.generate(800, 4);
     let n = dataset.series_len();
 
-    let index = SofaIndex::builder()
+    let index = Builder::default()
         .leaf_capacity(100)
         .threads(2)
         .sample_ratio(0.2)
@@ -41,7 +41,7 @@ fn all_sfa_variants_build_and_answer() {
     let n = dataset.series_len();
     for binning in [BinningStrategy::EquiWidth, BinningStrategy::EquiDepth] {
         for selection in [CoefficientSelection::HighestVariance, CoefficientSelection::FirstL] {
-            let index = SofaIndex::builder()
+            let index = Builder::default()
                 .binning(binning)
                 .selection(selection)
                 .leaf_capacity(50)
@@ -106,13 +106,13 @@ fn messi_builder_and_isax_access() {
         (0..300 * 64).map(|i| ((i % 64) as f32 * 0.2 + (i / 64) as f32).sin()).collect(),
         (0..64).map(|t| (t as f32 * 0.2).sin()).collect(),
     );
-    let messi = MessiIndex::builder()
+    let messi = Builder::default()
         .word_len(8)
         .leaf_capacity(30)
         .threads(2)
         .build_messi(dataset.data(), 64)
         .expect("build");
-    assert_eq!(messi.isax().paa().segments(), 8);
+    assert_eq!(messi.summarization().paa().segments(), 8);
     let nn = messi.nn(dataset.query(0)).expect("query");
     assert!(nn.dist_sq >= 0.0);
 }
@@ -121,13 +121,13 @@ fn messi_builder_and_isax_access() {
 fn index_handles_tiny_and_degenerate_datasets() {
     // One series.
     let one: Vec<f32> = (0..64).map(|t| (t as f32 * 0.3).sin()).collect();
-    let idx = SofaIndex::builder().sample_ratio(1.0).build_sofa(&one, 64).expect("build");
+    let idx = Builder::default().sample_ratio(1.0).build_sofa(&one, 64).expect("build");
     let nn = idx.nn(&one).expect("query");
     assert_eq!(nn.row, 0);
 
     // All-constant series (z-normalize to zeros).
     let flat = vec![5.0f32; 10 * 64];
-    let idx = SofaIndex::builder().sample_ratio(1.0).build_sofa(&flat, 64).expect("build");
+    let idx = Builder::default().sample_ratio(1.0).build_sofa(&flat, 64).expect("build");
     let nn = idx.nn(&flat[..64]).expect("query");
     assert_eq!(nn.dist_sq, 0.0);
 }

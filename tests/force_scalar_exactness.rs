@@ -13,7 +13,7 @@
 //! cannot leak into other suites.
 
 use sofa::simd::{euclidean_sq_scalar, force_tier, KernelTier};
-use sofa::{ExecPool, MessiIndex, Neighbor, ServeConfig, Server, SofaIndex};
+use sofa::{Builder, ExecPool, Neighbor, QueryKind, ServeConfig, Server};
 use std::sync::Arc;
 
 fn dataset(count: usize, n: usize, seed: usize) -> Vec<f32> {
@@ -61,13 +61,13 @@ fn full_query_suite_is_exact_under_forced_scalar_tier() {
     let n = 64;
     let data = dataset(500, n, 0);
     let pool = ExecPool::shared(2);
-    let sofa = SofaIndex::builder()
+    let sofa = Builder::default()
         .pool(Arc::clone(&pool))
         .leaf_capacity(40)
         .sample_ratio(0.5)
         .build_sofa(&data, n)
         .expect("SOFA build");
-    let messi = MessiIndex::builder()
+    let messi = Builder::default()
         .pool(Arc::clone(&pool))
         .leaf_capacity(40)
         .build_messi(&data, n)
@@ -114,7 +114,7 @@ fn full_query_suite_is_exact_under_forced_scalar_tier() {
                 for (qi, q) in queries.chunks(n).enumerate() {
                     let k = 1 + (caller + qi) % 5;
                     assert_eq!(
-                        server.knn(q, k).expect("coalesced"),
+                        server.query(q, QueryKind::Knn { k }).expect("coalesced"),
                         sofa.knn(q, k).expect("direct"),
                         "caller {caller} query {qi} k={k}: coalesced != direct under scalar tier"
                     );
@@ -126,7 +126,7 @@ fn full_query_suite_is_exact_under_forced_scalar_tier() {
     let Ok(sofa) = Arc::try_unwrap(sofa) else {
         panic!("server must have released its index handle");
     };
-    let sharded = SofaIndex::builder()
+    let sharded = Builder::default()
         .pool(Arc::clone(&pool))
         .leaf_capacity(40)
         .sample_ratio(0.5)
@@ -134,7 +134,7 @@ fn full_query_suite_is_exact_under_forced_scalar_tier() {
         .expect("sharded build");
     for (qi, q) in queries.chunks(n).enumerate() {
         assert_eq!(
-            sharded.knn(q, 5).expect("sharded"),
+            sharded.query(q, QueryKind::Knn { k: 5 }).expect("sharded"),
             sofa.knn(q, 5).expect("direct"),
             "query {qi}: sharded != unsharded under scalar tier"
         );

@@ -3,7 +3,7 @@
 
 use sofa::baselines::UcrScan;
 use sofa::data::registry;
-use sofa::{MessiIndex, SofaIndex};
+use sofa::Builder;
 
 #[test]
 fn sofa_stays_exact_after_online_inserts() {
@@ -12,7 +12,7 @@ fn sofa_stays_exact_after_online_inserts() {
     let n = dataset.series_len();
     let initial = 400 * n;
 
-    let mut index = SofaIndex::builder()
+    let mut index = Builder::default()
         .leaf_capacity(40)
         .threads(2)
         .sample_ratio(0.25)
@@ -47,7 +47,7 @@ fn messi_stays_exact_after_online_inserts() {
     let n = dataset.series_len();
     let initial = 250 * n;
 
-    let mut index = MessiIndex::builder()
+    let mut index = Builder::default()
         .leaf_capacity(25)
         .threads(2)
         .build_messi(&dataset.data()[..initial], n)
@@ -68,7 +68,7 @@ fn inserted_series_become_nearest_neighbors() {
     let spec = registry().into_iter().find(|s| s.name == "Iquique").expect("registry");
     let dataset = spec.generate(300, 2);
     let n = dataset.series_len();
-    let mut index = SofaIndex::builder()
+    let mut index = Builder::default()
         .leaf_capacity(30)
         .threads(1)
         .sample_ratio(0.5)

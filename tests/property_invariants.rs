@@ -18,7 +18,7 @@ use sofa::summaries::{
     mindist_node, mindist_node_block, mindist_scalar, mindist_simd, ISax, NodeBlock, QuantBlock,
     QuantGrid, QueryContext, SaxConfig, Sfa, SfaConfig, Summarization,
 };
-use sofa::SofaIndex;
+use sofa::Builder;
 
 /// Arbitrary dataset: `rows` series of length `n`, values in [-10, 10],
 /// with enough per-row structure to avoid constant series.
@@ -96,7 +96,7 @@ proptest! {
     #[test]
     fn index_matches_scan_exactly(data in dataset_strategy(60, 32)) {
         let n = 32;
-        let index = SofaIndex::builder()
+        let index = Builder::default()
             .word_len(8)
             .leaf_capacity(8)
             .threads(2)
@@ -313,7 +313,7 @@ proptest! {
     #[test]
     fn knn_results_sorted_and_bounded(data in dataset_strategy(50, 32), k in 1usize..12) {
         let n = 32;
-        let index = SofaIndex::builder()
+        let index = Builder::default()
             .word_len(8)
             .leaf_capacity(10)
             .threads(2)

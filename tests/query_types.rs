@@ -14,9 +14,10 @@
 //! not tolerances.
 
 use sofa::simd::{dot, euclidean_sq_early_abandon, znormalize};
-use sofa::summaries::ip_score;
+use sofa::summaries::{ip_from_score, ip_score};
 use sofa::{
-    IpNeighbor, Neighbor, QueryKind, RowFilter, ServeConfig, Server, ShardedSofaIndex, SofaIndex,
+    Builder, IpNeighbor, Neighbor, QueryKind, RowFilter, ServeConfig, Server, ShardedSofaIndex,
+    SofaIndex,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -127,8 +128,12 @@ fn assert_bits_eq(got: &[Neighbor], want: &[Neighbor], tag: &str) {
 }
 
 fn build(data: &[f32], n: usize, quant: bool) -> SofaIndex {
-    SofaIndex::builder()
-        .threads(2)
+    build_on(2, data, n, quant)
+}
+
+fn build_on(threads: usize, data: &[f32], n: usize, quant: bool) -> SofaIndex {
+    Builder::default()
+        .threads(threads)
         .leaf_capacity(24)
         .sample_ratio(0.4)
         .quant_refine(quant)
@@ -161,7 +166,10 @@ fn range_matches_brute_force_including_ties_at_radius() {
                 let got = index.range(q, r_sq).expect("range");
                 assert_bits_eq(&got, &oracle.range(q, r_sq), &format!("quant={quant} q{qi} {tag}"));
             }
-            let (hits, stats) = index.range_with_stats(q, tie).expect("range stats");
+            let mut hits = Vec::new();
+            let stats = index
+                .query_into(q, &QueryKind::Range { r_sq: tie }, &mut hits)
+                .expect("range stats");
             assert_eq!(stats.range_hits, hits.len(), "range_hits counter");
             assert!(hits.iter().any(|nb| nb.dist_sq.to_bits() == tie.to_bits()), "tie row kept");
         }
@@ -196,34 +204,45 @@ fn filtered_knn_is_bit_identical_to_post_filtering() {
         }
         // The masked kernels actually mask: a selective predicate must
         // reject candidate lanes inside the funnel, not after it.
-        let filter = RowFilter::from_fn(count, |r| r % 10 == 3);
-        let (_, stats) = index.knn_filtered_with_stats(&data[..n], 10, &filter).expect("stats");
+        let filter = Arc::new(RowFilter::from_fn(count, |r| r % 10 == 3));
+        let kind = QueryKind::KnnFiltered { k: 10, filter };
+        let stats = index.query_into(&data[..n], &kind, &mut Vec::new()).expect("stats");
         assert!(stats.predicate_lanes_masked > 0, "predicate never masked a lane");
     }
 }
 
 /// Max-inner-product answers carry the true dot products and rank
-/// exactly as the brute-force Parseval ordering.
+/// exactly as the brute-force Parseval ordering, on one lane and on a
+/// pool. The query set includes a constant query: it z-normalizes to
+/// zeros, so every row sits at squared distance `≈ n` with many exact
+/// ties, and k-NN must then keep the lowest rows of the tie, as the
+/// `(dist_sq, row)` order says, whatever the lane count.
 #[test]
 fn ip_queries_match_brute_force() {
     let n = 64;
     let count = 700;
     let data = dataset(count, n, 11);
     let oracle = Oracle::new(&data, n);
-    for quant in [false, true] {
-        let index = build(&data, n, quant);
-        for qi in 0..10 {
-            let q = &data[(qi * 67 % count) * n..][..n];
-            let got = index.knn_ip(q, 5).expect("knn_ip");
-            let want = oracle.top_ip(q, 5);
-            assert_eq!(got.len(), want.len(), "quant={quant} q{qi}");
-            for (rank, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-                assert_eq!(g.row, w.row, "quant={quant} q{qi} rank {rank}");
-                assert_eq!(g.ip.to_bits(), w.ip.to_bits(), "quant={quant} q{qi} rank {rank}: ip");
+    let constant = vec![0.25f32; n];
+    let queries = (0..10).map(|qi| &data[(qi * 67 % count) * n..][..n]).chain([&constant[..]]);
+    for threads in [1, 2] {
+        for quant in [false, true] {
+            let index = build_on(threads, &data, n, quant);
+            for (qi, q) in queries.clone().enumerate() {
+                let tag = format!("threads={threads} quant={quant} q{qi}");
+                let got = index.knn_ip(q, 5).expect("knn_ip");
+                let want = oracle.top_ip(q, 5);
+                assert_eq!(got.len(), want.len(), "{tag}");
+                for (rank, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+                    assert_eq!(g.row, w.row, "{tag} rank {rank}");
+                    assert_eq!(g.ip.to_bits(), w.ip.to_bits(), "{tag} rank {rank}: ip");
+                }
+                let best = index.knn_ip(q, 1).expect("top-1 ip")[0];
+                assert_eq!(best.row, want[0].row);
+                assert_eq!(best.ip.to_bits(), want[0].ip.to_bits());
+                let nn = index.knn(q, 5).expect("knn");
+                assert_bits_eq(&nn, &oracle.knn(q, 5, |_| true), &format!("{tag} knn"));
             }
-            let best = index.nn_ip(q).expect("nn_ip");
-            assert_eq!(best.row, want[0].row);
-            assert_eq!(best.ip.to_bits(), want[0].ip.to_bits());
         }
     }
 }
@@ -254,19 +273,19 @@ fn serve_mixed_ticks_agree_with_direct_calls() {
                     let q = &data[((caller * 31 + i * 7) % count) * n..][..n];
                     match (caller + i) % 4 {
                         0 => {
-                            let got = server.knn(q, 5).expect("serve knn");
+                            let got = server.query(q, QueryKind::Knn { k: 5 }).expect("serve knn");
                             assert_bits_eq(&got, &index.knn(q, 5).expect("knn"), "mixed knn");
                         }
                         1 => {
-                            let got = server
-                                .knn_filtered(q, 5, Arc::clone(filter))
-                                .expect("serve filtered");
+                            let kind = QueryKind::KnnFiltered { k: 5, filter: Arc::clone(filter) };
+                            let got = server.query(q, kind).expect("serve filtered");
                             let want = index.knn_filtered(q, 5, filter).expect("filtered");
                             assert_bits_eq(&got, &want, "mixed filtered");
                         }
                         2 => {
                             let r_sq = index.nn(q).expect("nn").dist_sq * 4.0;
-                            let got = server.range(q, r_sq).expect("serve range");
+                            let got =
+                                server.query(q, QueryKind::Range { r_sq }).expect("serve range");
                             assert_bits_eq(
                                 &got,
                                 &index.range(q, r_sq).expect("range"),
@@ -274,13 +293,15 @@ fn serve_mixed_ticks_agree_with_direct_calls() {
                             );
                         }
                         _ => {
-                            let got = server.knn_ip(q, 3).expect("serve ip");
+                            let got = server.query(q, QueryKind::Ip { k: 3 }).expect("serve ip");
                             let want = index.knn_ip(q, 3).expect("knn_ip");
                             for (g, w) in got.iter().zip(want.iter()) {
                                 assert_eq!(g.row, w.row, "mixed ip row");
-                                // The serve path recovers the dot from the
-                                // funnel score (one f64 rounding).
-                                assert!((g.ip - w.ip).abs() <= 1e-3 * w.ip.abs().max(1.0));
+                                // The served answer carries the funnel
+                                // score; recovering the dot costs one f64
+                                // rounding.
+                                let ip = ip_from_score(n, g.dist_sq);
+                                assert!((ip - w.ip).abs() <= 1e-3 * w.ip.abs().max(1.0));
                             }
                         }
                     }
@@ -319,7 +340,7 @@ mod adversarial {
         ) {
             let n = 32;
             let count = data.len() / n;
-            let index = SofaIndex::builder()
+            let index = Builder::default()
                 .word_len(8)
                 .leaf_capacity(8)
                 .threads(2)
@@ -364,7 +385,7 @@ mod adversarial {
         ) {
             let n = 32;
             let count = data.len() / n;
-            let index = SofaIndex::builder()
+            let index = Builder::default()
                 .word_len(8)
                 .leaf_capacity(8)
                 .threads(2)
@@ -399,7 +420,7 @@ fn sharded_queries_agree_with_unsharded() {
     let count = 800;
     let data = dataset(count, n, 23);
     let unsharded = build(&data, n, true);
-    let sharded: ShardedSofaIndex = SofaIndex::builder()
+    let sharded: ShardedSofaIndex = Builder::default()
         .threads(2)
         .leaf_capacity(24)
         .sample_ratio(0.4)

@@ -10,7 +10,7 @@
 //! one, so this suite replays 1000 queries of varying `k` through one
 //! index and checks every single answer against a scalar brute force.
 
-use sofa::{Neighbor, SofaIndex};
+use sofa::{Builder, Neighbor, QueryKind};
 
 fn dataset(count: usize, n: usize, seed: usize) -> Vec<f32> {
     let mut data = Vec::with_capacity(count * n);
@@ -67,7 +67,7 @@ fn one_scratch_serves_1000_queries_exactly() {
     }
     // threads(1): the serial path, where one pooled scratch is checked
     // out and returned by every single query — maximum reuse pressure.
-    let sofa = SofaIndex::builder()
+    let sofa = Builder::default()
         .threads(1)
         .leaf_capacity(24)
         .sample_ratio(0.5)
@@ -76,15 +76,15 @@ fn one_scratch_serves_1000_queries_exactly() {
 
     let n_queries = 1000;
     let queries = dataset(n_queries, n, 5000);
-    // `knn_into` with one shared output buffer: the fully reused path.
+    // `query_into` with one shared output buffer: the fully reused path.
     let mut out: Vec<Neighbor> = Vec::new();
     for (qi, q) in queries.chunks(n).enumerate() {
         // Vary k so the reusable heap grows and shrinks between queries;
         // any capacity- or bound-carryover would surface as a wrong set.
         let k = [1usize, 3, 7][qi % 3];
         let want = brute_force_knn(&zdata, n, q, k);
-        sofa.knn_into(q, k, &mut out).expect("query");
-        assert_matches(&out, &want, &format!("knn_into query {qi} k={k}"));
+        sofa.query_into(q, &QueryKind::Knn { k }, &mut out).expect("query");
+        assert_matches(&out, &want, &format!("query_into query {qi} k={k}"));
         // Every 97th query, cross-check the allocating API against the
         // same scratch state.
         if qi % 97 == 0 {
@@ -106,7 +106,7 @@ fn batch_lanes_reuse_scratches_exactly() {
     // Multi-lane pool: `knn_batch` gives each lane one scratch for the
     // whole batch, and single `knn` calls in between recycle the same
     // pool entries.
-    let sofa = SofaIndex::builder()
+    let sofa = Builder::default()
         .threads(4)
         .leaf_capacity(20)
         .sample_ratio(0.5)

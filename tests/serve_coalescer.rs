@@ -13,7 +13,7 @@
 //! the server's single collector thread.
 
 use sofa::baselines::FlatL2;
-use sofa::{Neighbor, ServeConfig, ServeError, Server, SofaIndex};
+use sofa::{Builder, Neighbor, QueryKind, ServeConfig, ServeError, Server, SofaIndex};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -30,7 +30,7 @@ fn dataset(count: usize, n: usize, seed: usize) -> Vec<f32> {
 }
 
 fn build(data: &[f32], n: usize, threads: usize) -> SofaIndex {
-    SofaIndex::builder()
+    Builder::default()
         .threads(threads)
         .leaf_capacity(32)
         .sample_ratio(0.3)
@@ -68,7 +68,8 @@ fn coalesced_answers_are_bit_identical_and_exact() {
                         .iter()
                         .map(|&x| x * (1.0 + 0.001 * ((j % 5) as f32 - 2.0)))
                         .collect();
-                    let via: Vec<Neighbor> = server.knn(&q, 5).expect("coalesced");
+                    let via: Vec<Neighbor> =
+                        server.query(&q, QueryKind::Knn { k: 5 }).expect("coalesced");
                     let direct = index.knn(&q, 5).expect("direct");
                     assert_eq!(via, direct, "caller {caller} query {j}: coalesced != direct");
                     let t = truth.nn(&q).dist_sq;
@@ -102,7 +103,7 @@ fn queries_served_counts_once_per_query_on_every_path() {
     index.knn_batch(&data[..4 * n], 2).expect("batch");
     let server = Server::new(Arc::clone(&index), ServeConfig::default());
     for row in 0..5 {
-        server.knn(&data[row * n..(row + 1) * n], 1).expect("coalesced");
+        server.query(&data[row * n..(row + 1) * n], QueryKind::Knn { k: 1 }).expect("coalesced");
     }
     drop(server);
 
@@ -138,7 +139,7 @@ fn shutdown_answers_or_aborts_pending_submitters() {
                 for j in 0..8 {
                     let row = (caller * 37 + j * 11) % count;
                     let q = &data[row * n..(row + 1) * n];
-                    match server.knn(q, 3) {
+                    match server.query(q, QueryKind::Knn { k: 3 }) {
                         Ok(via) => {
                             assert_eq!(via, index.knn(q, 3).expect("direct"));
                         }
@@ -151,7 +152,7 @@ fn shutdown_answers_or_aborts_pending_submitters() {
         std::thread::sleep(Duration::from_millis(2));
         server.shutdown();
     });
-    assert!(matches!(server.knn(&data[..n], 1), Err(ServeError::ShutDown)));
+    assert!(matches!(server.query(&data[..n], QueryKind::Knn { k: 1 }), Err(ServeError::ShutDown)));
 }
 
 /// More submitters than queue slots: backpressure blocks them instead of
@@ -176,7 +177,7 @@ fn oversubscribed_queue_applies_backpressure_without_losing_answers() {
                 for j in 0..per_caller {
                     let row = (caller * 53 + j * 19) % count;
                     let q = &data[row * n..(row + 1) * n];
-                    let via = server.knn(q, 2).expect("coalesced");
+                    let via = server.query(q, QueryKind::Knn { k: 2 }).expect("coalesced");
                     assert_eq!(via, index.knn(q, 2).expect("direct"));
                 }
             });
@@ -201,7 +202,7 @@ fn sharded_index_matches_unsharded_bitwise() {
     let data = dataset(count, n, 5);
     let whole = build(&data, n, 2);
     for n_shards in [2, 3] {
-        let sharded = SofaIndex::builder()
+        let sharded = Builder::default()
             .threads(2)
             .leaf_capacity(32)
             .sample_ratio(0.3)
@@ -213,7 +214,7 @@ fn sharded_index_matches_unsharded_bitwise() {
             let q = &data[qi * n..(qi + 1) * n];
             for k in [1, 5] {
                 assert_eq!(
-                    sharded.knn(q, k).expect("sharded"),
+                    sharded.query(q, QueryKind::Knn { k }).expect("sharded"),
                     whole.knn(q, k).expect("whole"),
                     "row {qi}, k {k}, {n_shards} shards"
                 );
@@ -224,7 +225,7 @@ fn sharded_index_matches_unsharded_bitwise() {
     // Served through the coalescer, the sharded index still answers
     // bit-identically, and one logical query counts once.
     let sharded = Arc::new(
-        SofaIndex::builder()
+        Builder::default()
             .threads(2)
             .leaf_capacity(32)
             .sample_ratio(0.3)
@@ -242,7 +243,7 @@ fn sharded_index_matches_unsharded_bitwise() {
                 for j in 0..6 {
                     let row = (caller * 101 + j * 29) % count;
                     let q = &data[row * n..(row + 1) * n];
-                    let via = server.knn(q, 4).expect("coalesced");
+                    let via = server.query(q, QueryKind::Knn { k: 4 }).expect("coalesced");
                     assert_eq!(via, whole.knn(q, 4).expect("whole"));
                 }
             });
@@ -259,13 +260,13 @@ fn shard_count_edge_cases() {
     let n = 32;
     let data = dataset(40, n, 13);
     let whole = build(&data, n, 1);
-    let one = SofaIndex::builder()
+    let one = Builder::default()
         .threads(1)
         .leaf_capacity(32)
         .sample_ratio(0.3)
         .build_sofa_sharded(&data, n, 1)
         .expect("1-shard build");
-    let many = SofaIndex::builder()
+    let many = Builder::default()
         .threads(1)
         .leaf_capacity(32)
         .sample_ratio(0.3)
@@ -275,8 +276,8 @@ fn shard_count_edge_cases() {
     for qi in 0..8 {
         let q = &data[qi * n..(qi + 1) * n];
         let want = whole.knn(q, 3).expect("whole");
-        assert_eq!(one.knn(q, 3).expect("one"), want);
-        assert_eq!(many.knn(q, 3).expect("many"), want);
+        assert_eq!(one.query(q, QueryKind::Knn { k: 3 }).expect("one"), want);
+        assert_eq!(many.query(q, QueryKind::Knn { k: 3 }).expect("many"), want);
     }
 }
 
@@ -309,7 +310,7 @@ fn shutdown_submit_race_resolves_every_ticket() {
                     for j in 0..10usize {
                         let row = (caller * 31 + j * 7 + cycle) % count;
                         let q = &data[row * n..(row + 1) * n];
-                        match server.knn(q, 2) {
+                        match server.query(q, QueryKind::Knn { k: 2 }) {
                             Ok(via) => {
                                 assert_eq!(via, index.knn(q, 2).expect("direct"));
                                 answered.fetch_add(1, Ordering::Relaxed);
@@ -331,7 +332,10 @@ fn shutdown_submit_race_resolves_every_ticket() {
             answered.load(Ordering::Relaxed),
             "cycle {cycle}: audit must equal observed answers"
         );
-        assert!(matches!(server.knn(&data[..n], 1), Err(ServeError::ShutDown)));
+        assert!(matches!(
+            server.query(&data[..n], QueryKind::Knn { k: 1 }),
+            Err(ServeError::ShutDown)
+        ));
         drop(server);
     }
 }

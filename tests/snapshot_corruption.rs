@@ -5,7 +5,7 @@
 
 use sofa::exec::failpoint::{self, FailAction};
 use sofa::index::{SNAPSHOT_RENAME_FAILPOINT, SNAPSHOT_WRITE_FAILPOINT};
-use sofa::{describe, IndexError, SofaIndex, SNAPSHOT_FORMAT_VERSION};
+use sofa::{describe, Builder, IndexError, SofaIndex, SNAPSHOT_FORMAT_VERSION};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn dataset(count: usize, n: usize, seed: usize) -> Vec<f32> {
@@ -29,7 +29,7 @@ fn tmp_path(tag: &str) -> std::path::PathBuf {
 fn build_small() -> (SofaIndex, Vec<f32>, usize) {
     let n = 64;
     let data = dataset(400, n, 0);
-    let idx = SofaIndex::builder()
+    let idx = Builder::default()
         .threads(2)
         .leaf_capacity(40)
         .sample_ratio(0.5)
@@ -202,7 +202,7 @@ fn torn_write_preserves_old_snapshot_and_rebuild_recovers() {
     // Recovery path: even with the snapshot gone entirely, rebuilding
     // from the raw data serves the same answers.
     std::fs::remove_file(&path).ok();
-    let rebuilt = SofaIndex::builder()
+    let rebuilt = Builder::default()
         .threads(2)
         .leaf_capacity(40)
         .sample_ratio(0.5)

@@ -6,7 +6,7 @@
 
 use sofa::baselines::FlatL2;
 use sofa::summaries::Summarization;
-use sofa::{Builder, ExecPool, MessiIndex, ServeConfig, Server, SofaIndex};
+use sofa::{Builder, ExecPool, MessiIndex, QueryKind, ServeConfig, Server, SofaIndex};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -75,7 +75,7 @@ fn sofa_round_trip_500_queries_bit_identical() {
     let opened = Builder::default().pool(Arc::clone(&pool)).open_sofa(&path).expect("open");
     assert!(opened.is_mapped() && !live.is_mapped());
     assert_eq!(opened.n_series(), live.n_series());
-    assert_eq!(opened.sfa().name(), live.sfa().name());
+    assert_eq!(opened.summarization().name(), live.summarization().name());
 
     run_query_suite("sofa", &live, &opened, &flat, n);
 
@@ -102,7 +102,7 @@ fn messi_round_trip_matches_live_and_flat() {
     let n = 64;
     let data = dataset(700, n, 3);
     let live =
-        MessiIndex::builder().threads(2).leaf_capacity(50).build_messi(&data, n).expect("build");
+        Builder::default().threads(2).leaf_capacity(50).build_messi(&data, n).expect("build");
     let flat = FlatL2::new(&data, n, 2);
 
     let path = tmp_path("messi");
@@ -127,7 +127,7 @@ fn messi_round_trip_matches_live_and_flat() {
 fn quant_disabled_build_round_trips_without_grid() {
     let n = 64;
     let data = dataset(400, n, 7);
-    let live = SofaIndex::builder()
+    let live = Builder::default()
         .threads(2)
         .leaf_capacity(40)
         .sample_ratio(0.5)
@@ -156,7 +156,7 @@ fn server_over_reopened_snapshot_is_bit_identical() {
     let n = 64;
     let data = dataset(600, n, 11);
     let live = Arc::new(
-        SofaIndex::builder()
+        Builder::default()
             .threads(2)
             .leaf_capacity(50)
             .sample_ratio(0.5)
@@ -178,7 +178,7 @@ fn server_over_reopened_snapshot_is_bit_identical() {
                 for (qi, q) in queries.chunks(n).enumerate() {
                     let k = 1 + (caller + qi) % 5;
                     assert_eq!(
-                        server.knn(q, k).expect("coalesced"),
+                        server.query(q, QueryKind::Knn { k }).expect("coalesced"),
                         live.knn(q, k).expect("live"),
                         "caller {caller} query {qi} k={k}"
                     );
@@ -193,7 +193,7 @@ fn server_over_reopened_snapshot_is_bit_identical() {
 fn reopened_index_keeps_growing_and_snapshots_again() {
     let n = 64;
     let data = dataset(300, n, 21);
-    let live = SofaIndex::builder()
+    let live = Builder::default()
         .threads(2)
         .leaf_capacity(40)
         .sample_ratio(0.5)

@@ -4,7 +4,7 @@
 //! facade) and is meant to catch facade regressions in seconds.
 
 use sofa::baselines::FlatL2;
-use sofa::{MessiIndex, SofaIndex};
+use sofa::Builder;
 
 /// ~200 short series with mild cluster structure so pruning has work to do.
 fn tiny_dataset(rows: usize, n: usize) -> Vec<f32> {
@@ -29,14 +29,14 @@ fn sofa_and_messi_match_flat_l2_on_tiny_data() {
     let rows = 200;
     let data = tiny_dataset(rows, n);
 
-    let sofa = SofaIndex::builder()
+    let sofa = Builder::default()
         .word_len(8)
         .leaf_capacity(16)
         .threads(2)
         .sample_ratio(1.0)
         .build_sofa(&data, n)
         .expect("sofa build");
-    let messi = MessiIndex::builder()
+    let messi = Builder::default()
         .word_len(8)
         .leaf_capacity(16)
         .threads(2)
@@ -86,10 +86,10 @@ fn sofa_and_messi_match_flat_l2_on_tiny_data() {
 
 #[test]
 fn facade_rejects_malformed_input_cheaply() {
-    assert!(SofaIndex::build(&[], 16).is_err());
-    assert!(SofaIndex::build(&[0.0; 17], 16).is_err());
+    assert!(Builder::default().build_sofa(&[], 16).is_err());
+    assert!(Builder::default().build_sofa(&[0.0; 17], 16).is_err());
     let data = tiny_dataset(20, 16);
     let idx =
-        SofaIndex::builder().word_len(8).sample_ratio(1.0).build_sofa(&data, 16).expect("build");
+        Builder::default().word_len(8).sample_ratio(1.0).build_sofa(&data, 16).expect("build");
     assert!(idx.nn(&[0.0; 15]).is_err(), "query length mismatch must error");
 }
