@@ -200,13 +200,11 @@ fn serve_profile(
     r.table(&["method", "mode", "QPS", "p50 / mean (ms)", "p95 (ms)", "p99 (ms)"], &rows);
 
     // Pruning-power counters over the same workload: what fraction of
-    // lower-bound-checked candidates never reached a real distance, how
-    // much of that the 8-lane block sweep decided, and how many collect
-    // groups the node-block kernel swept per query.
+    // lower-bound-checked candidates never reached a real distance and
+    // how much of that the 8-lane block sweep decided.
     let mut lbd_checked = 0usize;
     let mut refined = 0usize;
     let mut lanes_abandoned = 0usize;
-    let mut collect_groups = 0usize;
     let mut quant_groups = 0usize;
     let mut quant_killed = 0usize;
     let mut refine_bytes = 0usize;
@@ -216,7 +214,6 @@ fn serve_profile(
         lbd_checked += s.series_lbd_checked;
         refined += s.series_refined;
         lanes_abandoned += s.block_lanes_abandoned;
-        collect_groups += s.collect_groups_swept;
         quant_groups += s.quant_groups_swept;
         quant_killed += s.quant_lanes_killed;
         refine_bytes += s.refine_bytes;
@@ -241,21 +238,18 @@ fn serve_profile(
     r.metric(&m("flat_p50_ms"), percentile(&flat_ms, 50.0));
     r.metric(&m("sofa_lbd_pruning_ratio"), pruning_ratio);
     r.metric(&m("sofa_block_lane_abandon_ratio"), block_abandon_ratio);
-    r.metric(&m("sofa_collect_groups_per_query"), collect_groups as f64 / stat_queries as f64);
     r.metric(&m("sofa_quant_groups_per_query"), quant_groups as f64 / stat_queries as f64);
     r.metric(&m("sofa_quant_lanes_killed"), quant_killed as f64 / stat_queries as f64);
     r.metric(&m("refine_bytes_per_query"), refine_bytes as f64 / stat_queries as f64);
     r.para(&format!(
         "Pruning power over this workload: {:.1}% of lower-bound-checked \
          candidates were pruned before any real distance ({:.1}% of checks \
-         were retired by the 8-lane block sweep); the collect phase swept \
-         {:.1} node-block groups per query. The quantized refine tier \
+         were retired by the 8-lane block sweep). The quantized refine tier \
          priced {:.1} code groups and killed {:.1} word-bound survivors \
          per query before any f32 scan; the refine phase touched \
          {:.0} bytes per query.",
         pruning_ratio * 100.0,
         block_abandon_ratio * 100.0,
-        collect_groups as f64 / stat_queries as f64,
         quant_groups as f64 / stat_queries as f64,
         quant_killed as f64 / stat_queries as f64,
         refine_bytes as f64 / stat_queries as f64,

@@ -155,8 +155,7 @@ impl<S: Summarization> Index<S> {
 
         // --- Phase 4: pack leaves. Storage starts in row order (identity
         // slot maps); `repack_leaves` permutes it into leaf-contiguous
-        // order and builds the per-leaf SoA word blocks plus the
-        // per-subtree collect blocks.
+        // order and builds the per-leaf SoA word blocks.
         let query_env = sofa_summaries::QueryEnv::new(&summarization);
         let quant_enabled = std::sync::atomic::AtomicBool::new(config.quant_refine);
         let mut index = Index {
@@ -189,9 +188,7 @@ impl<S: Summarization> Index<S> {
     /// and word arenas so every leaf's candidates occupy one contiguous
     /// run of storage slots (in leaf order), rebuilds each leaf's
     /// structure-of-arrays [`sofa_summaries::WordBlock`] for the batched
-    /// lower-bound sweep, and rebuilds each subtree's
-    /// [`crate::CollectBlock`] so the collect phase prices leaves 8-wide
-    /// again.
+    /// lower-bound sweep.
     ///
     /// The bulk build calls this automatically. Online inserts instead
     /// trigger the cheaper [`Index::repack_incremental`] (when
@@ -205,9 +202,9 @@ impl<S: Summarization> Index<S> {
     }
 
     /// Incremental repack: restores the packed layout like
-    /// [`Index::repack_leaves`], but only subtrees with stale lanes
+    /// [`Index::repack_leaves`], but only subtrees with stale leaves
     /// (leaves touched by online inserts or splits) rebuild their word
-    /// and collect blocks. Untouched subtrees reuse their existing blocks
+    /// blocks. Untouched subtrees reuse their existing blocks
     /// — their arena runs are either left in place entirely or shifted by
     /// a constant (when an earlier subtree grew), which only updates each
     /// pack's start slot. This is what the auto-repack trigger runs.
@@ -303,7 +300,7 @@ impl<S: Summarization> Index<S> {
         }
         self.slot_to_row[scan_lo..].copy_from_slice(&suffix_rows);
 
-        // Word blocks and collect blocks, one subtree batch per pool lane
+        // Word blocks, one subtree batch per pool lane
         // (subtrees are disjoint, so `chunks_mut` hands each lane its own
         // slice).
         let quant_on = self.config.quant_refine && n <= crate::node::QUANT_REFINE_MAX_LEN && n > 0;
@@ -349,7 +346,7 @@ impl<S: Summarization> Index<S> {
                             if let Some(old) = old_base {
                                 // Clean subtree: every leaf is packed and
                                 // no label changed since its blocks were
-                                // built, so the word/collect blocks are
+                                // built, so the word blocks are
                                 // reused verbatim. Its contiguous run may
                                 // have shifted as a whole (an earlier
                                 // subtree grew); only the start slots
@@ -394,21 +391,11 @@ impl<S: Summarization> Index<S> {
                                 });
                             }
                         }
-                        // Wide flat forests (thousands of single-leaf
-                        // subtrees) never read a collect block — the
-                        // query path prices those roots with the RootLbd
-                        // XOR gate alone — so building one would only
-                        // cost memory and scan locality.
-                        st.collect = if st.nodes.len() > 1 {
-                            Some(crate::node::CollectBlock::build(summarization, st))
-                        } else {
-                            None
-                        };
                         st.stale_leaves = 0;
                     }
                     if let Some(grid) = quant_grid {
                         // Deferred quant pass: only now that every rebuilt
-                        // leaf's word/collect blocks sit contiguously does
+                        // leaf's word blocks sit contiguously does
                         // the tier allocate its (much larger) code blocks.
                         for (st, &was_rebuilt) in chunk.iter_mut().zip(rebuilt.iter()) {
                             if !was_rebuilt {
@@ -492,9 +479,7 @@ fn build_subtree(
     let bits = vec![1u8; l];
     let mut nodes = Vec::new();
     build_node(rows, prefixes, bits, &mut nodes, words, l, symbol_bits, config.leaf_capacity);
-    // The collect block is attached by `repack_leaves` (phase 4), which
-    // runs right after the subtrees are assembled.
-    Subtree { key, nodes, collect: None, stale_leaves: 0 }
+    Subtree { key, nodes, stale_leaves: 0 }
 }
 
 /// Recursively materializes the node for `rows`, returning its arena id.
@@ -835,7 +820,7 @@ mod tests {
     }
 
     #[test]
-    fn deep_tree_sweeps_its_collect_block() {
+    fn deep_tree_collect_descends_below_its_root() {
         // Hand every row the same root key region by using one shared
         // prototype shape: a concentrated tree that splits deep.
         let n = 64;
@@ -854,18 +839,17 @@ mod tests {
         let sax = ISax::new(n, &SaxConfig { word_len: 8, alphabet: 256 });
         let idx =
             Index::build(sax, &data, IndexConfig::with_threads(1).leaf_capacity(8)).expect("build");
-        let (st, cb) = idx
-            .subtrees()
-            .iter()
-            .find_map(|st| st.collect.as_ref().map(|cb| (st, cb)))
-            .expect("a concentrated tree must build a collect block");
-        // The fringe covers every leaf of the subtree exactly once.
-        assert_eq!(cb.node_ids.len(), st.leaves().count());
-        assert_eq!(cb.block.n(), cb.node_ids.len());
-        assert!(cb.node_ids.iter().all(|&id| st.nodes[id as usize].is_leaf()));
-        // The fringe sweep engages at query time.
+        assert!(
+            idx.subtrees().iter().any(|st| st.nodes.len() > 1),
+            "a concentrated tree must split below a root"
+        );
+        // A root-gated or single-leaf subtree counts exactly 1 collected
+        // or pruned node, so a larger total proves the DFS descended.
         let (_, stats) = idx.knn_with_stats(&data[..n], 3).expect("query");
-        assert!(stats.collect_groups_swept > 0, "fringe sweep never ran: {stats:?}");
+        assert!(
+            stats.leaves_collected + stats.nodes_pruned > idx.stats().subtrees,
+            "collect DFS never went below a root: {stats:?}"
+        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 /// Configuration for [`crate::Index`] construction and querying.
 ///
 /// Defaults follow the paper's setup (§V "Setup"): leaf capacity 20,000,
-/// one priority queue per worker thread. `num_threads` defaults to the
-/// machine's available parallelism.
+/// one refinement priority queue per worker thread. `num_threads`
+/// defaults to the machine's available parallelism.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IndexConfig {
     /// Maximum series per leaf before it splits (`leaf-size`). The paper
@@ -15,9 +15,6 @@ pub struct IndexConfig {
     /// when a shared pool is supplied via `Index::build_with_pool` — the
     /// pool's own lane count applies there.
     pub num_threads: usize,
-    /// Number of leaf priority queues used during query refinement;
-    /// the paper sets it to the core count.
-    pub num_queues: usize,
     /// Auto-repack threshold, in percent: after an online insert (or once
     /// per `insert_all` burst), when more than this percentage of the
     /// tree's leaves are un-packed (per-row fallback refinement) — and at
@@ -43,7 +40,6 @@ impl Default for IndexConfig {
         IndexConfig {
             leaf_capacity: 20_000,
             num_threads: threads,
-            num_queues: threads,
             auto_repack_pct: Some(25),
             quant_refine: true,
         }
@@ -51,14 +47,10 @@ impl Default for IndexConfig {
 }
 
 impl IndexConfig {
-    /// Config with `threads` workers and matching queue count.
+    /// Config with `threads` workers.
     #[must_use]
     pub fn with_threads(threads: usize) -> Self {
-        IndexConfig {
-            num_threads: threads.max(1),
-            num_queues: threads.max(1),
-            ..Default::default()
-        }
+        IndexConfig { num_threads: threads.max(1), ..Default::default() }
     }
 
     /// Sets the leaf capacity, returning the modified config.
@@ -95,7 +87,6 @@ mod tests {
     fn defaults_match_paper() {
         let c = IndexConfig::default();
         assert_eq!(c.leaf_capacity, 20_000);
-        assert_eq!(c.num_queues, c.num_threads);
         assert!(c.num_threads >= 1);
         assert_eq!(c.auto_repack_pct, Some(25));
         assert!(c.quant_refine);
@@ -119,7 +110,6 @@ mod tests {
     fn builder_methods() {
         let c = IndexConfig::with_threads(4).leaf_capacity(100);
         assert_eq!(c.num_threads, 4);
-        assert_eq!(c.num_queues, 4);
         assert_eq!(c.leaf_capacity, 100);
     }
 

@@ -73,11 +73,7 @@ impl<S: Summarization> Index<S> {
         let subtree_idx = match self.subtrees.binary_search_by_key(&key, |s| s.key) {
             Ok(i) => i,
             Err(i) => {
-                // New root child: a fresh subtree holding one leaf. No
-                // collect block: single-node subtrees are priced by the
-                // RootLbd gate alone (their leaf's 1-bit label *is* the
-                // key), and `repack_leaves` attaches a block if splits
-                // ever grow the subtree.
+                // New root child: a fresh subtree holding one leaf.
                 let prefixes: Vec<u8> =
                     (0..self.word_len).map(|j| ((key >> j) & 1) as u8).collect();
                 let bits = vec![1u8; self.word_len];
@@ -88,7 +84,6 @@ impl<S: Summarization> Index<S> {
                         bits,
                         kind: NodeKind::Leaf { rows: vec![], pack: None },
                     }],
-                    collect: None,
                     stale_leaves: 1,
                 };
                 self.subtrees.insert(i, subtree);
@@ -128,11 +123,7 @@ impl<S: Summarization> Index<S> {
             NodeKind::Inner { .. } => unreachable!("descent ends at a leaf"),
         }
         // Each split turns one (un-packed) leaf into an inner node with
-        // two un-packed leaves: +1 leaf, +1 un-packed, net. The subtree's
-        // collect block is *not* rebuilt — the split node's lane keeps its
-        // (parent-interval) bounds, which remain a valid lower bound for
-        // both children; the collect sweep finishes such stale lanes with
-        // a scalar descent until the next repack.
+        // two un-packed leaves: +1 leaf, +1 un-packed, net.
         let splits = split_while_overfull(
             subtree,
             id,
@@ -142,7 +133,7 @@ impl<S: Summarization> Index<S> {
             symbol_bits,
             self.config.leaf_capacity,
         );
-        // Stale-lane accounting is per subtree (the incremental repack
+        // Stale-leaf accounting is per subtree (the incremental repack
         // rebuilds exactly the subtrees whose count is non-zero) with the
         // global tally kept alongside for the trigger threshold.
         subtree.stale_leaves += newly_unpacked + splits;
@@ -155,12 +146,12 @@ impl<S: Summarization> Index<S> {
     /// un-packed leaves exceed the configured percentage of the tree,
     /// restore the packed layout on the worker pool right away instead of
     /// waiting for an operator call. The trigger runs the *incremental*
-    /// repack — only subtrees with stale lanes rebuild their word and
-    /// collect blocks, untouched subtrees reuse theirs — so the dominant
+    /// repack — only subtrees with stale leaves rebuild their word
+    /// blocks, untouched subtrees reuse theirs — so the dominant
     /// repack cost (block construction) scales with the touched portion
     /// of the tree (slot bookkeeping remains one O(n) scan; see
     /// [`Index::repack_incremental`]), keeping long-running serving
-    /// instances on the batched leaf/collect sweeps.
+    /// instances on the batched leaf sweep.
     fn maybe_auto_repack(&mut self) {
         let Some(pct) = self.config.auto_repack_pct else { return };
         // Amortization floor: a repack still permutes shifted arena runs,
@@ -420,9 +411,9 @@ mod tests {
     }
 
     #[test]
-    fn insert_splits_keep_stale_collect_lanes_exact() {
+    fn insert_splits_stay_exact() {
         // Concentrated square-wave data: every row shares one root key, so
-        // the single subtree grows deep enough to carry a collect block.
+        // the single subtree splits deep.
         let n = 64;
         let square = |r: usize, t: usize| {
             let base = if (t / 8) % 2 == 0 { 1.0f32 } else { -1.0 };
@@ -438,12 +429,11 @@ mod tests {
         let mut idx = Index::build(
             sax,
             &data,
-            // Auto-repack off so the stale lanes the splits leave behind
-            // (not a rebuild) are what the queries below sweep.
+            // Auto-repack off so the queries below walk the split leaves
+            // as the inserts left them (not a rebuild).
             IndexConfig::with_threads(1).leaf_capacity(8).auto_repack_pct(None),
         )
         .expect("build");
-        let fringe = idx.subtrees()[0].collect.as_ref().expect("collect block").node_ids.clone();
 
         // Insert enough rows to force splits across the tree.
         let mut extra = Vec::with_capacity(400 * n);
@@ -453,14 +443,6 @@ mod tests {
             }
         }
         idx.insert_all(&extra).expect("insert");
-
-        // Splits never rebuild the block: the fringe is unchanged, and
-        // some of its lanes now point at inner nodes (stale lanes).
-        let st = &idx.subtrees()[0];
-        let cb = st.collect.as_ref().expect("collect block");
-        assert_eq!(cb.node_ids, fringe);
-        assert_eq!(cb.block.n(), fringe.len());
-        assert!(cb.node_ids.iter().any(|&id| !st.nodes[id as usize].is_leaf()), "no stale lane");
 
         // Exactness is untouched: every inserted row finds itself, and
         // results match a bulk-built index over the same rows.

@@ -52,7 +52,7 @@ pub mod stats;
 pub use bsf::{AtomicDistance, IpNeighbor, KnnSet, Neighbor};
 pub use config::IndexConfig;
 pub use filter::RowFilter;
-pub use node::{CollectBlock, LeafPack, Node, NodeKind, Subtree};
+pub use node::{LeafPack, Node, NodeKind, Subtree};
 pub use query::{validate_batch, QueryKind, QueryStats};
 pub use snapshot::{
     describe, SectionInfo, SectionReader, SnapshotCapabilities, SnapshotInfo,
@@ -299,12 +299,7 @@ impl<S: Summarization> Index<S> {
     /// Checks one query scratch out of the pool (creating it on warm-up).
     pub(crate) fn scratch(&self) -> scratch::ScratchGuard<'_> {
         scratch::ScratchGuard::checkout(&self.scratches, || {
-            scratch::QueryScratch::new(
-                self.word_len,
-                self.series_len,
-                self.config.num_queues.max(1),
-                self.pool.threads(),
-            )
+            scratch::QueryScratch::new(self.word_len, self.series_len, self.pool.threads())
         })
     }
 }

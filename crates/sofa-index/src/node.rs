@@ -9,7 +9,7 @@
 //! one position by one bit (set to 0 and 1 — the iSAX split), chosen to
 //! balance the series between them (as in iSAX 2.0 / MESSI).
 
-use sofa_summaries::{NodeBlock, QuantBlock, Summarization, WordBlock};
+use sofa_summaries::{QuantBlock, WordBlock};
 
 /// Node id within one subtree's arena.
 pub type NodeId = u32;
@@ -105,58 +105,6 @@ impl Node {
     }
 }
 
-/// Collect-phase acceleration state of one subtree: the subtree's leaves'
-/// prefix quantization intervals as a structure-of-arrays
-/// [`NodeBlock`] (padded groups of 8), lane-parallel with `node_ids`.
-///
-/// The leaf fringe is stored in **DFS (pre-order) order**, not arena
-/// order, so sibling leaves share kernel groups.
-///
-/// The collect phase sweeps the fringe, 8 lanes per dispatched kernel
-/// call, instead of walking the arena with a scalar `mindist_node` per
-/// node. Coherence across online splits is maintained *without
-/// rebuilding*: a split keeps the node's `prefixes`/`bits` and only
-/// changes its kind to `Inner`, so the lane's interval bounds remain a
-/// valid (parent-interval) lower bound for everything below it — the
-/// sweep detects such stale lanes by node kind and finishes them with a
-/// tiny scalar DFS over the freshly split descendants.
-/// [`crate::Index::repack_leaves`] (or the incremental repack) rebuilds
-/// the block to pure leaves.
-#[derive(Clone, Debug)]
-pub struct CollectBlock {
-    /// Arena node id per fringe lane, DFS order (leaves at build time; a
-    /// lane can point at an `Inner` node after online splits — see above).
-    pub node_ids: Vec<u32>,
-    /// SoA interval bounds of the fringe lanes' `prefixes`/`bits`.
-    pub block: NodeBlock,
-}
-
-impl CollectBlock {
-    /// Builds the block over every leaf of `subtree` in DFS order.
-    #[must_use]
-    pub fn build(summarization: &dyn Summarization, subtree: &Subtree) -> Self {
-        let n_leaves = subtree.leaves().count();
-        let mut node_ids = Vec::with_capacity(n_leaves);
-        let mut labels: Vec<(&[u8], &[u8])> = Vec::with_capacity(n_leaves);
-        let mut stack: Vec<NodeId> = vec![0];
-        while let Some(id) = stack.pop() {
-            let node = &subtree.nodes[id as usize];
-            match &node.kind {
-                NodeKind::Leaf { .. } => {
-                    node_ids.push(id);
-                    labels.push((&node.prefixes, &node.bits));
-                }
-                NodeKind::Inner { left, right, .. } => {
-                    // Pre-order: left subtree fully, then right.
-                    stack.push(*right);
-                    stack.push(*left);
-                }
-            }
-        }
-        CollectBlock { node_ids, block: NodeBlock::build(summarization, &labels) }
-    }
-}
-
 /// A subtree: its root key and an arena of nodes (`nodes[root]` is the
 /// subtree root). Subtrees are independent — MESSI exploits exactly this
 /// for lock-free parallel construction and traversal.
@@ -166,14 +114,10 @@ pub struct Subtree {
     pub key: u64,
     /// Node arena; index 0 is the root.
     pub nodes: Vec<Node>,
-    /// Batched collect-phase pruning state (`None` only for subtrees that
-    /// have never been packed; the query path then falls back to the
-    /// scalar DFS).
-    pub collect: Option<CollectBlock>,
     /// Leaves of this subtree whose packed layout went stale (dropped
     /// packs from online inserts, split children). Drives the incremental
     /// repack: only subtrees with `stale_leaves > 0` rebuild their word
-    /// and collect blocks; clean subtrees reuse theirs.
+    /// blocks; clean subtrees reuse theirs.
     pub stale_leaves: usize,
 }
 
@@ -271,43 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn collect_block_fringe_is_in_dfs_order() {
-        use sofa_summaries::{ISax, SaxConfig};
-        // Right-spine chain: root -> (leaf, inner -> (leaf, inner -> ...)).
-        let l = 2usize;
-        let spine = 128u32;
-        let leaf = |rows: Vec<u32>| Node {
-            prefixes: vec![0; l],
-            bits: vec![1; l],
-            kind: NodeKind::Leaf { rows, pack: None },
-        };
-        let mut nodes = Vec::new();
-        // Arena: spine inners first (ids 0..128), then leaves — deliberately
-        // NOT DFS order, to prove the block reorders.
-        for depth in 0..spine {
-            nodes.push(Node {
-                prefixes: vec![0; l],
-                bits: vec![1; l],
-                kind: NodeKind::Inner {
-                    left: spine + depth, // leaf at this depth
-                    right: if depth == spine - 1 { 2 * spine } else { depth + 1 },
-                    split_pos: 0,
-                },
-            });
-        }
-        for r in 0..=spine {
-            nodes.push(leaf(vec![r]));
-        }
-        let subtree = Subtree { key: 0, nodes, collect: None, stale_leaves: 0 };
-        let sax = ISax::new(64, &SaxConfig { word_len: l, alphabet: 4 });
-        let cb = CollectBlock::build(&sax, &subtree);
-        // Fringe: leaves in DFS order = arena ids 128, 129, ..., 256.
-        assert_eq!(cb.node_ids.len(), 129);
-        assert_eq!(cb.node_ids, (spine..=2 * spine).collect::<Vec<u32>>());
-        assert_eq!(cb.block.n(), 129);
-    }
-
-    #[test]
     fn leaf_depths_of_small_tree() {
         // root(inner) -> [leaf, inner -> [leaf, leaf]]
         let leaf = |rows: Vec<u32>| Node {
@@ -317,7 +224,6 @@ mod tests {
         };
         let subtree = Subtree {
             key: 0,
-            collect: None,
             stale_leaves: 0,
             nodes: vec![
                 Node {

@@ -19,14 +19,11 @@
 //! accelerate whole-group abandons. Live lanes stay bit-identical to the
 //! unfiltered sweep across every kernel tier.
 //!
-//! Both batched sweeps run here. The **collect phase** prices each
-//! subtree with one [`RootLbd`] XOR evaluation, then sweeps the subtree's
-//! leaves 8 at a time through [`mindist_node_block`] over the
-//! build-time-resolved [`crate::CollectBlock`] (whole groups of leaves
-//! abandon against the bound mid-sum); the **refine phase** then
-//! lower-bounds each surviving leaf's candidates 8 at a time through
-//! [`mindist_block`]. Scalar `mindist_node` survives only on the cold
-//! paths: the approximate descent and lanes left stale by online splits.
+//! The **collect phase** prices each subtree with one [`RootLbd`] XOR
+//! evaluation and walks the rare subtree that split below its root with
+//! a scalar `mindist_node` DFS; the **refine phase** then lower-bounds
+//! each surviving leaf's candidates 8 at a time through
+//! [`mindist_block`].
 //!
 //! Parallel phases execute on the index's persistent
 //! [`sofa_exec::ExecPool`] (no per-query thread spawning), and every
@@ -47,8 +44,8 @@ use sofa_exec::CancelToken;
 use sofa_simd::{dot, znormalize};
 use sofa_simd::{quant_lower_bound, quant_lower_bound_masked, BLOCK_LANES, BOUNDS_STRIDE};
 use sofa_summaries::{
-    mindist_block, mindist_block_masked, mindist_node, mindist_node_block, mindist_simd,
-    QueryContext, RootLbd, Summarization,
+    mindist_block, mindist_block_masked, mindist_node, mindist_simd, QueryContext, RootLbd,
+    Summarization,
 };
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -73,8 +70,7 @@ pub struct QueryStats {
     /// Leaves whose series were actually examined.
     pub leaves_refined: usize,
     /// Nodes pruned by a node-level lower bound: whole subtrees at the
-    /// root gate, collect-block lanes (individually or by whole-group
-    /// abandon), and scalar-DFS nodes on the fallback paths.
+    /// root gate and nodes below a root in the collect DFS.
     pub nodes_pruned: usize,
     /// Per-series lower-bound evaluations (predicate-rejected rows are
     /// never evaluated and excluded here).
@@ -88,8 +84,6 @@ pub struct QueryStats {
     /// Candidate lanes pruned by the block sweep (whole-group abandons
     /// plus individual lanes at or above the bound).
     pub block_lanes_abandoned: usize,
-    /// 8-leaf groups swept by the collect-phase node-block kernel.
-    pub collect_groups_swept: usize,
     /// 8-candidate groups swept by the quantized refine kernel (the
     /// compressed middle tier between the word bound and the exact scan).
     pub quant_groups_swept: usize,
@@ -125,7 +119,6 @@ struct AtomicStats {
     queues_abandoned: AtomicUsize,
     block_groups_swept: AtomicUsize,
     block_lanes_abandoned: AtomicUsize,
-    collect_groups_swept: AtomicUsize,
     quant_groups_swept: AtomicUsize,
     quant_lanes_killed: AtomicUsize,
     predicate_lanes_masked: AtomicUsize,
@@ -160,7 +153,6 @@ impl AtomicStats {
             queues_abandoned: self.queues_abandoned.load(Ordering::Relaxed),
             block_groups_swept: self.block_groups_swept.load(Ordering::Relaxed),
             block_lanes_abandoned: self.block_lanes_abandoned.load(Ordering::Relaxed),
-            collect_groups_swept: self.collect_groups_swept.load(Ordering::Relaxed),
             quant_groups_swept: self.quant_groups_swept.load(Ordering::Relaxed),
             quant_lanes_killed: self.quant_lanes_killed.load(Ordering::Relaxed),
             predicate_lanes_masked: self.predicate_lanes_masked.load(Ordering::Relaxed),
@@ -735,7 +727,6 @@ impl<S: Summarization> Index<S> {
             stats.block_groups_swept as u64,
             stats.block_lanes_abandoned as u64,
         );
-        self.counters.record_collect_sweep(stats.collect_groups_swept as u64);
         self.counters.record_quant_sweep(
             stats.quant_groups_swept as u64,
             stats.quant_lanes_killed as u64,
@@ -839,10 +830,10 @@ impl<S: Summarization> Index<S> {
 
     /// Prices one subtree against the bound and pushes its surviving
     /// leaves into the queues: one [`RootLbd`] XOR evaluation gates the
-    /// whole subtree; the leaf-fringe lanes are then priced 8 per
-    /// dispatched kernel call (whole groups abandoning mid-sum against
-    /// the bound). Lanes left stale by online splits — and subtrees
-    /// without a block — fall back to the scalar DFS.
+    /// whole subtree; a subtree that split below its root is then walked
+    /// by a scalar DFS that prices each node with `mindist_node` (a
+    /// child's interval nests inside its parent's, so a pruned node
+    /// prunes everything below it).
     ///
     /// Collect is filter-agnostic: node bounds hold for every row under a
     /// node, admitted or not, so pruning decisions are unchanged and the
@@ -870,121 +861,29 @@ impl<S: Summarization> Index<S> {
             stats.nodes_pruned.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        if subtree.nodes.len() == 1 {
+        match &subtree.nodes[0].kind {
             // Single-leaf subtree (wide forests produce thousands): the
             // root evaluation above *is* the leaf's exact bound — its
-            // 1-bit prefixes are fully determined by the key — so a
-            // block sweep would only re-derive it the slow way.
-            if let NodeKind::Leaf { rows, .. } = &subtree.nodes[0].kind {
+            // 1-bit prefixes are fully determined by the key.
+            NodeKind::Leaf { rows, .. } => {
                 if !rows.is_empty() {
                     push_leaf(root_bound, subtree_idx, 0, queues, push_counter);
                     stats.leaves_collected.fetch_add(1, Ordering::Relaxed);
                 }
                 return;
             }
-        }
-        let Some(cb) = &subtree.collect else {
-            stack.clear();
-            stack.push(0);
-            self.collect_dfs(
-                subtree,
-                subtree_idx,
-                ctx,
-                Some(root_bound),
-                pb,
-                queues,
-                push_counter,
-                stack,
-                stats,
-                cancel,
-            );
-            return;
-        };
-        let mut lbs = [0.0f32; BLOCK_LANES];
-        for g in 0..cb.block.n_groups() {
-            // Cancellation checkpoint at group-sweep granularity.
-            if fired(cancel) {
-                return;
-            }
-            let lanes = cb.block.lanes_in(g);
-            let base = g * BLOCK_LANES;
-            let bound = pb.l2_bound();
-            stats.collect_groups_swept.fetch_add(1, Ordering::Relaxed);
-            if mindist_node_block(ctx, &cb.block, g, bound, &mut lbs) {
-                // Every lane's (partial) sum strictly exceeded the
-                // threshold: 8 leaves pruned in one shot.
-                stats.nodes_pruned.fetch_add(lanes, Ordering::Relaxed);
-                continue;
-            }
-            for (i, &lbd) in lbs.iter().enumerate().take(lanes) {
-                // Re-ask the policy: its bound tightens as refinement
-                // overlaps.
-                if pb.prunes(lbd) {
-                    stats.nodes_pruned.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                let id = cb.node_ids[base + i];
-                match &subtree.nodes[id as usize].kind {
-                    NodeKind::Leaf { rows, .. } => {
-                        if rows.is_empty() {
-                            continue;
-                        }
-                        push_leaf(lbd, subtree_idx, id, queues, push_counter);
-                        stats.leaves_collected.fetch_add(1, Ordering::Relaxed);
-                    }
-                    NodeKind::Inner { left, right, .. } => {
-                        // Stale lane: this leaf split after the block was
-                        // built. Its lane bound (the parent interval)
-                        // stayed valid for the descendants; finish them
-                        // with a scalar descent.
-                        stack.clear();
-                        stack.push(*left);
-                        stack.push(*right);
-                        self.collect_dfs(
-                            subtree,
-                            subtree_idx,
-                            ctx,
-                            None,
-                            pb,
-                            queues,
-                            push_counter,
-                            stack,
-                            stats,
-                            cancel,
-                        );
-                    }
-                }
+            NodeKind::Inner { left, right, .. } => {
+                stack.clear();
+                stack.push(*left);
+                stack.push(*right);
             }
         }
-    }
-
-    /// Scalar collect DFS over a pre-seeded `stack` of node ids: the
-    /// fallback for subtrees without a collect block and for stale
-    /// post-split lanes. `root_bound` supplies node 0's precomputed
-    /// [`RootLbd`] evaluation when the DFS starts at the subtree root.
-    #[allow(clippy::too_many_arguments)]
-    fn collect_dfs<B: PruneBound>(
-        &self,
-        subtree: &Subtree,
-        subtree_idx: u32,
-        ctx: &QueryContext<'_>,
-        root_bound: Option<f32>,
-        pb: &B,
-        queues: &[Mutex<LeafQueue>],
-        push_counter: &AtomicUsize,
-        stack: &mut Vec<u32>,
-        stats: &AtomicStats,
-        cancel: Option<&CancelToken>,
-    ) {
         while let Some(id) = stack.pop() {
             if fired(cancel) {
                 return;
             }
             let node = &subtree.nodes[id as usize];
-            let lbd = match (id, root_bound) {
-                (0, Some(b)) => b,
-                _ => mindist_node(ctx, &node.prefixes, &node.bits),
-            };
+            let lbd = mindist_node(ctx, &node.prefixes, &node.bits);
             if pb.prunes(lbd) {
                 stats.nodes_pruned.fetch_add(1, Ordering::Relaxed);
                 continue;

@@ -70,21 +70,20 @@ pub(crate) struct QueryScratch {
     /// Range-query hit accumulator (unordered during the sweep; sorted
     /// at drain). Unused — and empty — for k-NN/IP queries.
     pub range: Mutex<Vec<Neighbor>>,
-    /// Refinement priority queues (`config.num_queues` of them).
+    /// Refinement priority queues, one per pool lane.
     pub queues: Vec<Mutex<LeafQueue>>,
     /// Per-queue abandon flags for the refinement phase.
     pub done: Vec<AtomicBool>,
-    /// Per-lane scalar collect-DFS stacks (blockless subtrees, stale
-    /// lanes; one per pool lane; each lane locks only its own, so the
-    /// locks are uncontended).
+    /// Per-lane collect-DFS stacks (one per pool lane; each lane locks
+    /// only its own, so the locks are uncontended).
     pub lanes: Vec<Mutex<Vec<u32>>>,
 }
 
 impl QueryScratch {
     /// Creates a scratch sized for an index with `word_len`-symbol words,
-    /// `series_len`-point series, `num_queues` refinement queues and
-    /// `lanes` pool lanes.
-    pub fn new(word_len: usize, series_len: usize, num_queues: usize, lanes: usize) -> Self {
+    /// `series_len`-point series and `lanes` pool lanes (one refinement
+    /// queue and one DFS stack per lane).
+    pub fn new(word_len: usize, series_len: usize, lanes: usize) -> Self {
         QueryScratch {
             q: Vec::with_capacity(series_len),
             values: vec![0.0; word_len],
@@ -93,8 +92,8 @@ impl QueryScratch {
             root_lbd: RootLbd::empty(),
             knn: KnnSet::new(1),
             range: Mutex::new(Vec::new()),
-            queues: (0..num_queues).map(|_| Mutex::new(BinaryHeap::new())).collect(),
-            done: (0..num_queues).map(|_| AtomicBool::new(false)).collect(),
+            queues: (0..lanes).map(|_| Mutex::new(BinaryHeap::new())).collect(),
+            done: (0..lanes).map(|_| AtomicBool::new(false)).collect(),
             lanes: (0..lanes).map(|_| Mutex::new(Vec::new())).collect(),
         }
     }
@@ -166,7 +165,7 @@ mod tests {
     fn scratch_checkout_returns_on_drop() {
         let pool: ScratchPool = Mutex::new(Vec::with_capacity(4));
         {
-            let mut guard = ScratchGuard::checkout(&pool, || QueryScratch::new(8, 64, 2, 2));
+            let mut guard = ScratchGuard::checkout(&pool, || QueryScratch::new(8, 64, 2));
             guard.begin(3);
             assert_eq!(guard.values.len(), 8);
             assert_eq!(guard.queues.len(), 2);
@@ -180,7 +179,7 @@ mod tests {
 
     #[test]
     fn begin_clears_leftover_state() {
-        let mut s = QueryScratch::new(4, 16, 2, 1);
+        let mut s = QueryScratch::new(4, 16, 2);
         s.queues[0].get_mut().push(Reverse(QueueEntry { lbd: 1.0, subtree: 0, node: 0 }));
         *s.done[1].get_mut() = true;
         s.knn.offer(crate::bsf::Neighbor { row: 1, dist_sq: 0.5 });

@@ -4,10 +4,10 @@
 //! [`Index::open`] can serve straight out of a memory mapping with zero
 //! deserialization of the two big arenas (series data, words) — the
 //! FAISS-style "attach, don't rebuild" pattern. Small structures (tree
-//! topology, leaf packs, collect blocks, quantizer) are rehydrated into
+//! topology, leaf packs, quantizer) are rehydrated into
 //! their owned in-memory forms; they are a small fraction of the file.
 //!
-//! ## File format (version 2)
+//! ## File format (version 3)
 //!
 //! ```text
 //! offset 0   magic            b"SOFASNAP"
@@ -41,13 +41,12 @@
 
 use crate::arena::Arena;
 use crate::config::IndexConfig;
-use crate::node::{CollectBlock, LeafPack, Node, NodeKind, Subtree};
+use crate::node::{LeafPack, Node, NodeKind, Subtree};
 use crate::{Index, IndexError};
 use sofa_exec::{failpoint, ExecPool};
 use sofa_mmap::{Advice, Mmap};
 use sofa_summaries::{
-    CoeffPos, ISax, McbModel, NodeBlock, QuantBlock, QuantGrid, SaxConfig, Sfa, Summarization,
-    WordBlock,
+    CoeffPos, ISax, McbModel, QuantBlock, QuantGrid, SaxConfig, Sfa, Summarization, WordBlock,
 };
 use std::fs::File;
 use std::io::Write;
@@ -58,7 +57,7 @@ use std::sync::Arc;
 /// First 8 bytes of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SOFASNAP";
 /// The one format version this build writes and reads.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
 /// Failpoint fired before each section write (torn-write injection).
 pub const SNAPSHOT_WRITE_FAILPOINT: &str = "sofa-index::snapshot::write";
 /// Failpoint fired before the final atomic rename.
@@ -76,7 +75,6 @@ const SEC_WORDS: u32 = 4;
 const SEC_MAPPING: u32 = 5;
 const SEC_TREE: u32 = 6;
 const SEC_PACKS: u32 = 7;
-const SEC_COLLECT: u32 = 8;
 const SEC_QUANT: u32 = 9;
 
 fn section_name(id: u32) -> &'static str {
@@ -88,7 +86,6 @@ fn section_name(id: u32) -> &'static str {
         SEC_MAPPING => "mapping",
         SEC_TREE => "tree",
         SEC_PACKS => "leaf-packs",
-        SEC_COLLECT => "collect",
         SEC_QUANT => "quant",
         _ => "unknown",
     }
@@ -563,8 +560,8 @@ pub struct SnapshotCapabilities {
     pub leaf_capacity: usize,
     /// Whether the config asks for the int8 quantized refine tier.
     pub quant_refine: bool,
-    /// Whether that tier was actually enabled when the snapshot was cut
-    /// (it self-disables when mispredictions make it unprofitable).
+    /// Whether queries consulted that tier when the snapshot was cut (the
+    /// [`Index::set_quant_refine`] switch).
     pub quant_enabled: bool,
     /// Whether the file carries a quantizer grid + per-leaf codes at all.
     pub quant_grid_present: bool,
@@ -854,7 +851,6 @@ impl<S: SnapshotSummarization> Index<S> {
         sections.push((SEC_MAPPING, SecPayload::Owned(mapping)));
         sections.push((SEC_TREE, SecPayload::Owned(self.encode_tree())));
         sections.push((SEC_PACKS, SecPayload::Owned(self.encode_packs())));
-        sections.push((SEC_COLLECT, SecPayload::Owned(self.encode_collect())));
         if self.quant_grid.is_some() {
             sections.push((SEC_QUANT, SecPayload::Owned(self.encode_quant())));
         }
@@ -923,24 +919,6 @@ impl<S: SnapshotSummarization> Index<S> {
                     put_len(&mut out, pack.block.n());
                     put_len(&mut out, pack.block.bounds().len());
                     put_f32_slice(&mut out, pack.block.bounds());
-                }
-            }
-        }
-        out
-    }
-
-    fn encode_collect(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        for st in &self.subtrees {
-            match &st.collect {
-                None => put_u8(&mut out, 0),
-                Some(cb) => {
-                    put_u8(&mut out, 1);
-                    put_len(&mut out, cb.node_ids.len());
-                    put_u32_slice(&mut out, &cb.node_ids);
-                    put_len(&mut out, cb.block.n());
-                    put_len(&mut out, cb.block.bounds().len());
-                    put_f32_slice(&mut out, cb.block.bounds());
                 }
             }
         }
@@ -1184,7 +1162,7 @@ fn decode_tree(
             nodes.push(Node { prefixes, bits, kind });
         }
         validate_tree_shape(&nodes).map_err(|d| corrupt("tree", format!("subtree {si}: {d}")))?;
-        subtrees.push(Subtree { key, nodes, collect: None, stale_leaves });
+        subtrees.push(Subtree { key, nodes, stale_leaves });
     }
     r.finish()?;
     if let Some(row) = seen_rows.iter().position(|&s| !s) {
@@ -1235,36 +1213,6 @@ fn decode_packs(
             }
         }
         *pack = Some(LeafPack { start, block, quant: None });
-    }
-    r.finish()
-}
-
-fn decode_collect(buf: &[u8], meta: &Meta, subtrees: &mut [Subtree]) -> Result<(), IndexError> {
-    let mut r = SectionReader::new(buf, "collect");
-    for (si, subtree) in subtrees.iter_mut().enumerate() {
-        if !decode_flag(&mut r, "has-collect")? {
-            continue;
-        }
-        let n_nodes = subtree.nodes.len();
-        let n_fringe = r.bounded_count(4)?;
-        let node_ids = r.u32_vec(n_fringe)?;
-        for &id in &node_ids {
-            let id = id as usize;
-            if id >= n_nodes || !matches!(subtree.nodes[id].kind, NodeKind::Leaf { .. }) {
-                return Err(
-                    r.invalid(format!("fringe references node {id}, not a leaf of subtree {si}"))
-                );
-            }
-        }
-        let n = r.count()?;
-        if n != n_fringe {
-            return Err(r.invalid(format!("node block covers {n} nodes, expected {n_fringe}")));
-        }
-        let bounds_len = r.bounded_count(4)?;
-        let bounds = r.f32_vec(bounds_len)?;
-        let block = NodeBlock::from_raw_parts(n, meta.word_len, bounds)
-            .map_err(|d| corrupt("collect", d))?;
-        subtree.collect = Some(CollectBlock { node_ids, block });
     }
     r.finish()
 }
@@ -1434,7 +1382,6 @@ impl<S: SnapshotSummarization> Index<S> {
             &mut subtrees,
             &slot_to_row,
         )?;
-        decode_collect(section_slice(bytes, &entries, SEC_COLLECT)?, &meta, &mut subtrees)?;
         let quant_grid = if meta.grid_present {
             let Ok(buf) = section_slice(bytes, &entries, SEC_QUANT) else {
                 return Err(layout(
@@ -1475,7 +1422,6 @@ impl<S: SnapshotSummarization> Index<S> {
         let config = IndexConfig {
             leaf_capacity: meta.leaf_capacity,
             num_threads: threads,
-            num_queues: threads,
             auto_repack_pct: meta.auto_repack_pct,
             quant_refine: meta.quant_refine,
         };
@@ -1591,9 +1537,7 @@ mod tests {
         assert_eq!(info.format_version, SNAPSHOT_FORMAT_VERSION);
         assert_eq!(info.summarization_kind, <ISax as SnapshotSummarization>::KIND);
         let names: Vec<&str> = info.sections.iter().map(|s| s.name).collect();
-        for want in
-            ["meta", "summarization", "data", "words", "mapping", "tree", "leaf-packs", "collect"]
-        {
+        for want in ["meta", "summarization", "data", "words", "mapping", "tree", "leaf-packs"] {
             assert!(names.contains(&want), "missing section {want}: {names:?}");
         }
         for s in &info.sections {
@@ -1641,22 +1585,26 @@ mod tests {
     fn version_1_snapshot_fails_closed_with_format_error() {
         let idx = sax_index(200);
         let path = tmp_path("v1");
-        idx.snapshot(&path).expect("snapshot");
-        // Version 1 files carry hierarchy-level collect state this build
-        // no longer reads: the version check rejects them before any
-        // section is interpreted.
-        let mut bytes = std::fs::read(&path).expect("read");
-        bytes[8..12].copy_from_slice(&1u32.to_ne_bytes());
-        std::fs::write(&path, &bytes).expect("write");
-        match Index::<ISax>::open(&path) {
-            Err(IndexError::SnapshotFormat { section, detail }) => {
-                assert_eq!(section, "header");
-                assert!(detail.contains("unsupported format version 1"), "{detail}");
+        // Version 1 files carry hierarchy-level collect state and version
+        // 2 files a node-block collect section, neither of which this
+        // build reads: the version check rejects them before any section
+        // is interpreted.
+        for version in [1u32, 2] {
+            idx.snapshot(&path).expect("snapshot");
+            let mut bytes = std::fs::read(&path).expect("read");
+            bytes[8..12].copy_from_slice(&version.to_ne_bytes());
+            std::fs::write(&path, &bytes).expect("write");
+            match Index::<ISax>::open(&path) {
+                Err(IndexError::SnapshotFormat { section, detail }) => {
+                    assert_eq!(section, "header");
+                    let want = format!("unsupported format version {version}");
+                    assert!(detail.contains(&want), "{detail}");
+                }
+                Err(other) => panic!("expected SnapshotFormat, got {other:?}"),
+                Ok(_) => panic!("v{version} open must fail"),
             }
-            Err(other) => panic!("expected SnapshotFormat, got {other:?}"),
-            Ok(_) => panic!("v1 open must fail"),
+            assert!(matches!(describe(&path), Err(IndexError::SnapshotFormat { .. })));
         }
-        assert!(matches!(describe(&path), Err(IndexError::SnapshotFormat { .. })));
         std::fs::remove_file(&path).ok();
     }
 

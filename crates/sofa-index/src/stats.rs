@@ -29,8 +29,6 @@ pub(crate) struct KernelCounters {
     /// Candidate lanes pruned by the block sweep (whole-group abandons
     /// plus individual lanes whose lower bound met the BSF).
     pub block_lanes_abandoned: AtomicU64,
-    /// 8-leaf groups swept by the collect-phase node-block kernel.
-    pub collect_groups_swept: AtomicU64,
     /// 8-candidate groups swept by the quantized refine kernel.
     pub quant_groups_swept: AtomicU64,
     /// Candidate lanes the quantized tier pruned after the word bound let
@@ -53,10 +51,6 @@ impl KernelCounters {
     pub(crate) fn record_block_sweep(&self, groups: u64, lanes_abandoned: u64) {
         self.block_groups_swept.fetch_add(groups, Ordering::Relaxed);
         self.block_lanes_abandoned.fetch_add(lanes_abandoned, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_collect_sweep(&self, groups: u64) {
-        self.collect_groups_swept.fetch_add(groups, Ordering::Relaxed);
     }
 
     pub(crate) fn record_quant_sweep(&self, groups: u64, lanes_killed: u64, bytes: u64) {
@@ -106,9 +100,6 @@ pub struct IndexStats {
     pub block_groups_swept: u64,
     /// Candidate lanes pruned by the block sweep.
     pub block_lanes_abandoned: u64,
-    /// 8-leaf groups swept by the collect-phase node-block kernel (each
-    /// replaces up to 8 scalar `mindist_node` evaluations).
-    pub collect_groups_swept: u64,
     /// 8-candidate groups swept by the quantized refine kernel.
     pub quant_groups_swept: u64,
     /// Candidate lanes the quantized tier pruned after the word bound let
@@ -170,7 +161,6 @@ impl<S: Summarization> Index<S> {
             queries_cancelled: self.counters.queries_cancelled.load(Ordering::Relaxed),
             block_groups_swept: self.counters.block_groups_swept.load(Ordering::Relaxed),
             block_lanes_abandoned: self.counters.block_lanes_abandoned.load(Ordering::Relaxed),
-            collect_groups_swept: self.counters.collect_groups_swept.load(Ordering::Relaxed),
             quant_groups_swept: self.counters.quant_groups_swept.load(Ordering::Relaxed),
             quant_lanes_killed: self.counters.quant_lanes_killed.load(Ordering::Relaxed),
             refine_bytes_per_query: {
@@ -278,6 +268,5 @@ mod tests {
         let after = idx.stats();
         assert_eq!(after.queries_served, 1);
         assert!(after.block_groups_swept > 0, "block sweep never ran: {after:?}");
-        assert!(after.collect_groups_swept > 0, "collect sweep never ran: {after:?}");
     }
 }

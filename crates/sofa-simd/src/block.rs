@@ -21,11 +21,9 @@
 //! and `weights` hold the query's `l` exact values and lower-bound
 //! weights.
 //!
-//! A "candidate" is anything with one quantization interval per position:
-//! the kernel serves both leaf refinement (`sofa-summaries`' `WordBlock`,
-//! full-cardinality symbol intervals) and the tree's collect phase
-//! (`NodeBlock`, variable-cardinality prefix intervals — unconstrained
-//! positions store `(-inf, +inf)` and contribute exactly `0.0`).
+//! A "candidate" is anything with one quantization interval per position;
+//! the kernel serves leaf refinement (`sofa-summaries`' `WordBlock`,
+//! full-cardinality symbol intervals, unbounded at the alphabet edges).
 //!
 //! ## Early abandoning
 //!
@@ -150,7 +148,7 @@ pub fn block_lower_bound(
 /// Per-lane accumulator initializer for the masked block kernels: live
 /// lanes start at `0.0`, dead lanes at `+inf`. A dead lane's sum stays
 /// `+inf` through the sweep (`inf + finite = inf`; the per-position `d` is
-/// always finite, even for `(-inf, +inf)` collect intervals, so no NaN can
+/// always finite, even for `(-inf, +inf)` intervals, so no NaN can
 /// form), which makes dead lanes (a) automatically `> bsf_sq` at every
 /// abandon checkpoint — a mostly-dead group abandons *sooner* — and (b)
 /// automatically rejected by the caller's per-lane bound comparison. Live

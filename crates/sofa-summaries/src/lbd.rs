@@ -79,7 +79,7 @@ impl QueryEnv {
 /// Interval covered by full-cardinality symbols `lo_sym ..= hi_sym` of a
 /// breakpoint table, with infinities at the alphabet edges — the one
 /// implementation of the edge rule, shared by the scalar kernels here and
-/// the SoA block builders in [`crate::block`] (the bit-for-bit
+/// the SoA block builder in [`crate::block`] (the bit-for-bit
 /// block-vs-scalar guarantee rests on there being exactly one copy).
 #[inline]
 #[must_use]
@@ -96,9 +96,7 @@ pub(crate) fn symbols_interval(
 
 /// Interval covered by a node's `bits`-bit `prefix` at one position: the
 /// union of all full-cardinality symbols sharing the prefix, unbounded
-/// for zero-bit (unconstrained) positions. Shared by [`mindist_node`] and
-/// the [`crate::NodeBlock`] builder for the same single-copy reason as
-/// [`symbols_interval`].
+/// for zero-bit (unconstrained) positions.
 #[inline]
 #[must_use]
 pub(crate) fn prefix_interval(

@@ -45,7 +45,7 @@ pub mod sfa;
 pub mod tlb;
 pub mod traits;
 
-pub use block::{mindist_block, mindist_block_masked, mindist_node_block, NodeBlock, WordBlock};
+pub use block::{mindist_block, mindist_block_masked, WordBlock};
 pub use dft::DftSummary;
 pub use lbd::{
     ip_bound_from_mindist, ip_from_score, ip_l2_radius, ip_score, mindist_node, mindist_scalar,

@@ -248,9 +248,8 @@ impl Builder {
     }
 
     fn index_config(&self) -> IndexConfig {
-        // Lane-derived knobs (worker count, refinement-queue count) must
-        // follow the *effective* execution width: a shared pool overrides
-        // `threads`.
+        // The worker count must follow the *effective* execution width:
+        // a shared pool overrides `threads`.
         let lanes = self.pool.as_ref().map_or(self.threads, |p| p.threads());
         IndexConfig::with_threads(lanes)
             .leaf_capacity(self.leaf_capacity)

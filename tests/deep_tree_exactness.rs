@@ -1,12 +1,11 @@
 //! Deep-tree exactness under churn: concentrated root keys (one
 //! hierarchically clustered prototype family, so the index builds deep
-//! subtrees whose collect blocks hold many fringe lanes), online insert
-//! bursts that leave lanes stale mid-query-stream, and incremental
-//! repacks — must return brute-force answers at every stage, for 500
-//! queries across the suite.
+//! subtrees the collect DFS must descend), online insert bursts that
+//! split leaves mid-query-stream, and incremental repacks — must return
+//! brute-force answers at every stage, for 500 queries across the suite.
 //!
 //! CI replays this binary under `SOFA_FORCE_SCALAR=1` as well, so the
-//! leaf-fringe collect sweep is proven exact on every dispatch tier.
+//! deep-tree path is proven exact on every dispatch tier.
 
 use sofa::baselines::FlatL2;
 use sofa::data::registry;
@@ -68,8 +67,8 @@ fn deep_tree_serving_stays_exact_through_inserts_and_incremental_repacks() {
         .collect();
 
     // Small leaves + a 12-symbol word force genuinely deep subtrees at
-    // this scale; auto-repack is off so stale lanes persist until the
-    // explicit incremental repacks below.
+    // this scale; auto-repack is off so split leaves stay unpacked until
+    // the explicit incremental repacks below.
     let mut index = Builder::default()
         .threads(2)
         .leaf_capacity(8)
@@ -81,23 +80,32 @@ fn deep_tree_serving_stays_exact_through_inserts_and_incremental_repacks() {
     let stats = index.stats();
     assert!(stats.max_depth >= 4, "workload must build a deep tree: {stats:?}");
 
-    // Phase 1: freshly built (every leaf packed, collect blocks live).
+    // Phase 1: freshly built (every leaf packed).
     let flat = FlatL2::new(&all[..initial], n, 2);
     assert_exact(&index, &flat, &holdout[..per_phase * n], n, 3, "phase1-holdout");
 
     // Phase 2: known-item stream on the packed tree; also prove the
-    // fringe sweep actually engages under the active dispatch tier.
-    let mut collect_groups = 0usize;
-    for q in dups.chunks(n) {
-        let (_, s) = index.knn_with_stats(q, 1).expect("stats query");
-        collect_groups += s.collect_groups_swept;
-    }
-    assert!(collect_groups > 0, "deep workload must exercise the collect sweep");
+    // collect DFS goes below a root. A root-gated or single-leaf subtree
+    // counts exactly 1 collected or pruned node, so a query whose total
+    // exceeds the subtree count descended into a split subtree; most of
+    // the stream must.
+    let subtrees = stats.subtrees;
+    let descended = dups
+        .chunks(n)
+        .filter(|q| {
+            let (_, s) = index.knn_with_stats(q, 1).expect("stats query");
+            s.leaves_collected + s.nodes_pruned > subtrees
+        })
+        .count();
+    assert!(
+        descended * 2 > per_phase,
+        "collect DFS went below a root on only {descended}/{per_phase} queries \
+         ({subtrees} subtrees)"
+    );
     assert_exact(&index, &flat, &dups, n, 1, "phase2-dups");
 
-    // Phase 3: first insert burst — lanes go stale mid-stream (splits
-    // keep their parent-interval bounds); queries must stay exact with
-    // NO repack.
+    // Phase 3: first insert burst — leaves split and go unpacked
+    // mid-stream; queries must stay exact with NO repack.
     let burst1 = initial + (count / 8) * n;
     index.insert_all(&all[initial..burst1]).expect("insert");
     assert!(

@@ -15,8 +15,8 @@ use sofa::simd::{
     znormalize, BLOCK_LANES,
 };
 use sofa::summaries::{
-    mindist_node, mindist_node_block, mindist_scalar, mindist_simd, ISax, NodeBlock, QuantBlock,
-    QuantGrid, QueryContext, SaxConfig, Sfa, SfaConfig, Summarization,
+    mindist_scalar, mindist_simd, ISax, QuantBlock, QuantGrid, QueryContext, SaxConfig, Sfa,
+    SfaConfig, Summarization,
 };
 use sofa::Builder;
 
@@ -110,104 +110,6 @@ proptest! {
         let a = index.nn(query).expect("query").dist_sq;
         let b = scan.nn(query).dist_sq;
         prop_assert!((a - b).abs() <= 2e-3 * a.max(1.0), "index={a} scan={b}");
-    }
-
-    #[test]
-    fn node_block_is_bitwise_equal_to_scalar_mindist_node_sax(
-        data in dataset_strategy(40, 32),
-        n_nodes in 1usize..=17,
-        bit_depths in proptest::collection::vec(0u8..=8, 17 * 8),
-        // Scale the query down to (and past) the denormal range: the
-        // kernels must agree bit-for-bit on denormal arithmetic too.
-        scale_sel in 0usize..4,
-    ) {
-        let scale_exp = [0i32, -20, -38, -44][scale_sel];
-        let n = 32;
-        let l = 8;
-        let z = znorm_rows(&data, n);
-        let sax = ISax::new(n, &SaxConfig { word_len: l, alphabet: 256 });
-        let mut tr = sax.transformer();
-        // Node labels: each node keeps `bit_depths` most significant bits
-        // of a real word's symbols (0 bits = unconstrained position).
-        let nodes: Vec<(Vec<u8>, Vec<u8>)> = (0..n_nodes)
-            .map(|i| {
-                let word = tr.word(&z[(i % (z.len() / n)) * n..][..n], l);
-                let bits: Vec<u8> = (0..l).map(|j| bit_depths[i * l + j]).collect();
-                let prefixes: Vec<u8> = word
-                    .iter()
-                    .zip(bits.iter())
-                    .map(|(&s, &b)| if b == 0 { 0 } else { s >> (8 - b) })
-                    .collect();
-                (prefixes, bits)
-            })
-            .collect();
-        let refs: Vec<(&[u8], &[u8])> =
-            nodes.iter().map(|(p, b)| (p.as_slice(), b.as_slice())).collect();
-        let block = NodeBlock::build(&sax, &refs);
-        prop_assert_eq!(block.n(), n_nodes);
-        // A query scaled toward denormals (not z-normalized on purpose —
-        // QueryContext::new takes the values as-is, so tiny PAA means
-        // reach the kernel).
-        let scale = 10f32.powi(scale_exp);
-        let query: Vec<f32> = z[..n].iter().map(|&v| v * scale).collect();
-        let ctx = QueryContext::new(&sax, &query);
-        let mut out = [0.0f32; BLOCK_LANES];
-        for g in 0..block.n_groups() {
-            let abandoned = mindist_node_block(&ctx, &block, g, f32::INFINITY, &mut out);
-            prop_assert!(!abandoned, "nothing abandons against an infinite bound");
-            for (lane, &lb) in out.iter().enumerate().take(block.lanes_in(g)) {
-                let (p, b) = &nodes[g * BLOCK_LANES + lane];
-                let scalar = mindist_node(&ctx, p, b);
-                // Bit-for-bit, across tiers: CI replays this proptest
-                // under SOFA_FORCE_SCALAR=1 as well, and the sofa-simd
-                // proptests pin the scalar/portable/AVX2 block kernels to
-                // identical bits, so equality here covers the whole
-                // dispatch matrix.
-                prop_assert_eq!(
-                    lb.to_bits(), scalar.to_bits(),
-                    "group {} lane {}: block {} vs scalar {}", g, lane, lb, scalar
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn node_block_is_bitwise_equal_to_scalar_mindist_node_sfa(
-        data in dataset_strategy(30, 32),
-        n_nodes in 1usize..=17,
-        bit_depth in 0u8..=5,
-    ) {
-        let n = 32;
-        let l = 8;
-        let z = znorm_rows(&data, n);
-        let sfa = Sfa::learn(
-            &z,
-            n,
-            &SfaConfig { word_len: l, alphabet: 32, sample_ratio: 1.0, ..Default::default() },
-        );
-        let mut tr = sfa.transformer();
-        let rows = z.len() / n;
-        let nodes: Vec<(Vec<u8>, Vec<u8>)> = (0..n_nodes)
-            .map(|i| {
-                let word = tr.word(&z[(i % rows) * n..][..n], l);
-                let b = (bit_depth + i as u8) % 6; // mixed depths incl. 0
-                let prefixes: Vec<u8> =
-                    word.iter().map(|&s| if b == 0 { 0 } else { s >> (5 - b) }).collect();
-                (prefixes, vec![b; l])
-            })
-            .collect();
-        let refs: Vec<(&[u8], &[u8])> =
-            nodes.iter().map(|(p, b)| (p.as_slice(), b.as_slice())).collect();
-        let block = NodeBlock::build(&sfa, &refs);
-        let ctx = QueryContext::new(&sfa, &z[..n]);
-        let mut out = [0.0f32; BLOCK_LANES];
-        for g in 0..block.n_groups() {
-            let _ = mindist_node_block(&ctx, &block, g, f32::INFINITY, &mut out);
-            for (lane, &lb) in out.iter().enumerate().take(block.lanes_in(g)) {
-                let (p, b) = &nodes[g * BLOCK_LANES + lane];
-                prop_assert_eq!(lb.to_bits(), mindist_node(&ctx, p, b).to_bits());
-            }
-        }
     }
 
     #[test]
