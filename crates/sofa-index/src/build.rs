@@ -93,7 +93,7 @@ impl<S: Summarization> Index<S> {
         }
         let l = summarization.word_len();
         let symbol_bits = summarization.symbol_bits();
-        if l > 64 {
+        if l > crate::node::MAX_WORD_LEN {
             return Err(IndexError::BadDataset("word length > 64 unsupported".into()));
         }
 
@@ -155,7 +155,7 @@ impl<S: Summarization> Index<S> {
 
         // --- Phase 4: pack leaves. Storage starts in row order (identity
         // slot maps); `repack_leaves` permutes it into leaf-contiguous
-        // order and builds the per-leaf SoA word blocks.
+        // order and records each leaf's run.
         let query_env = sofa_summaries::QueryEnv::new(&summarization);
         let quant_enabled = std::sync::atomic::AtomicBool::new(config.quant_refine);
         let mut index = Index {
@@ -186,14 +186,13 @@ impl<S: Summarization> Index<S> {
 
     /// Rebuilds the leaf-contiguous storage layout: permutes the series
     /// and word arenas so every leaf's candidates occupy one contiguous
-    /// run of storage slots (in leaf order), rebuilds each leaf's
-    /// structure-of-arrays [`sofa_summaries::WordBlock`] for the batched
-    /// lower-bound sweep.
+    /// run of storage slots (in leaf order), the shape the batched
+    /// lower-bound sweep reads, and rebuilds each leaf's pack.
     ///
     /// The bulk build calls this automatically. Online inserts instead
     /// trigger the cheaper [`Index::repack_incremental`] (when
     /// [`crate::IndexConfig::auto_repack_pct`] is set, the default);
-    /// call this full variant to force every block to rebuild — e.g.
+    /// call this full variant to force every pack to rebuild — e.g.
     /// after changing assumptions about the stored layout. The
     /// permutation is applied in place (cycle-walking with one temporary
     /// row), so no second copy of the dataset is ever held.
@@ -203,8 +202,8 @@ impl<S: Summarization> Index<S> {
 
     /// Incremental repack: restores the packed layout like
     /// [`Index::repack_leaves`], but only subtrees with stale leaves
-    /// (leaves touched by online inserts or splits) rebuild their word
-    /// blocks. Untouched subtrees reuse their existing blocks
+    /// (leaves touched by online inserts or splits) rebuild their packs.
+    /// Untouched subtrees reuse their existing packs
     /// — their arena runs are either left in place entirely or shifted by
     /// a constant (when an earlier subtree grew), which only updates each
     /// pack's start slot. This is what the auto-repack trigger runs.
@@ -221,7 +220,7 @@ impl<S: Summarization> Index<S> {
 
     /// The one repack implementation (see [`Index::repack_leaves`] /
     /// [`Index::repack_incremental`]): `full` rebuilds every subtree's
-    /// blocks, `!full` only the stale ones.
+    /// packs, `!full` only the stale ones.
     fn repack_core(&mut self, full: bool) {
         let n = self.series_len;
         let l = self.word_len;
@@ -300,9 +299,8 @@ impl<S: Summarization> Index<S> {
         }
         self.slot_to_row[scan_lo..].copy_from_slice(&suffix_rows);
 
-        // Word blocks, one subtree batch per pool lane
-        // (subtrees are disjoint, so `chunks_mut` hands each lane its own
-        // slice).
+        // Leaf packs, one subtree batch per pool lane (subtrees are
+        // disjoint, so `chunks_mut` hands each lane its own slice).
         let quant_on = self.config.quant_refine && n <= crate::node::QUANT_REFINE_MAX_LEN && n > 0;
         if quant_on && self.quant_grid.is_none() {
             // Train the index-wide quantizer once, on a strided row sample
@@ -322,10 +320,8 @@ impl<S: Summarization> Index<S> {
                 sofa_summaries::QuantGrid::train(&sample, n)
             };
         }
-        let words = &self.words;
         let data = &self.data;
         let quant_grid = if quant_on { self.quant_grid.as_ref() } else { None };
-        let summarization: &dyn Summarization = &self.summarization;
         let per_lane = self.subtrees.len().div_ceil(self.pool.threads()).max(1);
         self.pool.run(|scope| {
             for ((chunk, base_chunk), old_base_chunk) in self
@@ -335,22 +331,17 @@ impl<S: Summarization> Index<S> {
                 .zip(old_bases.chunks(per_lane))
             {
                 scope.spawn(move || {
-                    let mut rebuilt = vec![false; chunk.len()];
-                    for ((i, (st, &base)), &old_base) in chunk
-                        .iter_mut()
-                        .zip(base_chunk.iter())
-                        .enumerate()
-                        .zip(old_base_chunk.iter())
+                    for ((st, &base), &old_base) in
+                        chunk.iter_mut().zip(base_chunk.iter()).zip(old_base_chunk.iter())
                     {
                         if !full && st.stale_leaves == 0 {
                             if let Some(old) = old_base {
                                 // Clean subtree: every leaf is packed and
-                                // no label changed since its blocks were
-                                // built, so the word blocks are
-                                // reused verbatim. Its contiguous run may
-                                // have shifted as a whole (an earlier
-                                // subtree grew); only the start slots
-                                // need the delta.
+                                // no label changed since its packs were
+                                // built, so they are reused verbatim. Its
+                                // contiguous run may have shifted as a
+                                // whole (an earlier subtree grew); only
+                                // the start slots need the delta.
                                 let delta = base as i64 - i64::from(old);
                                 if delta != 0 {
                                     for node in st.nodes.iter_mut() {
@@ -367,51 +358,23 @@ impl<S: Summarization> Index<S> {
                                 continue;
                             }
                         }
-                        rebuilt[i] = true;
                         let mut next = base;
                         for node in st.nodes.iter_mut() {
                             if let NodeKind::Leaf { rows, pack } = &mut node.kind {
                                 let start = next;
                                 next += rows.len();
-                                let block = sofa_summaries::WordBlock::build(
-                                    summarization,
-                                    &words[start * l..next * l],
-                                );
-                                // The quant codes are built in a second
-                                // pass below: a leaf's codes are ~4x its
-                                // word block, so allocating them here
-                                // would interleave the word-sweep stream
-                                // (every query walks consecutive leaves'
-                                // word blocks) with cold code pages.
-                                // Lossless: start < n_series <= u32::MAX.
-                                *pack = Some(crate::node::LeafPack {
-                                    start: start as u32,
-                                    block,
-                                    quant: None,
+                                let quant = quant_grid.and_then(|grid| {
+                                    sofa_summaries::QuantBlock::build(
+                                        grid,
+                                        &data[start * n..next * n],
+                                        n,
+                                    )
                                 });
+                                // Lossless: start < n_series <= u32::MAX.
+                                *pack = Some(crate::node::LeafPack { start: start as u32, quant });
                             }
                         }
                         st.stale_leaves = 0;
-                    }
-                    if let Some(grid) = quant_grid {
-                        // Deferred quant pass: only now that every rebuilt
-                        // leaf's word blocks sit contiguously does
-                        // the tier allocate its (much larger) code blocks.
-                        for (st, &was_rebuilt) in chunk.iter_mut().zip(rebuilt.iter()) {
-                            if !was_rebuilt {
-                                continue;
-                            }
-                            for node in st.nodes.iter_mut() {
-                                if let NodeKind::Leaf { rows, pack: Some(pack) } = &mut node.kind {
-                                    let start = pack.start as usize;
-                                    pack.quant = sofa_summaries::QuantBlock::build(
-                                        grid,
-                                        &data[start * n..(start + rows.len()) * n],
-                                        n,
-                                    );
-                                }
-                            }
-                        }
                     }
                 });
             }
@@ -754,7 +717,9 @@ mod tests {
         for st in idx.subtrees() {
             for leaf in st.leaves() {
                 let pack = leaf.pack().expect("leaf must be packed");
-                assert_eq!(pack.block.n(), leaf.rows().len());
+                if let Some(qb) = &pack.quant {
+                    assert_eq!(qb.n(), leaf.rows().len());
+                }
                 for (i, &row) in leaf.rows().iter().enumerate() {
                     let slot = pack.start as usize + i;
                     assert_eq!(idx.slot_to_row[slot], row, "slot {slot} holds the wrong row");

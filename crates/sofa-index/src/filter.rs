@@ -10,7 +10,7 @@
 //! than post-filtering a wider answer: refine-phase lane groups AND the
 //! bitmap into the SIMD sweep's lane mask (dead lanes price as `+inf`
 //! and accelerate whole-group abandons — see
-//! [`sofa_simd::block_lower_bound_masked`]), and the approximate seed
+//! [`sofa_simd::lut_lower_bound`]), and the approximate seed
 //! phase skips rejected rows so the best-so-far never tightens on a row
 //! the caller excluded (which would make results *wrong*, not just
 //! slower: an inadmissible near neighbor must not shadow an admissible

@@ -146,9 +146,9 @@ impl<S: Summarization> Index<S> {
     /// un-packed leaves exceed the configured percentage of the tree,
     /// restore the packed layout on the worker pool right away instead of
     /// waiting for an operator call. The trigger runs the *incremental*
-    /// repack — only subtrees with stale leaves rebuild their word
-    /// blocks, untouched subtrees reuse theirs — so the dominant
-    /// repack cost (block construction) scales with the touched portion
+    /// repack — only subtrees with stale leaves rebuild their packs,
+    /// untouched subtrees reuse theirs — so the dominant repack cost
+    /// (data movement and quant encoding) scales with the touched portion
     /// of the tree (slot bookkeeping remains one O(n) scan; see
     /// [`Index::repack_incremental`]), keeping long-running serving
     /// instances on the batched leaf sweep.

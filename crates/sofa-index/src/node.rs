@@ -9,25 +9,23 @@
 //! one position by one bit (set to 0 and 1 — the iSAX split), chosen to
 //! balance the series between them (as in iSAX 2.0 / MESSI).
 
-use sofa_summaries::{QuantBlock, WordBlock};
+use sofa_summaries::QuantBlock;
 
 /// Node id within one subtree's arena.
 pub type NodeId = u32;
 
 /// Query-acceleration storage of a packed leaf: after the build's packing
-/// phase, the leaf's series occupy a contiguous run of *storage slots*
-/// (`start .. start + rows.len()`) in the index's data/words arenas, in
-/// `rows` order, and `block` holds the leaf's words as a
-/// structure-of-arrays [`WordBlock`] for the batched lower-bound sweep.
-/// Online inserts into a leaf drop its pack (set it to `None`): the
-/// refinement path then falls back to per-row evaluation for that leaf
-/// until [`crate::Index::repack_leaves`] rebuilds the layout.
+/// phase, the leaf's series and words occupy a contiguous run of *storage
+/// slots* (`start .. start + rows.len()`) in the index's data/words
+/// arenas, in `rows` order, so the refine sweep reads 8 candidates' words
+/// as one row-major run of the word arena. Online inserts into a leaf
+/// drop its pack (set it to `None`): the refinement path then falls back
+/// to per-row evaluation for that leaf until
+/// [`crate::Index::repack_leaves`] rebuilds the layout.
 #[derive(Clone, Debug)]
 pub struct LeafPack {
     /// First storage slot of the leaf's contiguous series/words run.
     pub start: u32,
-    /// SoA lower-bound block over the leaf's words (8 candidates/group).
-    pub block: WordBlock,
     /// Scalar-quantized codes + per-row error bounds over the same rows,
     /// encoded under the index-wide grid — the compressed middle refine
     /// tier. `None` when the tier is disabled
@@ -116,8 +114,8 @@ pub struct Subtree {
     pub nodes: Vec<Node>,
     /// Leaves of this subtree whose packed layout went stale (dropped
     /// packs from online inserts, split children). Drives the incremental
-    /// repack: only subtrees with `stale_leaves > 0` rebuild their word
-    /// blocks; clean subtrees reuse theirs.
+    /// repack: only subtrees with `stale_leaves > 0` rebuild their packs;
+    /// clean subtrees reuse theirs.
     pub stale_leaves: usize,
 }
 
@@ -158,6 +156,10 @@ impl Subtree {
     }
 }
 
+/// Longest word the index accepts: root keys hold one bit per position
+/// in a `u64`. Build and snapshot open both reject longer words.
+pub(crate) const MAX_WORD_LEN: usize = 64;
+
 /// Computes the root key of a word: bit `j` = most significant bit of
 /// symbol `j`.
 ///
@@ -166,7 +168,7 @@ impl Subtree {
 #[inline]
 #[must_use]
 pub fn root_key(word: &[u8], symbol_bits: u8) -> u64 {
-    assert!(word.len() <= 64, "word length > 64 unsupported");
+    assert!(word.len() <= MAX_WORD_LEN, "word length > 64 unsupported");
     debug_assert!(symbol_bits >= 1);
     let mut key = 0u64;
     for (j, &s) in word.iter().enumerate() {

@@ -14,39 +14,37 @@
 //! the approximate seed skips rejected rows (so the bound never tightens
 //! on an inadmissible row — a correctness requirement, not an
 //! optimization), and the refine sweeps AND the per-group live mask into
-//! the SIMD kernels ([`mindist_block_masked`] /
-//! [`quant_lower_bound_masked`]), where dead lanes price as `+inf` and
-//! accelerate whole-group abandons. Live lanes stay bit-identical to the
-//! unfiltered sweep across every kernel tier.
+//! the SIMD kernels ([`lut_lower_bound`] / [`quant_lower_bound_masked`]),
+//! where dead lanes price as `+inf` and accelerate whole-group abandons.
+//! Live lanes stay bit-identical to the unfiltered sweep across every
+//! kernel tier.
 //!
 //! The **collect phase** prices each subtree with one [`RootLbd`] XOR
 //! evaluation and walks the rare subtree that split below its root with
 //! a scalar `mindist_node` DFS; the **refine phase** then lower-bounds
 //! each surviving leaf's candidates 8 at a time through
-//! [`mindist_block`].
+//! [`lut_lower_bound`]: the query's symbol table (built once per query)
+//! indexed by the candidates' words, read straight from the word arena.
 //!
 //! Parallel phases execute on the index's persistent
 //! [`sofa_exec::ExecPool`] (no per-query thread spawning), and every
-//! per-query buffer — context values, query word, queues, k-NN heap,
-//! range hit list, DFS stacks — comes from a pooled
+//! per-query buffer — context values, query word, symbol table, queues,
+//! k-NN heap, range hit list, DFS stacks — comes from a pooled
 //! [`crate::scratch::QueryScratch`], so the steady-state serial path
 //! performs zero heap allocations and [`Index::knn_batch`] lanes reuse
 //! one scratch per lane across the whole mini-batch.
 
 use crate::bsf::{IpNeighbor, Neighbor};
 use crate::filter::RowFilter;
-use crate::node::{root_key, LeafPack, NodeKind, Subtree};
+use crate::node::{root_key, LeafPack, NodeKind, Subtree, MAX_WORD_LEN};
 use crate::prune::{IpBound, KnnBound, PruneBound, RangeBound};
 use crate::scratch::{LeafQueue, QueryScratch, QueueEntry};
 use crate::{Index, IndexError};
 use parking_lot::Mutex;
 use sofa_exec::CancelToken;
 use sofa_simd::{dot, znormalize};
-use sofa_simd::{quant_lower_bound, quant_lower_bound_masked, BLOCK_LANES, BOUNDS_STRIDE};
-use sofa_summaries::{
-    mindist_block, mindist_block_masked, mindist_node, mindist_simd, QueryContext, RootLbd,
-    Summarization,
-};
+use sofa_simd::{lut_lower_bound, quant_lower_bound, quant_lower_bound_masked, BLOCK_LANES};
+use sofa_summaries::{mindist_node, mindist_simd, QueryContext, RootLbd, Summarization};
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -98,8 +96,8 @@ pub struct QueryStats {
     /// Rows a range query returned (`d² <= r²`). Zero for k-NN/IP
     /// queries, whose answer count is just `min(k, candidates)`.
     pub range_hits: usize,
-    /// Estimated refine-phase bytes read: word-block bounds swept + quant
-    /// codes swept + exact rows scanned. The funnel's bandwidth metric.
+    /// Estimated refine-phase bytes read: words swept + quant codes swept
+    /// + exact rows scanned. The funnel's bandwidth metric.
     pub refine_bytes: usize,
     /// 1 if this query was abandoned by cooperative cancellation (its
     /// deadline expired or it was shed mid-flight). A cancelled query
@@ -648,7 +646,7 @@ impl<S: Summarization> Index<S> {
             }
             if !fired(cancel) {
                 self.refine_from_queues(
-                    0, &s.q, &s.queues, &s.done, ctx, pb, filter, stats, cancel,
+                    0, &s.q, &s.lut, &s.queues, &s.done, ctx, pb, filter, stats, cancel,
                 );
             }
             return;
@@ -682,7 +680,7 @@ impl<S: Summarization> Index<S> {
         if !fired(cancel) {
             self.pool.broadcast(|worker| {
                 self.refine_from_queues(
-                    worker, &s.q, &s.queues, &s.done, ctx, pb, filter, stats, cancel,
+                    worker, &s.q, &s.lut, &s.queues, &s.done, ctx, pb, filter, stats, cancel,
                 );
             });
         }
@@ -704,8 +702,9 @@ impl<S: Summarization> Index<S> {
     }
 
     /// Fills the scratch's per-query state: normalized query, context
-    /// values, query word, root-penalty table, k-NN set, range hit list
-    /// and queue flags. Performs no allocation once the buffers are warm.
+    /// values, query word, root-penalty table, symbol table, k-NN set,
+    /// range hit list and queue flags. Performs no allocation once the
+    /// buffers are warm.
     fn prepare_scratch(&self, s: &mut QueryScratch, query: &[f32], k: usize) {
         s.q.clear();
         s.q.extend_from_slice(query);
@@ -717,6 +716,7 @@ impl<S: Summarization> Index<S> {
         // second transform needed.
         ctx.word_into(&mut s.qword);
         s.root_lbd.rebuild(&ctx);
+        ctx.lut_into(&mut s.lut);
     }
 
     /// Mirrors one query's sweep counters into the index-lifetime totals
@@ -912,6 +912,7 @@ impl<S: Summarization> Index<S> {
         &self,
         worker: usize,
         q: &[f32],
+        lut: &[f32],
         queues: &[Mutex<LeafQueue>],
         done: &[AtomicBool],
         ctx: &QueryContext<'_>,
@@ -947,7 +948,7 @@ impl<S: Summarization> Index<S> {
                     stats.queues_abandoned.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
-                self.refine_leaf(entry, q, ctx, pb, filter, stats, &mut quant, cancel);
+                self.refine_leaf(entry, q, lut, ctx, pb, filter, stats, &mut quant, cancel);
             }
             if !progressed && done.iter().all(|d| d.load(Ordering::Acquire)) {
                 break;
@@ -965,16 +966,18 @@ impl<S: Summarization> Index<S> {
     /// only for survivors; both early-abandon on the policy's threshold.
     ///
     /// Packed leaves (the bulk-built common case) take the batched path:
-    /// the block kernel lower-bounds 8 candidates per call over the SoA
-    /// word block, then exact distances stream over the leaf's contiguous
-    /// arena run. Leaves touched by online inserts fall back to the
-    /// per-row path until [`Index::repack_leaves`] (which the auto-repack
-    /// trigger runs for you by default).
+    /// the symbol-table kernel lower-bounds 8 candidates per call over the
+    /// leaf's contiguous run of the word arena, then exact distances
+    /// stream over its run of the series arena. Leaves touched by online
+    /// inserts fall back to the per-row path until
+    /// [`Index::repack_leaves`] (which the auto-repack trigger runs for
+    /// you by default).
     #[allow(clippy::too_many_arguments)]
     fn refine_leaf<B: PruneBound>(
         &self,
         entry: QueueEntry,
         q: &[f32],
+        lut: &[f32],
         ctx: &QueryContext<'_>,
         pb: &B,
         filter: Option<&RowFilter>,
@@ -994,7 +997,7 @@ impl<S: Summarization> Index<S> {
                     pack,
                     rows.len(),
                     q,
-                    ctx,
+                    lut,
                     pb,
                     filter,
                     stats,
@@ -1010,35 +1013,41 @@ impl<S: Summarization> Index<S> {
     }
 
     /// The batched refinement path over a packed leaf — a three-stage
-    /// funnel. The word lower bound prices 8 lanes per call over the SoA
-    /// bounds; word survivors are re-priced by the scalar-quantized tier
-    /// (one integer sweep over 1-byte codes, ~4x less traffic than the
+    /// funnel. The word lower bound prices 8 lanes per call from the
+    /// query's symbol table `lut`, indexed by the lanes' words in the
+    /// word arena; word survivors are re-priced by the scalar-quantized
+    /// tier (one integer sweep over 1-byte codes, ~4x less traffic than the
     /// raw series); only lanes both tiers fail to kill pay the exact
     /// `f32` scan. Both cheap tiers are conservative lower bounds, so the
     /// funnel never changes results — only how much memory they cost.
     ///
     /// With a [`RowFilter`], each group's live mask pre-ANDs the
     /// predicate into the sweep: a fully rejected group skips every
-    /// kernel, a partially rejected one runs the masked kernels (dead
-    /// lanes price `+inf`/auto-resolve, accelerating whole-group
-    /// abandons), and a fully admitted one takes the exact unmasked path.
+    /// kernel, a partially rejected one masks its dead lanes in both
+    /// kernels (they price `+inf`/auto-resolve, accelerating whole-group
+    /// abandons), and a fully admitted one prices exactly as unfiltered.
     #[allow(clippy::too_many_arguments)]
     fn refine_leaf_packed<B: PruneBound>(
         &self,
         pack: &LeafPack,
         n_rows: usize,
         q: &[f32],
-        ctx: &QueryContext<'_>,
+        lut: &[f32],
         pb: &B,
         filter: Option<&RowFilter>,
         stats: &AtomicStats,
         qscratch: &mut QuantScratch,
         cancel: Option<&CancelToken>,
     ) {
-        let block = &pack.block;
-        debug_assert_eq!(block.n(), n_rows);
         let start = pack.start as usize;
         let n = self.series_len;
+        let l = self.word_len;
+        let words = &self.words[start * l..(start + n_rows) * l];
+        let n_groups = n_rows.div_ceil(BLOCK_LANES);
+        // The leaf's last, partial group is staged here, padded by
+        // repeating its last real word: pad lanes mirror that candidate,
+        // and the kernel never reads past the leaf's run (or the arena).
+        let mut tail = [0u8; BLOCK_LANES * MAX_WORD_LEN];
         let quant = match (&self.quant_grid, pack.quant.as_ref()) {
             (Some(grid), Some(qb)) if self.quant_refine_enabled() => Some((grid, qb)),
             _ => None,
@@ -1051,7 +1060,7 @@ impl<S: Summarization> Index<S> {
         let mut quant_groups = 0usize;
         let mut quant_killed = 0usize;
         let mut predicate_masked = 0usize;
-        for g in 0..block.n_groups() {
+        for g in 0..n_groups {
             // Cancellation checkpoint at group-sweep granularity: the
             // partial offers already made are discarded wholesale by the
             // caller, so bailing mid-leaf cannot skew exactness.
@@ -1059,11 +1068,11 @@ impl<S: Summarization> Index<S> {
                 break;
             }
             let bound = pb.l2_bound();
-            let lanes = block.lanes_in(g);
+            let lanes = (n_rows - g * BLOCK_LANES).min(BLOCK_LANES);
             // Predicate mask: bit `i` lives iff the filter admits lane
             // `i`'s row. Pad lanes past `lanes` never get a bit, so a
             // bitmap that ends mid-group can't admit a phantom row (the
-            // unmasked path ignores pads via `take(lanes)` as before).
+            // unfiltered path ignores pads via `take(lanes)`).
             let (live, masked) = match filter {
                 None => (0xFFu8, 0usize),
                 Some(f) => {
@@ -1081,11 +1090,18 @@ impl<S: Summarization> Index<S> {
                 // Whole group predicate-rejected: no kernel runs at all.
                 continue;
             }
-            let group_abandoned = if masked == 0 {
-                mindist_block(ctx, block, g, bound, &mut lbs)
+            let run = &words[g * BLOCK_LANES * l..];
+            let group_words = if lanes == BLOCK_LANES {
+                &run[..BLOCK_LANES * l]
             } else {
-                mindist_block_masked(ctx, block, g, bound, live, &mut lbs)
+                let (real, pads) = tail[..BLOCK_LANES * l].split_at_mut(run.len());
+                real.copy_from_slice(run);
+                for pad in pads.chunks_exact_mut(l) {
+                    pad.copy_from_slice(&run[run.len() - l..]);
+                }
+                &tail[..BLOCK_LANES * l]
             };
+            let group_abandoned = lut_lower_bound(lut, group_words, bound, live, &mut lbs);
             if group_abandoned {
                 // Every live lane's (partial) sum exceeded the bound: the
                 // whole group is pruned in one shot.
@@ -1171,15 +1187,13 @@ impl<S: Summarization> Index<S> {
                 pb.score_and_offer(q, self.series_at_slot(slot), self.slot_to_row[slot]);
             }
         }
-        // Refine-traffic estimate: word bounds are BOUNDS_STRIDE f32 per
-        // position per group, quant codes 8 bytes per position per group,
-        // exact rows n f32 each.
-        let bytes = block.n_groups() * block.word_len() * BOUNDS_STRIDE * 4
-            + quant_groups * n * BLOCK_LANES
-            + refined * n * 4;
+        // Refine-traffic estimate: words are 8 lanes of `l` bytes per
+        // group, quant codes 8 bytes per position per group, exact rows n
+        // f32 each.
+        let bytes = n_groups * BLOCK_LANES * l + quant_groups * n * BLOCK_LANES + refined * n * 4;
         stats.series_lbd_checked.fetch_add(n_rows - predicate_masked, Ordering::Relaxed);
         stats.series_refined.fetch_add(refined, Ordering::Relaxed);
-        stats.block_groups_swept.fetch_add(block.n_groups(), Ordering::Relaxed);
+        stats.block_groups_swept.fetch_add(n_groups, Ordering::Relaxed);
         stats.block_lanes_abandoned.fetch_add(lanes_abandoned, Ordering::Relaxed);
         stats.quant_groups_swept.fetch_add(quant_groups, Ordering::Relaxed);
         stats.quant_lanes_killed.fetch_add(quant_killed, Ordering::Relaxed);

@@ -1,18 +1,15 @@
-//! Pooled per-query working state — the allocation half of the
-//! collect-phase batching PR.
+//! Pooled per-query working state.
 //!
-//! Before this module existed, every `knn` call allocated its
-//! `QueryContext` (values/weights/tables), a query-word buffer, a
-//! [`RootLbd`] penalty table, a k-NN heap, one priority queue per
-//! refinement lane, and a DFS stack per subtree — a dozen heap
-//! allocations per query that dominate short-series serving (the
-//! ROADMAP's "normalize + DFT + queue setup" fixed cost). A
-//! [`QueryScratch`] owns all of those buffers with no lifetimes attached,
-//! so the index keeps a pool of them (one per worker lane in the steady
-//! state) and each query checks one out, resets it, and returns it on
-//! drop. After warm-up the serial `knn` path performs **zero** heap
-//! allocations (asserted by the workspace's counting-allocator test), and
-//! batch lanes reuse one scratch for every query they claim.
+//! Every buffer a query needs — the normalized query, its
+//! `QueryContext` values, query word, [`RootLbd`] penalty table, the
+//! 16 KiB symbol table the refine sweep prices words from, a k-NN heap,
+//! one priority queue per refinement lane and a DFS stack per lane — is
+//! owned by a [`QueryScratch`] with no lifetimes attached, so the index
+//! keeps a pool of them (one per worker lane in the steady state) and
+//! each query checks one out, resets it, and returns it on drop. After
+//! warm-up the serial `knn` path performs **zero** heap allocations
+//! (asserted by the workspace's counting-allocator test), and batch lanes
+//! reuse one scratch for every query they claim.
 
 use crate::bsf::{KnnSet, Neighbor};
 use parking_lot::Mutex;
@@ -63,6 +60,9 @@ pub(crate) struct QueryScratch {
     pub transform: TransformScratch,
     /// The query's word (quantized values).
     pub qword: Vec<u8>,
+    /// The query's symbol table (`QueryContext::lut_into`): `word_len ×
+    /// 256` entries, read by every refine lane.
+    pub lut: Vec<f32>,
     /// Reusable root-key XOR-penalty table.
     pub root_lbd: RootLbd,
     /// Reusable k-best set (heap + atomic bound).
@@ -89,6 +89,7 @@ impl QueryScratch {
             values: vec![0.0; word_len],
             transform: TransformScratch::default(),
             qword: Vec::with_capacity(word_len),
+            lut: Vec::with_capacity(word_len * sofa_simd::LUT_STRIDE),
             root_lbd: RootLbd::empty(),
             knn: KnnSet::new(1),
             range: Mutex::new(Vec::new()),

@@ -7,7 +7,7 @@
 //! topology, leaf packs, quantizer) are rehydrated into
 //! their owned in-memory forms; they are a small fraction of the file.
 //!
-//! ## File format (version 3)
+//! ## File format (version 4)
 //!
 //! ```text
 //! offset 0   magic            b"SOFASNAP"
@@ -46,7 +46,7 @@ use crate::{Index, IndexError};
 use sofa_exec::{failpoint, ExecPool};
 use sofa_mmap::{Advice, Mmap};
 use sofa_summaries::{
-    CoeffPos, ISax, McbModel, QuantBlock, QuantGrid, SaxConfig, Sfa, Summarization, WordBlock,
+    CoeffPos, ISax, McbModel, QuantBlock, QuantGrid, SaxConfig, Sfa, Summarization,
 };
 use std::fs::File;
 use std::io::Write;
@@ -57,7 +57,7 @@ use std::sync::Arc;
 /// First 8 bytes of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SOFASNAP";
 /// The one format version this build writes and reads.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 4;
 /// Failpoint fired before each section write (torn-write injection).
 pub const SNAPSHOT_WRITE_FAILPOINT: &str = "sofa-index::snapshot::write";
 /// Failpoint fired before the final atomic rename.
@@ -443,7 +443,7 @@ impl SnapshotSummarization for Sfa {
             return Err(r.invalid(format!("alphabet {alphabet} is not a power of two in [2, 256]")));
         }
         let word_len = r.bounded_count(3)?;
-        if word_len == 0 || word_len > 64 {
+        if word_len == 0 || word_len > crate::node::MAX_WORD_LEN {
             return Err(r.invalid(format!("word length {word_len} out of range 1..=64")));
         }
         let mut positions = Vec::with_capacity(word_len);
@@ -513,7 +513,7 @@ impl SnapshotSummarization for ISax {
         if series_len == 0 {
             return Err(r.invalid("series length is zero"));
         }
-        if word_len == 0 || word_len > 64 || word_len > series_len {
+        if word_len == 0 || word_len > crate::node::MAX_WORD_LEN || word_len > series_len {
             return Err(r.invalid(format!(
                 "word length {word_len} invalid for length-{series_len} series"
             )));
@@ -914,11 +914,9 @@ impl<S: SnapshotSummarization> Index<S> {
         let mut out = Vec::new();
         for st in &self.subtrees {
             for node in &st.nodes {
-                if let NodeKind::Leaf { pack: Some(pack), .. } = &node.kind {
+                if let NodeKind::Leaf { rows, pack: Some(pack) } = &node.kind {
                     put_u32(&mut out, pack.start);
-                    put_len(&mut out, pack.block.n());
-                    put_len(&mut out, pack.block.bounds().len());
-                    put_f32_slice(&mut out, pack.block.bounds());
+                    put_len(&mut out, rows.len());
                 }
             }
         }
@@ -999,7 +997,7 @@ fn decode_meta(buf: &[u8]) -> Result<Meta, IndexError> {
     if series_len == 0 {
         return Err(layout("meta", "series length is zero"));
     }
-    if word_len == 0 || word_len > 64 {
+    if word_len == 0 || word_len > crate::node::MAX_WORD_LEN {
         return Err(layout("meta", format!("word length {word_len} out of range 1..=64")));
     }
     if n_slots == 0 {
@@ -1182,10 +1180,6 @@ fn decode_packs(
     for &(si, ni) in packed {
         let start = r.u32()?;
         let n = r.count()?;
-        let bounds_len = r.bounded_count(4)?;
-        let bounds = r.f32_vec(bounds_len)?;
-        let block = WordBlock::from_raw_parts(n, meta.word_len, bounds)
-            .map_err(|d| corrupt("leaf-packs", d))?;
         let NodeKind::Leaf { rows, pack } = &mut subtrees[si].nodes[ni].kind else {
             return Err(corrupt("leaf-packs", "pack attached to a non-leaf node"));
         };
@@ -1212,7 +1206,7 @@ fn decode_packs(
                 ));
             }
         }
-        *pack = Some(LeafPack { start, block, quant: None });
+        *pack = Some(LeafPack { start, quant: None });
     }
     r.finish()
 }
@@ -1367,6 +1361,22 @@ impl<S: SnapshotSummarization> Index<S> {
             .map_err(|d| fmt_err("data", d))?;
         let words = Arena::mapped(Arc::clone(&map), words_off, words_elems)
             .map_err(|d| fmt_err("words", d))?;
+        // A symbol past the alphabet has no interval: the per-row bound
+        // would index past the breakpoint table. Reject it here (the
+        // checksums do not, as they are not a MAC).
+        let alphabet = summarization.alphabet();
+        if alphabet < 256 {
+            if let Some(i) = words.iter().position(|&sym| usize::from(sym) >= alphabet) {
+                return Err(corrupt(
+                    "words",
+                    format!(
+                        "slot {} holds symbol {} outside the alphabet of {alphabet}",
+                        i / meta.word_len,
+                        words[i]
+                    ),
+                ));
+            }
+        }
 
         let (row_to_slot, slot_to_row) =
             decode_mapping(section_slice(bytes, &entries, SEC_MAPPING)?, &meta)?;
@@ -1585,11 +1595,11 @@ mod tests {
     fn version_1_snapshot_fails_closed_with_format_error() {
         let idx = sax_index(200);
         let path = tmp_path("v1");
-        // Version 1 files carry hierarchy-level collect state and version
-        // 2 files a node-block collect section, neither of which this
-        // build reads: the version check rejects them before any section
-        // is interpreted.
-        for version in [1u32, 2] {
+        // Version 1 files carry hierarchy-level collect state, version 2
+        // files a node-block collect section and version 3 files per-leaf
+        // interval blocks, none of which this build reads: the version
+        // check rejects them before any section is interpreted.
+        for version in [1u32, 2, 3] {
             idx.snapshot(&path).expect("snapshot");
             let mut bytes = std::fs::read(&path).expect("read");
             bytes[8..12].copy_from_slice(&version.to_ne_bytes());
@@ -1604,6 +1614,38 @@ mod tests {
                 Ok(_) => panic!("v{version} open must fail"),
             }
             assert!(matches!(describe(&path), Err(IndexError::SnapshotFormat { .. })));
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn out_of_alphabet_word_symbol_fails_closed() {
+        let sax = ISax::new(64, &SaxConfig { word_len: 8, alphabet: 64 });
+        let idx =
+            Index::build(sax, &dataset(200, 64), IndexConfig::with_threads(2)).expect("build");
+        let path = tmp_path("alphabet");
+        idx.snapshot(&path).expect("snapshot");
+        let mut bytes = std::fs::read(&path).expect("read");
+        let (_, entries) = parse_and_verify(&bytes).expect("valid snapshot");
+        let (i, words) =
+            entries.iter().enumerate().find(|(_, e)| e.id == SEC_WORDS).expect("words section");
+        // Patch one symbol past the alphabet, then re-seal the section
+        // and header checksums so only the content check can object.
+        bytes[words.offset + 3] = 200;
+        let sum = fnv1a64(&bytes[words.offset..words.offset + words.len]);
+        let entry = HEADER_FIXED + TABLE_ENTRY * i;
+        bytes[entry + 24..entry + 32].copy_from_slice(&sum.to_ne_bytes());
+        let table_end = HEADER_FIXED + TABLE_ENTRY * entries.len();
+        let header_sum = fnv1a64(&bytes[..table_end]);
+        bytes[table_end..table_end + 8].copy_from_slice(&header_sum.to_ne_bytes());
+        std::fs::write(&path, &bytes).expect("write");
+        match Index::<ISax>::open(&path) {
+            Err(IndexError::SnapshotCorrupt { section, detail }) => {
+                assert_eq!(section, "words");
+                assert!(detail.contains("symbol 200"), "{detail}");
+            }
+            Err(other) => panic!("expected SnapshotCorrupt, got {other:?}"),
+            Ok(_) => panic!("out-of-alphabet symbol must fail the open"),
         }
         std::fs::remove_file(&path).ok();
     }

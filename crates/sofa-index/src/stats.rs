@@ -69,7 +69,7 @@ pub struct IndexStats {
     pub nodes: usize,
     /// Total leaves.
     pub leaves: usize,
-    /// Leaves with packed contiguous storage + word blocks (the fast
+    /// Leaves with packed contiguous storage (the fast, 8-lane
     /// refinement path). `leaves - packed_leaves` fall back to per-row
     /// refinement until [`Index::repack_leaves`].
     pub packed_leaves: usize,
@@ -110,7 +110,7 @@ pub struct IndexStats {
     /// cuts. `0.0` before the first query.
     pub refine_bytes_per_query: f64,
     /// Percentage of leaves currently on the per-row fallback refinement
-    /// path (no packed storage / word block). With
+    /// path (no packed storage). With
     /// [`crate::IndexConfig::auto_repack_pct`] set to `None`, insert-heavy
     /// workloads grow this unboundedly and silently degrade to scalar
     /// refinement — monitor it and call [`Index::repack_leaves`] (or the

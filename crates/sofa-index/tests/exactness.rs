@@ -2,7 +2,7 @@
 //! the index (MESSI with iSAX, SOFA with SFA) must return exactly the same
 //! nearest neighbors as a brute-force scan over the z-normalized data.
 
-use sofa_index::{Index, IndexConfig, Neighbor};
+use sofa_index::{Index, IndexConfig, Neighbor, RowFilter};
 use sofa_simd::euclidean_sq;
 use sofa_summaries::{ISax, SaxConfig, Sfa, SfaConfig, Summarization};
 
@@ -330,5 +330,43 @@ fn stats_reflect_pruning() {
         assert!(stats.series_lbd_checked <= 2000);
         assert!(stats.series_refined <= stats.series_lbd_checked);
         assert!(stats.leaves_refined <= stats.leaves_collected);
+    }
+}
+
+/// Every row shares one root key and sits in one leaf, so that leaf's run
+/// ends at the last slot of the word arena, and `8k + t` rows leave a
+/// `t`-lane group last. The sweep must stage that group without reading
+/// past the arena and stay exact, filtered or not.
+#[test]
+fn last_leaf_tail_groups_at_arena_end_are_exact() {
+    let n = 64;
+    for tail in 1..=7usize {
+        let count = 8 * 5 + tail;
+        // Alternating ±1 steps per 16-point segment plus small ripples:
+        // every row's PAA means keep the steps' signs, hence one root key.
+        let data: Vec<f32> = (0..count)
+            .flat_map(|r| {
+                (0..n).map(move |t| {
+                    let step = if (t / 16) % 2 == 0 { 1.0 } else { -1.0 };
+                    step + 0.1 * ((t * (r + 3)) as f32 * 0.37).sin()
+                })
+            })
+            .collect();
+        let sax = ISax::new(n, &SaxConfig { word_len: 4, alphabet: 256 });
+        let index = Index::build(sax, &data, IndexConfig::with_threads(1).leaf_capacity(1000))
+            .expect("build");
+        let stats = index.stats();
+        assert_eq!((stats.leaves, stats.packed_leaves), (1, 1), "tail {tail}: one packed leaf");
+        let queries = [&data[(count - 1) * n..], &data[..n], &data[(count / 2) * n..][..n]];
+        check_exactness(&index, &data, n, &queries.concat());
+        let last = (count - 1) as u32;
+        let hit = index.knn(&data[(count - 1) * n..], 1).expect("query");
+        assert_eq!(hit[0].row, last, "tail {tail}: the last row finds itself");
+        // Only the tail group's rows admitted: the answer comes from them.
+        let filter = RowFilter::from_fn(count, |row| row >= count - tail);
+        let got = index.knn_filtered(&data[..n], tail, &filter).expect("filtered");
+        let mut rows: Vec<u32> = got.iter().map(|nb| nb.row).collect();
+        rows.sort_unstable();
+        assert_eq!(rows, ((count - tail) as u32..=last).collect::<Vec<_>>(), "tail {tail}");
     }
 }

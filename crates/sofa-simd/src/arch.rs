@@ -7,17 +7,19 @@
 //! 1. the dispatcher ([`crate::dispatch::active_tier`]) only selects this
 //!    module when `cpuid` reports AVX2 and FMA, and
 //! 2. every load stays inside the bounds of the slices passed in (the
-//!    loops below only touch whole 8-lane chunks; tails are scalar).
+//!    loops below only touch whole 8-lane chunks; tails are scalar or
+//!    staged through a stack buffer, and table gathers are indexed by
+//!    `u8` symbols into one 256-entry row).
 //!
 //! **Bit-compatibility contract.** The exactness tests run the full query
-//! suite under every tier and require identical answers, so the
-//! AVX2 kernels for `euclidean_sq`, `euclidean_sq_early_abandon` and the
-//! block lower bound perform *exactly* the same floating-point operations
-//! in the same association order as the portable `F32x8` kernels: the
-//! same 8-lane vertical accumulation, the same pairwise horizontal
-//! reduction `(s01+s23)+(s45+s67)`, and separate multiply/add (no FMA
-//! contraction, which would change rounding). FMA is used only in [`dot`],
-//! whose callers (the FAISS-flat baseline) never feed results into
+//! suite under every tier and require identical answers, so the AVX2
+//! kernels for `euclidean_sq`, `euclidean_sq_early_abandon` and the two
+//! word lower bounds perform *exactly* the same floating-point operations
+//! in the same association order as their reference tiers: the same
+//! 8-lane vertical accumulation, the same pairwise horizontal reduction
+//! `(s01+s23)+(s45+s67)`, and separate multiply/add (no FMA contraction,
+//! which would change rounding). FMA is used only in [`dot`], whose
+//! callers (the FAISS-flat baseline) never feed results into
 //! exactness-sensitive pruning against another tier's arithmetic.
 #![allow(unsafe_code)] // the one ISA-kernel module; crate denies elsewhere
 
@@ -75,24 +77,21 @@ pub(crate) mod x86 {
         unsafe { block_lower_bound(values, weights, bounds, bsf_sq, out) }
     }
 
-    /// Safe wrapper over the AVX2 *masked* block lower-bound kernel.
-    /// `init` carries the per-lane accumulator seeds (`0.0` live, `+inf`
-    /// dead — computed by the dispatcher so all tiers share one
-    /// definition). Re-checks the layout itself (soundness boundary).
-    pub(crate) fn block_lower_bound_masked_checked(
-        values: &[f32],
-        weights: &[f32],
-        bounds: &[f32],
+    /// Safe wrapper over the AVX2 symbol-table lower-bound kernel.
+    /// Re-checks the layout itself (soundness boundary, as above).
+    pub(crate) fn lut_lower_bound_checked(
+        lut: &[f32],
+        words: &[u8],
         bsf_sq: f32,
-        init: [f32; 8],
+        live: u8,
         out: &mut [f32; 8],
     ) -> bool {
         assert!(supported(), "AVX2 kernels dispatched on a CPU without AVX2+FMA");
-        assert_eq!(bounds.len(), values.len() * crate::block::BOUNDS_STRIDE);
-        assert_eq!(weights.len(), values.len());
-        // SAFETY: AVX2+FMA verified above; the layout asserts guarantee
-        // every load stays in bounds.
-        unsafe { block_lower_bound_masked(values, weights, bounds, bsf_sq, init, out) }
+        assert_eq!(words.len() % 8, 0);
+        assert_eq!(lut.len(), words.len() / 8 * crate::block::LUT_STRIDE);
+        // SAFETY: AVX2 verified above; the layout asserts guarantee every
+        // word load stays inside `words` and every gather inside `lut`.
+        unsafe { lut_lower_bound(lut, words, bsf_sq, live, out) }
     }
 
     /// Safe wrapper over the AVX2 quantized lower-bound kernel. Re-checks
@@ -277,48 +276,100 @@ pub(crate) mod x86 {
         _mm256_movemask_ps(gt) == 0xFF
     }
 
-    /// AVX2 masked block lower bound: identical to [`block_lower_bound`]
-    /// except the accumulator starts from `init` instead of zero. Dead
-    /// lanes (seeded `+inf`) absorb every add without producing NaN (the
-    /// per-position `d` is always finite), so live lanes remain
-    /// bit-identical to the unmasked kernel while dead lanes satisfy every
-    /// abandon checkpoint automatically.
+    /// AVX2 symbol-table lower bound over 8 row-major words (see
+    /// [`crate::block`]). Each run of 16 positions loads 16 bytes per
+    /// lane, transposes the 8×16 bytes in registers (three rounds of
+    /// unpacks leave two positions' 8 lane symbols per register), then
+    /// prices each position with one 8-lane gather from that position's
+    /// 256-entry table row. Bit-identical to the scalar tier: dead lanes
+    /// seeded `+inf`, one add per position in position order, the abandon
+    /// check every 4 positions.
     ///
     /// # Safety
-    /// Requires AVX2+FMA support; slice lengths must satisfy the layout
-    /// contract (`bounds.len() == values.len() * 16`,
-    /// `weights.len() == values.len()`).
+    /// Requires AVX2 support, `words.len() == 8 * l` and
+    /// `lut.len() == l * 256`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn block_lower_bound_masked(
-        values: &[f32],
-        weights: &[f32],
-        bounds: &[f32],
+    pub(crate) unsafe fn lut_lower_bound(
+        lut: &[f32],
+        words: &[u8],
         bsf_sq: f32,
-        init: [f32; 8],
+        live: u8,
         out: &mut [f32; 8],
     ) -> bool {
-        debug_assert_eq!(bounds.len(), values.len() * crate::block::BOUNDS_STRIDE);
-        debug_assert_eq!(weights.len(), values.len());
-        let zero = _mm256_setzero_ps();
+        let l = words.len() / 8;
+        debug_assert_eq!(lut.len(), l * crate::block::LUT_STRIDE);
         let vbsf = _mm256_set1_ps(bsf_sq);
-        let mut acc = _mm256_loadu_ps(init.as_ptr());
-        for j in 0..values.len() {
-            let lo = _mm256_loadu_ps(bounds.as_ptr().add(j * 16));
-            let hi = _mm256_loadu_ps(bounds.as_ptr().add(j * 16 + 8));
-            let vq = _mm256_set1_ps(*values.get_unchecked(j));
-            let vw = _mm256_set1_ps(*weights.get_unchecked(j));
-            let d_below = _mm256_sub_ps(lo, vq);
-            let d_above = _mm256_sub_ps(vq, hi);
-            let d = _mm256_max_ps(_mm256_max_ps(d_below, d_above), zero);
-            let wd = _mm256_mul_ps(vw, d);
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(wd, d));
-            if j % 4 == 3 {
-                let gt = _mm256_cmp_ps::<_CMP_GT_OQ>(acc, vbsf);
-                if _mm256_movemask_ps(gt) == 0xFF {
-                    _mm256_storeu_ps(out.as_mut_ptr(), acc);
-                    return true;
+        // Lane i is dead iff bit i of `live` is clear: seed it +inf.
+        let bits = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+        let dead = _mm256_cmpeq_epi32(
+            _mm256_and_si256(_mm256_set1_epi32(i32::from(live)), bits),
+            _mm256_setzero_si256(),
+        );
+        let mut acc = _mm256_and_ps(_mm256_castsi256_ps(dead), _mm256_set1_ps(f32::INFINITY));
+        let mut j0 = 0;
+        while j0 < l {
+            let w = (l - j0).min(16);
+            let mut r = [_mm_setzero_si128(); 8];
+            if w == 16 {
+                for (lane, reg) in r.iter_mut().enumerate() {
+                    *reg = _mm_loadu_si128(words.as_ptr().add(lane * l + j0).cast());
+                }
+            } else {
+                // Short final run: stage it so no load crosses the end of
+                // a lane's word (or of `words`).
+                let mut tail = [0u8; 128];
+                for (lane, reg) in r.iter_mut().enumerate() {
+                    let src = &words[lane * l + j0..lane * l + j0 + w];
+                    tail[lane * 16..lane * 16 + w].copy_from_slice(src);
+                    *reg = _mm_loadu_si128(tail.as_ptr().add(lane * 16).cast());
                 }
             }
+            // Bytes → lane pairs → lane quads → all 8 lanes per position.
+            let a0 = _mm_unpacklo_epi8(r[0], r[1]);
+            let a1 = _mm_unpackhi_epi8(r[0], r[1]);
+            let a2 = _mm_unpacklo_epi8(r[2], r[3]);
+            let a3 = _mm_unpackhi_epi8(r[2], r[3]);
+            let a4 = _mm_unpacklo_epi8(r[4], r[5]);
+            let a5 = _mm_unpackhi_epi8(r[4], r[5]);
+            let a6 = _mm_unpacklo_epi8(r[6], r[7]);
+            let a7 = _mm_unpackhi_epi8(r[6], r[7]);
+            let b0 = _mm_unpacklo_epi16(a0, a2);
+            let b1 = _mm_unpackhi_epi16(a0, a2);
+            let b2 = _mm_unpacklo_epi16(a1, a3);
+            let b3 = _mm_unpackhi_epi16(a1, a3);
+            let b4 = _mm_unpacklo_epi16(a4, a6);
+            let b5 = _mm_unpackhi_epi16(a4, a6);
+            let b6 = _mm_unpacklo_epi16(a5, a7);
+            let b7 = _mm_unpackhi_epi16(a5, a7);
+            // c[k] holds positions 2k (low 8 bytes) and 2k+1 (high 8).
+            let c = [
+                _mm_unpacklo_epi32(b0, b4),
+                _mm_unpackhi_epi32(b0, b4),
+                _mm_unpacklo_epi32(b1, b5),
+                _mm_unpackhi_epi32(b1, b5),
+                _mm_unpacklo_epi32(b2, b6),
+                _mm_unpackhi_epi32(b2, b6),
+                _mm_unpacklo_epi32(b3, b7),
+                _mm_unpackhi_epi32(b3, b7),
+            ];
+            for p in 0..w {
+                let pair = c[p / 2];
+                let sym = if p % 2 == 0 { pair } else { _mm_unpackhi_epi64(pair, pair) };
+                let idx = _mm256_cvtepu8_epi32(sym);
+                let j = j0 + p;
+                // Indices are u8 symbols, so the gather stays inside
+                // position j's 256-entry row.
+                let row = lut.as_ptr().add(j * crate::block::LUT_STRIDE);
+                acc = _mm256_add_ps(acc, _mm256_i32gather_ps::<4>(row, idx));
+                if j % 4 == 3 {
+                    let gt = _mm256_cmp_ps::<_CMP_GT_OQ>(acc, vbsf);
+                    if _mm256_movemask_ps(gt) == 0xFF {
+                        _mm256_storeu_ps(out.as_mut_ptr(), acc);
+                        return true;
+                    }
+                }
+            }
+            j0 += w;
         }
         _mm256_storeu_ps(out.as_mut_ptr(), acc);
         let gt = _mm256_cmp_ps::<_CMP_GT_OQ>(acc, vbsf);

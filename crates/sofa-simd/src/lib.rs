@@ -22,10 +22,12 @@
 //!   x86-64 only), chosen by default when the CPU supports it.
 //!
 //! Besides the per-pair kernels this crate provides the transposed,
-//! throughput-oriented primitive the index's leaf sweep runs on: the
-//! [`block::block_lower_bound`] kernel lower-bounds **8 candidates per
-//! call** over a structure-of-arrays bounds layout with whole-group early
-//! abandoning (see [`block`] for the layout contract).
+//! throughput-oriented primitive the index's leaf sweep runs on:
+//! [`block::lut_lower_bound`] lower-bounds **8 candidate words per call**
+//! by summing a per-query symbol table indexed by the raw `u8` words, with
+//! whole-group early abandoning; [`block::block_lower_bound`] computes the
+//! same sums from resolved intervals and is its test reference (see
+//! [`block`] for both layout contracts).
 //!
 //! `unsafe` is confined to the [`arch`] module (intrinsics + raw-pointer
 //! loads behind the runtime feature check); everything else is safe Rust,
@@ -48,9 +50,8 @@ pub mod vector;
 pub mod znorm;
 
 pub use block::{
-    block_lower_bound, block_lower_bound_masked, block_lower_bound_masked_portable,
-    block_lower_bound_masked_scalar, block_lower_bound_portable, block_lower_bound_scalar,
-    BLOCK_LANES, BOUNDS_STRIDE,
+    block_lower_bound, block_lower_bound_portable, block_lower_bound_scalar, lut_lower_bound,
+    lut_lower_bound_scalar, BLOCK_LANES, BOUNDS_STRIDE, LUT_STRIDE,
 };
 pub use dispatch::{active_tier, force_tier, KernelTier};
 pub use distance::{

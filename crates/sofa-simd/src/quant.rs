@@ -1,6 +1,6 @@
 //! The 8-candidates-at-a-time *quantized* lower-bound kernel.
 //!
-//! [`crate::block_lower_bound`] prices candidates from their symbolic
+//! [`crate::lut_lower_bound`] prices candidates from their symbolic
 //! summaries; survivors historically paid a full `f32` scan (4 bytes per
 //! value) right away. This kernel powers the compressed middle tier in
 //! between: candidates are stored as affine-quantized `u8` codes (1 byte
@@ -16,9 +16,9 @@
 //!
 //! For a group of 8 candidates and `p` positions, `codes` holds `p * 8`
 //! bytes: position `j` occupies `codes[j*8 .. j*8+8]` (lane = candidate) —
-//! the same position-major SoA shape as the word-block bounds, at 1/16th
-//! the bytes per (position, lane). `qcodes` holds the query's `p` codes
-//! under the same quantizer.
+//! the position-major SoA shape of the interval bounds in
+//! [`crate::block`], at 1/16th the bytes per (position, lane). `qcodes`
+//! holds the query's `p` codes under the same quantizer.
 //!
 //! ## Early abandoning
 //!

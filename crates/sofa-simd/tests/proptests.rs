@@ -6,10 +6,12 @@
 //! Two strengths of agreement are asserted:
 //!
 //! * the **dispatched** kernels match the **portable** tier **bit for
-//!   bit** for `euclidean_sq` / `euclidean_sq_early_abandon`, and all
-//!   three tiers match bit for bit for the block lower bound (those
-//!   kernels are written with identical operation order precisely so
-//!   query answers cannot depend on the tier);
+//!   bit** for `euclidean_sq` / `euclidean_sq_early_abandon`, all three
+//!   tiers match bit for bit for the block lower bound, and the
+//!   symbol-table lower bound matches the block lower bound over the same
+//!   symbols bit for bit on every tier (those kernels are written with
+//!   identical operation order precisely so query answers cannot depend
+//!   on the tier or the kernel);
 //! * the scalar reference (different summation order) matches within a
 //!   relative tolerance.
 
@@ -17,8 +19,9 @@ use proptest::prelude::*;
 use sofa_simd::{
     active_tier, block_lower_bound, block_lower_bound_portable, block_lower_bound_scalar,
     euclidean_sq, euclidean_sq_early_abandon, euclidean_sq_early_abandon_portable,
-    euclidean_sq_early_abandon_scalar, euclidean_sq_portable, euclidean_sq_scalar, znormalize,
-    F32x8, KernelTier, Mask8, BLOCK_LANES, BOUNDS_STRIDE,
+    euclidean_sq_early_abandon_scalar, euclidean_sq_portable, euclidean_sq_scalar, lut_lower_bound,
+    lut_lower_bound_scalar, znormalize, F32x8, KernelTier, Mask8, BLOCK_LANES, BOUNDS_STRIDE,
+    LUT_STRIDE,
 };
 
 fn pair_strategy() -> impl Strategy<Value = (Vec<f32>, Vec<f32>)> {
@@ -67,8 +70,117 @@ fn block_strategy() -> impl Strategy<Value = (Vec<f32>, Vec<f32>, Vec<f32>)> {
     })
 }
 
+/// Raw material for one symbolic model per (word length, alphabet)
+/// pair: breakpoint draws for 16 positions × 255 breakpoints, 8 words of
+/// 16 symbols, query values and weights, a lane mask and a bound scale.
+#[allow(clippy::type_complexity)]
+fn symbolic_strategy() -> impl Strategy<Value = (Vec<f32>, Vec<u8>, Vec<f32>, Vec<f32>, (u8, f32))>
+{
+    (
+        proptest::collection::vec(-5.0f32..5.0, 16 * 255),
+        proptest::collection::vec(0u8..=255, BLOCK_LANES * 16),
+        proptest::collection::vec(-6.0f32..6.0, 16),
+        proptest::collection::vec(0.5f32..4.0, 16),
+        (0u8..=255, 0.0f32..1.5),
+    )
+}
+
+/// One model cut from the raw draws: `l` positions, `alphabet` symbols.
+/// Returns the symbol table, the 8 row-major words and the same words
+/// resolved into the block kernel's interval layout.
+fn symbolic_model(
+    raw_bp: &[f32],
+    raw_words: &[u8],
+    values: &[f32],
+    weights: &[f32],
+    l: usize,
+    alphabet: usize,
+) -> (Vec<f32>, Vec<u8>, Vec<f32>) {
+    let tables: Vec<Vec<f32>> = (0..l)
+        .map(|j| {
+            let mut bp = raw_bp[j * 255..j * 255 + alphabet - 1].to_vec();
+            bp.sort_by(f32::total_cmp);
+            bp
+        })
+        .collect();
+    // Full-cardinality interval edge rule: unbounded at the alphabet ends.
+    let interval = |j: usize, s: usize| {
+        let lo = if s == 0 { f32::NEG_INFINITY } else { tables[j][s - 1] };
+        let hi = if s + 1 >= alphabet { f32::INFINITY } else { tables[j][s] };
+        (lo, hi)
+    };
+    let mut lut = vec![0.0f32; l * LUT_STRIDE];
+    for (j, row) in lut.chunks_exact_mut(LUT_STRIDE).enumerate() {
+        for (s, e) in row.iter_mut().enumerate().take(alphabet) {
+            let (lo, hi) = interval(j, s);
+            let d = (lo - values[j]).max(values[j] - hi).max(0.0);
+            *e = (weights[j] * d) * d;
+        }
+    }
+    let words: Vec<u8> = (0..BLOCK_LANES * l)
+        .map(|i| (usize::from(raw_words[(i / l) * 16 + i % l]) % alphabet) as u8)
+        .collect();
+    let mut bounds = Vec::with_capacity(l * BOUNDS_STRIDE);
+    for j in 0..l {
+        bounds.extend((0..BLOCK_LANES).map(|i| interval(j, usize::from(words[i * l + j])).0));
+        bounds.extend((0..BLOCK_LANES).map(|i| interval(j, usize::from(words[i * l + j])).1));
+    }
+    (lut, words, bounds)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// The symbol-table kernel against the interval kernel over the same
+    /// symbols, for every word length and alphabet listed, on the
+    /// dispatched and scalar tiers, unmasked and masked, with an infinite,
+    /// a tight and a zero bound.
+    #[test]
+    fn lut_kernel_matches_block_reference_bitwise(
+        (raw_bp, raw_words, values, weights, (live, frac)) in symbolic_strategy(),
+    ) {
+        for l in [4usize, 8, 13, 16] {
+            for alphabet in [8usize, 64, 256] {
+                let (lut, words, bounds) =
+                    symbolic_model(&raw_bp, &raw_words, &values, &weights, l, alphabet);
+                let (values, weights) = (&values[..l], &weights[..l]);
+                let mut full = [0.0f32; BLOCK_LANES];
+                block_lower_bound(values, weights, &bounds, f32::INFINITY, &mut full);
+                let tight = full.iter().fold(f32::INFINITY, |m, &x| m.min(x)) * (0.5 + frac);
+                for bsf in [f32::INFINITY, tight, 0.0] {
+                    let mut reference = [0.0f32; BLOCK_LANES];
+                    let verdict = block_lower_bound(values, weights, &bounds, bsf, &mut reference);
+                    let mut dispatched = [0.0f32; BLOCK_LANES];
+                    let mut scalar = [0.0f32; BLOCK_LANES];
+                    // Unmasked: identical sums and verdicts.
+                    let a1 = lut_lower_bound(&lut, &words, bsf, 0xFF, &mut dispatched);
+                    let a2 = lut_lower_bound_scalar(&lut, &words, bsf, 0xFF, &mut scalar);
+                    prop_assert_eq!(a1, verdict, "l={} alphabet={} bsf={}", l, alphabet, bsf);
+                    prop_assert_eq!(a2, verdict, "scalar l={} alphabet={}", l, alphabet);
+                    for i in 0..BLOCK_LANES {
+                        prop_assert_eq!(dispatched[i].to_bits(), reference[i].to_bits(), "lane {}", i);
+                        prop_assert_eq!(scalar[i].to_bits(), reference[i].to_bits(), "lane {}", i);
+                    }
+                    // Masked: tiers agree; without an abandon, live lanes
+                    // carry the reference's full sums and dead lanes +inf;
+                    // an abandon leaves every live lane's full sum > bsf.
+                    let a1 = lut_lower_bound(&lut, &words, bsf, live, &mut dispatched);
+                    let a2 = lut_lower_bound_scalar(&lut, &words, bsf, live, &mut scalar);
+                    prop_assert_eq!(a1, a2, "masked verdict live={}", live);
+                    for i in 0..BLOCK_LANES {
+                        prop_assert_eq!(dispatched[i].to_bits(), scalar[i].to_bits(), "lane {}", i);
+                        if live & (1 << i) == 0 {
+                            prop_assert_eq!(scalar[i], f32::INFINITY, "dead lane {}", i);
+                        } else if a1 {
+                            prop_assert!(full[i] > bsf, "unsound abandon, lane {}", i);
+                        } else {
+                            prop_assert_eq!(scalar[i].to_bits(), full[i].to_bits(), "lane {}", i);
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn simd_distance_matches_scalar((a, b) in pair_strategy()) {

@@ -24,23 +24,35 @@
 //! * [`mindist_node`] — variable-cardinality variant for tree nodes, where
 //!   each position carries only a bit-prefix of its symbol and the interval
 //!   is the union of all bins sharing that prefix.
+//!
+//! For sweeps over many words, [`QueryContext::lut_into`] tabulates the
+//! per-position term `w_j · dist_j²` for all 256 symbols once per query;
+//! `sofa-simd`'s `lut_lower_bound` then prices 8 words per call by
+//! summing table entries, with no interval arithmetic left in the sweep.
 
 use crate::traits::Summarization;
-use sofa_simd::{F32x8, LANES};
+use sofa_simd::{F32x8, LANES, LUT_STRIDE};
 use std::borrow::Cow;
 
 /// Query-*independent* evaluation state for one summarization model:
-/// breakpoint tables, lower-bound weights and alphabet geometry — everything
-/// a [`QueryContext`] needs except the query's own values.
+/// breakpoint tables, every symbol's interval, lower-bound weights and
+/// alphabet geometry — everything a [`QueryContext`] needs except the
+/// query's own values.
 ///
-/// Built once per index (cloning the model's tables, a few KB) and shared
-/// by every query, so constructing a per-query context is allocation-free:
-/// the serving path's fixed per-query cost is one transform into a reused
-/// buffer instead of three vector allocations plus table gathering.
+/// Built once per index (cloning the model's tables, a few tens of KB) and
+/// shared by every query, so constructing a per-query context is
+/// allocation-free: the serving path's fixed per-query cost is one
+/// transform into a reused buffer instead of three vector allocations plus
+/// table gathering.
 #[derive(Clone, Debug)]
 pub struct QueryEnv {
     /// Breakpoint table per position (cloned from the model once).
     tables: Vec<Vec<f32>>,
+    /// Interval of symbol `s` at position `j` at `[j * 256 + s]`: lower
+    /// ends in `lo`, upper ends in `hi`. Symbols past the alphabet are
+    /// unbounded on both sides.
+    lo: Vec<f32>,
+    hi: Vec<f32>,
     /// Lower-bound weight per position.
     weights: Vec<f32>,
     /// Alphabet size (shared across positions).
@@ -50,14 +62,27 @@ pub struct QueryEnv {
 }
 
 impl QueryEnv {
-    /// Captures the model's breakpoint tables and weights.
+    /// Captures the model's breakpoint tables and weights, and resolves
+    /// every symbol's interval.
     #[must_use]
     pub fn new(summarization: &dyn Summarization) -> Self {
         let l = summarization.word_len();
+        let alphabet = summarization.alphabet();
+        let tables: Vec<Vec<f32>> = (0..l).map(|j| summarization.breakpoints(j).to_vec()).collect();
+        let mut lo = vec![f32::NEG_INFINITY; l * LUT_STRIDE];
+        let mut hi = vec![f32::INFINITY; l * LUT_STRIDE];
+        for (j, bp) in tables.iter().enumerate() {
+            for s in 0..alphabet.min(LUT_STRIDE) {
+                (lo[j * LUT_STRIDE + s], hi[j * LUT_STRIDE + s]) =
+                    symbols_interval(bp, alphabet, s, s);
+            }
+        }
         QueryEnv {
-            tables: (0..l).map(|j| summarization.breakpoints(j).to_vec()).collect(),
+            tables,
+            lo,
+            hi,
             weights: (0..l).map(|j| summarization.weight(j)).collect(),
-            alphabet: summarization.alphabet(),
+            alphabet,
             bits: summarization.symbol_bits(),
         }
     }
@@ -79,8 +104,8 @@ impl QueryEnv {
 /// Interval covered by full-cardinality symbols `lo_sym ..= hi_sym` of a
 /// breakpoint table, with infinities at the alphabet edges — the one
 /// implementation of the edge rule, shared by the scalar kernels here and
-/// the SoA block builder in [`crate::block`] (the bit-for-bit
-/// block-vs-scalar guarantee rests on there being exactly one copy).
+/// [`QueryEnv`]'s per-symbol intervals (the symbol table agrees with the
+/// scalar kernels because there is exactly one copy).
 #[inline]
 #[must_use]
 pub(crate) fn symbols_interval(
@@ -198,6 +223,27 @@ impl<'a> QueryContext<'a> {
                 .zip(self.env.tables.iter())
                 .map(|(&v, bp)| bp.partition_point(|&b| b <= v) as u8),
         );
+    }
+
+    /// The query's symbol table for `sofa-simd`'s `lut_lower_bound`:
+    /// clears `out` and fills it with `word_len × 256` entries,
+    /// `out[j * 256 + s] = (w_j · d) · d` where
+    /// `d = max(lo_s − q_j, q_j − hi_s, 0)` for symbol `s`'s interval
+    /// `[lo_s, hi_s]` at position `j` — the same operations, in the same
+    /// order, as the interval kernel `block_lower_bound`, so sums over the
+    /// table are bit-identical to it. Symbols past the alphabet get `0.0`
+    /// (an unbounded interval), which is still a valid bound. Performs no
+    /// allocation once `out` has that capacity.
+    pub fn lut_into(&self, out: &mut Vec<f32>) {
+        let env = self.env();
+        out.clear();
+        for (j, (&q, &w)) in self.values.iter().zip(env.weights.iter()).enumerate() {
+            let row = j * LUT_STRIDE..(j + 1) * LUT_STRIDE;
+            out.extend(env.lo[row.clone()].iter().zip(&env.hi[row]).map(|(&lo, &hi)| {
+                let d = (lo - q).max(q - hi).max(0.0);
+                (w * d) * d
+            }));
+        }
     }
 
     /// The environment, hoisted once so hot loops skip the per-access
@@ -524,6 +570,41 @@ mod tests {
         ((x * 0.21 + r as f32).sin())
             + 0.6 * ((x * 0.83 + (r * 7) as f32).cos())
             + 0.3 * ((x * (1.0 + (r % 11) as f32 * 0.13)).sin())
+    }
+
+    #[test]
+    fn lut_sums_equal_scalar_mindist_bitwise() {
+        let n = 64;
+        let data = dataset(40, n, mixed_signal);
+        let sfa =
+            Sfa::learn(&data, n, &SfaConfig { word_len: 16, alphabet: 64, ..Default::default() });
+        let sax = ISax::new(n, &SaxConfig { word_len: 8, alphabet: 256 });
+        for summ in [&sfa as &dyn Summarization, &sax] {
+            let l = summ.word_len();
+            let mut t = summ.transformer();
+            let mut words = vec![0u8; 40 * l];
+            for (series, word) in data.chunks(n).zip(words.chunks_mut(l)) {
+                t.word_into(series, word);
+            }
+            let ctx = QueryContext::new(summ, &data[5 * n..6 * n]);
+            let mut lut = Vec::new();
+            ctx.lut_into(&mut lut);
+            assert_eq!(lut.len(), l * LUT_STRIDE);
+            let mut out = [0.0f32; LANES];
+            for group in words.chunks_exact(LANES * l) {
+                assert!(!sofa_simd::lut_lower_bound(&lut, group, f32::INFINITY, 0xFF, &mut out));
+                for (lane, word) in group.chunks_exact(l).enumerate() {
+                    let scalar = mindist_scalar(&ctx, word);
+                    assert_eq!(out[lane].to_bits(), scalar.to_bits(), "lane {lane}");
+                }
+            }
+            // Symbols past a smaller alphabet price zero.
+            if summ.alphabet() < 256 {
+                assert!(lut
+                    .chunks_exact(LUT_STRIDE)
+                    .all(|row| row[summ.alphabet()..].iter().all(|&e| e == 0.0)));
+            }
+        }
     }
 
     #[test]

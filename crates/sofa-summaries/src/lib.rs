@@ -28,12 +28,15 @@
 //! The [`lbd::mindist_simd`] kernel is the paper's Algorithm 3: 8-lane
 //! blocks, three comparison masks (below / inside / above the interval)
 //! blended branchlessly, with early abandoning against the best-so-far
-//! distance after every block.
+//! distance after every block. For sweeps over many words the index
+//! instead builds the query's symbol table once
+//! ([`lbd::QueryContext::lut_into`]: the bound's term for every
+//! (position, symbol) pair) and prices 8 words per call from it with
+//! `sofa-simd`'s `lut_lower_bound`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod block;
 pub mod dft;
 pub mod lbd;
 pub mod mcb;
@@ -45,7 +48,6 @@ pub mod sfa;
 pub mod tlb;
 pub mod traits;
 
-pub use block::{mindist_block, mindist_block_masked, WordBlock};
 pub use dft::DftSummary;
 pub use lbd::{
     ip_bound_from_mindist, ip_from_score, ip_l2_radius, ip_score, mindist_node, mindist_scalar,

@@ -1,6 +1,6 @@
 //! Scalar quantization for the compressed refine tier.
 //!
-//! Between the word-block lower bound (symbolic, ~`word_len` floats per
+//! Between the word lower bound (symbolic, `word_len` bytes per
 //! candidate) and the exact `f32` scan (`series_len` floats per candidate)
 //! sits a third price point: the raw series quantized to one byte per
 //! value. Two types share the work:
@@ -17,10 +17,9 @@
 //!   `sofa-simd` `quant_lower_bound` kernel accumulates 8 candidates at a
 //!   time.
 //! * [`QuantBlock`] — one leaf's codes under that grid, laid out
-//!   group-major then position-major (the `WordBlock` shape of PRs 3–5):
-//!   group `g` holds `series_len * 8` bytes, position `j` at
-//!   `codes[g*series_len*8 + j*8 + lane]`; pad lanes of the last group
-//!   mirror the last real row.
+//!   group-major then position-major: group `g` holds `series_len * 8`
+//!   bytes, position `j` at `codes[g*series_len*8 + j*8 + lane]`; pad
+//!   lanes of the last group mirror the last real row.
 //!
 //! Codes alone cannot prune an *exact* index. For each row the block
 //! stores `err = ‖x - x̂‖` (unsquared, `x̂` the dequantized row, computed in
