@@ -103,7 +103,7 @@ impl CancelToken {
     /// Cheap poll: has this token fired?
     ///
     /// Always reads the shared flag (one relaxed load); consults the
-    /// clock only every [`DEADLINE_POLL_STRIDE`] calls, latching the
+    /// clock only every `DEADLINE_POLL_STRIDE` (16) calls, latching the
     /// flag when the deadline has passed so subsequent polls (and other
     /// clones) see it without re-reading time.
     pub fn is_cancelled(&self) -> bool {

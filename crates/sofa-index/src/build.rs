@@ -18,7 +18,7 @@
 //! copy of the dataset.
 
 use crate::config::IndexConfig;
-use crate::node::{root_key, Node, NodeKind, Subtree};
+use crate::node::{root_key, Node, NodeKind, Subtree, SymbolEnvelope};
 use crate::{Index, IndexError};
 use sofa_exec::ExecPool;
 use sofa_simd::znormalize;
@@ -254,7 +254,7 @@ impl<S: Summarization> Index<S> {
             }
             let mut first_pack = None;
             for node in &st.nodes {
-                if let NodeKind::Leaf { rows, pack } = &node.kind {
+                if let NodeKind::Leaf { rows, pack, .. } = &node.kind {
                     if first_pack.is_none() {
                         first_pack = pack.as_ref().map(|p| p.start);
                     }
@@ -360,7 +360,7 @@ impl<S: Summarization> Index<S> {
                         }
                         let mut next = base;
                         for node in st.nodes.iter_mut() {
-                            if let NodeKind::Leaf { rows, pack } = &mut node.kind {
+                            if let NodeKind::Leaf { rows, pack, .. } = &mut node.kind {
                                 let start = next;
                                 next += rows.len();
                                 let quant = quant_grid.and_then(|grid| {
@@ -458,8 +458,13 @@ fn build_node(
     leaf_capacity: usize,
 ) -> u32 {
     let id = u32::try_from(arena.len()).expect("node-id space (u32) exhausted");
+    let leaf = |rows: Vec<u32>| {
+        // Build-time words are in row order: a row id is its slot.
+        let envelope = SymbolEnvelope::of_slots(l, words, rows.iter().map(|&r| r as usize));
+        NodeKind::Leaf { rows, pack: None, envelope }
+    };
     if rows.len() <= leaf_capacity {
-        arena.push(Node { prefixes, bits, kind: NodeKind::Leaf { rows, pack: None } });
+        arena.push(Node { prefixes, bits, kind: leaf(rows) });
         return id;
     }
     // Balanced split (iSAX 2.0): among positions with spare cardinality,
@@ -488,7 +493,7 @@ fn build_node(
     let Some((_, split_pos)) = best else {
         // No position separates the rows (identical words up to full
         // cardinality): keep an over-full leaf, as iSAX-family indices do.
-        arena.push(Node { prefixes, bits, kind: NodeKind::Leaf { rows, pack: None } });
+        arena.push(Node { prefixes, bits, kind: leaf(rows) });
         return id;
     };
 

@@ -15,7 +15,7 @@
 //! leaf's prefix (checked by tests), so queries started after an insert
 //! see the new series.
 
-use crate::node::{root_key, Node, NodeKind, Subtree};
+use crate::node::{root_key, Node, NodeKind, Subtree, SymbolEnvelope};
 use crate::{Index, IndexError};
 use sofa_summaries::Summarization;
 
@@ -82,7 +82,11 @@ impl<S: Summarization> Index<S> {
                     nodes: vec![Node {
                         prefixes,
                         bits,
-                        kind: NodeKind::Leaf { rows: vec![], pack: None },
+                        kind: NodeKind::Leaf {
+                            rows: vec![],
+                            pack: None,
+                            envelope: SymbolEnvelope::empty(self.word_len),
+                        },
                     }],
                     stale_leaves: 1,
                 };
@@ -111,8 +115,9 @@ impl<S: Summarization> Index<S> {
         }
         let mut newly_unpacked = 0usize;
         match &mut subtree.nodes[id as usize].kind {
-            NodeKind::Leaf { rows, pack } => {
+            NodeKind::Leaf { rows, pack, envelope } => {
                 rows.push(row);
+                envelope.widen(&word);
                 // The leaf's contiguous run no longer covers all its rows:
                 // drop the pack so refinement falls back to the exact
                 // per-row path until `repack_leaves` runs.
@@ -198,7 +203,8 @@ impl<S: Summarization> Index<S> {
 /// Splits `leaf` — and any over-full child produced by the split — using
 /// the balanced-split rule, mutating the subtree arena in place. `words`
 /// is in storage order; `row_to_slot` maps the row ids stored in leaves to
-/// it. Returns the number of splits performed (each adds one leaf).
+/// it. Each child leaf's envelope is rebuilt from its rows' words. Returns
+/// the number of splits performed (each adds one leaf).
 fn split_while_overfull(
     subtree: &mut Subtree,
     leaf: u32,
@@ -208,9 +214,8 @@ fn split_while_overfull(
     symbol_bits: u8,
     leaf_capacity: usize,
 ) -> usize {
-    let word_bit = |r: u32, j: usize, shift: u8| {
-        (words[row_to_slot[r as usize] as usize * l + j] >> shift) & 1
-    };
+    let slot = |r: u32| row_to_slot[r as usize] as usize;
+    let word_bit = |r: u32, j: usize, shift: u8| (words[slot(r) * l + j] >> shift) & 1;
     let mut splits = 0usize;
     let mut pending = vec![leaf];
     while let Some(id) = pending.pop() {
@@ -257,9 +262,10 @@ fn split_while_overfull(
             let mut b = bits.clone();
             p[split_pos] = (p[split_pos] << 1) | bit;
             b[split_pos] += 1;
+            let envelope = SymbolEnvelope::of_slots(l, words, rows.iter().map(|&r| slot(r)));
             // Split children start un-packed: their rows are subsets of
             // the parent's (no longer contiguous) run.
-            Node { prefixes: p, bits: b, kind: NodeKind::Leaf { rows, pack: None } }
+            Node { prefixes: p, bits: b, kind: NodeKind::Leaf { rows, pack: None, envelope } }
         };
         let left = u32::try_from(subtree.nodes.len()).expect("node-id space (u32) exhausted");
         subtree.nodes.push(child(0, zeros));

@@ -19,15 +19,16 @@
 //! 1. **Approximate search** descends to the query's home leaf and
 //!    computes real distances there, seeding the best-so-far (BSF).
 //! 2. **Collect**: workers traverse subtrees in parallel, prune whole
-//!    subtrees/nodes whose node-level lower bound exceeds the BSF, and
-//!    push surviving leaves into a fixed number of priority queues ordered
-//!    by leaf lower bound.
+//!    subtrees whose root-key lower bound exceeds the BSF, price every
+//!    leaf behind that gate by its per-position min/max symbol envelope,
+//!    and push the leaves that survive into a fixed number of priority
+//!    queues ordered by that envelope bound.
 //! 3. **Refine**: workers drain the queues; a popped leaf whose lower
 //!    bound exceeds the BSF abandons its entire queue (everything behind
 //!    it is farther). Surviving leaves evaluate per-series lower bounds
-//!    with the SIMD mindist kernel (early-abandoned against the BSF) and
-//!    only then compute real distances (also early-abandoned), updating
-//!    the shared atomic BSF.
+//!    8 at a time with the SIMD symbol-table kernel (early-abandoned
+//!    against the BSF) and only then compute real distances (also
+//!    early-abandoned), updating the shared atomic BSF.
 //!
 //! The result is exact: every pruning step is justified by a lower bound.
 //! The crate-level tests and the workspace property tests verify that the
@@ -52,7 +53,7 @@ pub mod stats;
 pub use bsf::{AtomicDistance, IpNeighbor, KnnSet, Neighbor};
 pub use config::IndexConfig;
 pub use filter::RowFilter;
-pub use node::{LeafPack, Node, NodeKind, Subtree};
+pub use node::{LeafPack, Node, NodeKind, Subtree, SymbolEnvelope};
 pub use query::{validate_batch, QueryKind, QueryStats};
 pub use snapshot::{
     describe, SectionInfo, SectionReader, SnapshotCapabilities, SnapshotInfo,

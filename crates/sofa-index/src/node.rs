@@ -8,6 +8,12 @@
 //! significant bits of the symbol). An inner node's two children extend
 //! one position by one bit (set to 0 and 1 — the iSAX split), chosen to
 //! balance the series between them (as in iSAX 2.0 / MESSI).
+//!
+//! Every leaf also keeps its [`SymbolEnvelope`]: the min and max
+//! full-cardinality symbol of its rows at each position. The collect
+//! phase prices a leaf by that envelope, which is never looser than the
+//! leaf's prefix label (all rows share the label) and never tighter than
+//! any row's own word bound.
 
 use sofa_summaries::QuantBlock;
 
@@ -41,6 +47,101 @@ pub struct LeafPack {
 /// series — they simply keep the two-stage word → `f32` path.
 pub(crate) const QUANT_REFINE_MAX_LEN: usize = 2048;
 
+/// The per-position min and max full-cardinality symbol over a leaf's
+/// rows: `2 · word_len` bytes, kept on the leaf itself (not in its
+/// [`LeafPack`]) so it survives pack drops. Built from the rows' words by
+/// the bulk build, leaf splits and snapshot opens; an insert widens it in
+/// `O(word_len)`. A leaf without rows has the empty envelope (every min
+/// `u8::MAX`, every max `0`).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SymbolEnvelope {
+    /// `word_len` minimum symbols followed by `word_len` maximum symbols.
+    bounds: Box<[u8]>,
+}
+
+impl SymbolEnvelope {
+    /// The envelope of no words.
+    #[must_use]
+    pub(crate) fn empty(word_len: usize) -> Self {
+        let mut bounds = vec![0u8; 2 * word_len];
+        bounds[..word_len].fill(u8::MAX);
+        SymbolEnvelope { bounds: bounds.into_boxed_slice() }
+    }
+
+    /// The envelope of the words at storage `slots` of the slot-ordered
+    /// word arena `words` (`word_len` symbols per slot). Runs of
+    /// consecutive slots — a packed leaf is one — are widened as one
+    /// contiguous sweep, with no per-row slicing.
+    #[must_use]
+    pub(crate) fn of_slots(
+        word_len: usize,
+        words: &[u8],
+        slots: impl IntoIterator<Item = usize>,
+    ) -> Self {
+        let mut envelope = Self::empty(word_len);
+        let mut run = 0..0;
+        for slot in slots {
+            if slot != run.end {
+                envelope.widen(&words[run.start * word_len..run.end * word_len]);
+                run = slot..slot;
+            }
+            run.end += 1;
+        }
+        envelope.widen(&words[run.start * word_len..run.end * word_len]);
+        envelope
+    }
+
+    /// Widens the envelope to cover `words`: zero or more whole words,
+    /// back to back.
+    pub(crate) fn widen(&mut self, words: &[u8]) {
+        const BLOCK: usize = 64;
+        let (min, max) = self.bounds.split_at_mut(self.bounds.len() / 2);
+        let l = min.len();
+        debug_assert_eq!(words.len() % l, 0, "not whole words");
+        // A long run folds whole 64-byte blocks lane-wise first: when the
+        // word length divides 64, lane `k` of every block is position
+        // `k % l`, and the fixed-size lanes compile to vector min/max.
+        // Opening a snapshot widens every leaf this way.
+        let blocked = if BLOCK % l == 0 { words.len() / BLOCK * BLOCK } else { 0 };
+        let (blocks, tail) = words.split_at(blocked);
+        if blocked > 0 {
+            let (mut lo, mut hi) = ([u8::MAX; BLOCK], [0u8; BLOCK]);
+            for block in blocks.chunks_exact(BLOCK) {
+                let block: &[u8; BLOCK] =
+                    block.try_into().expect("chunks_exact yields whole blocks");
+                for k in 0..BLOCK {
+                    lo[k] = lo[k].min(block[k]);
+                    hi[k] = hi[k].max(block[k]);
+                }
+            }
+            for (lo, hi) in lo.chunks_exact(l).zip(hi.chunks_exact(l)) {
+                for j in 0..l {
+                    min[j] = min[j].min(lo[j]);
+                    max[j] = max[j].max(hi[j]);
+                }
+            }
+        }
+        for word in tail.chunks_exact(l) {
+            for ((lo, hi), &s) in min.iter_mut().zip(max.iter_mut()).zip(word) {
+                *lo = (*lo).min(s);
+                *hi = (*hi).max(s);
+            }
+        }
+    }
+
+    /// Smallest symbol per position.
+    #[must_use]
+    pub fn min(&self) -> &[u8] {
+        &self.bounds[..self.bounds.len() / 2]
+    }
+
+    /// Largest symbol per position.
+    #[must_use]
+    pub fn max(&self) -> &[u8] {
+        &self.bounds[self.bounds.len() / 2..]
+    }
+}
+
 /// The payload of a node.
 #[derive(Clone, Debug)]
 pub enum NodeKind {
@@ -53,6 +154,9 @@ pub enum NodeKind {
         /// Contiguous-storage acceleration state; `None` until the build
         /// packs leaves or after an online insert touched this leaf.
         pack: Option<LeafPack>,
+        /// Per-position min/max symbols of `rows` — the collect phase's
+        /// leaf bound.
+        envelope: SymbolEnvelope,
     },
     /// Inner node: refined on `split_pos` by one bit.
     Inner {
@@ -89,6 +193,15 @@ impl Node {
         match &self.kind {
             NodeKind::Leaf { rows, .. } => rows,
             NodeKind::Inner { .. } => &[],
+        }
+    }
+
+    /// The leaf's symbol envelope (`None` for inner nodes).
+    #[must_use]
+    pub fn envelope(&self) -> Option<&SymbolEnvelope> {
+        match &self.kind {
+            NodeKind::Leaf { envelope, .. } => Some(envelope),
+            NodeKind::Inner { .. } => None,
         }
     }
 
@@ -222,7 +335,7 @@ mod tests {
         let leaf = |rows: Vec<u32>| Node {
             prefixes: vec![0; 2],
             bits: vec![1; 2],
-            kind: NodeKind::Leaf { rows, pack: None },
+            kind: NodeKind::Leaf { rows, pack: None, envelope: SymbolEnvelope::empty(2) },
         };
         let subtree = Subtree {
             key: 0,
@@ -248,5 +361,44 @@ mod tests {
         assert_eq!(d, vec![1, 2, 2]);
         assert_eq!(subtree.n_rows(), 5);
         assert_eq!(subtree.leaves().count(), 3);
+    }
+
+    #[test]
+    fn envelope_widens_to_cover_every_word() {
+        let mut env = SymbolEnvelope::empty(3);
+        assert_eq!((env.min(), env.max()), (&[255u8; 3][..], &[0u8; 3][..]));
+        env.widen(&[7, 0, 255]);
+        assert_eq!((env.min(), env.max()), (&[7u8, 0, 255][..], &[7u8, 0, 255][..]));
+        env.widen(&[3, 9, 200]);
+        assert_eq!((env.min(), env.max()), (&[3u8, 0, 200][..], &[7u8, 9, 255][..]));
+        // Slots 1 and 2 form one run, slot 0 another; slot 3 is not read.
+        let arena = [3, 9, 200, 7, 0, 255, 3, 9, 200, 1, 1, 1];
+        assert_eq!(SymbolEnvelope::of_slots(3, &arena, [1, 2, 0]), env);
+        assert_eq!(SymbolEnvelope::of_slots(3, &arena, []), SymbolEnvelope::empty(3));
+    }
+
+    #[test]
+    fn long_runs_fold_blocks_like_single_words() {
+        // Word lengths that divide the 64-byte block and ones that do not,
+        // over runs with and without a partial last block.
+        for l in [1usize, 3, 8, 13, 16, 64] {
+            for rows in [1usize, 5, 8, 37, 200] {
+                let words: Vec<u8> = (0..rows * l).map(|i| (i * 89 % 251) as u8).collect();
+                let mut run = SymbolEnvelope::empty(l);
+                run.widen(&words);
+                let mut one_by_one = SymbolEnvelope::empty(l);
+                for word in words.chunks_exact(l) {
+                    one_by_one.widen(word);
+                }
+                let mut min = vec![u8::MAX; l];
+                let mut max = vec![0u8; l];
+                for (i, &s) in words.iter().enumerate() {
+                    min[i % l] = min[i % l].min(s);
+                    max[i % l] = max[i % l].max(s);
+                }
+                assert_eq!((run.min(), run.max()), (&min[..], &max[..]), "l={l} rows={rows}");
+                assert_eq!(run, one_by_one, "l={l} rows={rows}");
+            }
+        }
     }
 }

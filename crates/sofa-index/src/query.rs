@@ -2,7 +2,7 @@
 //!
 //! The three GEMINI phases — approximate seed, parallel collect, parallel
 //! refine — are documented on the crate root. All pruning decisions flow
-//! through one [`PruneBound`] policy object (see [`crate::prune`]): the
+//! through one crate-private `PruneBound` policy object: the
 //! same funnel answers **k-NN** (shrinking k-th-best bound), **range**
 //! (fixed epsilon radius, strict pruning, ties at the radius kept), and
 //! **max-inner-product** (the Parseval score-to-L2-radius conversion),
@@ -19,24 +19,41 @@
 //! Live lanes stay bit-identical to the unfiltered sweep across every
 //! kernel tier.
 //!
-//! The **collect phase** prices each subtree with one [`RootLbd`] XOR
-//! evaluation and walks the rare subtree that split below its root with
-//! a scalar `mindist_node` DFS; the **refine phase** then lower-bounds
-//! each surviving leaf's candidates 8 at a time through
-//! [`lut_lower_bound`]: the query's symbol table (built once per query)
-//! indexed by the candidates' words, read straight from the word arena.
+//! The funnel narrows in four bounds, each tighter and costlier than the
+//! one before:
+//!
+//! 1. **Root gate** (collect): one [`RootLbd`] XOR evaluation per subtree
+//!    prices its 1-bit-per-position root label — a few bit operations,
+//!    run on every subtree of every query.
+//! 2. **Leaf envelope** (collect): every leaf behind a passing gate is
+//!    priced by its [`crate::SymbolEnvelope`], the per-position min/max
+//!    symbols of its rows ([`QueryContext::envelope_mindist`], one pass
+//!    over `word_len` positions). The leaf is pruned on that bound or
+//!    queued under it, so queues also abandon on it. The rare subtree
+//!    that split below its root prices its inner nodes with a scalar
+//!    `mindist_node` DFS on the way down.
+//! 3. **Word bound** (refine): each queued leaf's candidates are priced
+//!    8 at a time by [`lut_lower_bound`]: the query's symbol table (built
+//!    once per query) indexed by the candidates' words, read straight
+//!    from the word arena.
+//! 4. **Quantized bound** (refine): near-full surviving groups are
+//!    re-priced from 1-byte codes before the exact `f32` scan.
+//!
+//! The envelope bound is `>=` the root gate and `<=` every member row's
+//! word bound in `f32` (same operations, wider interval), so it prunes
+//! only leaves the word bound would empty, and answers are unchanged.
 //!
 //! Parallel phases execute on the index's persistent
 //! [`sofa_exec::ExecPool`] (no per-query thread spawning), and every
 //! per-query buffer — context values, query word, symbol table, queues,
 //! k-NN heap, range hit list, DFS stacks — comes from a pooled
-//! [`crate::scratch::QueryScratch`], so the steady-state serial path
+//! crate-private query scratch, so the steady-state serial path
 //! performs zero heap allocations and [`Index::knn_batch`] lanes reuse
 //! one scratch per lane across the whole mini-batch.
 
 use crate::bsf::{IpNeighbor, Neighbor};
 use crate::filter::RowFilter;
-use crate::node::{root_key, LeafPack, NodeKind, Subtree, MAX_WORD_LEN};
+use crate::node::{root_key, LeafPack, NodeKind, Subtree, SymbolEnvelope, MAX_WORD_LEN};
 use crate::prune::{IpBound, KnnBound, PruneBound, RangeBound};
 use crate::scratch::{LeafQueue, QueryScratch, QueueEntry};
 use crate::{Index, IndexError};
@@ -56,19 +73,23 @@ use std::sync::Arc;
 /// sweep alive to the end — costs more than the `f32` scans it could
 /// retire. Only near-full groups, where one pass over the codes can
 /// kill several rows at a quarter of their `f32` traffic, clear the
-/// bar (value tuned empirically on the `ext-throughput` A/B arms).
+/// bar. The value was set when the quantized tier was introduced, from
+/// its on/off arms on one index (`repro` throughput profile, 1-core AVX2
+/// container), and has not been re-tuned on `perfbench` since.
 const QUANT_MIN_SURVIVORS: usize = 6;
 
 /// Counters describing how much work one query performed — the raw
 /// material for the paper's pruning-power discussion (§V-E).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct QueryStats {
-    /// Leaves pushed into the priority queues.
+    /// Leaves pushed into the priority queues: non-empty leaves whose
+    /// envelope bound the policy did not prune at collect time.
     pub leaves_collected: usize,
     /// Leaves whose series were actually examined.
     pub leaves_refined: usize,
-    /// Nodes pruned by a node-level lower bound: whole subtrees at the
-    /// root gate and nodes below a root in the collect DFS.
+    /// Nodes pruned at collect time: whole subtrees at the root gate,
+    /// inner nodes below a root in the collect DFS, and leaves pruned by
+    /// their envelope bound.
     pub nodes_pruned: usize,
     /// Per-series lower-bound evaluations (predicate-rejected rows are
     /// never evaluated and excluded here).
@@ -77,7 +98,8 @@ pub struct QueryStats {
     pub series_refined: usize,
     /// Queues abandoned because their minimum exceeded the bound.
     pub queues_abandoned: usize,
-    /// 8-candidate groups swept by the block lower-bound kernel.
+    /// 8-candidate groups swept by the symbol-table word lower-bound
+    /// kernel (`lut_lower_bound`).
     pub block_groups_swept: usize,
     /// Candidate lanes pruned by the block sweep (whole-group abandons
     /// plus individual lanes at or above the bound).
@@ -792,7 +814,7 @@ impl<S: Summarization> Index<S> {
         let mut node = &subtree.nodes[0];
         loop {
             match &node.kind {
-                NodeKind::Leaf { rows, pack } => {
+                NodeKind::Leaf { rows, pack, .. } => {
                     if let Some(pack) = pack {
                         // Packed leaf: stream the contiguous arena run.
                         let start = pack.start as usize;
@@ -829,15 +851,26 @@ impl<S: Summarization> Index<S> {
     }
 
     /// Prices one subtree against the bound and pushes its surviving
-    /// leaves into the queues: one [`RootLbd`] XOR evaluation gates the
-    /// whole subtree; a subtree that split below its root is then walked
-    /// by a scalar DFS that prices each node with `mindist_node` (a
-    /// child's interval nests inside its parent's, so a pruned node
-    /// prunes everything below it).
+    /// leaves into the queues. One [`RootLbd`] XOR evaluation gates the
+    /// whole subtree; every leaf behind the gate is then priced by its
+    /// [`crate::SymbolEnvelope`] ([`QueryContext::envelope_mindist`]) and
+    /// pruned or queued under that bound. A subtree that split below its
+    /// root is walked by a scalar DFS that prices inner nodes with
+    /// `mindist_node` (a child's interval nests inside its parent's, so a
+    /// pruned node prunes everything below it) and leaves by their
+    /// envelopes.
     ///
-    /// Collect is filter-agnostic: node bounds hold for every row under a
-    /// node, admitted or not, so pruning decisions are unchanged and the
-    /// predicate is applied at refine granularity.
+    /// The envelope bound is `>=` both node bounds (every row of a leaf
+    /// shares its label) and `<=` every row's symbol-table sum in `f32`
+    /// (same operations, wider interval), so it prunes only leaves whose
+    /// every row the refine sweep would prune, and answers are unchanged.
+    /// (The per-row path of unpacked leaves sums the same terms through
+    /// `mindist_simd`, in another order; there the two agree to `f32`
+    /// rounding, like any two evaluations of one lower bound.)
+    ///
+    /// Collect is filter-agnostic: node and envelope bounds hold for every
+    /// row under a node, admitted or not, so pruning decisions are
+    /// unchanged and the predicate is applied at refine granularity.
     #[allow(clippy::too_many_arguments)]
     fn collect_subtree<B: PruneBound>(
         &self,
@@ -856,20 +889,26 @@ impl<S: Summarization> Index<S> {
         // subtree key: the precomputed XOR-penalty evaluation prices the
         // whole subtree in a few bit operations (this gate runs for every
         // subtree of every query).
-        let root_bound = root_lbd.eval(subtree.key);
-        if pb.prunes(root_bound) {
+        if pb.prunes(root_lbd.eval(subtree.key)) {
             stats.nodes_pruned.fetch_add(1, Ordering::Relaxed);
             return;
         }
+        let collect_leaf = |id: u32, rows: &[u32], envelope: &SymbolEnvelope| {
+            if rows.is_empty() {
+                return;
+            }
+            let lbd = ctx.envelope_mindist(envelope.min(), envelope.max());
+            if pb.prunes(lbd) {
+                stats.nodes_pruned.fetch_add(1, Ordering::Relaxed);
+            } else {
+                push_leaf(lbd, subtree_idx, id, queues, push_counter);
+                stats.leaves_collected.fetch_add(1, Ordering::Relaxed);
+            }
+        };
         match &subtree.nodes[0].kind {
-            // Single-leaf subtree (wide forests produce thousands): the
-            // root evaluation above *is* the leaf's exact bound — its
-            // 1-bit prefixes are fully determined by the key.
-            NodeKind::Leaf { rows, .. } => {
-                if !rows.is_empty() {
-                    push_leaf(root_bound, subtree_idx, 0, queues, push_counter);
-                    stats.leaves_collected.fetch_add(1, Ordering::Relaxed);
-                }
+            // Single-leaf subtree (wide forests produce thousands).
+            NodeKind::Leaf { rows, envelope, .. } => {
+                collect_leaf(0, rows, envelope);
                 return;
             }
             NodeKind::Inner { left, right, .. } => {
@@ -883,20 +922,13 @@ impl<S: Summarization> Index<S> {
                 return;
             }
             let node = &subtree.nodes[id as usize];
-            let lbd = mindist_node(ctx, &node.prefixes, &node.bits);
-            if pb.prunes(lbd) {
-                stats.nodes_pruned.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
             match &node.kind {
-                NodeKind::Leaf { rows, .. } => {
-                    if rows.is_empty() {
+                NodeKind::Leaf { rows, envelope, .. } => collect_leaf(id, rows, envelope),
+                NodeKind::Inner { left, right, .. } => {
+                    if pb.prunes(mindist_node(ctx, &node.prefixes, &node.bits)) {
+                        stats.nodes_pruned.fetch_add(1, Ordering::Relaxed);
                         continue;
                     }
-                    push_leaf(lbd, subtree_idx, id, queues, push_counter);
-                    stats.leaves_collected.fetch_add(1, Ordering::Relaxed);
-                }
-                NodeKind::Inner { left, right, .. } => {
                     stack.push(*left);
                     stack.push(*right);
                 }
@@ -992,7 +1024,7 @@ impl<S: Summarization> Index<S> {
         let node = &subtree.nodes[entry.node as usize];
         stats.leaves_refined.fetch_add(1, Ordering::Relaxed);
         match &node.kind {
-            NodeKind::Leaf { rows, pack: Some(pack) } => {
+            NodeKind::Leaf { rows, pack: Some(pack), .. } => {
                 self.refine_leaf_packed(
                     pack,
                     rows.len(),
@@ -1005,7 +1037,7 @@ impl<S: Summarization> Index<S> {
                     cancel,
                 );
             }
-            NodeKind::Leaf { rows, pack: None } => {
+            NodeKind::Leaf { rows, pack: None, .. } => {
                 self.refine_leaf_rows(rows, q, ctx, pb, filter, stats);
             }
             NodeKind::Inner { .. } => unreachable!("queues only hold leaves"),

@@ -41,7 +41,7 @@
 
 use crate::arena::Arena;
 use crate::config::IndexConfig;
-use crate::node::{LeafPack, Node, NodeKind, Subtree};
+use crate::node::{LeafPack, Node, NodeKind, Subtree, SymbolEnvelope};
 use crate::{Index, IndexError};
 use sofa_exec::{failpoint, ExecPool};
 use sofa_mmap::{Advice, Mmap};
@@ -892,7 +892,7 @@ impl<S: SnapshotSummarization> Index<S> {
                 out.extend_from_slice(&node.prefixes);
                 out.extend_from_slice(&node.bits);
                 match &node.kind {
-                    NodeKind::Leaf { rows, pack } => {
+                    NodeKind::Leaf { rows, pack, .. } => {
                         put_u8(&mut out, 0);
                         put_len(&mut out, rows.len());
                         put_u32_slice(&mut out, rows);
@@ -914,7 +914,7 @@ impl<S: SnapshotSummarization> Index<S> {
         let mut out = Vec::new();
         for st in &self.subtrees {
             for node in &st.nodes {
-                if let NodeKind::Leaf { rows, pack: Some(pack) } = &node.kind {
+                if let NodeKind::Leaf { rows, pack: Some(pack), .. } = &node.kind {
                     put_u32(&mut out, pack.start);
                     put_len(&mut out, rows.len());
                 }
@@ -1085,9 +1085,9 @@ fn validate_tree_shape(nodes: &[Node]) -> Result<(), String> {
     Ok(())
 }
 
-/// Decodes the forest. Returns the subtrees (packs unattached) plus the
-/// (subtree, node) positions of leaves whose packs follow in the
-/// leaf-packs section, in file order.
+/// Decodes the forest. Returns the subtrees (packs unattached, envelopes
+/// empty until [`rebuild_envelopes`]) plus the (subtree, node) positions
+/// of leaves whose packs follow in the leaf-packs section, in file order.
 #[allow(clippy::type_complexity)]
 fn decode_tree(
     buf: &[u8],
@@ -1136,7 +1136,8 @@ fn decode_tree(
                     if decode_flag(&mut r, "has-pack")? {
                         packed.push((si, ni));
                     }
-                    NodeKind::Leaf { rows, pack: None }
+                    let envelope = SymbolEnvelope::empty(meta.word_len);
+                    NodeKind::Leaf { rows, pack: None, envelope }
                 }
                 1 => {
                     let left = r.u32()?;
@@ -1180,7 +1181,7 @@ fn decode_packs(
     for &(si, ni) in packed {
         let start = r.u32()?;
         let n = r.count()?;
-        let NodeKind::Leaf { rows, pack } = &mut subtrees[si].nodes[ni].kind else {
+        let NodeKind::Leaf { rows, pack, .. } = &mut subtrees[si].nodes[ni].kind else {
             return Err(corrupt("leaf-packs", "pack attached to a non-leaf node"));
         };
         if n != rows.len() {
@@ -1209,6 +1210,17 @@ fn decode_packs(
         *pack = Some(LeafPack { start, quant: None });
     }
     r.finish()
+}
+
+/// Rebuilds every leaf's symbol envelope from the (validated) word arena
+/// and slot map: envelopes are not stored in the snapshot.
+fn rebuild_envelopes(subtrees: &mut [Subtree], words: &[u8], row_to_slot: &[u32], l: usize) {
+    for node in subtrees.iter_mut().flat_map(|st| st.nodes.iter_mut()) {
+        if let NodeKind::Leaf { rows, envelope, .. } = &mut node.kind {
+            let slots = rows.iter().map(|&row| row_to_slot[row as usize] as usize);
+            *envelope = SymbolEnvelope::of_slots(l, words, slots);
+        }
+    }
 }
 
 fn decode_quant(
@@ -1247,7 +1259,7 @@ fn decode_quant(
         let errs_len = r.bounded_count(8)?;
         let errs = r.f64_vec(errs_len)?;
         let qb = QuantBlock::from_parts(&grid, n, codes, errs).map_err(|d| corrupt("quant", d))?;
-        let NodeKind::Leaf { rows, pack: Some(pack) } = &mut subtrees[si].nodes[ni].kind else {
+        let NodeKind::Leaf { rows, pack: Some(pack), .. } = &mut subtrees[si].nodes[ni].kind else {
             return Err(corrupt("quant", "quant codes attached to an unpacked node"));
         };
         if n != rows.len() {
@@ -1392,6 +1404,7 @@ impl<S: SnapshotSummarization> Index<S> {
             &mut subtrees,
             &slot_to_row,
         )?;
+        rebuild_envelopes(&mut subtrees, &words, &row_to_slot, meta.word_len);
         let quant_grid = if meta.grid_present {
             let Ok(buf) = section_slice(bytes, &entries, SEC_QUANT) else {
                 return Err(layout(

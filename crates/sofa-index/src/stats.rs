@@ -24,7 +24,8 @@ pub(crate) struct KernelCounters {
     /// or explicit cancel). Disjoint from `queries`: a cancelled query
     /// was *not* answered, so `queries` stays an exact served audit.
     pub queries_cancelled: AtomicU64,
-    /// 8-candidate groups swept by the block lower-bound kernel.
+    /// 8-candidate groups swept by the symbol-table word lower-bound
+    /// kernel (`lut_lower_bound`).
     pub block_groups_swept: AtomicU64,
     /// Candidate lanes pruned by the block sweep (whole-group abandons
     /// plus individual lanes whose lower bound met the BSF).
@@ -96,7 +97,8 @@ pub struct IndexStats {
     /// Queries abandoned by cooperative cancellation (deadline expiry or
     /// explicit cancel) — never counted in `queries_served`.
     pub queries_cancelled: u64,
-    /// 8-candidate groups swept by the block lower-bound kernel.
+    /// 8-candidate groups swept by the symbol-table word lower-bound
+    /// kernel (`lut_lower_bound`).
     pub block_groups_swept: u64,
     /// Candidate lanes pruned by the block sweep.
     pub block_lanes_abandoned: u64,
@@ -133,7 +135,7 @@ impl<S: Summarization> Index<S> {
         for st in &self.subtrees {
             nodes += st.nodes.len();
             for node in &st.nodes {
-                if let NodeKind::Leaf { rows, pack } = &node.kind {
+                if let NodeKind::Leaf { rows, pack, .. } = &node.kind {
                     leaves += 1;
                     packed_leaves += usize::from(pack.is_some());
                     size_sum += rows.len();

@@ -370,3 +370,82 @@ fn last_leaf_tail_groups_at_arena_end_are_exact() {
         assert_eq!(rows, ((count - tail) as u32..=last).collect::<Vec<_>>(), "tail {tail}");
     }
 }
+
+/// Every leaf's envelope must be exactly the per-position min/max of its
+/// rows' words, recomputed here from the index's word accessor.
+fn assert_envelopes_match_words<S: Summarization>(index: &Index<S>, stage: &str) {
+    let l = index.summarization().word_len();
+    for (si, st) in index.subtrees().iter().enumerate() {
+        for leaf in st.leaves() {
+            let mut min = vec![u8::MAX; l];
+            let mut max = vec![0u8; l];
+            for &row in leaf.rows() {
+                for (j, &s) in index.word(row as usize).iter().enumerate() {
+                    min[j] = min[j].min(s);
+                    max[j] = max[j].max(s);
+                }
+            }
+            let env = leaf.envelope().expect("leaves carry envelopes");
+            assert_eq!(env.min(), &min[..], "{stage}: subtree {si} leaf min symbols");
+            assert_eq!(env.max(), &max[..], "{stage}: subtree {si} leaf max symbols");
+        }
+    }
+}
+
+#[test]
+fn leaf_envelopes_track_build_inserts_repack_and_open() {
+    let n = 64;
+    let data = znormed_dataset(500, n, 0);
+    // Inserts from a different generator seed: new root keys create new
+    // subtrees, and the small capacity makes inserts split leaves.
+    let extra = znormed_dataset(400, n, 7919);
+    let queries = znormed_dataset(8, n, 5000);
+    let mut znormed = data.clone();
+    for row in znormed.chunks_mut(n) {
+        sofa_simd::znormalize(row);
+    }
+    let sfa = Sfa::learn(
+        &znormed,
+        n,
+        &SfaConfig { word_len: 8, alphabet: 16, sample_ratio: 0.5, ..Default::default() },
+    );
+    let config = IndexConfig::with_threads(1).leaf_capacity(12).auto_repack_pct(None);
+    let mut index = Index::build(sfa, &data, config).expect("build");
+    assert_envelopes_match_words(&index, "build");
+
+    let (subtrees, leaves) = (index.stats().subtrees, index.stats().leaves);
+    index.insert_all(&extra).expect("insert");
+    assert!(index.stats().subtrees > subtrees, "inserts created no subtree");
+    assert!(
+        index.stats().leaves - leaves > index.stats().subtrees - subtrees,
+        "inserts split no leaf"
+    );
+    assert_envelopes_match_words(&index, "insert");
+
+    index.repack_incremental();
+    assert_envelopes_match_words(&index, "repack");
+
+    let path = std::env::temp_dir().join(format!(
+        "sofa-envelope-{}-{:?}.idx",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    index.snapshot(&path).expect("snapshot");
+    let opened: Index<Sfa> =
+        Index::open_with_pool(&path, sofa_exec::ExecPool::shared(1)).expect("open");
+    std::fs::remove_file(&path).expect("remove snapshot");
+    assert_envelopes_match_words(&opened, "open");
+
+    let mut all = data.clone();
+    all.extend_from_slice(&extra);
+    for q in queries.chunks(n) {
+        let (want, want_stats) = index.knn_with_stats(q, 5).expect("writer query");
+        let (got, got_stats) = opened.knn_with_stats(q, 5).expect("opened query");
+        assert_eq!(got, want);
+        assert_eq!(got_stats, want_stats);
+        let brute = brute_force_knn(&all, n, q, 5);
+        for (g, w) in got.iter().zip(&brute) {
+            assert!((g.dist_sq - w.dist_sq).abs() <= 1e-3 * w.dist_sq.max(1.0), "{g:?} vs {w:?}");
+        }
+    }
+}

@@ -12,12 +12,13 @@
 //! no longer improve on the BSF.
 //!
 //! Each kernel exists in tiers (scalar reference, portable [`F32x8`], and
-//! an AVX2 implementation in [`crate::arch`] on x86-64); the un-suffixed
-//! names are the runtime-dispatched entry points every caller should use
-//! ([`crate::dispatch`] picks the tier once per process). The AVX2 tier of
-//! `euclidean_sq` / `euclidean_sq_early_abandon` is bit-identical to the
-//! portable tier — same operation order, no FMA contraction — so query
-//! results cannot depend on which of the two served them.
+//! an AVX2 implementation in the crate's private `arch` module on
+//! x86-64); the un-suffixed names are the runtime-dispatched entry points
+//! every caller should use ([`crate::dispatch`] picks the tier once per
+//! process). The AVX2 tier of `euclidean_sq` /
+//! `euclidean_sq_early_abandon` is bit-identical to the portable tier —
+//! same operation order, no FMA contraction — so query results cannot
+//! depend on which of the two served them.
 
 use crate::dispatch::{active_tier, KernelTier};
 use crate::vector::{F32x8, LANES};

@@ -18,8 +18,9 @@
 //!   plain `[f32; 8]` wrapper with full-bitmask lane masks whose lane-wise
 //!   operations auto-vectorize on every mainstream target
 //!   (`SOFA_FORCE_PORTABLE=1` forces it), and
-//! * an **AVX2+FMA** tier of explicit `std::arch` kernels ([`arch`],
-//!   x86-64 only), chosen by default when the CPU supports it.
+//! * an **AVX2+FMA** tier of explicit `std::arch` kernels (the private
+//!   `arch` module, x86-64 only), chosen by default when the CPU
+//!   supports it.
 //!
 //! Besides the per-pair kernels this crate provides the transposed,
 //! throughput-oriented primitive the index's leaf sweep runs on:
@@ -29,7 +30,7 @@
 //! same sums from resolved intervals and is its test reference (see
 //! [`block`] for both layout contracts).
 //!
-//! `unsafe` is confined to the [`arch`] module (intrinsics + raw-pointer
+//! `unsafe` is confined to the private `arch` module (intrinsics + raw-pointer
 //! loads behind the runtime feature check); everything else is safe Rust,
 //! which keeps the kernels testable and portable while preserving the
 //! blocked, mask-select structure the paper describes.

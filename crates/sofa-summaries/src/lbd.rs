@@ -29,6 +29,9 @@
 //! per-position term `w_j · dist_j²` for all 256 symbols once per query;
 //! `sofa-simd`'s `lut_lower_bound` then prices 8 words per call by
 //! summing table entries, with no interval arithmetic left in the sweep.
+//! [`QueryContext::envelope_mindist`] prices a whole set of words at once
+//! from its per-position min/max symbols (an index leaf's envelope) with
+//! the same operations, so it never exceeds any member's table sum.
 
 use crate::traits::Summarization;
 use sofa_simd::{F32x8, LANES, LUT_STRIDE};
@@ -244,6 +247,31 @@ impl<'a> QueryContext<'a> {
                 (w * d) * d
             }));
         }
+    }
+
+    /// Squared lower bound between the query and every word whose symbol
+    /// at each position `j` lies in `min_syms[j] ..= max_syms[j]` (a leaf's
+    /// symbol envelope): sums `(w_j · d) · d` in ascending `j` from `0.0`,
+    /// with `d = max(lo[min_j] − q_j, q_j − hi[max_j], 0)`. These are the
+    /// operations of [`QueryContext::lut_into`], in the same order, on an
+    /// interval that contains each member symbol's interval, so the result
+    /// is `<=` every member word's symbol-table sum in `f32` — and `>=`
+    /// [`RootLbd::eval`] and [`mindist_node`] of any prefix label the
+    /// members share.
+    ///
+    /// # Panics
+    /// Panics if either slice is shorter than the word length.
+    #[must_use]
+    pub fn envelope_mindist(&self, min_syms: &[u8], max_syms: &[u8]) -> f32 {
+        let env = self.env();
+        let mut sum = 0.0f32;
+        for (j, (&q, &w)) in self.values.iter().zip(env.weights.iter()).enumerate() {
+            let lo = env.lo[j * LUT_STRIDE + usize::from(min_syms[j])];
+            let hi = env.hi[j * LUT_STRIDE + usize::from(max_syms[j])];
+            let d = (lo - q).max(q - hi).max(0.0);
+            sum += (w * d) * d;
+        }
+        sum
     }
 
     /// The environment, hoisted once so hot loops skip the per-access
@@ -547,6 +575,7 @@ pub fn ip_l2_radius(n: usize, score_bound: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mcb::BinningStrategy;
     use crate::sax::{ISax, SaxConfig};
     use crate::sfa::{Sfa, SfaConfig};
     use crate::traits::Summarization;
@@ -901,6 +930,155 @@ mod tests {
             assert!(ip_bound_from_mindist(n, r.max(0.0) * 1.001 + 1e-3) >= b * 0.999_999);
         }
         assert_eq!(ip_from_score(64, ip_score(64, 13.25)), 13.25);
+    }
+
+    /// SplitMix64: a seeded stream for the randomized envelope cases.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// A random set of words sharing one prefix label: per position, the
+    /// members keep the anchor symbol's top `bits[j]` bits (at least the
+    /// root bit) and draw the rest, often landing on the label's edge
+    /// symbols. The anchor itself is often the alphabet's edge symbol
+    /// `0` or `alphabet - 1`.
+    fn shared_label_words(
+        rng: &mut Rng,
+        l: usize,
+        symbol_bits: u8,
+        members: usize,
+    ) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+        let alphabet = 1usize << symbol_bits;
+        let mut prefixes = vec![0u8; l];
+        let mut bits = vec![0u8; l];
+        for j in 0..l {
+            let anchor = match rng.below(4) {
+                0 => 0,
+                1 => alphabet - 1,
+                _ => rng.below(alphabet),
+            };
+            bits[j] = 1 + rng.below(usize::from(symbol_bits)) as u8;
+            prefixes[j] = (anchor >> (symbol_bits - bits[j])) as u8;
+        }
+        let mut words = vec![0u8; members * l];
+        for word in words.chunks_exact_mut(l) {
+            for j in 0..l {
+                let shift = symbol_bits - bits[j];
+                let base = usize::from(prefixes[j]) << shift;
+                let span = 1usize << shift;
+                let offset = match rng.below(4) {
+                    0 => 0,
+                    1 => span - 1,
+                    _ => rng.below(span),
+                };
+                word[j] = (base + offset) as u8;
+            }
+        }
+        (words, prefixes, bits)
+    }
+
+    #[test]
+    fn envelope_bound_is_sandwiched_between_node_and_member_bounds() {
+        let mut rng = Rng(0x5EED_E17E);
+        let n = 64;
+        for case in 0..24 {
+            let data = dataset(120, n, |r, t| mixed_signal(r + case * 131, t));
+            let symbol_bits = [2u8, 3, 5, 8][case % 4];
+            let alphabet = 1usize << symbol_bits;
+            let word_len = [4usize, 8, 13, 16][rng.below(4)];
+            let binning = if rng.below(2) == 0 {
+                BinningStrategy::EquiWidth
+            } else {
+                BinningStrategy::EquiDepth
+            };
+            let summ: Box<dyn Summarization> = if case % 2 == 0 {
+                let config = SfaConfig { word_len, alphabet, binning, ..Default::default() };
+                Box::new(Sfa::learn(&data, n, &config))
+            } else {
+                let word_len = if word_len == 13 { 16 } else { word_len };
+                Box::new(ISax::new(n, &SaxConfig { word_len, alphabet }))
+            };
+            let l = summ.word_len();
+            // Queries: data rows, a scaled row that falls past the edge
+            // breakpoints, and a constant one.
+            let mut queries: Vec<Vec<f32>> =
+                (0..3).map(|_| data[rng.below(120) * n..][..n].to_vec()).collect();
+            queries.push(queries[0].iter().map(|v| v * 40.0).collect());
+            queries.push(vec![0.5; n]);
+            for q in &queries {
+                let ctx = QueryContext::new(summ.as_ref(), q);
+                let root = RootLbd::new(&ctx);
+                let mut lut = Vec::new();
+                ctx.lut_into(&mut lut);
+                for _ in 0..12 {
+                    let members = 1 + rng.below(20);
+                    let (words, prefixes, bits) =
+                        shared_label_words(&mut rng, l, summ.symbol_bits(), members);
+                    let mut min = vec![u8::MAX; l];
+                    let mut max = vec![0u8; l];
+                    for word in words.chunks_exact(l) {
+                        for j in 0..l {
+                            min[j] = min[j].min(word[j]);
+                            max[j] = max[j].max(word[j]);
+                        }
+                    }
+                    let env = ctx.envelope_mindist(&min, &max);
+                    let key = prefixes
+                        .iter()
+                        .zip(&bits)
+                        .enumerate()
+                        .fold(0u64, |k, (j, (&p, &b))| k | (u64::from(p >> (b - 1)) << j));
+                    let gate = root.eval(key);
+                    assert!(env >= gate, "case {case}: envelope {env} < root gate {gate}");
+                    let node = mindist_node(&ctx, &prefixes, &bits);
+                    assert!(env >= node, "case {case}: envelope {env} < node bound {node}");
+                    // Every member, on every kernel tier, in 8-lane groups
+                    // padded by repeating the last word.
+                    let mut padded = words.clone();
+                    while padded.len() % (LANES * l) != 0 {
+                        padded.extend_from_within(padded.len() - l..);
+                    }
+                    for group in padded.chunks_exact(LANES * l) {
+                        let mut scalar = [0.0f32; LANES];
+                        let mut dispatched = [0.0f32; LANES];
+                        sofa_simd::lut_lower_bound_scalar(
+                            &lut,
+                            group,
+                            f32::INFINITY,
+                            0xFF,
+                            &mut scalar,
+                        );
+                        sofa_simd::lut_lower_bound(
+                            &lut,
+                            group,
+                            f32::INFINITY,
+                            0xFF,
+                            &mut dispatched,
+                        );
+                        for lane in 0..LANES {
+                            assert!(
+                                env <= scalar[lane] && env <= dispatched[lane],
+                                "case {case}: envelope {env} > member sums {} / {}",
+                                scalar[lane],
+                                dispatched[lane]
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
