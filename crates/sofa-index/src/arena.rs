@@ -1,9 +1,10 @@
 //! Vec-or-mmap storage arenas.
 //!
-//! The index's two flat arenas (z-normalized series, per-series words)
-//! are either owned (`Vec`, the build path) or borrowed straight out of a
-//! memory-mapped snapshot (`Mapped`, the [`crate::snapshot`] open path) —
-//! the FAISS-style "attach, don't deserialize" layout. Readers never see
+//! The index's flat arenas (z-normalized series, per-series words, each
+//! leaf's quant codes) are either owned (`Vec`, the build path) or
+//! borrowed straight out of a memory-mapped snapshot (`Mapped`, the
+//! [`crate::snapshot`] open path) — the FAISS-style "attach, don't
+//! deserialize" layout. Readers never see
 //! the difference: [`Arena`] derefs to a slice. Writers (online inserts,
 //! repacking) call [`Arena::make_mut`], which promotes a mapped arena to
 //! an owned copy once — copy-on-write at the whole-arena granularity, so
@@ -13,6 +14,7 @@ use sofa_mmap::{cast_slice, Mmap, Pod};
 use std::sync::Arc;
 
 /// A flat typed arena that either owns its buffer or views a mapped file.
+#[derive(Clone, Debug)]
 pub(crate) enum Arena<T: Pod> {
     /// Heap-owned storage (built or copy-on-write promoted).
     Owned(Vec<T>),
@@ -82,6 +84,13 @@ impl<T: Pod> Arena<T> {
 impl<T: Pod> From<Vec<T>> for Arena<T> {
     fn from(v: Vec<T>) -> Self {
         Arena::Owned(v)
+    }
+}
+
+impl<T: Pod> AsRef<[T]> for Arena<T> {
+    #[inline]
+    fn as_ref(&self) -> &[T] {
+        self.as_slice()
     }
 }
 

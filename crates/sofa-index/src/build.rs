@@ -17,8 +17,9 @@
 //! in place, so even the borrowing [`Index::build`] performs exactly one
 //! copy of the dataset.
 
+use crate::arena::Arena;
 use crate::config::IndexConfig;
-use crate::node::{root_key, Node, NodeKind, Subtree, SymbolEnvelope};
+use crate::node::{root_key, LeafPack, Node, NodeKind, Subtree, SymbolEnvelope};
 use crate::{Index, IndexError};
 use sofa_exec::ExecPool;
 use sofa_simd::znormalize;
@@ -154,8 +155,8 @@ impl<S: Summarization> Index<S> {
         subtrees.sort_by_key(|s| s.key);
 
         // --- Phase 4: pack leaves. Storage starts in row order (identity
-        // slot maps); `repack_leaves` permutes it into leaf-contiguous
-        // order and records each leaf's run.
+        // slot maps) with every leaf a pure tail; `repack_leaves` permutes
+        // it into leaf-contiguous order and records each leaf's run.
         let query_env = sofa_summaries::QueryEnv::new(&summarization);
         let quant_enabled = std::sync::atomic::AtomicBool::new(config.quant_refine);
         let mut index = Index {
@@ -175,8 +176,7 @@ impl<S: Summarization> Index<S> {
             quant_grid: None,
             quant_enabled,
             scratches: parking_lot::Mutex::new(Vec::with_capacity(lanes + 2)),
-            unpacked_leaves: 0,
-            total_leaves: 0,
+            tail_rows: n_series,
         };
         index.repack_leaves();
         let tree_secs = t1.elapsed().as_secs_f64();
@@ -184,97 +184,43 @@ impl<S: Summarization> Index<S> {
         Ok(index)
     }
 
-    /// Rebuilds the leaf-contiguous storage layout: permutes the series
-    /// and word arenas so every leaf's candidates occupy one contiguous
-    /// run of storage slots (in leaf order), the shape the batched
-    /// lower-bound sweep reads, and rebuilds each leaf's pack.
+    /// Folds every leaf's tail into its packed run: permutes the series
+    /// and word arenas so each leaf's rows occupy one contiguous run of
+    /// storage slots (in leaf order), the shape the refine sweep reads in
+    /// place, and encodes quant codes for the runs that grew. The bulk
+    /// build runs it over leaves that are all tail; the auto-repack
+    /// trigger ([`crate::IndexConfig::auto_repack_pct`]) runs it once
+    /// tails hold enough rows. An index without tail rows is left as is.
     ///
-    /// The bulk build calls this automatically. Online inserts instead
-    /// trigger the cheaper [`Index::repack_incremental`] (when
-    /// [`crate::IndexConfig::auto_repack_pct`] is set, the default);
-    /// call this full variant to force every pack to rebuild — e.g.
-    /// after changing assumptions about the stored layout. The
-    /// permutation is applied in place (cycle-walking with one temporary
-    /// row), so no second copy of the dataset is ever held.
+    /// Only leaves with tails are re-encoded; every other leaf keeps its
+    /// codes, and its run moves whole if an earlier subtree grew.
+    /// Subtrees sit in key order and only tails change a subtree's size,
+    /// so everything before the first subtree with a tail keeps its
+    /// slots: the slot assignment, the permutation's cycle scan and the
+    /// data movement all run over the arena suffix from there.
+    /// The permutation is applied in place (cycle-walking with one
+    /// temporary row), so no second copy of the dataset is ever held.
     pub fn repack_leaves(&mut self) {
-        self.repack_core(true);
-    }
-
-    /// Incremental repack: restores the packed layout like
-    /// [`Index::repack_leaves`], but only subtrees with stale leaves
-    /// (leaves touched by online inserts or splits) rebuild their packs.
-    /// Untouched subtrees reuse their existing packs
-    /// — their arena runs are either left in place entirely or shifted by
-    /// a constant (when an earlier subtree grew), which only updates each
-    /// pack's start slot. This is what the auto-repack trigger runs.
-    ///
-    /// Cost model: every part of the repack scales with the *touched*
-    /// portion of the arena. Subtrees are stored in key order, so all
-    /// moved rows live at or above the first stale subtree's base slot:
-    /// the slot assignment, the permutation's cycle scan and the data
-    /// movement all run over that suffix only, and the clean prefix is
-    /// never read or written.
-    pub fn repack_incremental(&mut self) {
-        self.repack_core(false);
-    }
-
-    /// The one repack implementation (see [`Index::repack_leaves`] /
-    /// [`Index::repack_incremental`]): `full` rebuilds every subtree's
-    /// packs, `!full` only the stale ones.
-    fn repack_core(&mut self, full: bool) {
         let n = self.series_len;
         let l = self.word_len;
         let total = self.slot_to_row.len();
-        // Everything before the first stale subtree is untouched: subtrees
-        // sit in key order, size changes always mark a subtree stale
-        // (inserts, splits, and brand-new subtrees all do), so the clean
-        // prefix keeps its exact cumulative bases — and every moved or
-        // appended row's current slot lies at or above `scan_lo`, the
-        // first stale subtree's base. The slot maps, the permutation and
-        // the data movement below all operate on that suffix only.
-        let first_stale = if full {
-            0
-        } else {
-            self.subtrees.iter().position(|st| st.stale_leaves > 0).unwrap_or(self.subtrees.len())
-        };
+        let Some(first) = self.subtrees.iter().position(Subtree::has_tail) else { return };
+        let scan_lo: usize = self.subtrees[..first].iter().map(Subtree::n_rows).sum();
         // Slot assignment: leaves in (subtree, arena) order, rows in leaf
-        // order. `bases[s]` is the first slot of subtree `s`;
-        // `old_bases[s]` is where its run currently starts (the first
-        // leaf's pack), used to shift clean subtrees without rebuilding.
-        let mut suffix_rows: Vec<u32> = Vec::new();
-        let mut bases: Vec<usize> = Vec::with_capacity(self.subtrees.len());
-        let mut old_bases: Vec<Option<u32>> = Vec::with_capacity(self.subtrees.len());
-        let mut leaves = 0usize;
-        let mut cursor = 0usize;
-        let mut scan_lo = total;
-        for (si, st) in self.subtrees.iter().enumerate() {
-            bases.push(cursor);
-            if si == first_stale {
-                scan_lo = cursor;
+        // order. `bases[s]` is the first slot of suffix subtree `s`.
+        let mut suffix_rows: Vec<u32> = Vec::with_capacity(total - scan_lo);
+        let mut bases: Vec<usize> = Vec::with_capacity(self.subtrees.len() - first);
+        for st in &self.subtrees[first..] {
+            bases.push(scan_lo + suffix_rows.len());
+            for leaf in st.leaves() {
+                suffix_rows.extend_from_slice(leaf.rows());
             }
-            let mut first_pack = None;
-            for node in &st.nodes {
-                if let NodeKind::Leaf { rows, pack, .. } = &node.kind {
-                    if first_pack.is_none() {
-                        first_pack = pack.as_ref().map(|p| p.start);
-                    }
-                    if si >= first_stale {
-                        suffix_rows.extend_from_slice(rows);
-                    }
-                    cursor += rows.len();
-                    leaves += 1;
-                }
-            }
-            old_bases.push(first_pack);
         }
-        self.total_leaves = leaves;
-        self.unpacked_leaves = 0;
-        debug_assert_eq!(cursor, total);
         debug_assert_eq!(suffix_rows.len(), total - scan_lo);
         for (i, &row) in suffix_rows.iter().enumerate() {
             debug_assert!(
                 self.row_to_slot[row as usize] as usize >= scan_lo,
-                "row {row} of a stale subtree sits below the clean prefix"
+                "row {row} of a subtree with a tail sits below the untouched prefix"
             );
             // Lossless: slots are bounded by the row count, which the
             // build rejected past u32::MAX.
@@ -284,23 +230,18 @@ impl<S: Summarization> Index<S> {
         // suffix-local slot coordinates): content currently at storage
         // slot `scan_lo + i` moves to `scan_lo + dest[i]`. Fixed points
         // (runs that keep their slots) are skipped without touching the
-        // data; the clean prefix is not even scanned.
+        // data; the prefix is not even scanned.
         let dest: Vec<u32> = self.slot_to_row[scan_lo..]
             .iter()
             .map(|&row| self.row_to_slot[row as usize] - scan_lo as u32)
             .collect();
-        if scan_lo < total {
-            // `make_mut` promotes mapped (snapshot-opened) arenas to owned
-            // copies; guarded so a clean repack of a mapped index stays
-            // zero-copy.
-            let data = self.data.make_mut();
-            let words = self.words.make_mut();
-            permute_rows(&mut data[scan_lo * n..], &mut words[scan_lo * l..], n, l, &dest);
-        }
+        // `make_mut` promotes mapped (snapshot-opened) arenas to owned
+        // copies.
+        let data = self.data.make_mut();
+        let words = self.words.make_mut();
+        permute_rows(&mut data[scan_lo * n..], &mut words[scan_lo * l..], n, l, &dest);
         self.slot_to_row[scan_lo..].copy_from_slice(&suffix_rows);
 
-        // Leaf packs, one subtree batch per pool lane (subtrees are
-        // disjoint, so `chunks_mut` hands each lane its own slice).
         let quant_on = self.config.quant_refine && n <= crate::node::QUANT_REFINE_MAX_LEN && n > 0;
         if quant_on && self.quant_grid.is_none() {
             // Train the index-wide quantizer once, on a strided row sample
@@ -320,65 +261,38 @@ impl<S: Summarization> Index<S> {
                 sofa_summaries::QuantGrid::train(&sample, n)
             };
         }
+        // Leaf packs, one batch of suffix subtrees per pool lane (subtrees
+        // are disjoint, so `chunks_mut` hands each lane its own slice).
         let data = &self.data;
         let quant_grid = if quant_on { self.quant_grid.as_ref() } else { None };
-        let per_lane = self.subtrees.len().div_ceil(self.pool.threads()).max(1);
+        let suffix = &mut self.subtrees[first..];
+        let per_lane = suffix.len().div_ceil(self.pool.threads()).max(1);
         self.pool.run(|scope| {
-            for ((chunk, base_chunk), old_base_chunk) in self
-                .subtrees
-                .chunks_mut(per_lane)
-                .zip(bases.chunks(per_lane))
-                .zip(old_bases.chunks(per_lane))
-            {
+            for (chunk, base_chunk) in suffix.chunks_mut(per_lane).zip(bases.chunks(per_lane)) {
                 scope.spawn(move || {
-                    for ((st, &base), &old_base) in
-                        chunk.iter_mut().zip(base_chunk.iter()).zip(old_base_chunk.iter())
-                    {
-                        if !full && st.stale_leaves == 0 {
-                            if let Some(old) = old_base {
-                                // Clean subtree: every leaf is packed and
-                                // no label changed since its packs were
-                                // built, so they are reused verbatim. Its
-                                // contiguous run may have shifted as a
-                                // whole (an earlier subtree grew); only
-                                // the start slots need the delta.
-                                let delta = base as i64 - i64::from(old);
-                                if delta != 0 {
-                                    for node in st.nodes.iter_mut() {
-                                        if let NodeKind::Leaf { pack: Some(pack), .. } =
-                                            &mut node.kind
-                                        {
-                                            // Lossless: the shifted start is
-                                            // this run's new base slot, a
-                                            // valid slot index < u32::MAX.
-                                            pack.start = (i64::from(pack.start) + delta) as u32;
-                                        }
-                                    }
-                                }
-                                continue;
-                            }
-                        }
+                    for (st, &base) in chunk.iter_mut().zip(base_chunk) {
                         let mut next = base;
-                        for node in st.nodes.iter_mut() {
-                            if let NodeKind::Leaf { rows, pack, .. } = &mut node.kind {
-                                let start = next;
-                                next += rows.len();
-                                let quant = quant_grid.and_then(|grid| {
-                                    sofa_summaries::QuantBlock::build(
-                                        grid,
-                                        &data[start * n..next * n],
-                                        n,
-                                    )
+                        for node in &mut st.nodes {
+                            let NodeKind::Leaf { rows, pack, .. } = &mut node.kind else {
+                                continue;
+                            };
+                            // Lossless: slots are < n_series <= u32::MAX.
+                            pack.start = next as u32;
+                            if pack.len as usize != rows.len() {
+                                let run = &data[next * n..(next + rows.len()) * n];
+                                pack.len = rows.len() as u32;
+                                pack.quant = quant_grid.and_then(|grid| {
+                                    let qb = sofa_summaries::QuantBlock::build(grid, run, n)?;
+                                    Some(qb.map_codes(Arena::from))
                                 });
-                                // Lossless: start < n_series <= u32::MAX.
-                                *pack = Some(crate::node::LeafPack { start: start as u32, quant });
                             }
+                            next += rows.len();
                         }
-                        st.stale_leaves = 0;
                     }
                 });
             }
         });
+        self.tail_rows = 0;
     }
 
     /// The subtree forest (read-only).
@@ -442,7 +356,7 @@ fn build_subtree(
     let bits = vec![1u8; l];
     let mut nodes = Vec::new();
     build_node(rows, prefixes, bits, &mut nodes, words, l, symbol_bits, config.leaf_capacity);
-    Subtree { key, nodes, stale_leaves: 0 }
+    Subtree { key, nodes }
 }
 
 /// Recursively materializes the node for `rows`, returning its arena id.
@@ -461,7 +375,7 @@ fn build_node(
     let leaf = |rows: Vec<u32>| {
         // Build-time words are in row order: a row id is its slot.
         let envelope = SymbolEnvelope::of_slots(l, words, rows.iter().map(|&r| r as usize));
-        NodeKind::Leaf { rows, pack: None, envelope }
+        NodeKind::Leaf { rows, pack: LeafPack::default(), envelope }
     };
     if rows.len() <= leaf_capacity {
         arena.push(Node { prefixes, bits, kind: leaf(rows) });
@@ -716,16 +630,17 @@ mod tests {
         assert!(transform >= 0.0 && tree >= 0.0);
     }
 
-    /// Structural invariant of the packed layout: every packed leaf's
-    /// contiguous slot run holds exactly its rows, in order.
+    /// Structural invariant of the packed layout: every leaf's contiguous
+    /// slot run holds exactly its first `len` rows, in order, and its
+    /// codes cover exactly that run.
     fn assert_layout_consistent(idx: &Index<ISax>) {
         for st in idx.subtrees() {
             for leaf in st.leaves() {
-                let pack = leaf.pack().expect("leaf must be packed");
+                let pack = leaf.pack().expect("leaves carry packs");
                 if let Some(qb) = &pack.quant {
-                    assert_eq!(qb.n(), leaf.rows().len());
+                    assert_eq!(qb.n(), pack.len as usize);
                 }
-                for (i, &row) in leaf.rows().iter().enumerate() {
+                for (i, &row) in leaf.rows()[..pack.len as usize].iter().enumerate() {
                     let slot = pack.start as usize + i;
                     assert_eq!(idx.slot_to_row[slot], row, "slot {slot} holds the wrong row");
                     assert_eq!(idx.row_to_slot[row as usize] as usize, slot);
@@ -747,13 +662,14 @@ mod tests {
         .expect("build");
         idx.insert_all(&data[400 * n..]).expect("insert");
         let before = idx.stats();
-        assert!(before.packed_leaves < before.leaves, "inserts must leave stale leaves");
-        assert!(idx.subtrees().iter().any(|st| st.stale_leaves > 0));
+        assert!(before.packed_leaves < before.leaves, "inserts must leave tails");
+        assert!(idx.subtrees().iter().any(|st| st.has_tail()));
+        assert_layout_consistent(&idx);
 
-        idx.repack_incremental();
+        idx.repack_leaves();
         let after = idx.stats();
-        assert_eq!(after.packed_leaves, after.leaves, "incremental repack must pack everything");
-        assert!(idx.subtrees().iter().all(|st| st.stale_leaves == 0));
+        assert_eq!(after.packed_leaves, after.leaves, "repack must fold every tail");
+        assert!(!idx.subtrees().iter().any(|st| st.has_tail()));
         assert_layout_consistent(&idx);
 
         // Answers agree with a bulk-built index over the same data.
@@ -779,7 +695,7 @@ mod tests {
             .flat_map(|st| st.leaves().map(|l| l.pack().unwrap().start))
             .collect();
         let mut idx = idx0;
-        idx.repack_incremental();
+        idx.repack_leaves();
         let after: Vec<u32> = idx
             .subtrees()
             .iter()

@@ -17,12 +17,14 @@ pub struct IndexConfig {
     pub num_threads: usize,
     /// Auto-repack threshold, in percent: after an online insert (or once
     /// per `insert_all` burst), when more than this percentage of the
-    /// tree's leaves are un-packed (per-row fallback refinement) — and at
-    /// least 8 in absolute terms, so tiny trees never repack on every
-    /// insert — [`crate::Index::repack_leaves`] runs automatically, on
-    /// the index's worker pool like every build phase, so long-running
-    /// serving instances keep the batched sweeps without operator action.
-    /// `None` disables the trigger (manual repacking only).
+    /// index's rows sit in leaf tails (rows inserted since their leaf was
+    /// packed, see [`crate::LeafPack`]) — and at least 64 in absolute
+    /// terms, so tiny indexes never repack on every insert —
+    /// [`crate::Index::repack_leaves`] folds the tails back into packed
+    /// runs on the index's worker pool. Tail rows are priced by the same
+    /// kernel as packed rows, so this is a compaction that restores
+    /// in-place word reads and the quantized tier, never a correctness
+    /// matter. `None` disables the trigger (manual repacking only).
     /// Default: `Some(25)`.
     pub auto_repack_pct: Option<u32>,
     /// Whether repacking builds the scalar-quantized refine tier: per-leaf
@@ -61,9 +63,8 @@ impl IndexConfig {
     }
 
     /// Sets (or, with `None`, disables) the auto-repack threshold — the
-    /// percentage of un-packed leaves that triggers an automatic
-    /// incremental repack ([`crate::Index::repack_incremental`]) after an
-    /// online insert.
+    /// percentage of rows in leaf tails that triggers an automatic
+    /// [`crate::Index::repack_leaves`] after an online insert.
     #[must_use]
     pub fn auto_repack_pct(mut self, pct: Option<u32>) -> Self {
         self.auto_repack_pct = pct;

@@ -13,9 +13,13 @@
 //!
 //! Inserts keep every exactness invariant: the new row's word respects its
 //! leaf's prefix (checked by tests), so queries started after an insert
-//! see the new series.
+//! see the new series. An insert rebuilds nothing: the row is appended to
+//! the arenas and to its leaf's tail (see [`crate::LeafPack`]), whose
+//! words the refine sweep stages and prices with the same symbol-table
+//! kernel as packed rows — as FAISS's `IndexIVF::add` appends codes to
+//! an inverted list.
 
-use crate::node::{root_key, Node, NodeKind, Subtree, SymbolEnvelope};
+use crate::node::{root_key, LeafPack, Node, NodeKind, Subtree, SymbolEnvelope};
 use crate::{Index, IndexError};
 use sofa_summaries::Summarization;
 
@@ -53,8 +57,8 @@ impl<S: Summarization> Index<S> {
             return Err(IndexError::TooManyRows { rows: next_row + 1 });
         }
         // Append normalized values and the word. The new row takes the
-        // next storage slot (the arena tail), so existing packed runs are
-        // undisturbed; only the leaf receiving the row loses its pack.
+        // next storage slot (the arena end), so every packed run stays in
+        // place; the row joins its leaf's tail.
         let mut z = series.to_vec();
         sofa_simd::znormalize(&mut z);
         let mut word = vec![0u8; self.word_len];
@@ -73,7 +77,7 @@ impl<S: Summarization> Index<S> {
         let subtree_idx = match self.subtrees.binary_search_by_key(&key, |s| s.key) {
             Ok(i) => i,
             Err(i) => {
-                // New root child: a fresh subtree holding one leaf.
+                // New root child: a fresh subtree holding one empty leaf.
                 let prefixes: Vec<u8> =
                     (0..self.word_len).map(|j| ((key >> j) & 1) as u8).collect();
                 let bits = vec![1u8; self.word_len];
@@ -84,17 +88,12 @@ impl<S: Summarization> Index<S> {
                         bits,
                         kind: NodeKind::Leaf {
                             rows: vec![],
-                            pack: None,
+                            pack: LeafPack::default(),
                             envelope: SymbolEnvelope::empty(self.word_len),
                         },
                     }],
-                    stale_leaves: 1,
                 };
                 self.subtrees.insert(i, subtree);
-                // The new leaf starts un-packed (it is about to receive
-                // its first row).
-                self.total_leaves += 1;
-                self.unpacked_leaves += 1;
                 i
             }
         };
@@ -113,23 +112,15 @@ impl<S: Summarization> Index<S> {
                 }
             }
         }
-        let mut newly_unpacked = 0usize;
         match &mut subtree.nodes[id as usize].kind {
-            NodeKind::Leaf { rows, pack, envelope } => {
+            NodeKind::Leaf { rows, envelope, .. } => {
                 rows.push(row);
                 envelope.widen(&word);
-                // The leaf's contiguous run no longer covers all its rows:
-                // drop the pack so refinement falls back to the exact
-                // per-row path until `repack_leaves` runs.
-                if pack.take().is_some() {
-                    newly_unpacked += 1;
-                }
             }
             NodeKind::Inner { .. } => unreachable!("descent ends at a leaf"),
         }
-        // Each split turns one (un-packed) leaf into an inner node with
-        // two un-packed leaves: +1 leaf, +1 un-packed, net.
-        let splits = split_while_overfull(
+        // A split moves the leaf's packed rows into its children's tails.
+        let unpacked = split_while_overfull(
             subtree,
             id,
             &self.words,
@@ -138,37 +129,25 @@ impl<S: Summarization> Index<S> {
             symbol_bits,
             self.config.leaf_capacity,
         );
-        // Stale-leaf accounting is per subtree (the incremental repack
-        // rebuilds exactly the subtrees whose count is non-zero) with the
-        // global tally kept alongside for the trigger threshold.
-        subtree.stale_leaves += newly_unpacked + splits;
-        self.total_leaves += splits;
-        self.unpacked_leaves += newly_unpacked + splits;
+        self.tail_rows += 1 + unpacked;
         Ok(row)
     }
 
-    /// The auto-repack trigger (ROADMAP PR-3 deferred item): once
-    /// un-packed leaves exceed the configured percentage of the tree,
-    /// restore the packed layout on the worker pool right away instead of
-    /// waiting for an operator call. The trigger runs the *incremental*
-    /// repack — only subtrees with stale leaves rebuild their packs,
-    /// untouched subtrees reuse theirs — so the dominant repack cost
-    /// (data movement and quant encoding) scales with the touched portion
-    /// of the tree (slot bookkeeping remains one O(n) scan; see
-    /// [`Index::repack_incremental`]), keeping long-running serving
-    /// instances on the batched leaf sweep.
+    /// The auto-repack trigger: once tail rows exceed the configured
+    /// percentage of all rows, [`Index::repack_leaves`] folds them back
+    /// into packed runs (and quant codes) on the worker pool. Tail rows
+    /// are priced by the same kernel as packed ones, so this is a
+    /// compaction, not a correctness or fallback concern: it restores the
+    /// in-place word reads and the quantized tier.
     fn maybe_auto_repack(&mut self) {
         let Some(pct) = self.config.auto_repack_pct else { return };
-        // Amortization floor: a repack still permutes shifted arena runs,
-        // so it must be paid for by a batch of un-packed leaves. Without
-        // the floor, a tree with single-digit leaf counts (the default
-        // leaf_capacity is 20k) would exceed any percentage after one
-        // insert and repack on *every* insert — quadratic bursts.
-        const MIN_UNPACKED: usize = 8;
-        if self.unpacked_leaves >= MIN_UNPACKED
-            && self.unpacked_leaves * 100 > self.total_leaves.max(1) * pct as usize
+        // Amortization floor: a repack permutes the arena suffix from the
+        // first subtree with a tail, so a handful of rows in a tiny index
+        // must not trigger one per insert.
+        const MIN_TAIL_ROWS: usize = 64;
+        if self.tail_rows >= MIN_TAIL_ROWS && self.tail_rows * 100 > self.n_series() * pct as usize
         {
-            self.repack_incremental();
+            self.repack_leaves();
         }
     }
 
@@ -203,8 +182,9 @@ impl<S: Summarization> Index<S> {
 /// Splits `leaf` — and any over-full child produced by the split — using
 /// the balanced-split rule, mutating the subtree arena in place. `words`
 /// is in storage order; `row_to_slot` maps the row ids stored in leaves to
-/// it. Each child leaf's envelope is rebuilt from its rows' words. Returns
-/// the number of splits performed (each adds one leaf).
+/// it. Each child leaf's envelope is rebuilt from its rows' words, and
+/// children start with empty packs (all their rows are tail). Returns how
+/// many packed rows the splits moved into tails.
 fn split_while_overfull(
     subtree: &mut Subtree,
     leaf: u32,
@@ -216,16 +196,16 @@ fn split_while_overfull(
 ) -> usize {
     let slot = |r: u32| row_to_slot[r as usize] as usize;
     let word_bit = |r: u32, j: usize, shift: u8| (words[slot(r) * l + j] >> shift) & 1;
-    let mut splits = 0usize;
+    let mut unpacked = 0usize;
     let mut pending = vec![leaf];
     while let Some(id) = pending.pop() {
-        let (rows, prefixes, bits) = {
+        let (rows, packed, prefixes, bits) = {
             let node = &subtree.nodes[id as usize];
-            let NodeKind::Leaf { rows, .. } = &node.kind else { continue };
+            let NodeKind::Leaf { rows, pack, .. } = &node.kind else { continue };
             if rows.len() <= leaf_capacity {
                 continue;
             }
-            (rows.clone(), node.prefixes.clone(), node.bits.clone())
+            (rows.clone(), pack.len as usize, node.prefixes.clone(), node.bits.clone())
         };
 
         // Balanced split position (same rule as the bulk build).
@@ -263,9 +243,8 @@ fn split_while_overfull(
             p[split_pos] = (p[split_pos] << 1) | bit;
             b[split_pos] += 1;
             let envelope = SymbolEnvelope::of_slots(l, words, rows.iter().map(|&r| slot(r)));
-            // Split children start un-packed: their rows are subsets of
-            // the parent's (no longer contiguous) run.
-            Node { prefixes: p, bits: b, kind: NodeKind::Leaf { rows, pack: None, envelope } }
+            let kind = NodeKind::Leaf { rows, pack: LeafPack::default(), envelope };
+            Node { prefixes: p, bits: b, kind }
         };
         let left = u32::try_from(subtree.nodes.len()).expect("node-id space (u32) exhausted");
         subtree.nodes.push(child(0, zeros));
@@ -273,11 +252,11 @@ fn split_while_overfull(
         subtree.nodes.push(child(1, ones));
         subtree.nodes[id as usize].kind =
             NodeKind::Inner { left, right, split_pos: split_pos as u16 };
-        splits += 1;
+        unpacked += packed;
         pending.push(left);
         pending.push(right);
     }
-    splits
+    unpacked
 }
 
 #[cfg(test)]
@@ -389,18 +368,15 @@ mod tests {
             Index::build(sax, &data[..300 * n], IndexConfig::with_threads(1).leaf_capacity(10))
                 .expect("build");
         idx.insert_all(&data[300 * n..]).expect("insert");
-        // The burst runs the trigger exactly once, at the end; afterwards
-        // the un-packed share must sit below the (floored) threshold.
+        // The burst runs the trigger exactly once, at the end: 300 tail
+        // rows (plus the packed rows splits moved into tails) are far past
+        // 25% of 600 rows, so every tail was folded back.
+        assert_eq!(idx.tail_rows, 0, "auto-repack did not fire");
         let s = idx.stats();
-        let unpacked = s.leaves - s.packed_leaves;
-        assert!(
-            unpacked < 8 || unpacked * 100 <= s.leaves * 25,
-            "auto-repack did not hold the threshold: {unpacked}/{} un-packed",
-            s.leaves
-        );
+        assert_eq!(s.packed_leaves, s.leaves, "{s:?}");
 
-        // Opting out leaves the fallback leaves in place until a manual
-        // repack.
+        // Opting out leaves the tails in place until a manual repack; the
+        // counter agrees with the tree.
         let sax = ISax::new(n, &SaxConfig { word_len: 8, alphabet: 256 });
         let mut manual = Index::build(
             sax,
@@ -411,9 +387,12 @@ mod tests {
         manual.insert_all(&data[300 * n..]).expect("insert");
         let s = manual.stats();
         assert!(s.packed_leaves < s.leaves, "opt-out must not repack: {s:?}");
+        let tails: usize =
+            manual.subtrees().iter().flat_map(|st| st.nodes.iter()).map(|n| n.tail_len()).sum();
+        assert!(manual.tail_rows >= 300 && manual.tail_rows == tails, "{tails} tail rows");
         manual.repack_leaves();
         let s = manual.stats();
-        assert_eq!(s.packed_leaves, s.leaves);
+        assert_eq!((s.packed_leaves, manual.tail_rows), (s.leaves, 0));
     }
 
     #[test]

@@ -28,7 +28,9 @@
 //!    it is farther). Surviving leaves evaluate per-series lower bounds
 //!    8 at a time with the SIMD symbol-table kernel (early-abandoned
 //!    against the BSF) and only then compute real distances (also
-//!    early-abandoned), updating the shared atomic BSF.
+//!    early-abandoned), updating the shared atomic BSF. Rows inserted
+//!    after the build sit in their leaf's tail and go through the same
+//!    kernel, their words staged 8 at a time.
 //!
 //! The result is exact: every pruning step is justified by a lower bound.
 //! The crate-level tests and the workspace property tests verify that the
@@ -199,11 +201,9 @@ pub struct Index<S: Summarization> {
     /// Pool of per-query scratches (one per worker lane in the steady
     /// state); see [`scratch`].
     pub(crate) scratches: scratch::ScratchPool,
-    /// Leaves currently lacking packed storage (maintained by
-    /// `insert`/`repack_leaves`; drives the auto-repack trigger).
-    pub(crate) unpacked_leaves: usize,
-    /// Total leaves (same maintenance).
-    pub(crate) total_leaves: usize,
+    /// Rows held in leaf tails, past their leaves' packed runs (kept by
+    /// `insert` and `repack_leaves`; drives the auto-repack trigger).
+    pub(crate) tail_rows: usize,
 }
 
 impl<S: Summarization> Index<S> {

@@ -15,30 +15,39 @@
 //! leaf's prefix label (all rows share the label) and never tighter than
 //! any row's own word bound.
 
+use crate::arena::Arena;
 use sofa_summaries::QuantBlock;
 
 /// Node id within one subtree's arena.
 pub type NodeId = u32;
 
-/// Query-acceleration storage of a packed leaf: after the build's packing
-/// phase, the leaf's series and words occupy a contiguous run of *storage
-/// slots* (`start .. start + rows.len()`) in the index's data/words
-/// arenas, in `rows` order, so the refine sweep reads 8 candidates' words
-/// as one row-major run of the word arena. Online inserts into a leaf
-/// drop its pack (set it to `None`): the refinement path then falls back
-/// to per-row evaluation for that leaf until
-/// [`crate::Index::repack_leaves`] rebuilds the layout.
-#[derive(Clone, Debug)]
+/// A packed run's quant codes: built in memory, or viewed in place in an
+/// opened snapshot's mapping.
+pub(crate) type LeafCodes = QuantBlock<Arena<u8>>;
+
+/// The packed head of a leaf: its first `len` rows occupy one contiguous
+/// run of *storage slots* (`start .. start + len`) in the index's
+/// data/words arenas, in `rows` order, so the refine sweep reads 8 of
+/// them as one row-major run of the word arena, and `quant` holds their
+/// codes. The rows after `len` are the leaf's **tail**: rows inserted
+/// since the leaf was packed (each at its own slot at the arena end), or
+/// every row of a split child (`len == 0`). The refine sweep stages tail
+/// words through `row_to_slot`; [`crate::Index::repack_leaves`] folds
+/// tails back into packed runs.
+#[derive(Clone, Debug, Default)]
 pub struct LeafPack {
-    /// First storage slot of the leaf's contiguous series/words run.
+    /// First storage slot of the packed run.
     pub start: u32,
-    /// Scalar-quantized codes + per-row error bounds over the same rows,
+    /// Rows in the packed run: the leaf's first `len` rows.
+    pub len: u32,
+    /// Scalar-quantized codes + per-row error bounds over the packed run,
     /// encoded under the index-wide grid — the compressed middle refine
     /// tier. `None` when the tier is disabled
     /// ([`crate::IndexConfig::quant_refine`]) or no grid could be trained
     /// (degenerate constant/non-finite data); refinement then goes
-    /// straight from the word bound to the exact scan.
-    pub quant: Option<QuantBlock>,
+    /// straight from the word bound to the exact scan. An opened index
+    /// reads the codes straight from its snapshot mapping.
+    pub(crate) quant: Option<LeafCodes>,
 }
 
 /// Longest series length the quantized refine tier covers. The refine
@@ -48,11 +57,10 @@ pub struct LeafPack {
 pub(crate) const QUANT_REFINE_MAX_LEN: usize = 2048;
 
 /// The per-position min and max full-cardinality symbol over a leaf's
-/// rows: `2 · word_len` bytes, kept on the leaf itself (not in its
-/// [`LeafPack`]) so it survives pack drops. Built from the rows' words by
-/// the bulk build, leaf splits and snapshot opens; an insert widens it in
-/// `O(word_len)`. A leaf without rows has the empty envelope (every min
-/// `u8::MAX`, every max `0`).
+/// rows, packed and tail alike: `2 · word_len` bytes. Built from the rows'
+/// words by the bulk build, leaf splits and snapshot opens; an insert
+/// widens it in `O(word_len)`. A leaf without rows has the empty envelope
+/// (every min `u8::MAX`, every max `0`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SymbolEnvelope {
     /// `word_len` minimum symbols followed by `word_len` maximum symbols.
@@ -145,15 +153,16 @@ impl SymbolEnvelope {
 /// The payload of a node.
 #[derive(Clone, Debug)]
 pub enum NodeKind {
-    /// Leaf: row ids of the series stored here.
+    /// Leaf: row ids of the series stored here, a packed head followed
+    /// by a tail of rows not yet packed.
     Leaf {
         /// Original row ids of the series stored here (results are
         /// reported in these ids; storage may be permuted — see
         /// [`LeafPack`]).
         rows: Vec<u32>,
-        /// Contiguous-storage acceleration state; `None` until the build
-        /// packs leaves or after an online insert touched this leaf.
-        pack: Option<LeafPack>,
+        /// The contiguous run holding `rows[..pack.len]`; the rest of
+        /// `rows` is the tail.
+        pack: LeafPack,
         /// Per-position min/max symbols of `rows` — the collect phase's
         /// leaf bound.
         envelope: SymbolEnvelope,
@@ -205,13 +214,21 @@ impl Node {
         }
     }
 
-    /// The leaf's packed-storage state (`None` for inner nodes and for
-    /// leaves invalidated by online inserts).
+    /// The leaf's packed run (`None` for inner nodes).
     #[must_use]
     pub fn pack(&self) -> Option<&LeafPack> {
         match &self.kind {
-            NodeKind::Leaf { pack, .. } => pack.as_ref(),
+            NodeKind::Leaf { pack, .. } => Some(pack),
             NodeKind::Inner { .. } => None,
+        }
+    }
+
+    /// Rows in the leaf's tail, past its packed run (0 for inner nodes).
+    #[must_use]
+    pub(crate) fn tail_len(&self) -> usize {
+        match &self.kind {
+            NodeKind::Leaf { rows, pack, .. } => rows.len() - pack.len as usize,
+            NodeKind::Inner { .. } => 0,
         }
     }
 }
@@ -225,11 +242,6 @@ pub struct Subtree {
     pub key: u64,
     /// Node arena; index 0 is the root.
     pub nodes: Vec<Node>,
-    /// Leaves of this subtree whose packed layout went stale (dropped
-    /// packs from online inserts, split children). Drives the incremental
-    /// repack: only subtrees with `stale_leaves > 0` rebuild their packs;
-    /// clean subtrees reuse theirs.
-    pub stale_leaves: usize,
 }
 
 impl Subtree {
@@ -248,6 +260,12 @@ impl Subtree {
     #[must_use]
     pub fn n_rows(&self) -> usize {
         self.leaves().map(|l| l.rows().len()).sum()
+    }
+
+    /// Whether any leaf holds tail rows (the subtrees a repack rebuilds).
+    #[must_use]
+    pub(crate) fn has_tail(&self) -> bool {
+        self.nodes.iter().any(|n| n.tail_len() > 0)
     }
 
     /// Depth of each leaf (root = depth 0), used by the Figure 8 stats.
@@ -335,11 +353,14 @@ mod tests {
         let leaf = |rows: Vec<u32>| Node {
             prefixes: vec![0; 2],
             bits: vec![1; 2],
-            kind: NodeKind::Leaf { rows, pack: None, envelope: SymbolEnvelope::empty(2) },
+            kind: NodeKind::Leaf {
+                rows,
+                pack: LeafPack::default(),
+                envelope: SymbolEnvelope::empty(2),
+            },
         };
         let subtree = Subtree {
             key: 0,
-            stale_leaves: 0,
             nodes: vec![
                 Node {
                     prefixes: vec![0; 2],

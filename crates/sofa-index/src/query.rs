@@ -35,9 +35,11 @@
 //! 3. **Word bound** (refine): each queued leaf's candidates are priced
 //!    8 at a time by [`lut_lower_bound`]: the query's symbol table (built
 //!    once per query) indexed by the candidates' words, read straight
-//!    from the word arena.
-//! 4. **Quantized bound** (refine): near-full surviving groups are
-//!    re-priced from 1-byte codes before the exact `f32` scan.
+//!    from the word arena — or, for rows in the leaf's tail, staged on
+//!    the stack.
+//! 4. **Quantized bound** (refine): near-full surviving groups of the
+//!    packed run are re-priced from 1-byte codes before the exact `f32`
+//!    scan.
 //!
 //! The envelope bound is `>=` the root gate and `<=` every member row's
 //! word bound in `f32` (same operations, wider interval), so it prunes
@@ -61,7 +63,7 @@ use parking_lot::Mutex;
 use sofa_exec::CancelToken;
 use sofa_simd::{dot, znormalize};
 use sofa_simd::{lut_lower_bound, quant_lower_bound, quant_lower_bound_masked, BLOCK_LANES};
-use sofa_summaries::{mindist_node, mindist_simd, QueryContext, RootLbd, Summarization};
+use sofa_summaries::{mindist_node, QueryContext, RootLbd, Summarization};
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -668,7 +670,7 @@ impl<S: Summarization> Index<S> {
             }
             if !fired(cancel) {
                 self.refine_from_queues(
-                    0, &s.q, &s.lut, &s.queues, &s.done, ctx, pb, filter, stats, cancel,
+                    0, &s.q, &s.lut, &s.queues, &s.done, pb, filter, stats, cancel,
                 );
             }
             return;
@@ -702,7 +704,7 @@ impl<S: Summarization> Index<S> {
         if !fired(cancel) {
             self.pool.broadcast(|worker| {
                 self.refine_from_queues(
-                    worker, &s.q, &s.lut, &s.queues, &s.done, ctx, pb, filter, stats, cancel,
+                    worker, &s.q, &s.lut, &s.queues, &s.done, pb, filter, stats, cancel,
                 );
             });
         }
@@ -815,27 +817,14 @@ impl<S: Summarization> Index<S> {
         loop {
             match &node.kind {
                 NodeKind::Leaf { rows, pack, .. } => {
-                    if let Some(pack) = pack {
-                        // Packed leaf: stream the contiguous arena run.
-                        let start = pack.start as usize;
-                        for i in 0..rows.len() {
-                            let slot = start + i;
-                            let row = self.slot_to_row[slot];
-                            if !admits(row) {
-                                continue;
-                            }
-                            pb.score_and_offer(q, self.series_at_slot(slot), row);
-                        }
-                        return;
-                    }
-                    for &row in rows {
-                        if !admits(row) {
-                            continue;
-                        }
+                    for (r, &row) in rows.iter().enumerate() {
                         // An abandoned distance (> bound) is rejected by
                         // the policy's offer anyway, so no exactness
                         // hazard here.
-                        pb.score_and_offer(q, self.series(row as usize), row);
+                        if admits(row) {
+                            let slot = leaf_slot(&self.row_to_slot, rows, pack, r);
+                            pb.score_and_offer(q, self.series_at_slot(slot), row);
+                        }
                     }
                     return;
                 }
@@ -864,9 +853,6 @@ impl<S: Summarization> Index<S> {
     /// shares its label) and `<=` every row's symbol-table sum in `f32`
     /// (same operations, wider interval), so it prunes only leaves whose
     /// every row the refine sweep would prune, and answers are unchanged.
-    /// (The per-row path of unpacked leaves sums the same terms through
-    /// `mindist_simd`, in another order; there the two agree to `f32`
-    /// rounding, like any two evaluations of one lower bound.)
     ///
     /// Collect is filter-agnostic: node and envelope bounds hold for every
     /// row under a node, admitted or not, so pruning decisions are
@@ -947,7 +933,6 @@ impl<S: Summarization> Index<S> {
         lut: &[f32],
         queues: &[Mutex<LeafQueue>],
         done: &[AtomicBool],
-        ctx: &QueryContext<'_>,
         pb: &B,
         filter: Option<&RowFilter>,
         stats: &AtomicStats,
@@ -980,7 +965,7 @@ impl<S: Summarization> Index<S> {
                     stats.queues_abandoned.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
-                self.refine_leaf(entry, q, lut, ctx, pb, filter, stats, &mut quant, cancel);
+                self.refine_leaf(entry, q, lut, pb, filter, stats, &mut quant, cancel);
             }
             if !progressed && done.iter().all(|d| d.load(Ordering::Acquire)) {
                 break;
@@ -994,23 +979,34 @@ impl<S: Summarization> Index<S> {
         }
     }
 
-    /// Evaluates every series in a leaf: lower bounds first, exact scores
-    /// only for survivors; both early-abandon on the policy's threshold.
+    /// Evaluates every series in a leaf — a three-stage funnel over 8-lane
+    /// groups. The word lower bound prices 8 lanes per call from the
+    /// query's symbol table `lut`, indexed by the lanes' words; word
+    /// survivors are re-priced by the scalar-quantized tier (one integer
+    /// sweep over 1-byte codes, ~4x less traffic than the raw series);
+    /// only lanes both tiers fail to kill pay the exact `f32` scan. Both
+    /// cheap tiers are conservative lower bounds, so the funnel never
+    /// changes results — only how much memory they cost.
     ///
-    /// Packed leaves (the bulk-built common case) take the batched path:
-    /// the symbol-table kernel lower-bounds 8 candidates per call over the
-    /// leaf's contiguous run of the word arena, then exact distances
-    /// stream over its run of the series arena. Leaves touched by online
-    /// inserts fall back to the per-row path until
-    /// [`Index::repack_leaves`] (which the auto-repack trigger runs for
-    /// you by default).
+    /// A group inside the leaf's packed run reads its words in place from
+    /// the word arena and may take the quantized tier. A group that
+    /// reaches past the run (the leaf's last, partial group, or one into
+    /// its tail of inserted rows) has its words staged on the stack
+    /// through `row_to_slot`, padded by repeating its last real word, and
+    /// priced by the same kernel; tail rows have no codes, so those
+    /// survivors go straight to the exact scan.
+    ///
+    /// With a [`RowFilter`], each group's live mask pre-ANDs the
+    /// predicate into the sweep: a fully rejected group skips every
+    /// kernel, a partially rejected one masks its dead lanes in both
+    /// kernels (they price `+inf`/auto-resolve, accelerating whole-group
+    /// abandons), and a fully admitted one prices exactly as unfiltered.
     #[allow(clippy::too_many_arguments)]
     fn refine_leaf<B: PruneBound>(
         &self,
         entry: QueueEntry,
         q: &[f32],
         lut: &[f32],
-        ctx: &QueryContext<'_>,
         pb: &B,
         filter: Option<&RowFilter>,
         stats: &AtomicStats,
@@ -1021,65 +1017,17 @@ impl<S: Summarization> Index<S> {
         // refine funnel, underneath every batching/serving layer.
         let _ = sofa_exec::failpoint::fire("sofa-index::refine_leaf");
         let subtree = &self.subtrees[entry.subtree as usize];
-        let node = &subtree.nodes[entry.node as usize];
+        let NodeKind::Leaf { rows, pack, .. } = &subtree.nodes[entry.node as usize].kind else {
+            unreachable!("queues only hold leaves")
+        };
         stats.leaves_refined.fetch_add(1, Ordering::Relaxed);
-        match &node.kind {
-            NodeKind::Leaf { rows, pack: Some(pack), .. } => {
-                self.refine_leaf_packed(
-                    pack,
-                    rows.len(),
-                    q,
-                    lut,
-                    pb,
-                    filter,
-                    stats,
-                    qscratch,
-                    cancel,
-                );
-            }
-            NodeKind::Leaf { rows, pack: None, .. } => {
-                self.refine_leaf_rows(rows, q, ctx, pb, filter, stats);
-            }
-            NodeKind::Inner { .. } => unreachable!("queues only hold leaves"),
-        }
-    }
-
-    /// The batched refinement path over a packed leaf — a three-stage
-    /// funnel. The word lower bound prices 8 lanes per call from the
-    /// query's symbol table `lut`, indexed by the lanes' words in the
-    /// word arena; word survivors are re-priced by the scalar-quantized
-    /// tier (one integer sweep over 1-byte codes, ~4x less traffic than the
-    /// raw series); only lanes both tiers fail to kill pay the exact
-    /// `f32` scan. Both cheap tiers are conservative lower bounds, so the
-    /// funnel never changes results — only how much memory they cost.
-    ///
-    /// With a [`RowFilter`], each group's live mask pre-ANDs the
-    /// predicate into the sweep: a fully rejected group skips every
-    /// kernel, a partially rejected one masks its dead lanes in both
-    /// kernels (they price `+inf`/auto-resolve, accelerating whole-group
-    /// abandons), and a fully admitted one prices exactly as unfiltered.
-    #[allow(clippy::too_many_arguments)]
-    fn refine_leaf_packed<B: PruneBound>(
-        &self,
-        pack: &LeafPack,
-        n_rows: usize,
-        q: &[f32],
-        lut: &[f32],
-        pb: &B,
-        filter: Option<&RowFilter>,
-        stats: &AtomicStats,
-        qscratch: &mut QuantScratch,
-        cancel: Option<&CancelToken>,
-    ) {
-        let start = pack.start as usize;
+        let (start, packed) = (pack.start as usize, pack.len as usize);
+        let slot_of = |r: usize| leaf_slot(&self.row_to_slot, rows, pack, r);
         let n = self.series_len;
         let l = self.word_len;
-        let words = &self.words[start * l..(start + n_rows) * l];
+        let n_rows = rows.len();
         let n_groups = n_rows.div_ceil(BLOCK_LANES);
-        // The leaf's last, partial group is staged here, padded by
-        // repeating its last real word: pad lanes mirror that candidate,
-        // and the kernel never reads past the leaf's run (or the arena).
-        let mut tail = [0u8; BLOCK_LANES * MAX_WORD_LEN];
+        let mut staged = [0u8; BLOCK_LANES * MAX_WORD_LEN];
         let quant = match (&self.quant_grid, pack.quant.as_ref()) {
             (Some(grid), Some(qb)) if self.quant_refine_enabled() => Some((grid, qb)),
             _ => None,
@@ -1100,7 +1048,8 @@ impl<S: Summarization> Index<S> {
                 break;
             }
             let bound = pb.l2_bound();
-            let lanes = (n_rows - g * BLOCK_LANES).min(BLOCK_LANES);
+            let first = g * BLOCK_LANES;
+            let lanes = (n_rows - first).min(BLOCK_LANES);
             // Predicate mask: bit `i` lives iff the filter admits lane
             // `i`'s row. Pad lanes past `lanes` never get a bit, so a
             // bitmap that ends mid-group can't admit a phantom row (the
@@ -1109,8 +1058,8 @@ impl<S: Summarization> Index<S> {
                 None => (0xFFu8, 0usize),
                 Some(f) => {
                     let mut m = 0u8;
-                    for i in 0..lanes {
-                        if f.admits(self.slot_to_row[start + g * BLOCK_LANES + i] as usize) {
+                    for (i, &row) in rows[first..first + lanes].iter().enumerate() {
+                        if f.admits(row as usize) {
                             m |= 1 << i;
                         }
                     }
@@ -1122,16 +1071,13 @@ impl<S: Summarization> Index<S> {
                 // Whole group predicate-rejected: no kernel runs at all.
                 continue;
             }
-            let run = &words[g * BLOCK_LANES * l..];
-            let group_words = if lanes == BLOCK_LANES {
-                &run[..BLOCK_LANES * l]
+            let group_words = if first + BLOCK_LANES <= packed {
+                &self.words[(start + first) * l..(start + first + BLOCK_LANES) * l]
             } else {
-                let (real, pads) = tail[..BLOCK_LANES * l].split_at_mut(run.len());
-                real.copy_from_slice(run);
-                for pad in pads.chunks_exact_mut(l) {
-                    pad.copy_from_slice(&run[run.len() - l..]);
+                for (i, word) in staged[..BLOCK_LANES * l].chunks_exact_mut(l).enumerate() {
+                    word.copy_from_slice(self.word_at_slot(slot_of(first + i.min(lanes - 1))));
                 }
-                &tail[..BLOCK_LANES * l]
+                &staged[..BLOCK_LANES * l]
             };
             let group_abandoned = lut_lower_bound(lut, group_words, bound, live, &mut lbs);
             if group_abandoned {
@@ -1140,16 +1086,16 @@ impl<S: Summarization> Index<S> {
                 lanes_abandoned += lanes - masked;
                 continue;
             }
-            // Quantized middle tier: one integer sweep re-prices the
-            // whole group from 1-byte codes before any lane touches the
-            // f32 arena. Only engaged when enough lanes survived the word
-            // bound: the sweep reads all 8 lanes' codes (`8n` bytes,
-            // roughly the traffic of two `f32` row scans), so pricing a
-            // lone straggler costs more than the one scan it could save.
-            // Dead lanes carry `+inf` word bounds, so they never count as
-            // survivors.
+            // Quantized middle tier, for groups inside the packed run: one
+            // integer sweep re-prices the whole group from 1-byte codes
+            // before any lane touches the f32 arena. Only engaged when
+            // enough lanes survived the word bound: the sweep reads all 8
+            // lanes' codes (`8n` bytes, roughly the traffic of two `f32`
+            // row scans), so pricing a lone straggler costs more than the
+            // one scan it could save. Dead lanes carry `+inf` word bounds,
+            // so they never count as survivors.
             let mut quant_priced = false;
-            if let Some((grid, qb)) = quant {
+            if let Some((grid, qb)) = quant.filter(|_| first + lanes <= packed) {
                 let survivors = lbs.iter().take(lanes).filter(|&&l| !pb.prunes(l)).count();
                 if survivors >= QUANT_MIN_SURVIVORS {
                     if qscratch.err_q.is_nan() {
@@ -1215,8 +1161,8 @@ impl<S: Summarization> Index<S> {
                     }
                 }
                 refined += 1;
-                let slot = start + g * BLOCK_LANES + i;
-                pb.score_and_offer(q, self.series_at_slot(slot), self.slot_to_row[slot]);
+                let r = first + i;
+                pb.score_and_offer(q, self.series_at_slot(slot_of(r)), rows[r]);
             }
         }
         // Refine-traffic estimate: words are 8 lanes of `l` bytes per
@@ -1232,42 +1178,16 @@ impl<S: Summarization> Index<S> {
         stats.predicate_lanes_masked.fetch_add(predicate_masked, Ordering::Relaxed);
         stats.refine_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
+}
 
-    /// The per-row fallback path (leaves invalidated by online inserts).
-    fn refine_leaf_rows<B: PruneBound>(
-        &self,
-        rows: &[u32],
-        q: &[f32],
-        ctx: &QueryContext<'_>,
-        pb: &B,
-        filter: Option<&RowFilter>,
-        stats: &AtomicStats,
-    ) {
-        let mut refined = 0usize;
-        let mut checked = 0usize;
-        let mut predicate_masked = 0usize;
-        for &row in rows {
-            if let Some(f) = filter {
-                if !f.admits(row as usize) {
-                    predicate_masked += 1;
-                    continue;
-                }
-            }
-            checked += 1;
-            let bound = pb.l2_bound();
-            let lbd = mindist_simd(ctx, self.word(row as usize), bound);
-            if pb.prunes(lbd) {
-                continue;
-            }
-            refined += 1;
-            pb.score_and_offer(q, self.series(row as usize), row);
-        }
-        stats.series_lbd_checked.fetch_add(checked, Ordering::Relaxed);
-        stats.series_refined.fetch_add(refined, Ordering::Relaxed);
-        stats.predicate_lanes_masked.fetch_add(predicate_masked, Ordering::Relaxed);
-        // Per-row traffic: one symbol word per row plus the exact rows.
-        let bytes = checked * self.word_len + refined * self.series_len * 4;
-        stats.refine_bytes.fetch_add(bytes, Ordering::Relaxed);
+/// Storage slot of a leaf's `r`-th row: in place within its packed run,
+/// through `row_to_slot` in its tail.
+#[inline]
+fn leaf_slot(row_to_slot: &[u32], rows: &[u32], pack: &LeafPack, r: usize) -> usize {
+    if r < pack.len as usize {
+        pack.start as usize + r
+    } else {
+        row_to_slot[rows[r] as usize] as usize
     }
 }
 

@@ -3,11 +3,13 @@
 //! A snapshot is a single versioned file laid out arena-first so that
 //! [`Index::open`] can serve straight out of a memory mapping with zero
 //! deserialization of the two big arenas (series data, words) — the
-//! FAISS-style "attach, don't rebuild" pattern. Small structures (tree
-//! topology, leaf packs, quantizer) are rehydrated into
-//! their owned in-memory forms; they are a small fraction of the file.
+//! FAISS-style "attach, don't rebuild" pattern — and each leaf's quant
+//! codes are served from the mapping the same way. Small structures
+//! (tree topology, leaf packs, quantizer grid, per-row error bounds) are
+//! rehydrated into their owned in-memory forms; they are a small
+//! fraction of the file.
 //!
-//! ## File format (version 4)
+//! ## File format (version 5)
 //!
 //! ```text
 //! offset 0   magic            b"SOFASNAP"
@@ -41,7 +43,7 @@
 
 use crate::arena::Arena;
 use crate::config::IndexConfig;
-use crate::node::{LeafPack, Node, NodeKind, Subtree, SymbolEnvelope};
+use crate::node::{LeafCodes, LeafPack, Node, NodeKind, Subtree, SymbolEnvelope};
 use crate::{Index, IndexError};
 use sofa_exec::{failpoint, ExecPool};
 use sofa_mmap::{Advice, Mmap};
@@ -57,7 +59,7 @@ use std::sync::Arc;
 /// First 8 bytes of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SOFASNAP";
 /// The one format version this build writes and reads.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 4;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 5;
 /// Failpoint fired before each section write (torn-write injection).
 pub const SNAPSHOT_WRITE_FAILPOINT: &str = "sofa-index::snapshot::write";
 /// Failpoint fired before the final atomic rename.
@@ -605,7 +607,13 @@ fn header_u64(bytes: &[u8], off: usize) -> Result<u64, IndexError> {
 /// Validates magic, version, endianness, the header checksum, and every
 /// section's bounds and checksum. Returns the summarization kind and the
 /// verified table. Nothing in the file is trusted before this returns.
-fn parse_and_verify(bytes: &[u8]) -> Result<(u32, Vec<SectionEntry>), IndexError> {
+/// Hashing every byte is most of an open's time, so with a `pool` the
+/// sections are hashed in parallel (the largest, the series arena, on
+/// one lane while the rest share the others).
+fn parse_and_verify(
+    bytes: &[u8],
+    pool: Option<&ExecPool>,
+) -> Result<(u32, Vec<SectionEntry>), IndexError> {
     if bytes.len() < HEADER_FIXED {
         return Err(fmt_err(
             "header",
@@ -656,20 +664,32 @@ fn parse_and_verify(bytes: &[u8]) -> Result<(u32, Vec<SectionEntry>), IndexError
         let len = usize::try_from(header_u64(bytes, base + 16)?)
             .map_err(|_| fmt_err(name, "section length exceeds the address space"))?;
         let checksum = header_u64(bytes, base + 24)?;
-        let end = offset
-            .checked_add(len)
-            .filter(|&e| e <= bytes.len())
-            .ok_or_else(|| fmt_err(name, "section range out of bounds"))?;
+        if offset.checked_add(len).map_or(true, |end| end > bytes.len()) {
+            return Err(fmt_err(name, "section range out of bounds"));
+        }
         if offset < header_len {
             return Err(fmt_err(name, "section overlaps the header"));
         }
         if entries.iter().any(|e: &SectionEntry| e.id == id) {
             return Err(fmt_err(name, "duplicate section"));
         }
-        if fnv1a64(&bytes[offset..end]) != checksum {
-            return Err(corrupt(name, "section checksum mismatch"));
-        }
         entries.push(SectionEntry { id, offset, len, checksum });
+    }
+    let mut sums = vec![0u64; n];
+    let hash = |(sum, e): (&mut u64, &SectionEntry)| {
+        *sum = fnv1a64(&bytes[e.offset..e.offset + e.len]);
+    };
+    match pool {
+        Some(pool) => pool.run(|scope| {
+            for job in sums.iter_mut().zip(&entries) {
+                scope.spawn(move || hash(job));
+            }
+        }),
+        None => sums.iter_mut().zip(&entries).for_each(hash),
+    }
+    // Checked in table order, so the first corrupt section is reported.
+    if let Some((e, _)) = entries.iter().zip(&sums).find(|(e, &sum)| e.checksum != sum) {
+        return Err(corrupt(section_name(e.id), "section checksum mismatch"));
     }
     Ok((kind, entries))
 }
@@ -696,7 +716,7 @@ fn section_slice<'a>(
 /// *contents* are only fully validated by [`Index::open`]).
 pub fn describe<P: AsRef<Path>>(path: P) -> Result<SnapshotInfo, IndexError> {
     let bytes = std::fs::read(path).map_err(|e| io_err("read", &e))?;
-    let (kind, entries) = parse_and_verify(&bytes)?;
+    let (kind, entries) = parse_and_verify(&bytes, None)?;
     let meta = decode_meta(section_slice(&bytes, &entries, SEC_META)?)?;
     Ok(SnapshotInfo {
         format_version: SNAPSHOT_FORMAT_VERSION,
@@ -886,17 +906,15 @@ impl<S: SnapshotSummarization> Index<S> {
         let mut out = Vec::new();
         for st in &self.subtrees {
             put_u64(&mut out, st.key);
-            put_len(&mut out, st.stale_leaves);
             put_len(&mut out, st.nodes.len());
             for node in &st.nodes {
                 out.extend_from_slice(&node.prefixes);
                 out.extend_from_slice(&node.bits);
                 match &node.kind {
-                    NodeKind::Leaf { rows, pack, .. } => {
+                    NodeKind::Leaf { rows, .. } => {
                         put_u8(&mut out, 0);
                         put_len(&mut out, rows.len());
                         put_u32_slice(&mut out, rows);
-                        put_u8(&mut out, u8::from(pack.is_some()));
                     }
                     NodeKind::Inner { left, right, split_pos } => {
                         put_u8(&mut out, 1);
@@ -910,15 +928,16 @@ impl<S: SnapshotSummarization> Index<S> {
         out
     }
 
+    /// Every leaf's pack, in file order.
+    fn packs(&self) -> impl Iterator<Item = &LeafPack> {
+        self.subtrees.iter().flat_map(|st| st.nodes.iter()).filter_map(Node::pack)
+    }
+
     fn encode_packs(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        for st in &self.subtrees {
-            for node in &st.nodes {
-                if let NodeKind::Leaf { rows, pack: Some(pack), .. } = &node.kind {
-                    put_u32(&mut out, pack.start);
-                    put_len(&mut out, rows.len());
-                }
-            }
+        for pack in self.packs() {
+            put_u32(&mut out, pack.start);
+            put_len(&mut out, pack.len as usize);
         }
         out
     }
@@ -929,17 +948,8 @@ impl<S: SnapshotSummarization> Index<S> {
         put_len(&mut out, grid.series_len());
         put_f32(&mut out, grid.scale());
         put_f32_slice(&mut out, grid.mins());
-        let packs: Vec<&LeafPack> = self
-            .subtrees
-            .iter()
-            .flat_map(|st| st.nodes.iter())
-            .filter_map(|node| match &node.kind {
-                NodeKind::Leaf { pack: Some(pack), .. } => Some(pack),
-                _ => None,
-            })
-            .collect();
-        put_len(&mut out, packs.len());
-        for pack in packs {
+        put_len(&mut out, self.packs().count());
+        for pack in self.packs() {
             match &pack.quant {
                 None => put_u8(&mut out, 0),
                 Some(qb) => {
@@ -1085,9 +1095,10 @@ fn validate_tree_shape(nodes: &[Node]) -> Result<(), String> {
     Ok(())
 }
 
-/// Decodes the forest. Returns the subtrees (packs unattached, envelopes
-/// empty until [`rebuild_envelopes`]) plus the (subtree, node) positions
-/// of leaves whose packs follow in the leaf-packs section, in file order.
+/// Decodes the forest. Returns the subtrees (empty packs until
+/// [`decode_packs`], empty envelopes until [`rebuild_envelopes`]) plus the
+/// (subtree, node) position of every leaf, in file order — the order of
+/// the leaf-packs and quant sections.
 #[allow(clippy::type_complexity)]
 fn decode_tree(
     buf: &[u8],
@@ -1096,7 +1107,7 @@ fn decode_tree(
 ) -> Result<(Vec<Subtree>, Vec<(usize, usize)>), IndexError> {
     let mut r = SectionReader::new(buf, "tree");
     let mut subtrees = Vec::with_capacity(meta.n_subtrees);
-    let mut packed = Vec::new();
+    let mut leaves = Vec::new();
     let mut seen_rows = vec![false; meta.n_slots];
     let mut prev_key = None;
     for si in 0..meta.n_subtrees {
@@ -1105,7 +1116,6 @@ fn decode_tree(
             return Err(r.invalid("subtree keys are not strictly ascending"));
         }
         prev_key = Some(key);
-        let stale_leaves = r.count()?;
         let n_nodes = r.bounded_count(2 * meta.word_len + 1)?;
         if n_nodes == 0 {
             return Err(r.invalid(format!("subtree {si} has no nodes")));
@@ -1133,11 +1143,9 @@ fn decode_tree(
                         }
                         seen_rows[row] = true;
                     }
-                    if decode_flag(&mut r, "has-pack")? {
-                        packed.push((si, ni));
-                    }
+                    leaves.push((si, ni));
                     let envelope = SymbolEnvelope::empty(meta.word_len);
-                    NodeKind::Leaf { rows, pack: None, envelope }
+                    NodeKind::Leaf { rows, pack: LeafPack::default(), envelope }
                 }
                 1 => {
                     let left = r.u32()?;
@@ -1161,30 +1169,38 @@ fn decode_tree(
             nodes.push(Node { prefixes, bits, kind });
         }
         validate_tree_shape(&nodes).map_err(|d| corrupt("tree", format!("subtree {si}: {d}")))?;
-        subtrees.push(Subtree { key, nodes, stale_leaves });
+        subtrees.push(Subtree { key, nodes });
     }
     r.finish()?;
     if let Some(row) = seen_rows.iter().position(|&s| !s) {
         return Err(corrupt("tree", format!("row {row} is missing from every leaf")));
     }
-    Ok((subtrees, packed))
+    Ok((subtrees, leaves))
 }
 
+/// Attaches every leaf's pack (and its quant block, when the file has a
+/// quantizer) after checking it: the packed run covers at most the leaf's
+/// rows, lies in the arena and holds exactly its first `len` rows in
+/// order; its codes cover exactly the run; and the tail-free subtrees
+/// before the first tail sit packed back to back from slot 0, which is
+/// where [`Index::repack_leaves`] expects them.
 fn decode_packs(
     buf: &[u8],
     meta: &Meta,
-    packed: &[(usize, usize)],
+    leaves: &[(usize, usize)],
     subtrees: &mut [Subtree],
     slot_to_row: &[u32],
+    quant: Vec<Option<LeafCodes>>,
 ) -> Result<(), IndexError> {
     let mut r = SectionReader::new(buf, "leaf-packs");
-    for &(si, ni) in packed {
+    let mut quant = quant.into_iter();
+    for &(si, ni) in leaves {
         let start = r.u32()?;
         let n = r.count()?;
         let NodeKind::Leaf { rows, pack, .. } = &mut subtrees[si].nodes[ni].kind else {
             return Err(corrupt("leaf-packs", "pack attached to a non-leaf node"));
         };
-        if n != rows.len() {
+        if n > rows.len() {
             return Err(corrupt(
                 "leaf-packs",
                 format!("pack of {n} candidates on a leaf of {} rows", rows.len()),
@@ -1199,17 +1215,33 @@ fn decode_packs(
         }
         // The pack's contiguous slot run must hold exactly its rows in
         // order — refinement reads series by `start + lane`.
-        for (i, &row) in rows.iter().enumerate() {
-            if slot_to_row[start_us + i] != row {
+        if slot_to_row[start_us..start_us + n] != rows[..n] {
+            return Err(corrupt("leaf-packs", "a packed slot holds a different row"));
+        }
+        let codes = quant.next().flatten();
+        if let Some(qb) = codes.as_ref().filter(|qb| qb.n() != n) {
+            return Err(corrupt(
+                "leaf-packs",
+                format!("quant block of {} candidates on a pack of {n} rows", qb.n()),
+            ));
+        }
+        // Lossless: n <= rows.len(), a u32 row count.
+        *pack = LeafPack { start, len: n as u32, quant: codes };
+    }
+    r.finish()?;
+    let mut cursor = 0u32;
+    for st in subtrees.iter().take_while(|st| !st.has_tail()) {
+        for pack in st.nodes.iter().filter_map(Node::pack) {
+            if pack.start != cursor && pack.len > 0 {
                 return Err(corrupt(
                     "leaf-packs",
-                    format!("slot {} holds a different row than the pack expects", start_us + i),
+                    format!("packed run at slot {} is out of place", pack.start),
                 ));
             }
+            cursor += pack.len;
         }
-        *pack = Some(LeafPack { start, quant: None });
     }
-    r.finish()
+    Ok(())
 }
 
 /// Rebuilds every leaf's symbol envelope from the (validated) word arena
@@ -1223,12 +1255,17 @@ fn rebuild_envelopes(subtrees: &mut [Subtree], words: &[u8], row_to_slot: &[u32]
     }
 }
 
+/// Decodes the quantizer grid and one optional code block per leaf, in
+/// file order; [`decode_packs`] checks each block against its pack. The
+/// codes stay in the mapping (`map`, with the section at `offset`): only
+/// the per-row error bounds are copied out.
 fn decode_quant(
+    map: &Arc<Mmap>,
+    offset: usize,
     buf: &[u8],
     meta: &Meta,
-    packed: &[(usize, usize)],
-    subtrees: &mut [Subtree],
-) -> Result<QuantGrid, IndexError> {
+    n_leaves: usize,
+) -> Result<(QuantGrid, Vec<Option<LeafCodes>>), IndexError> {
     let mut r = SectionReader::new(buf, "quant");
     let series_len = r.bounded_count(4)?;
     let scale = r.f32()?;
@@ -1244,34 +1281,29 @@ fn decode_quant(
         ));
     }
     let n_packs = r.count()?;
-    if n_packs != packed.len() {
-        return Err(
-            r.invalid(format!("{n_packs} quant entries for {} packed leaves", packed.len()))
-        );
+    if n_packs != n_leaves {
+        return Err(r.invalid(format!("{n_packs} quant entries for {n_leaves} leaves")));
     }
-    for &(si, ni) in packed {
+    let mut blocks = Vec::with_capacity(n_leaves);
+    for _ in 0..n_leaves {
         if !decode_flag(&mut r, "has-quant")? {
+            blocks.push(None);
             continue;
         }
         let n = r.count()?;
         let codes_len = r.bounded_count(1)?;
-        let codes = r.byte_vec(codes_len)?;
+        let at = offset + r.pos;
+        r.take(codes_len)?;
+        let codes =
+            Arena::mapped(Arc::clone(map), at, codes_len).map_err(|d| corrupt("quant", d))?;
         let errs_len = r.bounded_count(8)?;
         let errs = r.f64_vec(errs_len)?;
-        let qb = QuantBlock::from_parts(&grid, n, codes, errs).map_err(|d| corrupt("quant", d))?;
-        let NodeKind::Leaf { rows, pack: Some(pack), .. } = &mut subtrees[si].nodes[ni].kind else {
-            return Err(corrupt("quant", "quant codes attached to an unpacked node"));
-        };
-        if n != rows.len() {
-            return Err(corrupt(
-                "quant",
-                format!("quant block of {n} candidates on a leaf of {} rows", rows.len()),
-            ));
-        }
-        pack.quant = Some(qb);
+        blocks.push(Some(
+            QuantBlock::from_parts(&grid, n, codes, errs).map_err(|d| corrupt("quant", d))?,
+        ));
     }
     r.finish()?;
-    Ok(grid)
+    Ok((grid, blocks))
 }
 
 impl<S: SnapshotSummarization> Index<S> {
@@ -1307,7 +1339,7 @@ impl<S: SnapshotSummarization> Index<S> {
         // let the kernel read ahead aggressively for that pass.
         map.advise(Advice::Sequential);
         let bytes = map.as_bytes();
-        let (kind, entries) = parse_and_verify(bytes)?;
+        let (kind, entries) = parse_and_verify(bytes, Some(&pool))?;
         if kind != S::KIND {
             return Err(fmt_err(
                 "header",
@@ -1392,27 +1424,21 @@ impl<S: SnapshotSummarization> Index<S> {
 
         let (row_to_slot, slot_to_row) =
             decode_mapping(section_slice(bytes, &entries, SEC_MAPPING)?, &meta)?;
-        let (mut subtrees, packed) = decode_tree(
+        let (mut subtrees, leaves) = decode_tree(
             section_slice(bytes, &entries, SEC_TREE)?,
             &meta,
             summarization.symbol_bits(),
         )?;
-        decode_packs(
-            section_slice(bytes, &entries, SEC_PACKS)?,
-            &meta,
-            &packed,
-            &mut subtrees,
-            &slot_to_row,
-        )?;
-        rebuild_envelopes(&mut subtrees, &words, &row_to_slot, meta.word_len);
-        let quant_grid = if meta.grid_present {
-            let Ok(buf) = section_slice(bytes, &entries, SEC_QUANT) else {
+        let (quant_grid, quant) = if meta.grid_present {
+            let Some(entry) = entries.iter().find(|e| e.id == SEC_QUANT) else {
                 return Err(layout(
                     "quant",
                     "meta declares a quantizer but the section is missing",
                 ));
             };
-            Some(decode_quant(buf, &meta, &packed, &mut subtrees)?)
+            let buf = section_slice(bytes, &entries, SEC_QUANT)?;
+            let (grid, blocks) = decode_quant(&map, entry.offset, buf, &meta, leaves.len())?;
+            (Some(grid), blocks)
         } else {
             if section_slice(bytes, &entries, SEC_QUANT).is_ok() {
                 return Err(layout(
@@ -1420,21 +1446,18 @@ impl<S: SnapshotSummarization> Index<S> {
                     "quant section present but meta declares no quantizer",
                 ));
             }
-            None
+            (None, Vec::new())
         };
-
-        // Leaf bookkeeping is recomputed from the decoded tree rather
-        // than trusted from meta.
-        let mut total_leaves = 0usize;
-        let mut unpacked_leaves = 0usize;
-        for st in &subtrees {
-            for node in &st.nodes {
-                if let NodeKind::Leaf { pack, .. } = &node.kind {
-                    total_leaves += 1;
-                    unpacked_leaves += usize::from(pack.is_none());
-                }
-            }
-        }
+        decode_packs(
+            section_slice(bytes, &entries, SEC_PACKS)?,
+            &meta,
+            &leaves,
+            &mut subtrees,
+            &slot_to_row,
+            quant,
+        )?;
+        rebuild_envelopes(&mut subtrees, &words, &row_to_slot, meta.word_len);
+        let tail_rows = subtrees.iter().flat_map(|st| &st.nodes).map(Node::tail_len).sum();
 
         // Validation is done; from here on the mapping serves leaf
         // refinements, which land on arbitrary slot runs — sequential
@@ -1466,8 +1489,7 @@ impl<S: SnapshotSummarization> Index<S> {
             quant_grid,
             quant_enabled: AtomicBool::new(meta.quant_enabled),
             scratches: parking_lot::Mutex::new(Vec::with_capacity(threads + 2)),
-            unpacked_leaves,
-            total_leaves,
+            tail_rows,
         })
     }
 }
@@ -1609,10 +1631,11 @@ mod tests {
         let idx = sax_index(200);
         let path = tmp_path("v1");
         // Version 1 files carry hierarchy-level collect state, version 2
-        // files a node-block collect section and version 3 files per-leaf
-        // interval blocks, none of which this build reads: the version
-        // check rejects them before any section is interpreted.
-        for version in [1u32, 2, 3] {
+        // files a node-block collect section, version 3 files per-leaf
+        // interval blocks and version 4 files per-subtree stale-leaf
+        // counts and has-pack flags, none of which this build reads: the
+        // version check rejects them before any section is interpreted.
+        for version in [1u32, 2, 3, 4] {
             idx.snapshot(&path).expect("snapshot");
             let mut bytes = std::fs::read(&path).expect("read");
             bytes[8..12].copy_from_slice(&version.to_ne_bytes());
@@ -1631,6 +1654,62 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Rewrites section `id` of a snapshot file through `patch`, then
+    /// re-seals the section and header checksums, so only the content
+    /// checks of `open` can object.
+    fn patch_section(path: &Path, id: u32, patch: impl FnOnce(&mut [u8])) {
+        let mut bytes = std::fs::read(path).expect("read");
+        let (_, entries) = parse_and_verify(&bytes, None).expect("valid snapshot");
+        let (i, e) = entries.iter().enumerate().find(|(_, e)| e.id == id).expect("section");
+        let section = e.offset..e.offset + e.len;
+        patch(&mut bytes[section.clone()]);
+        let sum = fnv1a64(&bytes[section]);
+        let entry = HEADER_FIXED + TABLE_ENTRY * i;
+        bytes[entry + 24..entry + 32].copy_from_slice(&sum.to_ne_bytes());
+        let table_end = HEADER_FIXED + TABLE_ENTRY * entries.len();
+        let header_sum = fnv1a64(&bytes[..table_end]);
+        bytes[table_end..table_end + 8].copy_from_slice(&header_sum.to_ne_bytes());
+        std::fs::write(path, &bytes).expect("write");
+    }
+
+    /// Opens `path` expecting a `SnapshotCorrupt` in the leaf-packs
+    /// section whose detail mentions `want`.
+    fn assert_pack_corrupt(path: &Path, want: &str) {
+        match Index::<ISax>::open(path) {
+            Err(IndexError::SnapshotCorrupt { section, detail }) => {
+                assert_eq!(section, "leaf-packs", "{detail}");
+                assert!(detail.contains(want), "{detail}");
+            }
+            Err(other) => panic!("expected SnapshotCorrupt, got {other:?}"),
+            Ok(_) => panic!("a bad pack must fail the open"),
+        }
+    }
+
+    #[test]
+    fn pack_longer_than_its_leaf_or_its_codes_fails_closed() {
+        let idx = sax_index(300);
+        let leaves: Vec<&Node> = idx.subtrees().iter().flat_map(|st| st.leaves()).collect();
+        // A leaf-packs entry is a u32 start and a u64 length, in leaf order.
+        let set_len = |k: usize, len: usize| {
+            move |packs: &mut [u8]| {
+                packs[12 * k + 4..12 * k + 12].copy_from_slice(&u64_of(len).to_ne_bytes());
+            }
+        };
+        let path = tmp_path("pack-len");
+        idx.snapshot(&path).expect("snapshot");
+        patch_section(&path, SEC_PACKS, set_len(0, leaves[0].rows().len() + 1));
+        assert_pack_corrupt(&path, "candidates on a leaf of");
+
+        // Packing only the first row of a leaf whose codes cover all of it
+        // leaves a quant block sized past the packed run.
+        let k = leaves.iter().position(|leaf| leaf.rows().len() > 1).expect("a two-row leaf");
+        assert!(leaves[k].pack().and_then(|p| p.quant.as_ref()).is_some(), "leaf has codes");
+        idx.snapshot(&path).expect("snapshot");
+        patch_section(&path, SEC_PACKS, set_len(k, 1));
+        assert_pack_corrupt(&path, "on a pack of 1 rows");
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn out_of_alphabet_word_symbol_fails_closed() {
         let sax = ISax::new(64, &SaxConfig { word_len: 8, alphabet: 64 });
@@ -1638,20 +1717,7 @@ mod tests {
             Index::build(sax, &dataset(200, 64), IndexConfig::with_threads(2)).expect("build");
         let path = tmp_path("alphabet");
         idx.snapshot(&path).expect("snapshot");
-        let mut bytes = std::fs::read(&path).expect("read");
-        let (_, entries) = parse_and_verify(&bytes).expect("valid snapshot");
-        let (i, words) =
-            entries.iter().enumerate().find(|(_, e)| e.id == SEC_WORDS).expect("words section");
-        // Patch one symbol past the alphabet, then re-seal the section
-        // and header checksums so only the content check can object.
-        bytes[words.offset + 3] = 200;
-        let sum = fnv1a64(&bytes[words.offset..words.offset + words.len]);
-        let entry = HEADER_FIXED + TABLE_ENTRY * i;
-        bytes[entry + 24..entry + 32].copy_from_slice(&sum.to_ne_bytes());
-        let table_end = HEADER_FIXED + TABLE_ENTRY * entries.len();
-        let header_sum = fnv1a64(&bytes[..table_end]);
-        bytes[table_end..table_end + 8].copy_from_slice(&header_sum.to_ne_bytes());
-        std::fs::write(&path, &bytes).expect("write");
+        patch_section(&path, SEC_WORDS, |words| words[3] = 200);
         match Index::<ISax>::open(&path) {
             Err(IndexError::SnapshotCorrupt { section, detail }) => {
                 assert_eq!(section, "words");

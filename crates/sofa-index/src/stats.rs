@@ -70,9 +70,10 @@ pub struct IndexStats {
     pub nodes: usize,
     /// Total leaves.
     pub leaves: usize,
-    /// Leaves with packed contiguous storage (the fast, 8-lane
-    /// refinement path). `leaves - packed_leaves` fall back to per-row
-    /// refinement until [`Index::repack_leaves`].
+    /// Leaves with no tail rows: every row sits in the leaf's packed run
+    /// (read in place, with quant codes). The other `leaves -
+    /// packed_leaves` hold rows inserted since the last
+    /// [`Index::repack_leaves`], which the refine sweep stages.
     pub packed_leaves: usize,
     /// Mean leaf depth, root children = depth 0 (Figure 8 top).
     pub avg_depth: f64,
@@ -111,12 +112,11 @@ pub struct IndexStats {
     /// quant codes + exact rows) — the memory traffic the quantized tier
     /// cuts. `0.0` before the first query.
     pub refine_bytes_per_query: f64,
-    /// Percentage of leaves currently on the per-row fallback refinement
-    /// path (no packed storage). With
-    /// [`crate::IndexConfig::auto_repack_pct`] set to `None`, insert-heavy
-    /// workloads grow this unboundedly and silently degrade to scalar
-    /// refinement — monitor it and call [`Index::repack_leaves`] (or the
-    /// incremental [`Index::repack_incremental`]) when it climbs.
+    /// Percentage of leaves holding tail rows (`100 · (leaves -
+    /// packed_leaves) / leaves`). Tail rows are priced by the same word
+    /// kernel as packed ones, but staged and without the quantized tier;
+    /// with [`crate::IndexConfig::auto_repack_pct`] set to `None` this
+    /// only falls when [`Index::repack_leaves`] is called.
     pub fallback_leaf_pct: f64,
 }
 
@@ -135,9 +135,9 @@ impl<S: Summarization> Index<S> {
         for st in &self.subtrees {
             nodes += st.nodes.len();
             for node in &st.nodes {
-                if let NodeKind::Leaf { rows, pack, .. } = &node.kind {
+                if let NodeKind::Leaf { rows, .. } = &node.kind {
                     leaves += 1;
-                    packed_leaves += usize::from(pack.is_some());
+                    packed_leaves += usize::from(node.tail_len() == 0);
                     size_sum += rows.len();
                     max_leaf = max_leaf.max(rows.len());
                 }
@@ -218,7 +218,7 @@ mod tests {
     }
 
     #[test]
-    fn fallback_leaf_pct_tracks_unpacked_leaves() {
+    fn fallback_leaf_pct_tracks_leaves_with_tails() {
         let sax = ISax::new(64, &SaxConfig { word_len: 8, alphabet: 256 });
         let mut idx = Index::build(
             sax,
@@ -229,7 +229,7 @@ mod tests {
         assert_eq!(idx.stats().fallback_leaf_pct, 0.0);
         idx.insert_all(&dataset(200, 64)).unwrap();
         let s = idx.stats();
-        assert!(s.fallback_leaf_pct > 0.0, "inserts must surface fallback leaves: {s:?}");
+        assert!(s.fallback_leaf_pct > 0.0, "inserts must surface leaves with tails: {s:?}");
         let expect = 100.0 * (s.leaves - s.packed_leaves) as f64 / s.leaves as f64;
         assert!((s.fallback_leaf_pct - expect).abs() < 1e-12);
         idx.repack_leaves();

@@ -2,9 +2,10 @@
 //! the index (MESSI with iSAX, SOFA with SFA) must return exactly the same
 //! nearest neighbors as a brute-force scan over the z-normalized data.
 
-use sofa_index::{Index, IndexConfig, Neighbor, RowFilter};
+use sofa_index::{Index, IndexConfig, Neighbor, QueryKind, RowFilter};
 use sofa_simd::euclidean_sq;
-use sofa_summaries::{ISax, SaxConfig, Sfa, SfaConfig, Summarization};
+use sofa_summaries::{ip_score, ISax, QueryContext, SaxConfig, Sfa, SfaConfig, Summarization};
+use std::sync::Arc;
 
 fn znormed_dataset(count: usize, n: usize, seed: usize) -> Vec<f32> {
     let mut data = Vec::with_capacity(count * n);
@@ -246,9 +247,9 @@ fn query_errors() {
 fn quant_tier_is_exact_through_build_insert_and_repack() {
     // The quantized refine tier must change refine-phase traffic, never
     // results: with the tier on and off, every lifecycle phase — fresh
-    // build (packed leaves with codes), online inserts (stale per-row
-    // leaves, dropped codes), explicit repack (codes rebuilt) — must
-    // match brute force.
+    // build (packed leaves with codes), online inserts (packs and codes
+    // kept, inserted rows in leaf tails without codes), explicit repack
+    // (tails folded in, their codes built) — must match brute force.
     let n = 128;
     let data = znormed_dataset(900, n, 17);
     let extra = znormed_dataset(200, n, 7100);
@@ -272,8 +273,8 @@ fn quant_tier_is_exact_through_build_insert_and_repack() {
             assert_eq!(stats.quant_lanes_killed, 0);
         }
 
-        // Online inserts leave stale (pack-less) leaves: the funnel must
-        // fall back to per-row refinement for those and stay exact.
+        // Online inserts join leaf tails: the funnel stages their words
+        // for the same kernel and must stay exact.
         index.insert_all(&extra).expect("insert");
         let mut all = data.clone();
         all.extend_from_slice(&extra);
@@ -333,41 +334,119 @@ fn stats_reflect_pruning() {
     }
 }
 
-/// Every row shares one root key and sits in one leaf, so that leaf's run
-/// ends at the last slot of the word arena, and `8k + t` rows leave a
-/// `t`-lane group last. The sweep must stage that group without reading
-/// past the arena and stay exact, filtered or not.
+/// Every admitted row's exact score under `kind`'s encoding (squared
+/// distance, or the IP score `2n - q·x`), sorted by `(score, row)` — the
+/// order the index answers in, computed by the same kernels the index
+/// scores with, so answers compare bit for bit.
+fn oracle(data: &[f32], n: usize, query: &[f32], ip: bool) -> Vec<Neighbor> {
+    let mut q = query.to_vec();
+    sofa_simd::znormalize(&mut q);
+    let mut all: Vec<Neighbor> = data
+        .chunks(n)
+        .enumerate()
+        .map(|(row, series)| {
+            let mut x = series.to_vec();
+            sofa_simd::znormalize(&mut x);
+            let dist_sq = if ip {
+                ip_score(n, sofa_simd::dot(&q, &x))
+            } else {
+                sofa_simd::euclidean_sq_early_abandon(&q, &x, f32::INFINITY)
+            };
+            Neighbor { row: row as u32, dist_sq }
+        })
+        .collect();
+    all.sort_unstable();
+    all
+}
+
+/// Every built row shares one root key and sits in one leaf, so that
+/// leaf's packed run ends at the last slot of the built word arena, and
+/// `8k + r` rows leave an `r`-lane group last. Rows inserted afterwards
+/// (auto-repack off) join that leaf's tail, interleaved at the arena end
+/// with rows of the opposite shape that open a second, all-tail leaf, so
+/// tail rows do not sit next to the packed run and groups straddle the
+/// packed/tail boundary. The sweep must stage such groups through the
+/// slot map without reading past the arena, and every query kind must
+/// match brute force bit for bit — k-NN, k-NN filtered down to the tail,
+/// range at exactly a tail row's distance (the tie kept) and inner
+/// product.
 #[test]
 fn last_leaf_tail_groups_at_arena_end_are_exact() {
     let n = 64;
-    for tail in 1..=7usize {
-        let count = 8 * 5 + tail;
-        // Alternating ±1 steps per 16-point segment plus small ripples:
-        // every row's PAA means keep the steps' signs, hence one root key.
-        let data: Vec<f32> = (0..count)
-            .flat_map(|r| {
-                (0..n).map(move |t| {
-                    let step = if (t / 16) % 2 == 0 { 1.0 } else { -1.0 };
-                    step + 0.1 * ((t * (r + 3)) as f32 * 0.37).sin()
+    // Alternating ±1 steps per 16-point segment plus small ripples: every
+    // row's PAA means keep the steps' signs, hence one root key per sign.
+    let series = |r: usize, sign: f32| {
+        (0..n).map(move |t| {
+            let step = if (t / 16) % 2 == 0 { sign } else { -sign };
+            step + 0.1 * ((t * (r + 3)) as f32 * 0.37).sin()
+        })
+    };
+    for r in 0..8usize {
+        let packed = 8 * 5 + r;
+        for inserted in 0..=9usize {
+            let total = packed + 2 * inserted;
+            let data: Vec<f32> = (0..total)
+                .flat_map(|row| {
+                    let flipped = row >= packed && (row - packed) % 2 == 1;
+                    series(row, if flipped { -1.0 } else { 1.0 })
                 })
-            })
-            .collect();
-        let sax = ISax::new(n, &SaxConfig { word_len: 4, alphabet: 256 });
-        let index = Index::build(sax, &data, IndexConfig::with_threads(1).leaf_capacity(1000))
-            .expect("build");
-        let stats = index.stats();
-        assert_eq!((stats.leaves, stats.packed_leaves), (1, 1), "tail {tail}: one packed leaf");
-        let queries = [&data[(count - 1) * n..], &data[..n], &data[(count / 2) * n..][..n]];
-        check_exactness(&index, &data, n, &queries.concat());
-        let last = (count - 1) as u32;
-        let hit = index.knn(&data[(count - 1) * n..], 1).expect("query");
-        assert_eq!(hit[0].row, last, "tail {tail}: the last row finds itself");
-        // Only the tail group's rows admitted: the answer comes from them.
-        let filter = RowFilter::from_fn(count, |row| row >= count - tail);
-        let got = index.knn_filtered(&data[..n], tail, &filter).expect("filtered");
-        let mut rows: Vec<u32> = got.iter().map(|nb| nb.row).collect();
-        rows.sort_unstable();
-        assert_eq!(rows, ((count - tail) as u32..=last).collect::<Vec<_>>(), "tail {tail}");
+                .collect();
+            let tag = format!("packed {packed}, inserted {inserted}");
+            let sax = ISax::new(n, &SaxConfig { word_len: 4, alphabet: 256 });
+            let config = IndexConfig::with_threads(1).leaf_capacity(1000).auto_repack_pct(None);
+            let mut index = Index::build(sax, &data[..packed * n], config).expect("build");
+            if inserted > 0 {
+                index.insert_all(&data[packed * n..]).expect("insert");
+            }
+            let stats = index.stats();
+            let leaves = 1 + usize::from(inserted > 0);
+            assert_eq!((stats.subtrees, stats.leaves), (leaves, leaves), "{tag}: leaves");
+            assert_eq!(stats.packed_leaves, usize::from(inserted == 0), "{tag}");
+            let main = index.subtrees().iter().map(|st| st.root()).find(|l| l.rows()[0] == 0);
+            let pack = main.and_then(|leaf| leaf.pack()).expect("the built leaf");
+            assert_eq!(pack.len as usize, packed, "{tag}: inserts keep the pack");
+
+            // The rows the filter admits: the built leaf's tail, or the
+            // last group of a leaf without one.
+            let in_tail = |row: usize| {
+                if inserted > 0 {
+                    row >= packed && (row - packed) % 2 == 0
+                } else {
+                    row >= packed - r.max(1)
+                }
+            };
+            let tail = if inserted > 0 { inserted } else { r.max(1) };
+            let last = if inserted > 0 { total - 2 } else { total - 1 };
+            let probe: Vec<f32> = series(total + 7, 1.0).collect();
+            let queries =
+                [&data[last * n..][..n], &data[..n], &data[(total / 2) * n..][..n], &probe];
+            let mut out = Vec::new();
+            for (qi, q) in queries.into_iter().enumerate() {
+                let dists = oracle(&data, n, q, false);
+                for k in [1usize, 3, 10] {
+                    index.query_into(q, &QueryKind::Knn { k }, &mut out).expect("knn");
+                    assert_eq!(out, dists[..k], "{tag} q{qi}: knn k={k}");
+                }
+                let filter = Arc::new(RowFilter::from_fn(total, in_tail));
+                let kind = QueryKind::KnnFiltered { k: tail, filter };
+                index.query_into(q, &kind, &mut out).expect("filtered");
+                let want: Vec<Neighbor> =
+                    dists.iter().copied().filter(|nb| in_tail(nb.row as usize)).collect();
+                assert_eq!(out, want, "{tag} q{qi}: knn over the tail rows");
+                // A radius sitting bit-exactly on the last tail row's distance.
+                let tie = dists.iter().find(|nb| nb.row as usize == last).expect("row");
+                index
+                    .query_into(q, &QueryKind::Range { r_sq: tie.dist_sq }, &mut out)
+                    .expect("range");
+                let want: Vec<Neighbor> =
+                    dists.iter().copied().filter(|nb| nb.dist_sq <= tie.dist_sq).collect();
+                assert_eq!(out, want, "{tag} q{qi}: range at the last tail row's distance");
+                assert!(out.contains(tie), "{tag} q{qi}: the tied row was dropped");
+                let scores = oracle(&data, n, q, true);
+                index.query_into(q, &QueryKind::Ip { k: 5 }, &mut out).expect("ip");
+                assert_eq!(out, scores[..5], "{tag} q{qi}: ip");
+            }
+        }
     }
 }
 
@@ -390,6 +469,49 @@ fn assert_envelopes_match_words<S: Summarization>(index: &Index<S>, stage: &str)
             assert_eq!(env.max(), &max[..], "{stage}: subtree {si} leaf max symbols");
         }
     }
+}
+
+/// One kernel prices every row, so each leaf's envelope bound must be
+/// `<=` the symbol-table sum of each of its tail rows bit for bit, on the
+/// dispatched kernel tier and the scalar reference alike — the collect
+/// phase prunes a leaf on that bound only if the refine sweep would prune
+/// every row.
+fn assert_envelope_bounds_tail_rows<S: Summarization>(index: &Index<S>, queries: &[f32], n: usize) {
+    let l = index.summarization().word_len();
+    let mut tails = 0usize;
+    for q in queries.chunks(n) {
+        let mut zq = q.to_vec();
+        sofa_simd::znormalize(&mut zq);
+        let ctx = QueryContext::new(index.summarization(), &zq);
+        let mut lut = Vec::new();
+        ctx.lut_into(&mut lut);
+        for leaf in index.subtrees().iter().flat_map(|st| st.leaves()) {
+            let env = leaf.envelope().expect("leaves carry envelopes");
+            let bound = ctx.envelope_mindist(env.min(), env.max());
+            let tail = &leaf.rows()[leaf.pack().expect("a leaf").len as usize..];
+            tails += tail.len();
+            for group in tail.chunks(8) {
+                let mut words: Vec<u8> =
+                    group.iter().flat_map(|&r| index.word(r as usize).to_vec()).collect();
+                while words.len() < 8 * l {
+                    words.extend_from_within(words.len() - l..);
+                }
+                let (mut scalar, mut dispatched) = ([0.0f32; 8], [0.0f32; 8]);
+                sofa_simd::lut_lower_bound_scalar(&lut, &words, f32::INFINITY, 0xFF, &mut scalar);
+                sofa_simd::lut_lower_bound(&lut, &words, f32::INFINITY, 0xFF, &mut dispatched);
+                for lane in 0..group.len() {
+                    assert!(
+                        bound <= scalar[lane] && bound <= dispatched[lane],
+                        "envelope {bound} > tail row {} sums {} / {}",
+                        group[lane],
+                        scalar[lane],
+                        dispatched[lane]
+                    );
+                }
+            }
+        }
+    }
+    assert!(tails > 0, "no tail rows to check");
 }
 
 #[test]
@@ -421,8 +543,9 @@ fn leaf_envelopes_track_build_inserts_repack_and_open() {
         "inserts split no leaf"
     );
     assert_envelopes_match_words(&index, "insert");
+    assert_envelope_bounds_tail_rows(&index, &queries, n);
 
-    index.repack_incremental();
+    index.repack_leaves();
     assert_envelopes_match_words(&index, "repack");
 
     let path = std::env::temp_dir().join(format!(

@@ -14,27 +14,27 @@
 //! weights `w_j` make the sum a lower bound of the true squared Euclidean
 //! distance (Parseval factors for SFA, segment lengths for SAX).
 //!
-//! Three kernels are provided:
+//! Two word kernels are provided here:
 //!
 //! * [`mindist_scalar`] — reference implementation with per-position `if`s;
-//! * [`mindist_simd`] — Algorithm 3: 8-lane blocks, the three conditions
-//!   evaluated as comparison masks and blended branchlessly, partial sums
-//!   checked against the best-so-far distance after every block (early
-//!   abandoning);
 //! * [`mindist_node`] — variable-cardinality variant for tree nodes, where
 //!   each position carries only a bit-prefix of its symbol and the interval
 //!   is the union of all bins sharing that prefix.
 //!
-//! For sweeps over many words, [`QueryContext::lut_into`] tabulates the
-//! per-position term `w_j · dist_j²` for all 256 symbols once per query;
-//! `sofa-simd`'s `lut_lower_bound` then prices 8 words per call by
-//! summing table entries, with no interval arithmetic left in the sweep.
+//! Every candidate word the index prices goes through a third, in
+//! `sofa-simd`: [`QueryContext::lut_into`] tabulates the per-position
+//! term `w_j · dist_j²` for all 256 symbols once per query, and
+//! `lut_lower_bound` prices 8 words per call by summing table entries,
+//! with no interval arithmetic left in the sweep and an early-abandon
+//! check against the best-so-far every 4 positions. This is the paper's
+//! Algorithm 3 (8 candidates per SIMD call, branch-free, early
+//! abandoning) with the three-way interval test moved into the table.
 //! [`QueryContext::envelope_mindist`] prices a whole set of words at once
 //! from its per-position min/max symbols (an index leaf's envelope) with
 //! the same operations, so it never exceeds any member's table sum.
 
 use crate::traits::Summarization;
-use sofa_simd::{F32x8, LANES, LUT_STRIDE};
+use sofa_simd::LUT_STRIDE;
 use std::borrow::Cow;
 
 /// Query-*independent* evaluation state for one summarization model:
@@ -398,68 +398,6 @@ pub fn mindist_scalar(ctx: &QueryContext<'_>, word: &[u8]) -> f32 {
     sum
 }
 
-/// SIMD mindist (squared) with early abandoning — the paper's Algorithm 3.
-///
-/// Processes the word in 8-lane blocks. Per block: gather the lower/upper
-/// breakpoints of each candidate symbol, compute the three candidate
-/// distances (to the lower breakpoint, to the upper breakpoint, zero),
-/// build the `below`/`above` comparison masks, blend branchlessly, square,
-/// weight, and accumulate. After each block the partial sum is compared to
-/// `bsf_sq`; once it exceeds the best-so-far the word can be pruned and the
-/// partial sum is returned (callers treat any value `> bsf_sq` as
-/// "pruned").
-///
-/// # Panics
-/// Panics if `word.len() != ctx.word_len()`.
-#[must_use]
-pub fn mindist_simd(ctx: &QueryContext<'_>, word: &[u8], bsf_sq: f32) -> f32 {
-    assert_eq!(word.len(), ctx.word_len());
-    let env = ctx.env();
-    let l = word.len();
-    let mut sum = 0.0f32;
-    let chunks = l / LANES;
-    for c in 0..chunks {
-        let base = c * LANES;
-        // Scalar gathers of the interval bounds for the 8 candidate
-        // symbols (the paper's Gather_bound step).
-        let mut lo = [0.0f32; LANES];
-        let mut hi = [0.0f32; LANES];
-        for i in 0..LANES {
-            let j = base + i;
-            let s = word[j] as usize;
-            let (l_, h_) = env.interval(j, s, s);
-            lo[i] = l_;
-            hi[i] = h_;
-        }
-        let vq = F32x8::from_slice(&ctx.values[base..]);
-        let vlo = F32x8::from_array(lo);
-        let vhi = F32x8::from_array(hi);
-        let vw = F32x8::from_slice(&env.weights[base..]);
-        // Caldist: the two non-zero branch results.
-        let d_below = vlo - vq; // positive where q < lo
-        let d_above = vq - vhi; // positive where q > hi
-                                // Genmask: the branch conditions.
-        let m_below = vq.lt(vlo);
-        let m_above = vq.gt(vhi);
-        // Blend instead of branching; the zero branch is the fallthrough.
-        let d = F32x8::select(m_below, d_below, F32x8::select(m_above, d_above, F32x8::zero()));
-        sum += (vw * d * d).horizontal_sum();
-        // Early abandoning against the best-so-far (per-block check).
-        if sum > bsf_sq {
-            return sum;
-        }
-    }
-    // Scalar tail for word lengths that are not a multiple of 8.
-    #[allow(clippy::needless_range_loop)] // parallel indexing into word/values
-    for j in chunks * LANES..l {
-        let s = word[j] as usize;
-        let (lo, hi) = env.interval(j, s, s);
-        let d = interval_dist(ctx.values[j], lo, hi);
-        sum += env.weights[j] * d * d;
-    }
-    sum
-}
-
 /// Mindist (squared) between the query and a *node* summary with variable
 /// cardinality: position `j` stores only the `bits[j]` most significant
 /// bits of its symbol, so the symbol is known only up to the range of
@@ -579,7 +517,7 @@ mod tests {
     use crate::sax::{ISax, SaxConfig};
     use crate::sfa::{Sfa, SfaConfig};
     use crate::traits::Summarization;
-    use sofa_simd::euclidean_sq;
+    use sofa_simd::{euclidean_sq, LANES};
 
     fn dataset(count: usize, n: usize, f: impl Fn(usize, usize) -> f32) -> Vec<f32> {
         let mut data = Vec::with_capacity(count * n);
@@ -674,61 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn simd_matches_scalar_without_abandoning() {
-        let n = 64;
-        let data = dataset(300, n, mixed_signal);
-        let sfa =
-            Sfa::learn(&data, n, &SfaConfig { word_len: 16, alphabet: 64, ..Default::default() });
-        let mut t = sfa.transformer();
-        let q = &data[7 * n..8 * n];
-        let ctx = QueryContext::new(&sfa, q);
-        for c in data.chunks(n).take(200) {
-            let w = t.word(c, 16);
-            let s = mindist_scalar(&ctx, &w);
-            let v = mindist_simd(&ctx, &w, f32::INFINITY);
-            assert!((s - v).abs() <= 1e-4 * s.max(1.0), "scalar={s} simd={v}");
-        }
-    }
-
-    #[test]
-    fn simd_handles_ragged_word_lengths() {
-        let n = 64;
-        let data = dataset(300, n, mixed_signal);
-        for l in [3usize, 7, 9, 12, 15] {
-            let sfa =
-                Sfa::learn(&data, n, &SfaConfig { word_len: l, alphabet: 8, ..Default::default() });
-            let mut t = sfa.transformer();
-            let q = &data[n..2 * n];
-            let ctx = QueryContext::new(&sfa, q);
-            for c in data.chunks(n).take(50) {
-                let w = t.word(c, l);
-                let s = mindist_scalar(&ctx, &w);
-                let v = mindist_simd(&ctx, &w, f32::INFINITY);
-                assert!((s - v).abs() <= 1e-4 * s.max(1.0), "l={l}: {s} vs {v}");
-            }
-        }
-    }
-
-    #[test]
-    fn simd_early_abandon_returns_excess() {
-        let n = 64;
-        let data = dataset(200, n, mixed_signal);
-        let sfa =
-            Sfa::learn(&data, n, &SfaConfig { word_len: 16, alphabet: 256, ..Default::default() });
-        let mut t = sfa.transformer();
-        // A query very different from a candidate: tiny BSF forces pruning.
-        let q = &data[..n];
-        let ctx = QueryContext::new(&sfa, q);
-        let c = &data[50 * n..51 * n];
-        let w = t.word(c, 16);
-        let full = mindist_scalar(&ctx, &w);
-        if full > 0.0 {
-            let r = mindist_simd(&ctx, &w, full * 1e-6);
-            assert!(r > full * 1e-6, "must signal pruning");
-        }
-    }
-
-    #[test]
     fn mindist_to_own_word_is_zero() {
         let n = 64;
         let data = dataset(300, n, mixed_signal);
@@ -739,7 +622,6 @@ mod tests {
             let ctx = QueryContext::new(&sfa, c);
             let w = t.word(c, 16);
             assert_eq!(mindist_scalar(&ctx, &w), 0.0);
-            assert_eq!(mindist_simd(&ctx, &w, f32::INFINITY), 0.0);
         }
     }
 

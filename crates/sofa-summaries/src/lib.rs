@@ -25,14 +25,14 @@
 //! and the LBD between a query's *exact* values and a word is the weighted
 //! sum of squared distances to those intervals ([`lbd`]).
 //!
-//! The [`lbd::mindist_simd`] kernel is the paper's Algorithm 3: 8-lane
-//! blocks, three comparison masks (below / inside / above the interval)
-//! blended branchlessly, with early abandoning against the best-so-far
-//! distance after every block. For sweeps over many words the index
-//! instead builds the query's symbol table once
-//! ([`lbd::QueryContext::lut_into`]: the bound's term for every
-//! (position, symbol) pair) and prices 8 words per call from it with
-//! `sofa-simd`'s `lut_lower_bound`.
+//! The paper's Algorithm 3 prices 8 candidates per SIMD call, branch-free,
+//! with early abandoning against the best-so-far distance. Here the index
+//! builds the query's symbol table once ([`lbd::QueryContext::lut_into`]:
+//! the bound's term for every (position, symbol) pair, with the
+//! below / inside / above interval test folded in) and prices 8 words per
+//! call from it with `sofa-simd`'s `lut_lower_bound` — one kernel for
+//! every candidate row, packed or freshly inserted.
+//! [`lbd::mindist_scalar`] is the per-word reference.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +51,7 @@ pub mod traits;
 pub use dft::DftSummary;
 pub use lbd::{
     ip_bound_from_mindist, ip_from_score, ip_l2_radius, ip_score, mindist_node, mindist_scalar,
-    mindist_simd, QueryContext, QueryEnv, RootLbd, IP_MARGIN_SCALE,
+    QueryContext, QueryEnv, RootLbd, IP_MARGIN_SCALE,
 };
 pub use mcb::{BinningStrategy, CoeffPos, CoefficientSelection, McbConfig, McbModel};
 pub use numeric::{Apca, ApcaSegment, OrthoPoly, Pla};

@@ -223,9 +223,12 @@ impl QuantGrid {
 }
 
 /// One leaf's codes + per-row error bounds under a shared [`QuantGrid`]
-/// (see the module docs for the layout and the lower-bound math).
+/// (see the module docs for the layout and the lower-bound math). The
+/// codes live in any byte container `C`: a `Vec` when built, or a view
+/// of a memory-mapped snapshot when restored with
+/// [`QuantBlock::from_parts`], so opening an index does not copy them.
 #[derive(Clone, Debug)]
-pub struct QuantBlock {
+pub struct QuantBlock<C = Vec<u8>> {
     n: usize,
     series_len: usize,
     /// Copy of the grid's scale (the only grid parameter the query-time
@@ -235,7 +238,7 @@ pub struct QuantBlock {
     /// Copy of the grid's `f32`-comparison slack.
     slack: f64,
     /// `n_groups * series_len * 8` codes, group-major then position-major.
-    codes: Vec<u8>,
+    codes: C,
     /// Per-lane unsquared reconstruction-error bounds, `n_groups * 8`
     /// entries (pad lanes mirror the last real row).
     errs: Vec<f64>,
@@ -278,6 +281,23 @@ impl QuantBlock {
         Some(Self { n, series_len, scale: grid.scale, slack: grid.slack, codes, errs })
     }
 
+    /// Moves the codes into another container (e.g. the index's arena
+    /// type), keeping everything else.
+    #[must_use]
+    pub fn map_codes<D>(self, f: impl FnOnce(Vec<u8>) -> D) -> QuantBlock<D> {
+        let Self { n, series_len, scale, slack, codes, errs } = self;
+        QuantBlock { n, series_len, scale, slack, codes: f(codes), errs }
+    }
+
+    /// Heap bytes held by the block (codes dominate: ~1 byte per stored
+    /// value, a quarter of the `f32` arena it shadows).
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.codes.capacity() + self.errs.capacity() * std::mem::size_of::<f64>()
+    }
+}
+
+impl<C: AsRef<[u8]>> QuantBlock<C> {
     /// Number of real rows priced by this block.
     #[must_use]
     pub fn n(&self) -> usize {
@@ -288,7 +308,7 @@ impl QuantBlock {
     /// group-major then position-major) — the flat serialization form.
     #[must_use]
     pub fn codes(&self) -> &[u8] {
-        &self.codes
+        self.codes.as_ref()
     }
 
     /// The full per-lane error-bound buffer (`n_groups * 8` entries) —
@@ -316,7 +336,7 @@ impl QuantBlock {
     pub fn from_parts(
         grid: &QuantGrid,
         n: usize,
-        codes: Vec<u8>,
+        codes: C,
         errs: Vec<f64>,
     ) -> Result<Self, String> {
         if n == 0 {
@@ -328,10 +348,10 @@ impl QuantBlock {
             .checked_mul(series_len)
             .and_then(|v| v.checked_mul(BLOCK_LANES))
             .ok_or_else(|| "code shape overflows".to_string())?;
-        if codes.len() != want_codes {
+        if codes.as_ref().len() != want_codes {
             return Err(format!(
                 "{} codes for {n} rows of length {series_len} (expected {want_codes})",
-                codes.len()
+                codes.as_ref().len()
             ));
         }
         if errs.len() != groups * BLOCK_LANES {
@@ -358,7 +378,7 @@ impl QuantBlock {
     #[must_use]
     pub fn group_codes(&self, g: usize) -> &[u8] {
         let stride = self.series_len * BLOCK_LANES;
-        &self.codes[g * stride..(g + 1) * stride]
+        &self.codes.as_ref()[g * stride..(g + 1) * stride]
     }
 
     /// Group `g`'s per-lane reconstruction-error bounds (8 entries).
@@ -404,13 +424,6 @@ impl QuantBlock {
         } else {
             lb * lb * self.slack
         }
-    }
-
-    /// Heap bytes held by the block (codes dominate: ~1 byte per stored
-    /// value, a quarter of the `f32` arena it shadows).
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.codes.capacity() + self.errs.capacity() * std::mem::size_of::<f64>()
     }
 }
 

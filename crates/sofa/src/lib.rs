@@ -227,8 +227,10 @@ impl Builder {
     }
 
     /// Auto-repack threshold in percent: after an online insert, when
-    /// more than this share of leaves lost their packed layout, the index
-    /// repacks itself on its worker pool (default 25). `None` disables
+    /// more than this share of rows sit in leaf tails (inserted since
+    /// their leaf was packed), the index folds them back into packed runs
+    /// on its worker pool (default 25, and never for fewer than 64 tail
+    /// rows). Tail rows are answered exactly either way. `None` disables
     /// the trigger — call `repack_leaves()` manually.
     #[must_use]
     pub fn auto_repack_pct(mut self, pct: Option<u32>) -> Self {

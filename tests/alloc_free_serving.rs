@@ -9,12 +9,13 @@
 //! proves the claim: after a warm-up pass over the query set, replaying
 //! the same queries performs not a single heap allocation.
 //!
-//! Two configurations are proven inside the single `#[test]` (a second
+//! Three configurations are proven inside the single `#[test]` (a second
 //! test function would run concurrently and pollute the counter): the
-//! serial path (`threads(1)`) and the pool-parallel single-query path
+//! serial path (`threads(1)`), the pool-parallel single-query path
 //! (`threads(2)`), whose two per-query `broadcast`s used to box one task
 //! per lane — the hole the pre-sized shared-task slots in `sofa-exec`
-//! closed.
+//! closed — and a serial index whose inserted rows still sit in leaf
+//! tails, whose words the refine sweep stages on the stack.
 
 use sofa::{Builder, Neighbor, QueryKind, SofaIndex};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -127,6 +128,27 @@ fn steady_state_knn_performs_zero_heap_allocations() {
     assert_eq!(
         allocations, 0,
         "steady-state pool-parallel query_into path allocated {allocations} time(s) \
+         across 96 queries"
+    );
+
+    // Leaf tails: 200 rows inserted with auto-repack off stay in their
+    // leaves' tails. Querying with inserted rows makes each one's leaf,
+    // tail included, reach the refine sweep.
+    let mut tails = Builder::default()
+        .threads(1)
+        .leaf_capacity(40)
+        .sample_ratio(0.2)
+        .auto_repack_pct(None)
+        .build_sofa(&data[..400 * n], n)
+        .expect("build");
+    tails.insert_all(&data[400 * n..]).expect("insert");
+    let stats = tails.stats();
+    assert!(stats.packed_leaves < stats.leaves, "inserts must leave tails: {stats:?}");
+    let tail_queries = &data[400 * n..][..24 * n];
+    let allocations = measure_warm_replay(&tails, tail_queries, n);
+    assert_eq!(
+        allocations, 0,
+        "steady-state query_into over leaf tails allocated {allocations} time(s) \
          across 96 queries"
     );
 }

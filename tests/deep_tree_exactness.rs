@@ -1,8 +1,9 @@
 //! Deep-tree exactness under churn: concentrated root keys (one
 //! hierarchically clustered prototype family, so the index builds deep
 //! subtrees the collect DFS must descend), online insert bursts that
-//! split leaves mid-query-stream, and incremental repacks — must return
-//! brute-force answers at every stage, for 500 queries across the suite.
+//! split leaves mid-query-stream, and repacks of the subtrees with tails
+//! — must return brute-force answers at every stage, for 500 queries
+//! across the suite.
 //!
 //! CI replays this binary under `SOFA_FORCE_SCALAR=1` as well, so the
 //! deep-tree path is proven exact on every dispatch tier.
@@ -67,8 +68,8 @@ fn deep_tree_serving_stays_exact_through_inserts_and_incremental_repacks() {
         .collect();
 
     // Small leaves + a 12-symbol word force genuinely deep subtrees at
-    // this scale; auto-repack is off so split leaves stay unpacked until
-    // the explicit incremental repacks below.
+    // this scale; auto-repack is off so inserted rows and split leaves
+    // stay in leaf tails until the explicit repacks below.
     let mut index = Builder::default()
         .threads(2)
         .leaf_capacity(8)
@@ -104,30 +105,26 @@ fn deep_tree_serving_stays_exact_through_inserts_and_incremental_repacks() {
     );
     assert_exact(&index, &flat, &dups, n, 1, "phase2-dups");
 
-    // Phase 3: first insert burst — leaves split and go unpacked
+    // Phase 3: first insert burst — leaves split and grow tails
     // mid-stream; queries must stay exact with NO repack.
     let burst1 = initial + (count / 8) * n;
     index.insert_all(&all[initial..burst1]).expect("insert");
-    assert!(
-        index.stats().fallback_leaf_pct > 0.0,
-        "burst must leave stale leaves: {:?}",
-        index.stats()
-    );
+    assert!(index.stats().fallback_leaf_pct > 0.0, "burst must leave tails: {:?}", index.stats());
     let flat = FlatL2::new(&all[..burst1], n, 2);
-    assert_exact(&index, &flat, &holdout[..per_phase * n], n, 3, "phase3-stale");
+    assert_exact(&index, &flat, &holdout[..per_phase * n], n, 3, "phase3-tails");
 
-    // Phase 4: incremental repack (only stale subtrees rebuild), then the
+    // Phase 4: repack (only subtrees with tails rebuild), then the
     // second half of the hold-out stream.
-    index.repack_incremental();
+    index.repack_leaves();
     let s = index.stats();
-    assert_eq!(s.packed_leaves, s.leaves, "incremental repack must restore packing");
+    assert_eq!(s.packed_leaves, s.leaves, "repack must fold every tail");
     assert_eq!(s.fallback_leaf_pct, 0.0);
     assert_exact(&index, &flat, &holdout[per_phase * n..], n, 5, "phase4-repacked");
 
-    // Phase 5: second burst + incremental repack, replay the known-item
-    // stream (their rows moved slots in the repack).
+    // Phase 5: second burst + repack, replay the known-item stream
+    // (their rows moved slots in the repack).
     index.insert_all(&all[burst1..]).expect("insert");
-    index.repack_incremental();
+    index.repack_leaves();
     let flat = FlatL2::new(all, n, 2);
     assert_exact(&index, &flat, &dups, n, 3, "phase5-after-churn");
 }

@@ -224,3 +224,51 @@ fn reopened_index_keeps_growing_and_snapshots_again() {
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&path2).ok();
 }
+
+#[test]
+fn snapshot_with_leaf_tails_reopens_with_identical_answers_and_stats() {
+    let n = 64;
+    let data = dataset(600, n, 5);
+    let extra = dataset(90, n, 7_000);
+    let pool = ExecPool::shared(1);
+    let mut live = Builder::default()
+        .pool(Arc::clone(&pool))
+        .leaf_capacity(40)
+        .sample_ratio(0.5)
+        .auto_repack_pct(None)
+        .build_sofa(&data, n)
+        .expect("build");
+    live.insert_all(&extra).expect("insert");
+    let stats = live.stats();
+    assert!(stats.packed_leaves < stats.leaves, "inserts must leave tails: {stats:?}");
+
+    // Written before any compaction: the file carries each leaf's packed
+    // length, and the tails come back from the tree and the slot map.
+    let path = tmp_path("tails");
+    live.snapshot(&path).expect("snapshot");
+    let opened = Builder::default().pool(Arc::clone(&pool)).open_sofa(&path).expect("open");
+    std::fs::remove_file(&path).ok();
+    let reopened = opened.stats();
+    assert_eq!(
+        (reopened.leaves, reopened.packed_leaves, reopened.fallback_leaf_pct),
+        (stats.leaves, stats.packed_leaves, stats.fallback_leaf_pct)
+    );
+
+    let filter = Arc::new(sofa::RowFilter::from_fn(live.n_series(), |row| row % 3 != 0));
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    for (qi, q) in dataset(24, n, 12_345).chunks(n).chain(extra.chunks(n).step_by(9)).enumerate() {
+        let r_sq = live.knn(q, 20).expect("knn")[19].dist_sq;
+        let kinds = [
+            QueryKind::Knn { k: 1 + qi % 10 },
+            QueryKind::KnnFiltered { k: 5, filter: Arc::clone(&filter) },
+            QueryKind::Range { r_sq },
+            QueryKind::Ip { k: 5 },
+        ];
+        for kind in &kinds {
+            let want = live.query_into(q, kind, &mut a).expect("live");
+            let got = opened.query_into(q, kind, &mut b).expect("opened");
+            assert_eq!(a, b, "query {qi} {kind:?}");
+            assert_eq!(got, want, "query {qi} {kind:?}: stats");
+        }
+    }
+}
