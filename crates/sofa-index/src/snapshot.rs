@@ -9,7 +9,7 @@
 //! rehydrated into their owned in-memory forms; they are a small
 //! fraction of the file.
 //!
-//! ## File format (version 5)
+//! ## File format (version 6)
 //!
 //! ```text
 //! offset 0   magic            b"SOFASNAP"
@@ -21,8 +21,8 @@
 //!       20   section count    u32
 //!       24   section table    count × 32 bytes:
 //!                             id u32, reserved u32, offset u64, len u64,
-//!                             FNV-1a-64 checksum u64
-//!        …   header checksum  u64 (FNV-1a over everything above)
+//!                             digest u64 (below)
+//!        …   header digest    u64 (the digest of everything above)
 //! ```
 //!
 //! Sections follow, each 64-byte aligned (so mapped `f32`/`u32` arenas
@@ -32,6 +32,19 @@
 //! runs **before** any pointer into the mapping is formed or any decoded
 //! value is trusted; corrupt, truncated and foreign files fail closed
 //! with a typed [`IndexError`], never a panic.
+//!
+//! ## Digest
+//!
+//! A section (or the header) is cut into 1 MiB chunks. Each chunk is
+//! hashed by four independent 64-bit lanes over 32-byte stripes, in the
+//! xxHash64 round form `acc = rotl(acc + w·P2, 31)·P1`; the lanes, the
+//! chunk's length and its last partial stripe are folded together and
+//! finished with an avalanche. The chunk digests are folded in order,
+//! with the section's length, into the section's digest. An open hashes
+//! every chunk of every section as one job list spread over all lanes of
+//! its pool, so verifying a file runs at memory bandwidth rather than on
+//! one serial chain per section. The digest catches torn writes and
+//! random corruption; it is not a MAC.
 //!
 //! ## Durability
 //!
@@ -53,13 +66,13 @@ use sofa_summaries::{
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// First 8 bytes of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SOFASNAP";
 /// The one format version this build writes and reads.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 5;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 6;
 /// Failpoint fired before each section write (torn-write injection).
 pub const SNAPSHOT_WRITE_FAILPOINT: &str = "sofa-index::snapshot::write";
 /// Failpoint fired before the final atomic rename.
@@ -101,24 +114,99 @@ fn kind_name(kind: u32) -> &'static str {
     }
 }
 
-/// Word-at-a-time FNV-1a 64 variant — dependency-free, good
-/// torn-write/bit-flip detection. Folding 8 input bytes per multiply
-/// keeps open-time verification of multi-gigabyte arenas around an
-/// order of magnitude cheaper than the byte-serial form; this is a
-/// format-defining function (writer and reader must agree), covered by
-/// the version field.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut words = bytes.chunks_exact(8);
+/// Bytes per digest chunk: the unit of work [`digests`] hands to a lane.
+/// Part of the format (covered by the version field), not a tuning knob.
+const DIGEST_CHUNK: usize = 1 << 20;
+
+// The xxHash64 primes.
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// One xxHash64 round. The multiply spreads each input bit upward and
+/// the rotation carries the high bits back down, so a flip in any bit
+/// (bit 63 included) reaches the whole accumulator by the next round.
+fn round(acc: u64, w: u64) -> u64 {
+    acc.wrapping_add(w.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+}
+
+/// Folds `v` into `h`; a bijection in `h` for a fixed `v` and vice versa.
+fn merge(h: u64, v: u64) -> u64 {
+    (h ^ round(0, v)).wrapping_mul(P1).wrapping_add(P4)
+}
+
+fn avalanche(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
+}
+
+fn le_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8-byte word"))
+}
+
+/// Digest of one chunk of at most [`DIGEST_CHUNK`] bytes: four
+/// independent lanes over 32-byte stripes (so their multiplies overlap
+/// instead of forming one serial chain), then the lanes, the length and
+/// the tail words and bytes folded together, then an avalanche.
+fn chunk_digest(chunk: &[u8]) -> u64 {
+    let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+    let mut stripes = chunk.chunks_exact(32);
+    for stripe in &mut stripes {
+        let stripe: &[u8; 32] = stripe.try_into().expect("32-byte stripe");
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            *lane = round(*lane, le_word(&stripe[8 * i..8 * i + 8]));
+        }
+    }
+    let mut h = lanes[0]
+        .rotate_left(1)
+        .wrapping_add(lanes[1].rotate_left(7))
+        .wrapping_add(lanes[2].rotate_left(12))
+        .wrapping_add(lanes[3].rotate_left(18));
+    h = lanes.into_iter().fold(h, merge).wrapping_add(u64_of(chunk.len()));
+    let mut words = stripes.remainder().chunks_exact(8);
     for w in &mut words {
-        let w = u64::from_ne_bytes(w.try_into().expect("8-byte chunk"));
-        h = (h ^ w).wrapping_mul(PRIME);
+        h = (h ^ round(0, le_word(w))).rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
     }
     for &b in words.remainder() {
-        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+        h = (h ^ u64::from(b).wrapping_mul(P5)).rotate_left(11).wrapping_mul(P1);
     }
-    h
+    avalanche(h)
+}
+
+/// The format's one checksum: the digest of each of `sections`, as the
+/// writer's section table, the open, [`describe`] and the header seal
+/// use it. A section is cut into [`DIGEST_CHUNK`]-byte chunks, each
+/// hashed by [`chunk_digest`], and its chunk digests are folded in order
+/// (with its length) into its digest. Every chunk of every section is
+/// one job, claimed through an atomic counter by every lane of `pool`
+/// (or by the caller alone without one), so a large section is split
+/// across all lanes; which lane hashed a chunk does not change a digest.
+fn digests(sections: &[&[u8]], pool: Option<&ExecPool>) -> Vec<u64> {
+    let chunks: Vec<&[u8]> = sections.iter().flat_map(|s| s.chunks(DIGEST_CHUNK)).collect();
+    let sums: Vec<AtomicU64> = chunks.iter().map(|_| AtomicU64::new(0)).collect();
+    let next = AtomicUsize::new(0);
+    let hash = |_lane: usize| loop {
+        let j = next.fetch_add(1, Ordering::Relaxed);
+        let Some(chunk) = chunks.get(j) else { break };
+        sums[j].store(chunk_digest(chunk), Ordering::Relaxed);
+    };
+    match pool {
+        Some(pool) => pool.broadcast(hash),
+        None => hash(0),
+    }
+    let mut sums = sums.into_iter().map(AtomicU64::into_inner);
+    sections
+        .iter()
+        .map(|s| {
+            let n = s.len().div_ceil(DIGEST_CHUNK);
+            avalanche(sums.by_ref().take(n).fold(P5.wrapping_add(u64_of(s.len())), merge))
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -541,7 +629,8 @@ pub struct SectionInfo {
     pub offset: u64,
     /// Byte length of the section.
     pub len: u64,
-    /// FNV-1a-64 checksum of the section bytes.
+    /// Digest of the section bytes (the chunked digest of the module
+    /// doc).
     pub checksum: u64,
 }
 
@@ -607,9 +696,8 @@ fn header_u64(bytes: &[u8], off: usize) -> Result<u64, IndexError> {
 /// Validates magic, version, endianness, the header checksum, and every
 /// section's bounds and checksum. Returns the summarization kind and the
 /// verified table. Nothing in the file is trusted before this returns.
-/// Hashing every byte is most of an open's time, so with a `pool` the
-/// sections are hashed in parallel (the largest, the series arena, on
-/// one lane while the rest share the others).
+/// Hashing every byte is most of an open's time, so with a `pool` every
+/// chunk of every section is hashed by whichever lane claims it.
 fn parse_and_verify(
     bytes: &[u8],
     pool: Option<&ExecPool>,
@@ -648,7 +736,7 @@ fn parse_and_verify(
         return Err(fmt_err("header", "truncated section table"));
     }
     let stored = header_u64(bytes, table_end)?;
-    if fnv1a64(&bytes[..table_end]) != stored {
+    if digests(&[&bytes[..table_end]], None)[0] != stored {
         return Err(corrupt("header", "header checksum mismatch"));
     }
     let mut entries = Vec::with_capacity(n);
@@ -675,18 +763,8 @@ fn parse_and_verify(
         }
         entries.push(SectionEntry { id, offset, len, checksum });
     }
-    let mut sums = vec![0u64; n];
-    let hash = |(sum, e): (&mut u64, &SectionEntry)| {
-        *sum = fnv1a64(&bytes[e.offset..e.offset + e.len]);
-    };
-    match pool {
-        Some(pool) => pool.run(|scope| {
-            for job in sums.iter_mut().zip(&entries) {
-                scope.spawn(move || hash(job));
-            }
-        }),
-        None => sums.iter_mut().zip(&entries).for_each(hash),
-    }
+    let sections: Vec<&[u8]> = entries.iter().map(|e| &bytes[e.offset..e.offset + e.len]).collect();
+    let sums = digests(&sections, pool);
     // Checked in table order, so the first corrupt section is reported.
     if let Some((e, _)) = entries.iter().zip(&sums).find(|(e, &sum)| e.checksum != sum) {
         return Err(corrupt(section_name(e.id), "section checksum mismatch"));
@@ -778,6 +856,41 @@ impl SecPayload<'_> {
 
 const ZERO_PAD: [u8; SECTION_ALIGN as usize] = [0; SECTION_ALIGN as usize];
 
+/// The header and section table of a file holding `sections` (id,
+/// bytes) in order, sealed with its digest, plus each section's offset
+/// (64-byte aligned, so mapped arenas are always well-aligned for
+/// `f32`/`u32` casts). The section digests are hashed on `pool`.
+fn seal_header(
+    kind: u32,
+    sections: &[(u32, &[u8])],
+    pool: Option<&ExecPool>,
+) -> (Vec<u8>, Vec<u64>) {
+    let n = sections.len();
+    let mut header = Vec::with_capacity(HEADER_FIXED + TABLE_ENTRY * n + 8);
+    header.extend_from_slice(&SNAPSHOT_MAGIC);
+    put_u32(&mut header, SNAPSHOT_FORMAT_VERSION);
+    put_u32(&mut header, ENDIAN_TAG);
+    put_u32(&mut header, kind);
+    // The section list is a fixed enumeration of at most 9 entries.
+    put_u32(&mut header, n as u32);
+    let bytes: Vec<&[u8]> = sections.iter().map(|&(_, b)| b).collect();
+    let sums = digests(&bytes, pool);
+    let mut cursor = align_up(u64_of(HEADER_FIXED + TABLE_ENTRY * n + 8), SECTION_ALIGN);
+    let mut offsets = Vec::with_capacity(n);
+    for (&(id, bytes), sum) in sections.iter().zip(sums) {
+        put_u32(&mut header, id);
+        put_u32(&mut header, 0);
+        put_u64(&mut header, cursor);
+        put_u64(&mut header, u64_of(bytes.len()));
+        put_u64(&mut header, sum);
+        offsets.push(cursor);
+        cursor = align_up(cursor + u64_of(bytes.len()), SECTION_ALIGN);
+    }
+    let seal = digests(&[&header], None)[0];
+    put_u64(&mut header, seal);
+    (header, offsets)
+}
+
 // ---------------------------------------------------------------------
 // Snapshot (write) side.
 
@@ -794,33 +907,9 @@ impl<S: SnapshotSummarization> Index<S> {
     /// [`IndexError::SnapshotIo`] on any filesystem failure.
     pub fn snapshot<P: AsRef<Path>>(&self, path: P) -> Result<u64, IndexError> {
         let path = path.as_ref();
-        let sections = self.encode_sections();
-
-        // Header + section table (offsets 64-byte aligned so mapped
-        // arenas are always well-aligned for f32/u32 casts).
-        let n = sections.len();
-        let mut header = Vec::with_capacity(HEADER_FIXED + TABLE_ENTRY * n + 8);
-        header.extend_from_slice(&SNAPSHOT_MAGIC);
-        put_u32(&mut header, SNAPSHOT_FORMAT_VERSION);
-        put_u32(&mut header, ENDIAN_TAG);
-        put_u32(&mut header, S::KIND);
-        // The section list is a fixed enumeration of at most 9 entries.
-        put_u32(&mut header, n as u32);
-        let header_len = u64_of(HEADER_FIXED + TABLE_ENTRY * n + 8);
-        let mut cursor = align_up(header_len, SECTION_ALIGN);
-        let mut offsets = Vec::with_capacity(n);
-        for (id, payload) in &sections {
-            let bytes = payload.bytes();
-            put_u32(&mut header, *id);
-            put_u32(&mut header, 0);
-            put_u64(&mut header, cursor);
-            put_u64(&mut header, u64_of(bytes.len()));
-            put_u64(&mut header, fnv1a64(bytes));
-            offsets.push(cursor);
-            cursor = align_up(cursor + u64_of(bytes.len()), SECTION_ALIGN);
-        }
-        let checksum = fnv1a64(&header);
-        put_u64(&mut header, checksum);
+        let encoded = self.encode_sections();
+        let sections: Vec<(u32, &[u8])> = encoded.iter().map(|(id, p)| (*id, p.bytes())).collect();
+        let (header, offsets) = seal_header(S::KIND, &sections, Some(&self.pool));
 
         let file_name =
             path.file_name().ok_or_else(|| io_err("create", &"snapshot path has no file name"))?;
@@ -832,11 +921,10 @@ impl<S: SnapshotSummarization> Index<S> {
         let mut f = File::create(&tmp).map_err(|e| io_err("create", &e))?;
         f.write_all(&header).map_err(|e| io_err("write", &e))?;
         let mut pos = u64_of(header.len());
-        for ((_, payload), &off) in sections.iter().zip(offsets.iter()) {
+        for (&(_, bytes), &off) in sections.iter().zip(offsets.iter()) {
             failpoint::fire(SNAPSHOT_WRITE_FAILPOINT).map_err(|e| io_err("write-section", &e))?;
             let pad = (off - pos) as usize;
             f.write_all(&ZERO_PAD[..pad]).map_err(|e| io_err("write", &e))?;
-            let bytes = payload.bytes();
             f.write_all(bytes).map_err(|e| io_err("write", &e))?;
             pos = off + u64_of(bytes.len());
         }
@@ -1499,7 +1587,6 @@ mod tests {
     use super::*;
     use crate::IndexConfig;
     use sofa_summaries::SfaConfig;
-    use std::sync::atomic::AtomicUsize;
 
     fn dataset(count: usize, n: usize) -> Vec<f32> {
         let mut data = Vec::with_capacity(count * n);
@@ -1633,9 +1720,10 @@ mod tests {
         // Version 1 files carry hierarchy-level collect state, version 2
         // files a node-block collect section, version 3 files per-leaf
         // interval blocks and version 4 files per-subtree stale-leaf
-        // counts and has-pack flags, none of which this build reads: the
+        // counts and has-pack flags, none of which this build reads;
+        // version 5 files seal their sections with another checksum. The
         // version check rejects them before any section is interpreted.
-        for version in [1u32, 2, 3, 4] {
+        for version in [1u32, 2, 3, 4, 5] {
             idx.snapshot(&path).expect("snapshot");
             let mut bytes = std::fs::read(&path).expect("read");
             bytes[8..12].copy_from_slice(&version.to_ne_bytes());
@@ -1663,11 +1751,11 @@ mod tests {
         let (i, e) = entries.iter().enumerate().find(|(_, e)| e.id == id).expect("section");
         let section = e.offset..e.offset + e.len;
         patch(&mut bytes[section.clone()]);
-        let sum = fnv1a64(&bytes[section]);
+        let sum = digests(&[&bytes[section]], None)[0];
         let entry = HEADER_FIXED + TABLE_ENTRY * i;
         bytes[entry + 24..entry + 32].copy_from_slice(&sum.to_ne_bytes());
         let table_end = HEADER_FIXED + TABLE_ENTRY * entries.len();
-        let header_sum = fnv1a64(&bytes[..table_end]);
+        let header_sum = digests(&[&bytes[..table_end]], None)[0];
         bytes[table_end..table_end + 8].copy_from_slice(&header_sum.to_ne_bytes());
         std::fs::write(path, &bytes).expect("write");
     }
@@ -1708,6 +1796,125 @@ mod tests {
         patch_section(&path, SEC_PACKS, set_len(k, 1));
         assert_pack_corrupt(&path, "on a pack of 1 rows");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn swapped_packed_runs_fail_closed_as_out_of_place() {
+        let idx = sax_index(300);
+        assert_eq!(idx.tail_rows, 0, "a fresh build has no tails");
+        let packs: Vec<&LeafPack> = idx.packs().collect();
+        // Two leaves with packed runs of one length, the first at slot 0.
+        let n = packs[0].len;
+        assert_eq!(packs[0].start, 0);
+        let k = (1..packs.len()).find(|&k| packs[k].len == n).expect("two equal-length leaves");
+        let (a, b) = (0usize, packs[k].start as usize);
+        let n = n as usize;
+        let path = tmp_path("out-of-place");
+        idx.snapshot(&path).expect("snapshot");
+        // Swap the two runs in the leaf packs (u32 start, u64 length each)...
+        patch_section(&path, SEC_PACKS, |buf| {
+            buf[..4].copy_from_slice(&u32::try_from(b).expect("slot").to_ne_bytes());
+            buf[12 * k..12 * k + 4].copy_from_slice(&0u32.to_ne_bytes());
+        });
+        // ...and in both directions of the row <-> slot map, so every pack
+        // still holds its leaf's rows and the map stays a bijection.
+        patch_section(&path, SEC_MAPPING, |buf| {
+            let (fwd, inv) = buf.split_at_mut(4 * idx.n_series());
+            let get = |m: &[u8], i: usize| {
+                u32::from_ne_bytes(m[4 * i..4 * i + 4].try_into().expect("u32"))
+            };
+            let set = |m: &mut [u8], i: usize, v: u32| {
+                m[4 * i..4 * i + 4].copy_from_slice(&v.to_ne_bytes());
+            };
+            for i in 0..n {
+                let (row_a, row_b) = (get(inv, a + i), get(inv, b + i));
+                set(inv, a + i, row_b);
+                set(inv, b + i, row_a);
+                set(fwd, row_a as usize, u32::try_from(b + i).expect("slot"));
+                set(fwd, row_b as usize, u32::try_from(a + i).expect("slot"));
+            }
+        });
+        assert_pack_corrupt(&path, &format!("packed run at slot {b} is out of place"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Deterministic filler bytes (splitmix64), so no two chunks match.
+    fn filler(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
+    /// A file laid out as the writer lays it out: the sealed header, then
+    /// each section at its offset.
+    fn assemble(sections: &[(u32, &[u8])], pool: Option<&ExecPool>) -> Vec<u8> {
+        let (mut file, offsets) = seal_header(1, sections, pool);
+        for (&(_, bytes), off) in sections.iter().zip(offsets) {
+            file.resize(usize::try_from(off).expect("offset"), 0);
+            file.extend_from_slice(bytes);
+        }
+        file
+    }
+
+    #[test]
+    fn chunked_digest_is_independent_of_pool_and_matches_the_writer() {
+        const C: usize = DIGEST_CHUNK;
+        let ids = [SEC_META, SEC_SUMM, SEC_DATA, SEC_WORDS, SEC_MAPPING, SEC_TREE, SEC_PACKS];
+        let lens = [0, 1, 31, 32, 33, C - 1, C, C + 1, 3 * C + 5];
+        let pools = [ExecPool::new(1), ExecPool::new(2), ExecPool::new(4)];
+        let pools: Vec<Option<&ExecPool>> =
+            std::iter::once(None).chain(pools.iter().map(Some)).collect();
+        // Every length lands in one of two files (section ids are unique).
+        for group in [&lens[..7], &lens[7..]] {
+            let data: Vec<Vec<u8>> =
+                group.iter().enumerate().map(|(i, &len)| filler(len, i as u64)).collect();
+            let sections: Vec<(u32, &[u8])> =
+                ids.iter().zip(&data).map(|(&id, d)| (id, d.as_slice())).collect();
+            let bytes: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+            let one_by_one: Vec<u64> = bytes.iter().map(|b| digests(&[b], None)[0]).collect();
+            let file = assemble(&sections, None);
+            let (_, table) = parse_and_verify(&file, None).expect("writer's table verifies");
+            let written: Vec<u64> = table.iter().map(|e| e.checksum).collect();
+            assert_eq!(written, one_by_one, "writer's table, lengths {group:?}");
+            for pool in &pools {
+                let threads = pool.map(ExecPool::threads);
+                assert_eq!(digests(&bytes, *pool), one_by_one, "pool {threads:?}, {group:?}");
+                assert_eq!(assemble(&sections, *pool), file, "pool {threads:?} writer");
+                parse_and_verify(&file, *pool).expect("verifies on every pool");
+            }
+            // The length is part of every digest, so even the all-empty
+            // and all-equal prefixes of the filler differ.
+            let mut distinct = one_by_one.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), one_by_one.len(), "{group:?}");
+        }
+
+        // Two corrupt sections: the first in table order is reported,
+        // whichever lane finishes first.
+        let data: Vec<Vec<u8>> = (0..4).map(|i| filler(C + 100 * i, i as u64)).collect();
+        let sections: Vec<(u32, &[u8])> =
+            ids.iter().zip(&data).map(|(&id, d)| (id, d.as_slice())).collect();
+        let mut file = assemble(&sections, None);
+        let (_, table) = parse_and_verify(&file, None).expect("valid");
+        file[table[1].offset + C + 3] ^= 0x80;
+        file[table[3].offset + 7] ^= 0x01;
+        for pool in &pools {
+            match parse_and_verify(&file, *pool) {
+                Err(IndexError::SnapshotCorrupt { section, .. }) => {
+                    assert_eq!(section, section_name(ids[1]));
+                }
+                Err(other) => panic!("expected SnapshotCorrupt, got {other:?}"),
+                Ok(_) => panic!("two corrupt sections must fail"),
+            }
+        }
     }
 
     #[test]

@@ -239,3 +239,54 @@ fn describe_round_trips_and_rejects_hostile_tables() {
     }
     std::fs::remove_file(&path).ok();
 }
+
+/// Flips that cancel in a checksum whose differences only move toward
+/// higher bits: bit 7 of byte 7 of an 8-byte word is bit 63 of the word
+/// (on a little-endian host, the sign bit of the odd-index f32 in it),
+/// and two such flips in one section must still fail closed, whether
+/// they sit in one 1 MiB digest chunk or in two, and when they sit at
+/// the same offset of two chunks.
+#[test]
+fn cancelling_sign_flips_in_the_data_arena_fail_closed() {
+    const CHUNK: usize = 1 << 20;
+    let n = 64;
+    // 4,500 rows of 64 f32: a data arena of just over one digest chunk.
+    let data = dataset(4_500, n, 3);
+    let idx = Builder::default()
+        .threads(2)
+        .leaf_capacity(200)
+        .sample_ratio(0.2)
+        .build_sofa(&data, n)
+        .expect("build");
+    let path = tmp_path("cancel");
+    idx.snapshot(&path).expect("snapshot");
+    let bytes = std::fs::read(&path).expect("read");
+    let info = describe(&path).expect("describe");
+    let section = info.sections.iter().find(|s| s.name == "data").expect("data section");
+    let start = usize::try_from(section.offset).expect("offset fits");
+    assert!(section.len > u64::try_from(CHUNK).expect("fits") + 800, "data spans two chunks");
+    assert_eq!(start % 8, 0, "sections are word-aligned");
+
+    let target = tmp_path("cancel-pair");
+    for (case, words) in [
+        ("one chunk", [1usize, 100]),
+        ("two chunks", [1, CHUNK / 8 + 5]),
+        ("same offset, two chunks", [3, CHUNK / 8 + 3]),
+    ] {
+        let mut damaged = bytes.clone();
+        for w in words {
+            damaged[start + 8 * w + 7] ^= 0x80;
+        }
+        std::fs::write(&target, &damaged).expect("write damaged");
+        match SofaIndex::open(&target) {
+            Err(IndexError::SnapshotCorrupt { section, .. }) => {
+                assert_eq!(section, "data", "{case}")
+            }
+            Err(e) => panic!("{case}: expected SnapshotCorrupt, got {e:?}"),
+            Ok(_) => panic!("{case}: two sign flips in the data arena must not open"),
+        }
+        assert!(describe(&target).is_err(), "{case}: describe must reject it too");
+    }
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&target).ok();
+}
