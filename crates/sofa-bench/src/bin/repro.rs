@@ -4,29 +4,21 @@
 //! repro [OPTIONS] <EXPERIMENT>...
 //!
 //! EXPERIMENT   tab1 fig1 fig2-3 fig4 fig7 fig8 tab2 tab3 fig10 fig11
-//!              fig12 fig13 tab4 tab5 tab6 fig15 | all
+//!              fig12 fig13 tab4 tab5 tab6 fig15 ext-approx ext-numeric
+//!              ext-chaos | all
 //!
 //! OPTIONS
 //!   --quick            small sizes for smoke runs
-//!   --profile <name>   named experiment bundle: `throughput` runs the
-//!                      serving-throughput profile (ext-throughput),
-//!                      `serve` runs the micro-batching front-end
-//!                      profile (ext-serve), `chaos` runs the
-//!                      fault-injection robustness profile (ext-chaos),
-//!                      `durability` runs the persistence/recovery
-//!                      profile (ext-durability), `queries` runs the
-//!                      generalized query-funnel profile (ext-queries);
-//!                      each supplies its experiment list when none is
-//!                      given
-//!   --scale <N>        divide paper series counts by N   (default 10000)
+//!   --profile chaos    run the fault-injection robustness experiment
+//!                      (ext-chaos) when no experiment is given
+//!   --scale <N>        divide paper series counts by N   (default 5000)
 //!   --queries <N>      queries per dataset               (default 15)
 //!   --threads <list>   comma-separated core sweep        (default 1,2,4)
 //!   --leaf <N>         leaf capacity                     (default 500)
-//!   --quant <on|off>   quantized refine tier             (default on)
 //!   --write <path>     append rendered markdown to a file
-//!   --json <path>      overwrite a machine-readable metrics file
-//!                      (QPS, latency percentiles, pruning ratios — the
-//!                      perf-trajectory record, e.g. BENCH_pr3.json)
+//!   --json <path>      overwrite a machine-readable file with the
+//!                      scalar metrics the experiments record (e.g.
+//!                      ext-chaos's submission and fault tallies)
 //! ```
 
 use sofa_bench::experiments::{all_experiments, find, Suite};
@@ -52,14 +44,6 @@ fn main() {
             "--scale" => cfg.scale = parse(it.next(), "--scale"),
             "--queries" => cfg.n_queries = parse(it.next(), "--queries"),
             "--leaf" => cfg.leaf_capacity = parse(it.next(), "--leaf"),
-            "--quant" => {
-                let v: String = parse(it.next(), "--quant");
-                cfg.quant_refine = match v.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => die(&format!("--quant takes on|off, got {other}")),
-                };
-            }
             "--threads" => {
                 let list: String = parse(it.next(), "--threads");
                 cfg.threads = list
@@ -76,24 +60,14 @@ fn main() {
             id => ids.push(id.to_string()),
         }
     }
-    // A named profile supplies its experiment bundle when the command
-    // line names none — `repro --quick --profile chaos` is a complete
+    // A named profile supplies its experiment when the command line
+    // names none — `repro --quick --profile chaos` is a complete
     // invocation.
     match profile.as_deref() {
         None => {}
-        Some("throughput") if ids.is_empty() => ids.push("ext-throughput".to_string()),
-        Some("throughput") => {}
-        Some("serve") if ids.is_empty() => ids.push("ext-serve".to_string()),
-        Some("serve") => {}
         Some("chaos") if ids.is_empty() => ids.push("ext-chaos".to_string()),
         Some("chaos") => {}
-        Some("durability") if ids.is_empty() => ids.push("ext-durability".to_string()),
-        Some("durability") => {}
-        Some("queries") if ids.is_empty() => ids.push("ext-queries".to_string()),
-        Some("queries") => {}
-        Some(other) => die(&format!(
-            "unknown profile {other} (known: throughput, serve, chaos, durability, queries)"
-        )),
+        Some(other) => die(&format!("unknown profile {other} (known: chaos)")),
     }
     if ids.is_empty() {
         die("no experiment given (try `all`)");
@@ -154,8 +128,8 @@ fn die(msg: &str) -> ! {
 
 fn usage_and_exit() -> ! {
     eprintln!(
-        "usage: repro [--quick] [--profile throughput|serve|chaos|durability|queries] [--scale N] [--queries N] \
-         [--threads a,b,c] [--leaf N] [--quant on|off] [--write FILE] [--json FILE] \
+        "usage: repro [--quick] [--profile chaos] [--scale N] [--queries N] \
+         [--threads a,b,c] [--leaf N] [--write FILE] [--json FILE] \
          <experiment>...\nexperiments: {} | all",
         all_experiments().iter().map(|e| e.id).collect::<Vec<_>>().join(" ")
     );

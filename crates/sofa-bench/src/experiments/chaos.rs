@@ -1,7 +1,6 @@
 //! Extension experiment: fault injection against the serving stack
 //! (`ext-chaos`).
 //!
-//! `ext-serve` shows the coalescer is fast; this shows it is *robust*.
 //! Three scenarios, all on real SOFA index builds:
 //!
 //! 1. **Chaos**: the open-loop harness drives the server while a
@@ -37,7 +36,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Open-loop submitter threads, as in `ext-serve`.
+/// Open-loop submitter threads.
 const SUBMITTERS: usize = 32;
 
 /// Neighbors requested per chaos submission; deep enough that the
@@ -127,7 +126,6 @@ pub fn ext_chaos(suite: &Suite) -> Report {
             .threads(threads)
             .leaf_capacity(suite.cfg.leaf_capacity)
             .sample_ratio(suite.cfg.sample_ratio)
-            .quant_refine(suite.cfg.quant_refine)
             .build_sofa(dataset.data(), n)
             .expect("SOFA build"),
     );
@@ -288,7 +286,6 @@ pub fn ext_chaos(suite: &Suite) -> Report {
         .threads(threads)
         .leaf_capacity(suite.cfg.leaf_capacity)
         .sample_ratio(suite.cfg.sample_ratio)
-        .quant_refine(suite.cfg.quant_refine)
         .build_sofa_sharded(dataset.data(), n, 2)
         .expect("sharded build")
         .with_degraded_mode(DegradedMode::ServePartial);

@@ -4,15 +4,11 @@
 
 pub mod approx;
 pub mod chaos;
-pub mod durability;
 pub mod illustrate;
 pub mod numeric;
-pub mod qtypes;
 pub mod queries;
-pub mod serve;
 pub mod structure;
 pub mod sweeps;
-pub mod throughput;
 pub mod tlb;
 
 use crate::report::Report;
@@ -190,29 +186,9 @@ pub fn all_experiments() -> Vec<Experiment> {
             run: numeric::ext_numeric,
         },
         Experiment {
-            id: "ext-throughput",
-            title: "Extension: single-query vs batch-query throughput",
-            run: throughput::ext_throughput,
-        },
-        Experiment {
-            id: "ext-serve",
-            title: "Extension: micro-batching serve front-end (coalescer + shards)",
-            run: serve::ext_serve,
-        },
-        Experiment {
             id: "ext-chaos",
             title: "Extension: serving robustness under fault injection",
             run: chaos::ext_chaos,
-        },
-        Experiment {
-            id: "ext-durability",
-            title: "Extension: crash-safe persistence and recovery",
-            run: durability::ext_durability,
-        },
-        Experiment {
-            id: "ext-queries",
-            title: "Extension: generalized query funnel (range, filtered, MIPS)",
-            run: qtypes::ext_queries,
         },
     ]
 }
@@ -250,11 +226,7 @@ mod tests {
             "fig15",
             "ext-approx",
             "ext-numeric",
-            "ext-throughput",
-            "ext-serve",
             "ext-chaos",
-            "ext-durability",
-            "ext-queries",
         ] {
             assert!(ids.contains(&required), "missing experiment {required}");
         }

@@ -21,10 +21,9 @@
 //! | `tab5`   | Table V/Fig 14L| TLB on UCR-like datasets |
 //! | `tab6`   | Table VI/Fig14R| TLB on the 17-dataset registry |
 //! | `fig15`  | Figure 15      | critical-difference analysis |
-//! | `ext-throughput` | extension | single-query vs `knn_batch` QPS on the worker pool |
-//! | `ext-serve` | extension | micro-batching serve front-end under open-loop load (also `--profile serve`) |
+//! | `ext-approx` | extension | approximate-search quality: recall@1 and distance ratio of the approximate stage |
+//! | `ext-numeric` | extension | numeric summarization pruning power |
 //! | `ext-chaos` | extension | serving robustness under fault injection (also `--profile chaos`) |
-//! | `ext-durability` | extension | crash-safe persistence: snapshot/open vs rebuild, corruption matrix (also `--profile durability`) |
 //!
 //! Experiments return [`report::Report`]s (markdown with embedded data
 //! tables) that the binary prints and can append to `EXPERIMENTS.md`.
@@ -57,10 +56,6 @@ pub struct BenchConfig {
     pub leaf_capacity: usize,
     /// MCB sampling ratio for SOFA.
     pub sample_ratio: f64,
-    /// Whether SOFA indexes enable the quantized refine tier
-    /// (`repro --quant on|off`; the throughput profile also runs its own
-    /// on-vs-off A/B when this is on).
-    pub quant_refine: bool,
 }
 
 impl Default for BenchConfig {
@@ -72,7 +67,6 @@ impl Default for BenchConfig {
             threads: vec![1, 2, 4],
             leaf_capacity: 500,
             sample_ratio: 0.05,
-            quant_refine: true,
         }
     }
 }
@@ -88,7 +82,6 @@ impl BenchConfig {
             threads: vec![2],
             leaf_capacity: 100,
             sample_ratio: 0.2,
-            quant_refine: true,
         }
     }
 

@@ -1,5 +1,5 @@
 //! Markdown report assembly for the experiment suite, plus the
-//! machine-readable metrics channel behind `BENCH_pr3.json`-style files.
+//! machine-readable metrics channel behind `repro --json`.
 
 use std::fmt::Write as _;
 
@@ -173,14 +173,14 @@ mod tests {
 
     #[test]
     fn metrics_roundtrip_into_json() {
-        let mut a = Report::new("ext-throughput", "t");
+        let mut a = Report::new("ext-chaos", "t");
         a.metric("qps", 123.5);
         a.metric("qps", 124.5); // overwrite, not duplicate
         a.metric("p99_ms", 0.75);
         let b = Report::new("no-metrics", "t");
         let json = render_json(&[a, b]);
         assert!(json.contains("\"experiments\""));
-        assert!(json.contains("\"ext-throughput\""));
+        assert!(json.contains("\"ext-chaos\""));
         assert!(json.contains("\"qps\": 124.5"));
         assert!(json.contains("\"p99_ms\": 0.75"));
         assert!(!json.contains("no-metrics"), "metric-less reports are omitted");

@@ -15,23 +15,7 @@ fn quick_suite() -> Suite {
         threads: vec![1],
         leaf_capacity: 50,
         sample_ratio: 0.5,
-        quant_refine: true,
     })
-}
-
-#[test]
-fn ext_throughput_reports_both_modes() {
-    let suite = quick_suite();
-    let report = (find("ext-throughput").expect("registered").run)(&suite);
-    let md = report.render();
-    for needle in [
-        "| SOFA | single (per-call spawn) |",
-        "| SOFA | single (pool) |",
-        "| SOFA | batch (pool) |",
-        "per-call-spawn single-query baseline",
-    ] {
-        assert!(md.contains(needle), "missing `{needle}` in:\n{md}");
-    }
 }
 
 #[test]

@@ -158,7 +158,6 @@ impl<S: Summarization> Index<S> {
         // slot maps) with every leaf a pure tail; `repack_leaves` permutes
         // it into leaf-contiguous order and records each leaf's run.
         let query_env = sofa_summaries::QueryEnv::new(&summarization);
-        let quant_enabled = std::sync::atomic::AtomicBool::new(config.quant_refine);
         let mut index = Index {
             summarization,
             config,
@@ -174,7 +173,6 @@ impl<S: Summarization> Index<S> {
             counters: crate::stats::KernelCounters::default(),
             query_env,
             quant_grid: None,
-            quant_enabled,
             scratches: parking_lot::Mutex::new(Vec::with_capacity(lanes + 2)),
             tail_rows: n_series,
         };
@@ -242,8 +240,7 @@ impl<S: Summarization> Index<S> {
         permute_rows(&mut data[scan_lo * n..], &mut words[scan_lo * l..], n, l, &dest);
         self.slot_to_row[scan_lo..].copy_from_slice(&suffix_rows);
 
-        let quant_on = self.config.quant_refine && n <= crate::node::QUANT_REFINE_MAX_LEN && n > 0;
-        if quant_on && self.quant_grid.is_none() {
+        if self.quant_grid.is_none() && (1..=crate::node::QUANT_REFINE_MAX_LEN).contains(&n) {
             // Train the index-wide quantizer once, on a strided row sample
             // (value ranges converge long before the full arena is seen;
             // rows outside the sampled ranges clamp and stay sound). The
@@ -264,7 +261,7 @@ impl<S: Summarization> Index<S> {
         // Leaf packs, one batch of suffix subtrees per pool lane (subtrees
         // are disjoint, so `chunks_mut` hands each lane its own slice).
         let data = &self.data;
-        let quant_grid = if quant_on { self.quant_grid.as_ref() } else { None };
+        let quant_grid = self.quant_grid.as_ref();
         let suffix = &mut self.subtrees[first..];
         let per_lane = suffix.len().div_ceil(self.pool.threads()).max(1);
         self.pool.run(|scope| {

@@ -27,24 +27,12 @@ pub struct IndexConfig {
     /// matter. `None` disables the trigger (manual repacking only).
     /// Default: `Some(25)`.
     pub auto_repack_pct: Option<u32>,
-    /// Whether repacking builds the scalar-quantized refine tier: per-leaf
-    /// int8 codes swept between the word lower bound and the exact `f32`
-    /// scan, cutting refine-phase memory traffic ~4x for lanes the word
-    /// bound cannot kill. Exactness is unaffected either way — the
-    /// quantized bound is conservative and `f32` remains the final
-    /// arbiter. Costs ~1 byte per stored value. Default: `true`.
-    pub quant_refine: bool,
 }
 
 impl Default for IndexConfig {
     fn default() -> Self {
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        IndexConfig {
-            leaf_capacity: 20_000,
-            num_threads: threads,
-            auto_repack_pct: Some(25),
-            quant_refine: true,
-        }
+        IndexConfig { leaf_capacity: 20_000, num_threads: threads, auto_repack_pct: Some(25) }
     }
 }
 
@@ -70,14 +58,6 @@ impl IndexConfig {
         self.auto_repack_pct = pct;
         self
     }
-
-    /// Enables or disables the scalar-quantized refine tier (see the
-    /// field docs; default on).
-    #[must_use]
-    pub fn quant_refine(mut self, enabled: bool) -> Self {
-        self.quant_refine = enabled;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -90,13 +70,6 @@ mod tests {
         assert_eq!(c.leaf_capacity, 20_000);
         assert!(c.num_threads >= 1);
         assert_eq!(c.auto_repack_pct, Some(25));
-        assert!(c.quant_refine);
-    }
-
-    #[test]
-    fn quant_refine_configurable() {
-        let c = IndexConfig::default().quant_refine(false);
-        assert!(!c.quant_refine);
     }
 
     #[test]

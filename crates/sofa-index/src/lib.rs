@@ -187,17 +187,13 @@ pub struct Index<S: Summarization> {
     /// weights), built once so per-query contexts allocate nothing.
     pub(crate) query_env: sofa_summaries::QueryEnv,
     /// The index-wide scalar quantizer of the compressed refine tier
-    /// ([`IndexConfig::quant_refine`]): trained once on a sample of the
-    /// data, reused verbatim by every leaf encode and every query —
-    /// `None` when the tier is disabled or the data is degenerate
-    /// (constant/non-finite), where the quantized bound is vacuous.
+    /// (per-leaf int8 codes swept between the word lower bound and the
+    /// exact `f32` scan): trained once on a sample of the data, reused
+    /// verbatim by every leaf encode and every query. `None` when the
+    /// data leaves no grid: series longer than the tier covers, or
+    /// degenerate (constant/non-finite) values, where the quantized bound
+    /// is vacuous.
     pub(crate) quant_grid: Option<sofa_summaries::QuantGrid>,
-    /// Runtime switch for the quantized refine tier. Starts as
-    /// [`IndexConfig::quant_refine`]; [`Index::set_quant_refine`] flips it
-    /// without a rebuild (the codes, once built, stay resident), so
-    /// serving systems can A/B the tier on a live index — and the
-    /// benchmarks can compare both arms on one index, with one layout.
-    pub(crate) quant_enabled: std::sync::atomic::AtomicBool,
     /// Pool of per-query scratches (one per worker lane in the steady
     /// state); see [`scratch`].
     pub(crate) scratches: scratch::ScratchPool,
@@ -271,21 +267,6 @@ impl<S: Summarization> Index<S> {
     #[must_use]
     pub fn build_breakdown(&self) -> (f64, f64) {
         self.build_breakdown
-    }
-
-    /// Enables or disables the quantized refine tier at query time,
-    /// without a rebuild. Only meaningful when the index was built with
-    /// [`IndexConfig::quant_refine`] (otherwise no codes exist and the
-    /// funnel is two-stage regardless); results are exact either way.
-    pub fn set_quant_refine(&self, on: bool) {
-        self.quant_enabled.store(on, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Whether the quantized refine tier is currently consulted by
-    /// queries (see [`Index::set_quant_refine`]).
-    #[must_use]
-    pub fn quant_refine_enabled(&self) -> bool {
-        self.quant_enabled.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Whether this index still serves its storage arenas straight out of

@@ -42,9 +42,9 @@ pub struct LeafPack {
     pub len: u32,
     /// Scalar-quantized codes + per-row error bounds over the packed run,
     /// encoded under the index-wide grid — the compressed middle refine
-    /// tier. `None` when the tier is disabled
-    /// ([`crate::IndexConfig::quant_refine`]) or no grid could be trained
-    /// (degenerate constant/non-finite data); refinement then goes
+    /// tier. `None` when the index has no grid (series longer than
+    /// [`QUANT_REFINE_MAX_LEN`], or degenerate constant/non-finite data
+    /// no grid could be trained on); refinement then goes
     /// straight from the word bound to the exact scan. An opened index
     /// reads the codes straight from its snapshot mapping.
     pub(crate) quant: Option<LeafCodes>,

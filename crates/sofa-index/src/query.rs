@@ -229,9 +229,11 @@ pub enum QueryKind {
 impl QueryKind {
     /// The admission check of every query path — direct calls, batches,
     /// shards and the server all run this one function: `query` must
-    /// hold `series_len` values, `k` must be at least 1, a radius finite
-    /// and non-negative, and a filter must cover exactly `n_rows` rows
-    /// (checked when the row count is known).
+    /// hold `series_len` finite values, `k` must be at least 1, a radius
+    /// finite and non-negative, and a filter must cover exactly `n_rows`
+    /// rows (checked when the row count is known). A NaN or infinite
+    /// value would otherwise z-normalize to an all-zero query and be
+    /// answered as the constant query.
     ///
     /// # Errors
     /// Returns [`IndexError::BadQuery`] naming the first violation.
@@ -244,6 +246,9 @@ impl QueryKind {
         let bad = |msg: String| Err(IndexError::BadQuery(msg));
         if query.len() != series_len {
             return bad(format!("query length {} != series length {series_len}", query.len()));
+        }
+        if let Some(i) = query.iter().position(|v| !v.is_finite()) {
+            return bad(format!("query value {i} is {}, not finite", query[i]));
         }
         match self {
             QueryKind::Knn { k: 0 }
@@ -1028,10 +1033,7 @@ impl<S: Summarization> Index<S> {
         let n_rows = rows.len();
         let n_groups = n_rows.div_ceil(BLOCK_LANES);
         let mut staged = [0u8; BLOCK_LANES * MAX_WORD_LEN];
-        let quant = match (&self.quant_grid, pack.quant.as_ref()) {
-            (Some(grid), Some(qb)) if self.quant_refine_enabled() => Some((grid, qb)),
-            _ => None,
-        };
+        let quant = self.quant_grid.as_ref().zip(pack.quant.as_ref());
         let mut lbs = [0.0f32; BLOCK_LANES];
         let mut qthr = [0i32; BLOCK_LANES];
         let mut qsums = [0i32; BLOCK_LANES];

@@ -9,7 +9,7 @@
 //! rehydrated into their owned in-memory forms; they are a small
 //! fraction of the file.
 //!
-//! ## File format (version 6)
+//! ## File format (version 7)
 //!
 //! ```text
 //! offset 0   magic            b"SOFASNAP"
@@ -66,13 +66,13 @@ use sofa_summaries::{
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// First 8 bytes of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SOFASNAP";
 /// The one format version this build writes and reads.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 6;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 7;
 /// Failpoint fired before each section write (torn-write injection).
 pub const SNAPSHOT_WRITE_FAILPOINT: &str = "sofa-index::snapshot::write";
 /// Failpoint fired before the final atomic rename.
@@ -649,12 +649,8 @@ pub struct SnapshotCapabilities {
     pub word_len: usize,
     /// Maximum rows per tree leaf.
     pub leaf_capacity: usize,
-    /// Whether the config asks for the int8 quantized refine tier.
-    pub quant_refine: bool,
-    /// Whether queries consulted that tier when the snapshot was cut (the
-    /// [`Index::set_quant_refine`] switch).
-    pub quant_enabled: bool,
-    /// Whether the file carries a quantizer grid + per-leaf codes at all.
+    /// Whether the file carries a quantizer grid + per-leaf codes at all
+    /// (the int8 refine tier; absent when the data leaves no grid).
     pub quant_grid_present: bool,
     /// Kernel tier dispatch resolves to in this process ("scalar",
     /// "portable", "avx2") — a property of the host, not the file.
@@ -815,8 +811,6 @@ pub fn describe<P: AsRef<Path>>(path: P) -> Result<SnapshotInfo, IndexError> {
             series_len: meta.series_len,
             word_len: meta.word_len,
             leaf_capacity: meta.leaf_capacity,
-            quant_refine: meta.quant_refine,
-            quant_enabled: meta.quant_enabled,
             quant_grid_present: meta.grid_present,
             kernel_tier: sofa_simd::active_tier().name(),
         },
@@ -982,8 +976,6 @@ impl<S: SnapshotSummarization> Index<S> {
                 put_u32(&mut out, 0);
             }
         }
-        put_u8(&mut out, u8::from(self.config.quant_refine));
-        put_u8(&mut out, u8::from(self.quant_enabled.load(Ordering::Relaxed)));
         put_u8(&mut out, u8::from(self.quant_grid.is_some()));
         put_f64(&mut out, self.build_breakdown.0);
         put_f64(&mut out, self.build_breakdown.1);
@@ -1064,8 +1056,6 @@ struct Meta {
     leaf_capacity: usize,
     n_subtrees: usize,
     auto_repack_pct: Option<u32>,
-    quant_refine: bool,
-    quant_enabled: bool,
     grid_present: bool,
     build_breakdown: (f64, f64),
 }
@@ -1087,8 +1077,6 @@ fn decode_meta(buf: &[u8]) -> Result<Meta, IndexError> {
     let n_subtrees = r.count()?;
     let has_auto = decode_flag(&mut r, "auto-repack")?;
     let auto_pct = r.u32()?;
-    let quant_refine = decode_flag(&mut r, "quant-refine")?;
-    let quant_enabled = decode_flag(&mut r, "quant-enabled")?;
     let grid_present = decode_flag(&mut r, "grid-present")?;
     let build_breakdown = (r.f64()?, r.f64()?);
     r.finish()?;
@@ -1110,6 +1098,15 @@ fn decode_meta(buf: &[u8]) -> Result<Meta, IndexError> {
     if leaf_capacity == 0 {
         return Err(layout("meta", "leaf capacity is zero"));
     }
+    if grid_present && series_len > crate::node::QUANT_REFINE_MAX_LEN {
+        return Err(layout(
+            "meta",
+            format!(
+                "quantizer grid for length-{series_len} series, past the tier's cap of {}",
+                crate::node::QUANT_REFINE_MAX_LEN
+            ),
+        ));
+    }
     if n_subtrees == 0 || n_subtrees > n_slots {
         return Err(layout(
             "meta",
@@ -1123,8 +1120,6 @@ fn decode_meta(buf: &[u8]) -> Result<Meta, IndexError> {
         leaf_capacity,
         n_subtrees,
         auto_repack_pct: has_auto.then_some(auto_pct),
-        quant_refine,
-        quant_enabled,
         grid_present,
         build_breakdown,
     })
@@ -1557,7 +1552,6 @@ impl<S: SnapshotSummarization> Index<S> {
             leaf_capacity: meta.leaf_capacity,
             num_threads: threads,
             auto_repack_pct: meta.auto_repack_pct,
-            quant_refine: meta.quant_refine,
         };
         let query_env = sofa_summaries::QueryEnv::new(&summarization);
         Ok(Index {
@@ -1575,7 +1569,6 @@ impl<S: SnapshotSummarization> Index<S> {
             counters: crate::stats::KernelCounters::default(),
             query_env,
             quant_grid,
-            quant_enabled: AtomicBool::new(meta.quant_enabled),
             scratches: parking_lot::Mutex::new(Vec::with_capacity(threads + 2)),
             tail_rows,
         })
@@ -1682,8 +1675,6 @@ mod tests {
         assert_eq!(caps.series_len, 64);
         assert_eq!(caps.word_len, 8);
         assert_eq!(caps.leaf_capacity, 25);
-        assert_eq!(caps.quant_refine, idx.config().quant_refine);
-        assert_eq!(caps.quant_enabled, idx.quant_refine_enabled());
         assert_eq!(caps.quant_grid_present, idx.quant_grid.is_some());
         assert_eq!(caps.kernel_tier, sofa_simd::active_tier().name());
         std::fs::remove_file(&path).ok();
@@ -1721,9 +1712,10 @@ mod tests {
         // files a node-block collect section, version 3 files per-leaf
         // interval blocks and version 4 files per-subtree stale-leaf
         // counts and has-pack flags, none of which this build reads;
-        // version 5 files seal their sections with another checksum. The
+        // version 5 files seal their sections with another checksum and
+        // version 6 files carry two quant-switch flags in their meta. The
         // version check rejects them before any section is interpreted.
-        for version in [1u32, 2, 3, 4, 5] {
+        for version in [1u32, 2, 3, 4, 5, 6] {
             idx.snapshot(&path).expect("snapshot");
             let mut bytes = std::fs::read(&path).expect("read");
             bytes[8..12].copy_from_slice(&version.to_ne_bytes());
@@ -1738,6 +1730,34 @@ mod tests {
                 Ok(_) => panic!("v{version} open must fail"),
             }
             assert!(matches!(describe(&path), Err(IndexError::SnapshotFormat { .. })));
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn grid_flag_past_the_tier_length_cap_fails_closed() {
+        // Series longer than the quant tier covers leave no grid; a meta
+        // section that claims one anyway must not reach the refine path,
+        // whose query codes live in a buffer of the cap's length.
+        let n = crate::node::QUANT_REFINE_MAX_LEN + 8;
+        let sax = ISax::new(n, &SaxConfig { word_len: 8, alphabet: 256 });
+        let idx =
+            Index::build(sax, &dataset(60, n), IndexConfig::with_threads(2).leaf_capacity(25))
+                .expect("build");
+        assert!(idx.quant_grid.is_none());
+        let path = tmp_path("grid-cap");
+        idx.snapshot(&path).expect("snapshot");
+        assert!(!describe(&path).expect("describe").capabilities.quant_grid_present);
+        // Meta: five u64 lengths, the auto-repack flag and percentage,
+        // then the grid-present flag.
+        patch_section(&path, SEC_META, |meta| meta[45] = 1);
+        match Index::<ISax>::open(&path) {
+            Err(IndexError::SnapshotLayout { section, detail }) => {
+                assert_eq!(section, "meta");
+                assert!(detail.contains("cap"), "{detail}");
+            }
+            Err(other) => panic!("expected SnapshotLayout, got {other:?}"),
+            Ok(_) => panic!("a grid past the length cap must fail the open"),
         }
         std::fs::remove_file(&path).ok();
     }

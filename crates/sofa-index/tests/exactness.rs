@@ -246,64 +246,58 @@ fn query_errors() {
 #[test]
 fn quant_tier_is_exact_through_build_insert_and_repack() {
     // The quantized refine tier must change refine-phase traffic, never
-    // results: with the tier on and off, every lifecycle phase — fresh
-    // build (packed leaves with codes), online inserts (packs and codes
-    // kept, inserted rows in leaf tails without codes), explicit repack
-    // (tails folded in, their codes built) — must match brute force.
+    // results: every lifecycle phase — fresh build (packed leaves with
+    // codes), online inserts (packs and codes kept, inserted rows in leaf
+    // tails without codes), explicit repack (tails folded in, their codes
+    // built) — must match brute force.
     let n = 128;
     let data = znormed_dataset(900, n, 17);
     let extra = znormed_dataset(200, n, 7100);
     let queries = znormed_dataset(6, n, 8200);
-    for quant in [true, false] {
-        let sax = ISax::new(n, &SaxConfig { word_len: 16, alphabet: 256 });
-        let config = IndexConfig::with_threads(2)
-            .leaf_capacity(48)
-            .auto_repack_pct(None)
-            .quant_refine(quant);
-        let mut index = Index::build(sax, &data, config).expect("build");
-        check_exactness(&index, &data, n, &queries);
+    let sax = ISax::new(n, &SaxConfig { word_len: 16, alphabet: 256 });
+    let config = IndexConfig::with_threads(2).leaf_capacity(48).auto_repack_pct(None);
+    let mut index = Index::build(sax, &data, config).expect("build");
+    check_exactness(&index, &data, n, &queries);
 
-        // The tier must actually engage (and only when enabled).
-        let (_, stats) = index.knn_with_stats(&queries[..n], 5).expect("query");
-        if quant {
-            assert!(stats.quant_groups_swept > 0, "tier never engaged: {stats:?}");
-            assert!(stats.refine_bytes > 0);
-        } else {
-            assert_eq!(stats.quant_groups_swept, 0, "tier ran while disabled: {stats:?}");
-            assert_eq!(stats.quant_lanes_killed, 0);
-        }
+    // The tier must actually engage.
+    let (_, stats) = index.knn_with_stats(&queries[..n], 5).expect("query");
+    assert!(stats.quant_groups_swept > 0, "tier never engaged: {stats:?}");
+    assert!(stats.refine_bytes > 0);
 
-        // Online inserts join leaf tails: the funnel stages their words
-        // for the same kernel and must stay exact.
-        index.insert_all(&extra).expect("insert");
-        let mut all = data.clone();
-        all.extend_from_slice(&extra);
-        check_exactness(&index, &all, n, &queries);
+    // Online inserts join leaf tails: the funnel stages their words for
+    // the same kernel and must stay exact.
+    index.insert_all(&extra).expect("insert");
+    let mut all = data.clone();
+    all.extend_from_slice(&extra);
+    check_exactness(&index, &all, n, &queries);
 
-        // Repack restores the packed layout (and the codes, when on).
-        index.repack_leaves();
-        check_exactness(&index, &all, n, &queries);
-        let s = index.stats();
-        assert_eq!(s.packed_leaves, s.leaves);
-    }
+    // Repack restores the packed layout and the codes.
+    index.repack_leaves();
+    check_exactness(&index, &all, n, &queries);
+    let s = index.stats();
+    assert_eq!(s.packed_leaves, s.leaves);
 }
 
 #[test]
 fn quant_on_and_off_agree_bit_for_bit() {
     // The tier is a pre-filter in front of the same exact f32 kernel, so
-    // the two configurations must return *identical* neighbors — same
-    // rows, same distance bits.
+    // rows priced with it and rows priced without it must yield
+    // *identical* neighbors — same rows, same distance bits. The "off"
+    // arm is an index whose rows all sit in leaf tails, which carry no
+    // codes: one row built, the rest inserted with repacking disabled.
     let n = 64;
     let data = znormed_dataset(1100, n, 29);
     let queries = znormed_dataset(8, n, 5900);
-    let build = |quant: bool| {
-        let sax = ISax::new(n, &SaxConfig { word_len: 8, alphabet: 256 });
-        Index::build(sax, &data, IndexConfig::with_threads(2).leaf_capacity(40).quant_refine(quant))
-            .expect("build")
-    };
-    let with = build(true);
-    let without = build(false);
+    let sax = || ISax::new(n, &SaxConfig { word_len: 8, alphabet: 256 });
+    let config = IndexConfig::with_threads(2).leaf_capacity(40).auto_repack_pct(None);
+    let with = Index::build(sax(), &data, config.clone()).expect("build");
+    let mut without = Index::build(sax(), &data[..n], config).expect("build");
+    without.insert_all(&data[n..]).expect("insert");
     for (qi, q) in queries.chunks(n).enumerate() {
+        let (_, on) = with.knn_with_stats(q, 7).expect("query");
+        let (_, off) = without.knn_with_stats(q, 7).expect("query");
+        assert!(on.quant_groups_swept > 0, "tier never engaged: {on:?}");
+        assert_eq!(off.quant_groups_swept, 0, "tail rows met the tier: {off:?}");
         for k in [1usize, 7] {
             let a = with.knn(q, k).expect("query");
             let b = without.knn(q, k).expect("query");

@@ -128,7 +128,6 @@ pub struct Builder {
     seed: u64,
     pool: Option<Arc<ExecPool>>,
     auto_repack_pct: Option<u32>,
-    quant_refine: bool,
 }
 
 impl Default for Builder {
@@ -146,7 +145,6 @@ impl Default for Builder {
             seed: 0x50FA,
             pool: None,
             auto_repack_pct: IndexConfig::default().auto_repack_pct,
-            quant_refine: IndexConfig::default().quant_refine,
         }
     }
 }
@@ -238,17 +236,6 @@ impl Builder {
         self
     }
 
-    /// Enables or disables the scalar-quantized refine tier: per-leaf
-    /// int8 codes swept between the word lower bound and the exact `f32`
-    /// scan (default on). Results are identical either way — the
-    /// quantized bound is conservative — so `false` is mainly an A/B
-    /// benchmarking knob.
-    #[must_use]
-    pub fn quant_refine(mut self, enabled: bool) -> Self {
-        self.quant_refine = enabled;
-        self
-    }
-
     fn index_config(&self) -> IndexConfig {
         // The worker count must follow the *effective* execution width:
         // a shared pool overrides `threads`.
@@ -256,7 +243,6 @@ impl Builder {
         IndexConfig::with_threads(lanes)
             .leaf_capacity(self.leaf_capacity)
             .auto_repack_pct(self.auto_repack_pct)
-            .quant_refine(self.quant_refine)
     }
 
     /// The shared pool if one was supplied, else a fresh pool with

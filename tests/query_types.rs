@@ -1,10 +1,10 @@
 //! Oracle suite for the generalized query funnel: range, filtered kNN
 //! and max-inner-product must return **bit-identical** answers to a
-//! brute-force oracle, on every path — direct calls, quant tier on and
-//! off, through the `sofa-serve` coalescer in mixed-kind ticks, and
-//! across shard merges. CI replays this binary under
-//! `SOFA_FORCE_SCALAR=1`, so the predicate-masked and IP kernels are
-//! proven exact on every dispatch tier.
+//! brute-force oracle, on every path — direct calls, through the
+//! `sofa-serve` coalescer in mixed-kind ticks, and across shard merges.
+//! CI replays this binary under `SOFA_FORCE_SCALAR=1`, so the
+//! predicate-masked and IP kernels are proven exact on every dispatch
+//! tier.
 //!
 //! The oracle reproduces the refine phase's exact arithmetic: rows and
 //! queries are z-normalized with the same dispatched kernel the build
@@ -16,8 +16,8 @@
 use sofa::simd::{dot, euclidean_sq_early_abandon, znormalize};
 use sofa::summaries::{ip_from_score, ip_score};
 use sofa::{
-    Builder, IpNeighbor, Neighbor, QueryKind, RowFilter, ServeConfig, Server, ShardedSofaIndex,
-    SofaIndex,
+    Builder, IndexError, IpNeighbor, Neighbor, QueryKind, RowFilter, ServeConfig, ServeError,
+    Server, ShardedSofaIndex, SofaIndex,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -127,52 +127,48 @@ fn assert_bits_eq(got: &[Neighbor], want: &[Neighbor], tag: &str) {
     }
 }
 
-fn build(data: &[f32], n: usize, quant: bool) -> SofaIndex {
-    build_on(2, data, n, quant)
+fn build(data: &[f32], n: usize) -> SofaIndex {
+    build_on(2, data, n)
 }
 
-fn build_on(threads: usize, data: &[f32], n: usize, quant: bool) -> SofaIndex {
+fn build_on(threads: usize, data: &[f32], n: usize) -> SofaIndex {
     Builder::default()
         .threads(threads)
         .leaf_capacity(24)
         .sample_ratio(0.4)
-        .quant_refine(quant)
         .build_sofa(data, n)
         .expect("build")
 }
 
 /// Range queries return exactly the brute-force ball — including rows
-/// tied bit-exactly at the radius — with the quant tier on and off.
+/// tied bit-exactly at the radius.
 #[test]
 fn range_matches_brute_force_including_ties_at_radius() {
     let n = 64;
     let count = 900;
     let data = dataset(count, n, 3);
     let oracle = Oracle::new(&data, n);
-    for quant in [false, true] {
-        let index = build(&data, n, quant);
-        for qi in 0..12 {
-            let q = &data[(qi * 37 % count) * n..][..n];
-            let all = oracle.dists(q, |_| true);
-            // A radius sitting bit-exactly on a stored distance: the tied
-            // row (and any bit-equal twins) must be returned.
-            let tie = all[10].dist_sq;
-            for (r_sq, tag) in [
-                (tie, "tie"),
-                (all[0].dist_sq * 0.5, "tiny"),
-                (all[count - 1].dist_sq, "all"),
-                (0.0, "zero"),
-            ] {
-                let got = index.range(q, r_sq).expect("range");
-                assert_bits_eq(&got, &oracle.range(q, r_sq), &format!("quant={quant} q{qi} {tag}"));
-            }
-            let mut hits = Vec::new();
-            let stats = index
-                .query_into(q, &QueryKind::Range { r_sq: tie }, &mut hits)
-                .expect("range stats");
-            assert_eq!(stats.range_hits, hits.len(), "range_hits counter");
-            assert!(hits.iter().any(|nb| nb.dist_sq.to_bits() == tie.to_bits()), "tie row kept");
+    let index = build(&data, n);
+    for qi in 0..12 {
+        let q = &data[(qi * 37 % count) * n..][..n];
+        let all = oracle.dists(q, |_| true);
+        // A radius sitting bit-exactly on a stored distance: the tied
+        // row (and any bit-equal twins) must be returned.
+        let tie = all[10].dist_sq;
+        for (r_sq, tag) in [
+            (tie, "tie"),
+            (all[0].dist_sq * 0.5, "tiny"),
+            (all[count - 1].dist_sq, "all"),
+            (0.0, "zero"),
+        ] {
+            let got = index.range(q, r_sq).expect("range");
+            assert_bits_eq(&got, &oracle.range(q, r_sq), &format!("q{qi} {tag}"));
         }
+        let mut hits = Vec::new();
+        let stats =
+            index.query_into(q, &QueryKind::Range { r_sq: tie }, &mut hits).expect("range stats");
+        assert_eq!(stats.range_hits, hits.len(), "range_hits counter");
+        assert!(hits.iter().any(|nb| nb.dist_sq.to_bits() == tie.to_bits()), "tie row kept");
     }
 }
 
@@ -184,31 +180,29 @@ fn filtered_knn_is_bit_identical_to_post_filtering() {
     let count = 900;
     let data = dataset(count, n, 7);
     let oracle = Oracle::new(&data, n);
-    for quant in [false, true] {
-        let index = build(&data, n, quant);
-        let cases: Vec<Pattern> = vec![
-            ("half", Box::new(|r| r % 2 == 0)),
-            ("tenth", Box::new(|r| r % 10 == 3)),
-            ("block", Box::new(move |r| r >= count / 2)),
-            ("one", Box::new(|r| r == 421)),
-        ];
-        for (tag, admit) in &cases {
-            let filter = RowFilter::from_fn(count, admit);
-            for qi in 0..8 {
-                let q = &data[(qi * 101 % count) * n..][..n];
-                let got = index.knn_filtered(q, 10, &filter).expect("filtered");
-                assert!(got.iter().all(|nb| admit(nb.row as usize)), "rejected row leaked");
-                let want = oracle.knn(q, 10, admit);
-                assert_bits_eq(&got, &want, &format!("quant={quant} q{qi} {tag}"));
-            }
+    let index = build(&data, n);
+    let cases: Vec<Pattern> = vec![
+        ("half", Box::new(|r| r % 2 == 0)),
+        ("tenth", Box::new(|r| r % 10 == 3)),
+        ("block", Box::new(move |r| r >= count / 2)),
+        ("one", Box::new(|r| r == 421)),
+    ];
+    for (tag, admit) in &cases {
+        let filter = RowFilter::from_fn(count, admit);
+        for qi in 0..8 {
+            let q = &data[(qi * 101 % count) * n..][..n];
+            let got = index.knn_filtered(q, 10, &filter).expect("filtered");
+            assert!(got.iter().all(|nb| admit(nb.row as usize)), "rejected row leaked");
+            let want = oracle.knn(q, 10, admit);
+            assert_bits_eq(&got, &want, &format!("q{qi} {tag}"));
         }
-        // The masked kernels actually mask: a selective predicate must
-        // reject candidate lanes inside the funnel, not after it.
-        let filter = Arc::new(RowFilter::from_fn(count, |r| r % 10 == 3));
-        let kind = QueryKind::KnnFiltered { k: 10, filter };
-        let stats = index.query_into(&data[..n], &kind, &mut Vec::new()).expect("stats");
-        assert!(stats.predicate_lanes_masked > 0, "predicate never masked a lane");
     }
+    // The masked kernels actually mask: a selective predicate must
+    // reject candidate lanes inside the funnel, not after it.
+    let filter = Arc::new(RowFilter::from_fn(count, |r| r % 10 == 3));
+    let kind = QueryKind::KnnFiltered { k: 10, filter };
+    let stats = index.query_into(&data[..n], &kind, &mut Vec::new()).expect("stats");
+    assert!(stats.predicate_lanes_masked > 0, "predicate never masked a lane");
 }
 
 /// Max-inner-product answers carry the true dot products and rank
@@ -226,23 +220,21 @@ fn ip_queries_match_brute_force() {
     let constant = vec![0.25f32; n];
     let queries = (0..10).map(|qi| &data[(qi * 67 % count) * n..][..n]).chain([&constant[..]]);
     for threads in [1, 2] {
-        for quant in [false, true] {
-            let index = build_on(threads, &data, n, quant);
-            for (qi, q) in queries.clone().enumerate() {
-                let tag = format!("threads={threads} quant={quant} q{qi}");
-                let got = index.knn_ip(q, 5).expect("knn_ip");
-                let want = oracle.top_ip(q, 5);
-                assert_eq!(got.len(), want.len(), "{tag}");
-                for (rank, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-                    assert_eq!(g.row, w.row, "{tag} rank {rank}");
-                    assert_eq!(g.ip.to_bits(), w.ip.to_bits(), "{tag} rank {rank}: ip");
-                }
-                let best = index.knn_ip(q, 1).expect("top-1 ip")[0];
-                assert_eq!(best.row, want[0].row);
-                assert_eq!(best.ip.to_bits(), want[0].ip.to_bits());
-                let nn = index.knn(q, 5).expect("knn");
-                assert_bits_eq(&nn, &oracle.knn(q, 5, |_| true), &format!("{tag} knn"));
+        let index = build_on(threads, &data, n);
+        for (qi, q) in queries.clone().enumerate() {
+            let tag = format!("threads={threads} q{qi}");
+            let got = index.knn_ip(q, 5).expect("knn_ip");
+            let want = oracle.top_ip(q, 5);
+            assert_eq!(got.len(), want.len(), "{tag}");
+            for (rank, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+                assert_eq!(g.row, w.row, "{tag} rank {rank}");
+                assert_eq!(g.ip.to_bits(), w.ip.to_bits(), "{tag} rank {rank}: ip");
             }
+            let best = index.knn_ip(q, 1).expect("top-1 ip")[0];
+            assert_eq!(best.row, want[0].row);
+            assert_eq!(best.ip.to_bits(), want[0].ip.to_bits());
+            let nn = index.knn(q, 5).expect("knn");
+            assert_bits_eq(&nn, &oracle.knn(q, 5, |_| true), &format!("{tag} knn"));
         }
     }
 }
@@ -254,7 +246,7 @@ fn serve_mixed_ticks_agree_with_direct_calls() {
     let n = 64;
     let count = 600;
     let data = dataset(count, n, 19);
-    let index = Arc::new(build(&data, n, true));
+    let index = Arc::new(build(&data, n));
     let filter = Arc::new(RowFilter::from_fn(count, |r| r % 3 != 1));
     // A small fill target + wait window so concurrent submitters of
     // *different* kinds coalesce into shared ticks.
@@ -331,12 +323,11 @@ mod adversarial {
         /// Hostile predicate shapes — an all-zero bitmap, a single
         /// surviving row, alternating lanes, and a bitmap whose tail
         /// group is padding — are bit-identical to brute-force
-        /// post-filtering, with the quant tier on and off.
+        /// post-filtering.
         #[test]
         fn hostile_filters_match_post_filtering(
             data in arb_dataset(32),
             survivor_sel in 0usize..1000,
-            quant in proptest::bool::ANY,
         ) {
             let n = 32;
             let count = data.len() / n;
@@ -345,7 +336,6 @@ mod adversarial {
                 .leaf_capacity(8)
                 .threads(2)
                 .sample_ratio(1.0)
-                .quant_refine(quant)
                 .build_sofa(&data, n)
                 .expect("build");
             let oracle = Oracle::new(&data, n);
@@ -381,7 +371,6 @@ mod adversarial {
         fn range_keeps_ties_exactly_at_the_radius(
             data in arb_dataset(32),
             tie_sel in 0usize..1000,
-            quant in proptest::bool::ANY,
         ) {
             let n = 32;
             let count = data.len() / n;
@@ -390,7 +379,6 @@ mod adversarial {
                 .leaf_capacity(8)
                 .threads(2)
                 .sample_ratio(1.0)
-                .quant_refine(quant)
                 .build_sofa(&data, n)
                 .expect("build");
             let oracle = Oracle::new(&data, n);
@@ -419,12 +407,11 @@ fn sharded_queries_agree_with_unsharded() {
     let n = 64;
     let count = 800;
     let data = dataset(count, n, 23);
-    let unsharded = build(&data, n, true);
+    let unsharded = build(&data, n);
     let sharded: ShardedSofaIndex = Builder::default()
         .threads(2)
         .leaf_capacity(24)
         .sample_ratio(0.4)
-        .quant_refine(true)
         .build_sofa_sharded(&data, n, 3)
         .expect("sharded build");
     let filter = Arc::new(RowFilter::from_fn(count, |r| r % 4 != 2));
@@ -456,4 +443,69 @@ fn sharded_queries_agree_with_unsharded() {
             );
         }
     }
+}
+
+/// A query holding NaN or ±inf is refused on every path — direct calls
+/// of every kind, batches, shards and the server — instead of being
+/// z-normalized to zeros and answered as the constant query. A constant
+/// finite query is still answered.
+#[test]
+fn non_finite_queries_are_rejected_on_every_path() {
+    let n = 64;
+    let count = 500;
+    let data = dataset(count, n, 29);
+    let index = Arc::new(build(&data, n));
+    let sharded: ShardedSofaIndex = Builder::default()
+        .threads(2)
+        .leaf_capacity(24)
+        .build_sofa_sharded(&data, n, 2)
+        .expect("sharded");
+    let server = Server::new(Arc::clone(&index), ServeConfig::new());
+    let filter = Arc::new(RowFilter::from_fn(count, |r| r % 2 == 0));
+    let kinds = [
+        QueryKind::Knn { k: 3 },
+        QueryKind::KnnFiltered { k: 3, filter: Arc::clone(&filter) },
+        QueryKind::Range { r_sq: 100.0 },
+        QueryKind::Ip { k: 3 },
+    ];
+    let is_bad = |r: Result<Vec<Neighbor>, IndexError>| matches!(r, Err(IndexError::BadQuery(_)));
+    let constant = vec![1.0f32; n];
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut q = data[..n].to_vec();
+        q[3] = bad;
+        for kind in &kinds {
+            let tag = format!("{bad} {kind:?}");
+            let direct = index.query_into(&q, kind, &mut Vec::new());
+            assert!(matches!(direct, Err(IndexError::BadQuery(_))), "{tag}");
+            assert!(is_bad(sharded.query(&q, kind.clone())), "sharded {tag}");
+            assert!(
+                matches!(
+                    server.query(&q, kind.clone()),
+                    Err(ServeError::Index(IndexError::BadQuery(_)))
+                ),
+                "served {tag}"
+            );
+        }
+        assert!(is_bad(index.knn(&q, 3)), "{bad} knn");
+        assert!(index.knn_ip(&q, 3).is_err(), "{bad} knn_ip");
+        // One bad query fails its whole batch.
+        let mut batch = constant.clone();
+        batch.extend_from_slice(&q);
+        assert!(matches!(index.knn_batch(&batch, 3), Err(IndexError::BadQuery(_))), "{bad} batch");
+    }
+    // A constant finite query z-normalizes to zeros legitimately: every
+    // path answers it, and the server still serves after the refusals.
+    let want = index.knn(&constant, 3).expect("constant knn");
+    assert_eq!(want.len(), 3);
+    assert_eq!(index.knn_batch(&constant, 3).expect("constant batch")[0], want);
+    assert_bits_eq(
+        &sharded.query(&constant, QueryKind::Knn { k: 3 }).expect("sharded"),
+        &want,
+        "sharded",
+    );
+    assert_bits_eq(
+        &server.query(&constant, QueryKind::Knn { k: 3 }).expect("served"),
+        &want,
+        "served",
+    );
 }

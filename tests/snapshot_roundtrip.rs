@@ -1,12 +1,13 @@
 //! Snapshot round-trip exactness: an index reopened from its snapshot
 //! must answer 500 mixed queries bit-identically to the live index
 //! that wrote it, and row-identically to a brute-force ground truth —
-//! with the quantized refine tier on and off, and through the
-//! micro-batching `Server` front-end.
+//! with the quantized refine tier's grid and without one (series longer
+//! than the tier covers), and through the micro-batching `Server`
+//! front-end.
 
 use sofa::baselines::FlatL2;
 use sofa::summaries::Summarization;
-use sofa::{Builder, ExecPool, MessiIndex, QueryKind, ServeConfig, Server, SofaIndex};
+use sofa::{describe, Builder, ExecPool, MessiIndex, QueryKind, ServeConfig, Server, SofaIndex};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -76,17 +77,10 @@ fn sofa_round_trip_500_queries_bit_identical() {
     assert!(opened.is_mapped() && !live.is_mapped());
     assert_eq!(opened.n_series(), live.n_series());
     assert_eq!(opened.summarization().name(), live.summarization().name());
+    // The quantized refine tier survives the round trip.
+    assert!(describe(&path).expect("describe").capabilities.quant_grid_present);
 
     run_query_suite("sofa", &live, &opened, &flat, n);
-
-    // The quantized refine tier must survive the round trip: identical
-    // answers whether it is consulted or bypassed.
-    assert_eq!(opened.quant_refine_enabled(), live.quant_refine_enabled());
-    opened.set_quant_refine(false);
-    live.set_quant_refine(false);
-    run_query_suite("sofa/quant-off", &live, &opened, &flat, n);
-    opened.set_quant_refine(true);
-    live.set_quant_refine(true);
 
     // Batch path agrees with the single-query path on the mapped index.
     let queries = dataset(16, n, 55_000);
@@ -125,28 +119,34 @@ fn messi_round_trip_matches_live_and_flat() {
 
 #[test]
 fn quant_disabled_build_round_trips_without_grid() {
-    let n = 64;
-    let data = dataset(400, n, 7);
+    // Series longer than the quantized tier covers leave the index
+    // without a grid: the funnel goes straight from the word bound to
+    // the exact scan, on the live index and on the reopened one alike.
+    let n = 2056;
+    let data = dataset(160, n, 7);
     let live = Builder::default()
         .threads(2)
         .leaf_capacity(40)
         .sample_ratio(0.5)
-        .quant_refine(false)
         .build_sofa(&data, n)
         .expect("build");
 
     let path = tmp_path("noquant");
     live.snapshot(&path).expect("snapshot");
+    assert!(!describe(&path).expect("describe").capabilities.quant_grid_present);
     let opened = SofaIndex::open(&path).expect("open");
-    assert!(!opened.quant_refine_enabled());
 
     let flat = FlatL2::new(&data, n, 2);
-    let queries = dataset(60, n, 123);
+    let queries = dataset(30, n, 123);
     for (qi, q) in queries.chunks(n).enumerate() {
         let a = live.knn(q, 3).expect("live");
         let b = opened.knn(q, 3).expect("opened");
         assert_eq!(a, b, "query {qi}");
-        assert_eq!(b[0].row, flat.nn(q).row, "query {qi} vs FlatL2");
+        for (y, w) in b.iter().zip(flat.knn_one(q, 3).iter()) {
+            assert_eq!(y.row, w.row, "query {qi} vs FlatL2");
+        }
+        let (_, stats) = opened.knn_with_stats(q, 3).expect("stats");
+        assert_eq!(stats.quant_groups_swept, 0, "query {qi} met a tier with no grid");
     }
     std::fs::remove_file(&path).ok();
 }
