@@ -5,10 +5,11 @@
 //! buffer, so no synchronization is needed), rows are grouped by their
 //! root key, and the resulting root-child groups are built into subtrees
 //! in parallel — each subtree is independent, so workers claim groups off
-//! an atomic counter and never contend. We materialize each subtree with
-//! a recursive bulk build, which produces exactly the tree that repeated
-//! leaf-splitting (iSAX 2.0's balanced splits) would: a leaf over capacity
-//! splits on the position whose next bit partitions its rows most evenly.
+//! an atomic counter and never contend. Each group starts as one leaf and
+//! grows by `Subtree::split_while_overfull`, the routine online inserts
+//! also use (iSAX 2.0's balanced splits): a leaf over capacity splits on
+//! the position and bit of its symbol envelope that divide its rows most
+//! evenly.
 //!
 //! All parallelism executes on a persistent [`ExecPool`] — one created
 //! for the index (sized by `IndexConfig::num_threads`) or shared across
@@ -19,7 +20,7 @@
 
 use crate::arena::Arena;
 use crate::config::IndexConfig;
-use crate::node::{root_key, LeafPack, Node, NodeKind, Subtree, SymbolEnvelope};
+use crate::node::{root_key, NodeKind, Subtree};
 use crate::{Index, IndexError};
 use sofa_exec::ExecPool;
 use sofa_simd::znormalize;
@@ -135,6 +136,8 @@ impl<S: Summarization> Index<S> {
             groups.entry(key).or_default().push(row as u32);
         }
         let groups: Vec<(u64, Vec<u32>)> = groups.into_iter().collect();
+        // Storage starts in row order: a row id is its slot.
+        let identity: Vec<u32> = (0..n_series as u32).collect();
 
         // --- Phase 3: build subtrees in parallel (Figure 7 "Indexing").
         // Pool lanes claim root-child groups off an atomic counter; each
@@ -148,15 +151,16 @@ impl<S: Summarization> Index<S> {
                 break;
             }
             let (key, rows) = &groups[g];
-            let subtree = build_subtree(*key, rows.clone(), &words, l, symbol_bits, &config);
+            let mut subtree = Subtree::single_leaf(*key, rows.clone(), &words, &identity, l);
+            subtree.split_while_overfull(0, &words, &identity, l, config.leaf_capacity);
             done.lock().push(subtree);
         });
         let mut subtrees = done.into_inner();
         subtrees.sort_by_key(|s| s.key);
 
-        // --- Phase 4: pack leaves. Storage starts in row order (identity
-        // slot maps) with every leaf a pure tail; `repack_leaves` permutes
-        // it into leaf-contiguous order and records each leaf's run.
+        // --- Phase 4: pack leaves. Every leaf starts as a pure tail over
+        // the identity slot maps; `repack_leaves` permutes storage into
+        // leaf-contiguous order and records each leaf's run.
         let query_env = sofa_summaries::QueryEnv::new(&summarization);
         let mut index = Index {
             summarization,
@@ -164,8 +168,8 @@ impl<S: Summarization> Index<S> {
             pool,
             data: data.into(),
             words: words.into(),
-            row_to_slot: (0..n_series as u32).collect(),
-            slot_to_row: (0..n_series as u32).collect(),
+            slot_to_row: identity.clone(),
+            row_to_slot: identity,
             subtrees,
             series_len: n,
             word_len: l,
@@ -339,108 +343,6 @@ fn permute_rows(data: &mut [f32], words: &mut [u8], n: usize, l: usize, dest: &[
     }
 }
 
-/// Builds one subtree over `rows`, whose words all share root key `key`.
-fn build_subtree(
-    key: u64,
-    rows: Vec<u32>,
-    words: &[u8],
-    l: usize,
-    symbol_bits: u8,
-    config: &IndexConfig,
-) -> Subtree {
-    // Root-child label: one bit per position, taken from the key.
-    let prefixes: Vec<u8> = (0..l).map(|j| ((key >> j) & 1) as u8).collect();
-    let bits = vec![1u8; l];
-    let mut nodes = Vec::new();
-    build_node(rows, prefixes, bits, &mut nodes, words, l, symbol_bits, config.leaf_capacity);
-    Subtree { key, nodes }
-}
-
-/// Recursively materializes the node for `rows`, returning its arena id.
-#[allow(clippy::too_many_arguments)]
-fn build_node(
-    rows: Vec<u32>,
-    prefixes: Vec<u8>,
-    bits: Vec<u8>,
-    arena: &mut Vec<Node>,
-    words: &[u8],
-    l: usize,
-    symbol_bits: u8,
-    leaf_capacity: usize,
-) -> u32 {
-    let id = u32::try_from(arena.len()).expect("node-id space (u32) exhausted");
-    let leaf = |rows: Vec<u32>| {
-        // Build-time words are in row order: a row id is its slot.
-        let envelope = SymbolEnvelope::of_slots(l, words, rows.iter().map(|&r| r as usize));
-        NodeKind::Leaf { rows, pack: LeafPack::default(), envelope }
-    };
-    if rows.len() <= leaf_capacity {
-        arena.push(Node { prefixes, bits, kind: leaf(rows) });
-        return id;
-    }
-    // Balanced split (iSAX 2.0): among positions with spare cardinality,
-    // pick the one whose next bit divides the rows most evenly. Positions
-    // where every row agrees on the next bit cannot separate anything.
-    let mut best: Option<(usize, usize)> = None; // (imbalance, position)
-    for j in 0..l {
-        if bits[j] >= symbol_bits {
-            continue;
-        }
-        let shift = symbol_bits - bits[j] - 1;
-        let ones = rows.iter().filter(|&&r| (words[r as usize * l + j] >> shift) & 1 == 1).count();
-        let zeros = rows.len() - ones;
-        if ones == 0 || zeros == 0 {
-            continue;
-        }
-        let imbalance = ones.abs_diff(zeros);
-        let better = match best {
-            None => true,
-            Some((bi, bj)) => imbalance < bi || (imbalance == bi && bits[j] < bits[bj]),
-        };
-        if better {
-            best = Some((imbalance, j));
-        }
-    }
-    let Some((_, split_pos)) = best else {
-        // No position separates the rows (identical words up to full
-        // cardinality): keep an over-full leaf, as iSAX-family indices do.
-        arena.push(Node { prefixes, bits, kind: leaf(rows) });
-        return id;
-    };
-
-    let shift = symbol_bits - bits[split_pos] - 1;
-    let (zeros, ones): (Vec<u32>, Vec<u32>) =
-        rows.iter().partition(|&&r| (words[r as usize * l + split_pos] >> shift) & 1 == 0);
-
-    // Reserve the inner node's slot before recursing so children ids are
-    // stable.
-    arena.push(Node {
-        prefixes: prefixes.clone(),
-        bits: bits.clone(),
-        kind: NodeKind::Inner { left: 0, right: 0, split_pos: split_pos as u16 },
-    });
-
-    let child_label = |bit: u8| {
-        let mut p = prefixes.clone();
-        let mut b = bits.clone();
-        p[split_pos] = (p[split_pos] << 1) | bit;
-        b[split_pos] += 1;
-        (p, b)
-    };
-    let (lp, lb) = child_label(0);
-    let left = build_node(zeros, lp, lb, arena, words, l, symbol_bits, leaf_capacity);
-    let (rp, rb) = child_label(1);
-    let right = build_node(ones, rp, rb, arena, words, l, symbol_bits, leaf_capacity);
-    match &mut arena[id as usize].kind {
-        NodeKind::Inner { left: lslot, right: rslot, .. } => {
-            *lslot = left;
-            *rslot = right;
-        }
-        NodeKind::Leaf { .. } => unreachable!("slot was reserved as inner"),
-    }
-    id
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -489,50 +391,14 @@ mod tests {
         let idx = sax_index(1000, 64, 50, 2);
         for st in idx.subtrees() {
             for leaf in st.leaves() {
-                if leaf.rows().len() > 50 {
-                    // Over-full leaves are only allowed when no position
-                    // can separate the rows.
-                    let rows = leaf.rows();
-                    let l = 8;
-                    #[allow(clippy::needless_range_loop)]
-                    for j in 0..l {
-                        if leaf.bits[j] >= 8 {
-                            continue;
+                // An over-full leaf is only allowed when no position can
+                // separate its rows: every word is the same.
+                if let Some((&first, rest)) = leaf.rows().split_first() {
+                    if rest.len() >= 50 {
+                        let word = idx.word(first as usize);
+                        for &r in rest {
+                            assert_eq!(idx.word(r as usize), word, "splittable over-full leaf");
                         }
-                        let shift = 8 - leaf.bits[j] - 1;
-                        let ones = rows
-                            .iter()
-                            .filter(|&&r| (idx.word(r as usize)[j] >> shift) & 1 == 1)
-                            .count();
-                        assert!(
-                            ones == 0 || ones == rows.len(),
-                            "splittable over-full leaf (pos {j})"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn node_labels_cover_their_rows() {
-        // Every row's word must match its leaf's prefix at every position.
-        let idx = sax_index(600, 64, 40, 3);
-        for st in idx.subtrees() {
-            for leaf in st.leaves() {
-                for &r in leaf.rows() {
-                    let w = idx.word(r as usize);
-                    #[allow(clippy::needless_range_loop)]
-                    for j in 0..8 {
-                        let b = leaf.bits[j];
-                        if b == 0 {
-                            continue;
-                        }
-                        assert_eq!(
-                            crate::node::symbol_prefix(w[j], b, 8),
-                            leaf.prefixes[j],
-                            "row {r} violates leaf label at position {j}"
-                        );
                     }
                 }
             }

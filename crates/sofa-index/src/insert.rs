@@ -4,22 +4,23 @@
 //! MESSI (and SOFA) are described as batch-built indexes, but every member
 //! of the iSAX family also supports online insertion: append the series,
 //! compute its word, descend the home subtree to a leaf, and when the leaf
-//! exceeds its capacity split it by increasing the cardinality of the
-//! position whose next bit divides the leaf's rows most evenly (paper
-//! §IV-B: "when the number of series in a leaf node exceeds its capacity,
-//! the leaf splits into two new leaves, becoming an inner node"). This
-//! module implements that path so the index stays usable for workloads
-//! that trickle in after the initial bulk build.
+//! exceeds its capacity split it (paper §IV-B: "when the number of series
+//! in a leaf node exceeds its capacity, the leaf splits into two new
+//! leaves, becoming an inner node") with `Subtree::split_while_overfull`,
+//! the routine the bulk build uses. This module implements that path so
+//! the index stays usable for workloads that trickle in after the initial
+//! bulk build.
 //!
-//! Inserts keep every exactness invariant: the new row's word respects its
-//! leaf's prefix (checked by tests), so queries started after an insert
-//! see the new series. An insert rebuilds nothing: the row is appended to
+//! Inserts keep every exactness invariant: the descent follows each inner
+//! node's split bit and widens every envelope on the way (checked by
+//! tests), so every node's bound covers the new row for queries started
+//! after the insert. An insert rebuilds nothing: the row is appended to
 //! the arenas and to its leaf's tail (see [`crate::LeafPack`]), whose
 //! words the refine sweep stages and prices with the same symbol-table
 //! kernel as packed rows — as FAISS's `IndexIVF::add` appends codes to
 //! an inverted list.
 
-use crate::node::{root_key, LeafPack, Node, NodeKind, Subtree, SymbolEnvelope};
+use crate::node::{root_key, routes_right, NodeKind, Subtree};
 use crate::{Index, IndexError};
 use sofa_summaries::Summarization;
 
@@ -72,61 +73,40 @@ impl<S: Summarization> Index<S> {
         self.row_to_slot.push(row);
         self.slot_to_row.push(row);
 
-        let symbol_bits = self.summarization.symbol_bits();
-        let key = root_key(&word, symbol_bits);
+        let key = root_key(&word, self.summarization.symbol_bits());
         let subtree_idx = match self.subtrees.binary_search_by_key(&key, |s| s.key) {
             Ok(i) => i,
             Err(i) => {
                 // New root child: a fresh subtree holding one empty leaf.
-                let prefixes: Vec<u8> =
-                    (0..self.word_len).map(|j| ((key >> j) & 1) as u8).collect();
-                let bits = vec![1u8; self.word_len];
-                let subtree = Subtree {
-                    key,
-                    nodes: vec![Node {
-                        prefixes,
-                        bits,
-                        kind: NodeKind::Leaf {
-                            rows: vec![],
-                            pack: LeafPack::default(),
-                            envelope: SymbolEnvelope::empty(self.word_len),
-                        },
-                    }],
-                };
+                let subtree = Subtree::single_leaf(key, vec![], &[], &[], self.word_len);
                 self.subtrees.insert(i, subtree);
                 i
             }
         };
 
-        // Descend to the home leaf by the word's bits.
+        // Descend to the home leaf by the split bits, widening every
+        // envelope on the path.
         let subtree = &mut self.subtrees[subtree_idx];
         let mut id = 0u32;
         loop {
-            match &subtree.nodes[id as usize].kind {
-                NodeKind::Leaf { .. } => break,
-                NodeKind::Inner { left, right, split_pos } => {
-                    let pos = *split_pos as usize;
-                    let child_bits = subtree.nodes[id as usize].bits[pos] + 1;
-                    let bit = (word[pos] >> (symbol_bits - child_bits)) & 1;
-                    id = if bit == 0 { *left } else { *right };
+            let node = &mut subtree.nodes[id as usize];
+            node.envelope.widen(&word);
+            match &mut node.kind {
+                NodeKind::Leaf { rows, .. } => {
+                    rows.push(row);
+                    break;
+                }
+                NodeKind::Inner { left, right, split_pos, split_bit } => {
+                    id = if routes_right(&word, *split_pos, *split_bit) { *right } else { *left };
                 }
             }
         }
-        match &mut subtree.nodes[id as usize].kind {
-            NodeKind::Leaf { rows, envelope, .. } => {
-                rows.push(row);
-                envelope.widen(&word);
-            }
-            NodeKind::Inner { .. } => unreachable!("descent ends at a leaf"),
-        }
         // A split moves the leaf's packed rows into its children's tails.
-        let unpacked = split_while_overfull(
-            subtree,
+        let unpacked = subtree.split_while_overfull(
             id,
             &self.words,
             &self.row_to_slot,
             self.word_len,
-            symbol_bits,
             self.config.leaf_capacity,
         );
         self.tail_rows += 1 + unpacked;
@@ -179,90 +159,9 @@ impl<S: Summarization> Index<S> {
     }
 }
 
-/// Splits `leaf` — and any over-full child produced by the split — using
-/// the balanced-split rule, mutating the subtree arena in place. `words`
-/// is in storage order; `row_to_slot` maps the row ids stored in leaves to
-/// it. Each child leaf's envelope is rebuilt from its rows' words, and
-/// children start with empty packs (all their rows are tail). Returns how
-/// many packed rows the splits moved into tails.
-fn split_while_overfull(
-    subtree: &mut Subtree,
-    leaf: u32,
-    words: &[u8],
-    row_to_slot: &[u32],
-    l: usize,
-    symbol_bits: u8,
-    leaf_capacity: usize,
-) -> usize {
-    let slot = |r: u32| row_to_slot[r as usize] as usize;
-    let word_bit = |r: u32, j: usize, shift: u8| (words[slot(r) * l + j] >> shift) & 1;
-    let mut unpacked = 0usize;
-    let mut pending = vec![leaf];
-    while let Some(id) = pending.pop() {
-        let (rows, packed, prefixes, bits) = {
-            let node = &subtree.nodes[id as usize];
-            let NodeKind::Leaf { rows, pack, .. } = &node.kind else { continue };
-            if rows.len() <= leaf_capacity {
-                continue;
-            }
-            (rows.clone(), pack.len as usize, node.prefixes.clone(), node.bits.clone())
-        };
-
-        // Balanced split position (same rule as the bulk build).
-        let mut best: Option<(usize, usize)> = None;
-        for j in 0..l {
-            if bits[j] >= symbol_bits {
-                continue;
-            }
-            let shift = symbol_bits - bits[j] - 1;
-            let ones = rows.iter().filter(|&&r| word_bit(r, j, shift) == 1).count();
-            let zeros = rows.len() - ones;
-            if ones == 0 || zeros == 0 {
-                continue;
-            }
-            let imbalance = ones.abs_diff(zeros);
-            let better = match best {
-                None => true,
-                Some((bi, bj)) => imbalance < bi || (imbalance == bi && bits[j] < bits[bj]),
-            };
-            if better {
-                best = Some((imbalance, j));
-            }
-        }
-        let Some((_, split_pos)) = best else {
-            continue; // unsplittable: allow the over-full leaf
-        };
-
-        let shift = symbol_bits - bits[split_pos] - 1;
-        let (zeros, ones): (Vec<u32>, Vec<u32>) =
-            rows.iter().partition(|&&r| word_bit(r, split_pos, shift) == 0);
-
-        let child = |bit: u8, rows: Vec<u32>| {
-            let mut p = prefixes.clone();
-            let mut b = bits.clone();
-            p[split_pos] = (p[split_pos] << 1) | bit;
-            b[split_pos] += 1;
-            let envelope = SymbolEnvelope::of_slots(l, words, rows.iter().map(|&r| slot(r)));
-            let kind = NodeKind::Leaf { rows, pack: LeafPack::default(), envelope };
-            Node { prefixes: p, bits: b, kind }
-        };
-        let left = u32::try_from(subtree.nodes.len()).expect("node-id space (u32) exhausted");
-        subtree.nodes.push(child(0, zeros));
-        let right = u32::try_from(subtree.nodes.len()).expect("node-id space (u32) exhausted");
-        subtree.nodes.push(child(1, ones));
-        subtree.nodes[id as usize].kind =
-            NodeKind::Inner { left, right, split_pos: split_pos as u16 };
-        unpacked += packed;
-        pending.push(left);
-        pending.push(right);
-    }
-    unpacked
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::symbol_prefix;
     use crate::IndexConfig;
     use sofa_summaries::{ISax, SaxConfig};
 
@@ -315,31 +214,6 @@ mod tests {
         let stats = idx.stats();
         assert!(stats.leaves > 1, "splitting must have happened: {stats:?}");
         assert_eq!(stats.n_series, 400);
-    }
-
-    #[test]
-    fn every_inserted_row_respects_its_leaf_label() {
-        let n = 64;
-        let data = dataset(300, n, 7);
-        let idx = empty_then_insert(&data, n, 20);
-        for st in idx.subtrees() {
-            for leaf in st.leaves() {
-                for &r in leaf.rows() {
-                    let w = idx.word(r as usize);
-                    for (j, (&prefix, &b)) in leaf.prefixes.iter().zip(leaf.bits.iter()).enumerate()
-                    {
-                        if b == 0 {
-                            continue;
-                        }
-                        assert_eq!(
-                            symbol_prefix(w[j], b, 8),
-                            prefix,
-                            "row {r} violates label at {j}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

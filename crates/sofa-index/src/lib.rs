@@ -8,11 +8,12 @@
 //! * instantiated with [`sofa_summaries::Sfa`] it is **SOFA**.
 //!
 //! The structure (paper §IV-B): a forest of **subtrees** hanging off an
-//! implicit root. Each root child is labelled by the first bit of every
-//! word position; inner nodes refine one position by one bit (the iSAX
-//! variable-cardinality trick, which works identically for SFA words since
-//! both are vectors of symbols over per-position ordered breakpoint
-//! tables); leaves hold row ids of the indexed series.
+//! implicit root. Each root child is keyed by the first bit of every word
+//! position; inner nodes split their rows on one bit of one position (the
+//! iSAX balanced split, which works identically for SFA words since both
+//! are vectors of symbols over per-position ordered breakpoint tables);
+//! leaves hold row ids of the indexed series. Every node is bounded by
+//! the min/max symbol envelope of the rows below it.
 //!
 //! Query answering (paper §IV-C) follows GEMINI exactly:
 //!
@@ -20,7 +21,7 @@
 //!    computes real distances there, seeding the best-so-far (BSF).
 //! 2. **Collect**: workers traverse subtrees in parallel, prune whole
 //!    subtrees whose root-key lower bound exceeds the BSF, price every
-//!    leaf behind that gate by its per-position min/max symbol envelope,
+//!    node behind that gate by its per-position min/max symbol envelope,
 //!    and push the leaves that survive into a fixed number of priority
 //!    queues ordered by that envelope bound.
 //! 3. **Refine**: workers drain the queues; a popped leaf whose lower

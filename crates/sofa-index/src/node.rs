@@ -3,17 +3,17 @@
 //! The index is a forest: each [`Subtree`] hangs off an implicit root and
 //! is identified by its **root key** — the first bit of every word
 //! position (paper §IV-B: the root has up to `2^w` children). Inside a
-//! subtree, every node carries a variable-cardinality summary: per word
-//! position, a bit-prefix (`prefixes[j]`, using the `bits[j]` most
-//! significant bits of the symbol). An inner node's two children extend
-//! one position by one bit (set to 0 and 1 — the iSAX split), chosen to
-//! balance the series between them (as in iSAX 2.0 / MESSI).
+//! subtree, every node carries one bound: its [`SymbolEnvelope`], the min
+//! and max full-cardinality symbol of the rows below it at each position.
+//! A leaf's envelope is read off its rows' words; an inner node's is the
+//! min/max over its two children. The collect phase prices every node by
+//! its envelope, which is never tighter than any row's own word bound.
 //!
-//! Every leaf also keeps its [`SymbolEnvelope`]: the min and max
-//! full-cardinality symbol of its rows at each position. The collect
-//! phase prices a leaf by that envelope, which is never looser than the
-//! leaf's prefix label (all rows share the label) and never tighter than
-//! any row's own word bound.
+//! A subtree grows by one routine, `Subtree::split_while_overfull`,
+//! which the bulk build and online inserts share: an over-full leaf
+//! splits on the position and bit that its envelope says divide its rows
+//! most evenly (the iSAX 2.0 / MESSI balanced split), and the inner node
+//! left behind routes by that one bit.
 
 use crate::arena::Arena;
 use sofa_summaries::QuantBlock;
@@ -56,11 +56,12 @@ pub struct LeafPack {
 /// series — they simply keep the two-stage word → `f32` path.
 pub(crate) const QUANT_REFINE_MAX_LEN: usize = 2048;
 
-/// The per-position min and max full-cardinality symbol over a leaf's
-/// rows, packed and tail alike: `2 · word_len` bytes. Built from the rows'
-/// words by the bulk build, leaf splits and snapshot opens; an insert
-/// widens it in `O(word_len)`. A leaf without rows has the empty envelope
-/// (every min `u8::MAX`, every max `0`).
+/// The per-position min and max full-cardinality symbol over the rows
+/// below a node, packed and tail alike: `2 · word_len` bytes. A leaf's is
+/// built from its rows' words (by splits and snapshot opens), an inner
+/// node's covers its two children's, and an insert widens every node on
+/// its descent path in `O(word_len)` each. A node without rows has the
+/// empty envelope (every min `u8::MAX`, every max `0`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SymbolEnvelope {
     /// `word_len` minimum symbols followed by `word_len` maximum symbols.
@@ -137,6 +138,35 @@ impl SymbolEnvelope {
         }
     }
 
+    /// Widens the envelope to cover `other` (the empty envelope covers
+    /// nothing, so folding it in changes nothing).
+    pub(crate) fn cover(&mut self, other: &SymbolEnvelope) {
+        let l = self.bounds.len() / 2;
+        let (min, max) = self.bounds.split_at_mut(l);
+        for (lo, &o) in min.iter_mut().zip(other.min()) {
+            *lo = (*lo).min(o);
+        }
+        for (hi, &o) in max.iter_mut().zip(other.max()) {
+            *hi = (*hi).max(o);
+        }
+    }
+
+    /// Whether the envelope covers no word.
+    #[must_use]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.min().iter().zip(self.max()).any(|(lo, hi)| lo > hi)
+    }
+
+    /// The highest bit at which the min and max symbol of position `j`
+    /// differ — the one bit that divides the rows without cutting through
+    /// a shared prefix — or `None` when every row holds one symbol there.
+    #[must_use]
+    pub(crate) fn split_bit(&self, j: usize) -> Option<u8> {
+        let diff = self.min()[j] ^ self.max()[j];
+        // Lossless: a nonzero `u8` has at most 7 leading zeros.
+        (diff != 0).then(|| 7 - diff.leading_zeros() as u8)
+    }
+
     /// Smallest symbol per position.
     #[must_use]
     pub fn min(&self) -> &[u8] {
@@ -163,30 +193,38 @@ pub enum NodeKind {
         /// The contiguous run holding `rows[..pack.len]`; the rest of
         /// `rows` is the tail.
         pack: LeafPack,
-        /// Per-position min/max symbols of `rows` — the collect phase's
-        /// leaf bound.
-        envelope: SymbolEnvelope,
     },
-    /// Inner node: refined on `split_pos` by one bit.
+    /// Inner node: its rows split by bit `split_bit` of the symbol at
+    /// word position `split_pos`.
     Inner {
-        /// Child whose new bit is 0.
+        /// Child holding the rows whose split bit is 0.
         left: NodeId,
-        /// Child whose new bit is 1.
+        /// Child holding the rows whose split bit is 1.
         right: NodeId,
-        /// The word position whose cardinality the split increased.
+        /// The word position the split reads.
         split_pos: u16,
+        /// The bit of that position's symbol that routes a row
+        /// (0 = least significant).
+        split_bit: u8,
     },
 }
 
-/// One tree node: variable-cardinality summary plus payload.
+/// One tree node: its bound plus payload.
 #[derive(Clone, Debug)]
 pub struct Node {
-    /// Per-position symbol bit-prefixes (most-significant bits).
-    pub prefixes: Vec<u8>,
-    /// Per-position number of bits in use (0..=symbol_bits).
-    pub bits: Vec<u8>,
+    /// Per-position min/max symbols of every row below this node — the
+    /// collect phase's node bound.
+    pub envelope: SymbolEnvelope,
     /// Leaf or inner payload.
     pub kind: NodeKind,
+}
+
+/// Whether an inner node splitting on (`split_pos`, `split_bit`) routes
+/// `word` to its right child.
+#[inline]
+#[must_use]
+pub fn routes_right(word: &[u8], split_pos: u16, split_bit: u8) -> bool {
+    (word[usize::from(split_pos)] >> split_bit) & 1 == 1
 }
 
 impl Node {
@@ -202,15 +240,6 @@ impl Node {
         match &self.kind {
             NodeKind::Leaf { rows, .. } => rows,
             NodeKind::Inner { .. } => &[],
-        }
-    }
-
-    /// The leaf's symbol envelope (`None` for inner nodes).
-    #[must_use]
-    pub fn envelope(&self) -> Option<&SymbolEnvelope> {
-        match &self.kind {
-            NodeKind::Leaf { envelope, .. } => Some(envelope),
-            NodeKind::Inner { .. } => None,
         }
     }
 
@@ -245,6 +274,97 @@ pub struct Subtree {
 }
 
 impl Subtree {
+    /// A subtree of one leaf holding `rows`, whose envelope is read from
+    /// the slot-ordered word arena `words` through `row_to_slot`.
+    #[must_use]
+    pub(crate) fn single_leaf(
+        key: u64,
+        rows: Vec<u32>,
+        words: &[u8],
+        row_to_slot: &[u32],
+        l: usize,
+    ) -> Self {
+        let slots = rows.iter().map(|&r| row_to_slot[r as usize] as usize);
+        let envelope = SymbolEnvelope::of_slots(l, words, slots);
+        let kind = NodeKind::Leaf { rows, pack: LeafPack::default() };
+        Subtree { key, nodes: vec![Node { envelope, kind }] }
+    }
+
+    /// Splits `leaf` — and every over-full leaf the split produces — until
+    /// each leaf holds at most `leaf_capacity` rows or only identical
+    /// words. The bulk build calls it on each subtree's single leaf, an
+    /// insert on the leaf it appended to.
+    ///
+    /// The split is read off the leaf's envelope: at each position, the
+    /// highest bit where its min and max symbol differ divides the rows
+    /// into two non-empty halves (every row shares the bits above it);
+    /// the position whose bit divides them most evenly wins (the lowest
+    /// such position on a tie). The leaf becomes an inner node on that
+    /// (position, bit), keeping its envelope; its children are fresh
+    /// leaves, all tail (empty packs), their envelopes read from their
+    /// rows' words. `words` is in storage order and
+    /// `row_to_slot` maps the row ids in leaves to it. Returns how many
+    /// packed rows the splits moved into tails.
+    pub(crate) fn split_while_overfull(
+        &mut self,
+        leaf: NodeId,
+        words: &[u8],
+        row_to_slot: &[u32],
+        l: usize,
+        leaf_capacity: usize,
+    ) -> usize {
+        let word = |r: u32| {
+            let slot = row_to_slot[r as usize] as usize;
+            &words[slot * l..(slot + 1) * l]
+        };
+        let mut unpacked = 0usize;
+        let mut pending = vec![leaf];
+        while let Some(id) = pending.pop() {
+            let node = &self.nodes[id as usize];
+            let NodeKind::Leaf { rows, pack } = &node.kind else { continue };
+            if rows.len() <= leaf_capacity {
+                continue;
+            }
+            // (imbalance, bit, position) of the most even split so far.
+            let mut best: Option<(usize, u8, u16)> = None;
+            for j in 0..l {
+                let Some(bit) = node.envelope.split_bit(j) else { continue };
+                // Lossless: `l <= MAX_WORD_LEN`.
+                let pos = j as u16;
+                let ones = rows.iter().filter(|&&r| routes_right(word(r), pos, bit)).count();
+                let imbalance = ones.abs_diff(rows.len() - ones);
+                if best.map_or(true, |(least, _, _)| imbalance < least) {
+                    best = Some((imbalance, bit, pos));
+                }
+            }
+            // No position differs: the rows' words are identical, so the
+            // over-full leaf stays, as in every iSAX-family index.
+            let Some((_, split_bit, split_pos)) = best else { continue };
+            unpacked += pack.len as usize;
+            let left = u32::try_from(self.nodes.len()).expect("node-id space (u32) exhausted");
+            let right = left.checked_add(1).expect("node-id space (u32) exhausted");
+            let inner = NodeKind::Inner { left, right, split_pos, split_bit };
+            let NodeKind::Leaf { rows, .. } =
+                std::mem::replace(&mut self.nodes[id as usize].kind, inner)
+            else {
+                unreachable!("matched as a leaf above")
+            };
+            let (zeros, ones): (Vec<u32>, Vec<u32>) =
+                rows.into_iter().partition(|&r| !routes_right(word(r), split_pos, split_bit));
+            for rows in [zeros, ones] {
+                let slots = rows.iter().map(|&r| row_to_slot[r as usize] as usize);
+                let envelope = SymbolEnvelope::of_slots(l, words, slots);
+                self.nodes.push(Node {
+                    envelope,
+                    kind: NodeKind::Leaf { rows, pack: LeafPack::default() },
+                });
+            }
+            pending.push(left);
+            pending.push(right);
+        }
+        unpacked
+    }
+
     /// The root node.
     #[must_use]
     pub fn root(&self) -> &Node {
@@ -309,17 +429,6 @@ pub fn root_key(word: &[u8], symbol_bits: u8) -> u64 {
     key
 }
 
-/// Extracts the `bits` most significant bits of `symbol`.
-#[inline]
-#[must_use]
-pub fn symbol_prefix(symbol: u8, bits: u8, symbol_bits: u8) -> u8 {
-    if bits == 0 {
-        0
-    } else {
-        symbol >> (symbol_bits - bits)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,39 +449,16 @@ mod tests {
     }
 
     #[test]
-    fn symbol_prefix_extraction() {
-        assert_eq!(symbol_prefix(0b1011_0000, 0, 8), 0);
-        assert_eq!(symbol_prefix(0b1011_0000, 1, 8), 0b1);
-        assert_eq!(symbol_prefix(0b1011_0000, 4, 8), 0b1011);
-        assert_eq!(symbol_prefix(0b1011_0000, 8, 8), 0b1011_0000);
-    }
-
-    #[test]
     fn leaf_depths_of_small_tree() {
         // root(inner) -> [leaf, inner -> [leaf, leaf]]
-        let leaf = |rows: Vec<u32>| Node {
-            prefixes: vec![0; 2],
-            bits: vec![1; 2],
-            kind: NodeKind::Leaf {
-                rows,
-                pack: LeafPack::default(),
-                envelope: SymbolEnvelope::empty(2),
-            },
-        };
+        let node = |kind| Node { envelope: SymbolEnvelope::empty(2), kind };
+        let leaf = |rows: Vec<u32>| node(NodeKind::Leaf { rows, pack: LeafPack::default() });
         let subtree = Subtree {
             key: 0,
             nodes: vec![
-                Node {
-                    prefixes: vec![0; 2],
-                    bits: vec![1; 2],
-                    kind: NodeKind::Inner { left: 1, right: 2, split_pos: 0 },
-                },
+                node(NodeKind::Inner { left: 1, right: 2, split_pos: 0, split_bit: 6 }),
                 leaf(vec![1, 2]),
-                Node {
-                    prefixes: vec![0; 2],
-                    bits: vec![2; 2],
-                    kind: NodeKind::Inner { left: 3, right: 4, split_pos: 1 },
-                },
+                node(NodeKind::Inner { left: 3, right: 4, split_pos: 1, split_bit: 5 }),
                 leaf(vec![3]),
                 leaf(vec![4, 5]),
             ],

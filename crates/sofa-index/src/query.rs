@@ -23,15 +23,16 @@
 //! one before:
 //!
 //! 1. **Root gate** (collect): one [`RootLbd`] XOR evaluation per subtree
-//!    prices its 1-bit-per-position root label — a few bit operations,
-//!    run on every subtree of every query.
-//! 2. **Leaf envelope** (collect): every leaf behind a passing gate is
-//!    priced by its [`crate::SymbolEnvelope`], the per-position min/max
-//!    symbols of its rows ([`QueryContext::envelope_mindist`], one pass
-//!    over `word_len` positions). The leaf is pruned on that bound or
-//!    queued under it, so queues also abandon on it. The rare subtree
-//!    that split below its root prices its inner nodes with a scalar
-//!    `mindist_node` DFS on the way down.
+//!    prices the half-lines its root key pins — a few bit operations, run
+//!    on every subtree of every query.
+//! 2. **Node envelope** (collect): behind a passing gate, a DFS from the
+//!    subtree root prices every node it reaches by its
+//!    [`crate::SymbolEnvelope`], the per-position min/max symbols of the
+//!    rows below it ([`QueryContext::envelope_mindist`], one pass over
+//!    `word_len` positions). A node is pruned on that bound, with
+//!    everything below it; a leaf that survives is queued under it, so
+//!    queues also abandon on it. On a subtree that never split, the DFS
+//!    prices its one leaf.
 //! 3. **Word bound** (refine): each queued leaf's candidates are priced
 //!    8 at a time by [`lut_lower_bound`]: the query's symbol table (built
 //!    once per query) indexed by the candidates' words, read straight
@@ -43,7 +44,7 @@
 //!
 //! The envelope bound is `>=` the root gate and `<=` every member row's
 //! word bound in `f32` (same operations, wider interval), so it prunes
-//! only leaves the word bound would empty, and answers are unchanged.
+//! only nodes the word bound would empty, and answers are unchanged.
 //!
 //! Parallel phases execute on the index's persistent
 //! [`sofa_exec::ExecPool`] (no per-query thread spawning), and every
@@ -55,7 +56,7 @@
 
 use crate::bsf::{IpNeighbor, Neighbor};
 use crate::filter::RowFilter;
-use crate::node::{root_key, LeafPack, NodeKind, Subtree, SymbolEnvelope, MAX_WORD_LEN};
+use crate::node::{root_key, LeafPack, NodeKind, Subtree, MAX_WORD_LEN};
 use crate::prune::{IpBound, KnnBound, PruneBound, RangeBound};
 use crate::scratch::{LeafQueue, QueryScratch, QueueEntry};
 use crate::{Index, IndexError};
@@ -63,7 +64,7 @@ use parking_lot::Mutex;
 use sofa_exec::CancelToken;
 use sofa_simd::{dot, znormalize};
 use sofa_simd::{lut_lower_bound, quant_lower_bound, quant_lower_bound_masked, BLOCK_LANES};
-use sofa_summaries::{mindist_node, QueryContext, RootLbd, Summarization};
+use sofa_summaries::{QueryContext, RootLbd, Summarization};
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -783,13 +784,11 @@ impl<S: Summarization> Index<S> {
     /// smallest lower-bound distance and seed the bound from its series.
     ///
     /// The query's home subtree (exact root-key match) is tried first; the
-    /// descent then follows the child with the smaller node-level mindist,
+    /// descent then follows the child with the smaller envelope bound,
     /// which is robust even when individual word bits of the query are
-    /// noisy. When no subtree matches the key, the subtree whose root has
-    /// the smallest mindist is used instead — evaluated through the
-    /// precomputed [`RootLbd`] table, once per subtree (the former
-    /// `min_by` recomputed the full scalar `mindist_node` for both sides
-    /// of every comparison).
+    /// noisy. When no subtree matches the key, the subtree whose root key
+    /// has the smallest bound is used instead — evaluated through the
+    /// precomputed [`RootLbd`] table, once per subtree.
     ///
     /// Filtered queries skip rejected rows *before* scoring: a filtered
     /// row must never tighten the bound, or an admissible farther
@@ -836,8 +835,8 @@ impl<S: Summarization> Index<S> {
                 NodeKind::Inner { left, right, .. } => {
                     let l = &subtree.nodes[*left as usize];
                     let r = &subtree.nodes[*right as usize];
-                    let dl = mindist_node(ctx, &l.prefixes, &l.bits);
-                    let dr = mindist_node(ctx, &r.prefixes, &r.bits);
+                    let dl = ctx.envelope_mindist(l.envelope.min(), l.envelope.max());
+                    let dr = ctx.envelope_mindist(r.envelope.min(), r.envelope.max());
                     node = if dl <= dr { l } else { r };
                 }
             }
@@ -846,22 +845,21 @@ impl<S: Summarization> Index<S> {
 
     /// Prices one subtree against the bound and pushes its surviving
     /// leaves into the queues. One [`RootLbd`] XOR evaluation gates the
-    /// whole subtree; every leaf behind the gate is then priced by its
-    /// [`crate::SymbolEnvelope`] ([`QueryContext::envelope_mindist`]) and
-    /// pruned or queued under that bound. A subtree that split below its
-    /// root is walked by a scalar DFS that prices inner nodes with
-    /// `mindist_node` (a child's interval nests inside its parent's, so a
-    /// pruned node prunes everything below it) and leaves by their
-    /// envelopes.
+    /// whole subtree; behind the gate, a DFS from the root prices every
+    /// node it reaches by its [`crate::SymbolEnvelope`]
+    /// ([`QueryContext::envelope_mindist`]). A pruned node prunes
+    /// everything below it (a child's envelope nests inside its
+    /// parent's); a surviving leaf is queued under its bound.
     ///
-    /// The envelope bound is `>=` both node bounds (every row of a leaf
-    /// shares its label) and `<=` every row's symbol-table sum in `f32`
-    /// (same operations, wider interval), so it prunes only leaves whose
-    /// every row the refine sweep would prune, and answers are unchanged.
+    /// The envelope bound is `>=` the root gate (every symbol below a
+    /// subtree sits in its key's half-lines) and `<=` every row's
+    /// symbol-table sum in `f32` (same operations, wider interval), so it
+    /// prunes only nodes whose every row the refine sweep would prune,
+    /// and answers are unchanged.
     ///
-    /// Collect is filter-agnostic: node and envelope bounds hold for every
-    /// row under a node, admitted or not, so pruning decisions are
-    /// unchanged and the predicate is applied at refine granularity.
+    /// Collect is filter-agnostic: the bounds hold for every row under a
+    /// node, admitted or not, so pruning decisions are unchanged and the
+    /// predicate is applied at refine granularity.
     #[allow(clippy::too_many_arguments)]
     fn collect_subtree<B: PruneBound>(
         &self,
@@ -876,50 +874,31 @@ impl<S: Summarization> Index<S> {
         stats: &AtomicStats,
         cancel: Option<&CancelToken>,
     ) {
-        // The root's 1-bit-per-position label is fully determined by the
-        // subtree key: the precomputed XOR-penalty evaluation prices the
-        // whole subtree in a few bit operations (this gate runs for every
+        // The precomputed XOR-penalty evaluation prices the whole subtree
+        // from its key in a few bit operations (this gate runs for every
         // subtree of every query).
         if pb.prunes(root_lbd.eval(subtree.key)) {
             stats.nodes_pruned.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let collect_leaf = |id: u32, rows: &[u32], envelope: &SymbolEnvelope| {
-            if rows.is_empty() {
-                return;
-            }
-            let lbd = ctx.envelope_mindist(envelope.min(), envelope.max());
-            if pb.prunes(lbd) {
-                stats.nodes_pruned.fetch_add(1, Ordering::Relaxed);
-            } else {
-                push_leaf(lbd, subtree_idx, id, queues, push_counter);
-                stats.leaves_collected.fetch_add(1, Ordering::Relaxed);
-            }
-        };
-        match &subtree.nodes[0].kind {
-            // Single-leaf subtree (wide forests produce thousands).
-            NodeKind::Leaf { rows, envelope, .. } => {
-                collect_leaf(0, rows, envelope);
-                return;
-            }
-            NodeKind::Inner { left, right, .. } => {
-                stack.clear();
-                stack.push(*left);
-                stack.push(*right);
-            }
-        }
+        stack.clear();
+        stack.push(0);
         while let Some(id) = stack.pop() {
             if fired(cancel) {
                 return;
             }
             let node = &subtree.nodes[id as usize];
+            let lbd = ctx.envelope_mindist(node.envelope.min(), node.envelope.max());
+            if pb.prunes(lbd) {
+                stats.nodes_pruned.fetch_add(1, Ordering::Relaxed);
+                continue;
+            }
             match &node.kind {
-                NodeKind::Leaf { rows, envelope, .. } => collect_leaf(id, rows, envelope),
+                NodeKind::Leaf { .. } => {
+                    push_leaf(lbd, subtree_idx, id, queues, push_counter);
+                    stats.leaves_collected.fetch_add(1, Ordering::Relaxed);
+                }
                 NodeKind::Inner { left, right, .. } => {
-                    if pb.prunes(mindist_node(ctx, &node.prefixes, &node.bits)) {
-                        stats.nodes_pruned.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
                     stack.push(*left);
                     stack.push(*right);
                 }

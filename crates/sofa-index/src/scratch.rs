@@ -75,7 +75,10 @@ pub(crate) struct QueryScratch {
     /// Per-queue abandon flags for the refinement phase.
     pub done: Vec<AtomicBool>,
     /// Per-lane collect-DFS stacks (one per pool lane; each lane locks
-    /// only its own, so the locks are uncontended).
+    /// only its own, so the locks are uncontended). Every subtree past
+    /// the root gate is walked on one, so each starts with room for a
+    /// deep tree's path: a lane that first collects after warm-up must
+    /// not allocate.
     pub lanes: Vec<Mutex<Vec<u32>>>,
 }
 
@@ -95,7 +98,7 @@ impl QueryScratch {
             range: Mutex::new(Vec::new()),
             queues: (0..lanes).map(|_| Mutex::new(BinaryHeap::new())).collect(),
             done: (0..lanes).map(|_| AtomicBool::new(false)).collect(),
-            lanes: (0..lanes).map(|_| Mutex::new(Vec::new())).collect(),
+            lanes: (0..lanes).map(|_| Mutex::new(Vec::with_capacity(64))).collect(),
         }
     }
 

@@ -9,7 +9,7 @@
 //! rehydrated into their owned in-memory forms; they are a small
 //! fraction of the file.
 //!
-//! ## File format (version 7)
+//! ## File format (version 8)
 //!
 //! ```text
 //! offset 0   magic            b"SOFASNAP"
@@ -72,7 +72,7 @@ use std::sync::Arc;
 /// First 8 bytes of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SOFASNAP";
 /// The one format version this build writes and reads.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 7;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 8;
 /// Failpoint fired before each section write (torn-write injection).
 pub const SNAPSHOT_WRITE_FAILPOINT: &str = "sofa-index::snapshot::write";
 /// Failpoint fired before the final atomic rename.
@@ -988,19 +988,18 @@ impl<S: SnapshotSummarization> Index<S> {
             put_u64(&mut out, st.key);
             put_len(&mut out, st.nodes.len());
             for node in &st.nodes {
-                out.extend_from_slice(&node.prefixes);
-                out.extend_from_slice(&node.bits);
                 match &node.kind {
                     NodeKind::Leaf { rows, .. } => {
                         put_u8(&mut out, 0);
                         put_len(&mut out, rows.len());
                         put_u32_slice(&mut out, rows);
                     }
-                    NodeKind::Inner { left, right, split_pos } => {
+                    NodeKind::Inner { left, right, split_pos, split_bit } => {
                         put_u8(&mut out, 1);
                         put_u32(&mut out, *left);
                         put_u32(&mut out, *right);
                         put_u16(&mut out, *split_pos);
+                        put_u8(&mut out, *split_bit);
                     }
                 }
             }
@@ -1198,20 +1197,18 @@ fn decode_tree(
         if prev_key.is_some_and(|p| key <= p) {
             return Err(r.invalid("subtree keys are not strictly ascending"));
         }
+        // Lossless: `decode_meta` bounds the word length by 64.
+        if key.checked_shr(meta.word_len as u32).is_some_and(|high| high != 0) {
+            return Err(r.invalid(format!("subtree key {key:#x} has bits past the word length")));
+        }
         prev_key = Some(key);
-        let n_nodes = r.bounded_count(2 * meta.word_len + 1)?;
+        // A node is at least a tag and a row count.
+        let n_nodes = r.bounded_count(9)?;
         if n_nodes == 0 {
             return Err(r.invalid(format!("subtree {si} has no nodes")));
         }
         let mut nodes = Vec::with_capacity(n_nodes);
         for ni in 0..n_nodes {
-            let prefixes = r.byte_vec(meta.word_len)?;
-            let bits = r.byte_vec(meta.word_len)?;
-            if bits.iter().any(|&b| b > symbol_bits) {
-                return Err(r.invalid(format!(
-                    "node {ni} of subtree {si} refines past the {symbol_bits}-bit symbol depth"
-                )));
-            }
             let kind = match r.u8()? {
                 0 => {
                     let n_rows = r.bounded_count(4)?;
@@ -1227,13 +1224,13 @@ fn decode_tree(
                         seen_rows[row] = true;
                     }
                     leaves.push((si, ni));
-                    let envelope = SymbolEnvelope::empty(meta.word_len);
-                    NodeKind::Leaf { rows, pack: LeafPack::default(), envelope }
+                    NodeKind::Leaf { rows, pack: LeafPack::default() }
                 }
                 1 => {
                     let left = r.u32()?;
                     let right = r.u32()?;
                     let split_pos = r.u16()?;
+                    let split_bit = r.u8()?;
                     if left as usize >= n_nodes || right as usize >= n_nodes {
                         return Err(r.invalid(format!(
                             "inner node {ni} of subtree {si} points outside its {n_nodes} nodes"
@@ -1245,11 +1242,16 @@ fn decode_tree(
                             meta.word_len
                         )));
                     }
-                    NodeKind::Inner { left, right, split_pos }
+                    if split_bit >= symbol_bits {
+                        return Err(r.invalid(format!(
+                            "split bit {split_bit} is past the {symbol_bits}-bit symbols"
+                        )));
+                    }
+                    NodeKind::Inner { left, right, split_pos, split_bit }
                 }
                 tag => return Err(r.invalid(format!("unknown node tag {tag}"))),
             };
-            nodes.push(Node { prefixes, bits, kind });
+            nodes.push(Node { envelope: SymbolEnvelope::empty(meta.word_len), kind });
         }
         validate_tree_shape(&nodes).map_err(|d| corrupt("tree", format!("subtree {si}: {d}")))?;
         subtrees.push(Subtree { key, nodes });
@@ -1327,15 +1329,50 @@ fn decode_packs(
     Ok(())
 }
 
-/// Rebuilds every leaf's symbol envelope from the (validated) word arena
-/// and slot map: envelopes are not stored in the snapshot.
-fn rebuild_envelopes(subtrees: &mut [Subtree], words: &[u8], row_to_slot: &[u32], l: usize) {
-    for node in subtrees.iter_mut().flat_map(|st| st.nodes.iter_mut()) {
-        if let NodeKind::Leaf { rows, envelope, .. } = &mut node.kind {
-            let slots = rows.iter().map(|&row| row_to_slot[row as usize] as usize);
-            *envelope = SymbolEnvelope::of_slots(l, words, slots);
+/// Rebuilds every node's symbol envelope — envelopes are not stored in
+/// the snapshot: each leaf's from the (validated) word arena and slot
+/// map, then each inner node's from its children, children first (every
+/// child's id is larger than its parent's, so a reverse sweep sees both
+/// children before the parent). Then checks every subtree's key against
+/// its rows: the root gate and the approximate seed's home-subtree search
+/// trust the key, so each non-empty root envelope's min and max symbol
+/// at position `j` must both carry key bit `j` as their top bit.
+fn rebuild_envelopes(
+    subtrees: &mut [Subtree],
+    words: &[u8],
+    row_to_slot: &[u32],
+    l: usize,
+    symbol_bits: u8,
+) -> Result<(), IndexError> {
+    for (si, st) in subtrees.iter_mut().enumerate() {
+        for i in (0..st.nodes.len()).rev() {
+            let envelope = match &st.nodes[i].kind {
+                NodeKind::Leaf { rows, .. } => {
+                    let slots = rows.iter().map(|&row| row_to_slot[row as usize] as usize);
+                    SymbolEnvelope::of_slots(l, words, slots)
+                }
+                NodeKind::Inner { left, right, .. } => {
+                    let mut envelope = st.nodes[*left as usize].envelope.clone();
+                    envelope.cover(&st.nodes[*right as usize].envelope);
+                    envelope
+                }
+            };
+            st.nodes[i].envelope = envelope;
+        }
+        let root = &st.nodes[0].envelope;
+        if root.is_empty() {
+            continue;
+        }
+        let top = |sym: u8| u64::from(sym >> (symbol_bits - 1));
+        let key_of = |syms: &[u8]| syms.iter().enumerate().fold(0, |k, (j, &s)| k | top(s) << j);
+        if key_of(root.min()) != st.key || key_of(root.max()) != st.key {
+            return Err(corrupt(
+                "tree",
+                format!("subtree {si}'s key {:#x} disagrees with its rows' words", st.key),
+            ));
         }
     }
+    Ok(())
 }
 
 /// Decodes the quantizer grid and one optional code block per leaf, in
@@ -1539,7 +1576,13 @@ impl<S: SnapshotSummarization> Index<S> {
             &slot_to_row,
             quant,
         )?;
-        rebuild_envelopes(&mut subtrees, &words, &row_to_slot, meta.word_len);
+        rebuild_envelopes(
+            &mut subtrees,
+            &words,
+            &row_to_slot,
+            meta.word_len,
+            summarization.symbol_bits(),
+        )?;
         let tail_rows = subtrees.iter().flat_map(|st| &st.nodes).map(Node::tail_len).sum();
 
         // Validation is done; from here on the mapping serves leaf
@@ -1712,10 +1755,11 @@ mod tests {
         // files a node-block collect section, version 3 files per-leaf
         // interval blocks and version 4 files per-subtree stale-leaf
         // counts and has-pack flags, none of which this build reads;
-        // version 5 files seal their sections with another checksum and
-        // version 6 files carry two quant-switch flags in their meta. The
-        // version check rejects them before any section is interpreted.
-        for version in [1u32, 2, 3, 4, 5, 6] {
+        // version 5 files seal their sections with another checksum,
+        // version 6 files carry two quant-switch flags in their meta and
+        // version 7 files a prefix label on every tree node. The version
+        // check rejects them before any section is interpreted.
+        for version in [1u32, 2, 3, 4, 5, 6, 7] {
             idx.snapshot(&path).expect("snapshot");
             let mut bytes = std::fs::read(&path).expect("read");
             bytes[8..12].copy_from_slice(&version.to_ne_bytes());
@@ -1815,6 +1859,73 @@ mod tests {
         idx.snapshot(&path).expect("snapshot");
         patch_section(&path, SEC_PACKS, set_len(k, 1));
         assert_pack_corrupt(&path, "on a pack of 1 rows");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn subtree_key_or_split_bit_that_disagrees_with_the_rows_fails_closed() {
+        let sax = ISax::new(64, &SaxConfig { word_len: 8, alphabet: 256 });
+        let idx =
+            Index::build(sax, &dataset(2000, 64), IndexConfig::with_threads(2).leaf_capacity(25))
+                .expect("build");
+        let subtrees = idx.subtrees();
+        // Tree section: per subtree a u64 key and a u64 node count, then
+        // per node a tag byte and either a u64 row count and the rows
+        // (leaf) or two u32 children, a u16 position and a u8 bit (inner).
+        let mut offsets = vec![0usize];
+        let mut split_bits = Vec::new();
+        for st in subtrees {
+            let mut at = offsets.last().copied().expect("offset") + 16;
+            for node in &st.nodes {
+                if !node.is_leaf() {
+                    split_bits.push(at + 11);
+                }
+                at += if node.is_leaf() { 9 + 4 * node.rows().len() } else { 12 };
+            }
+            offsets.push(at);
+        }
+        assert!(!split_bits.is_empty(), "the index must split a leaf");
+        let path = tmp_path("tree-key");
+        idx.snapshot(&path).expect("snapshot");
+        let original = std::fs::read(&path).expect("read");
+        let assert_tree_corrupt = |want: &str| match Index::<ISax>::open(&path) {
+            Err(IndexError::SnapshotCorrupt { section, detail }) => {
+                assert_eq!(section, "tree", "{detail}");
+                assert!(detail.contains(want), "{detail}");
+            }
+            Err(other) => panic!("expected SnapshotCorrupt, got {other:?}"),
+            Ok(_) => panic!("a tree that disagrees with its rows must fail the open"),
+        };
+        // Every single-bit flip of a key that keeps the keys ascending.
+        let mut flips = 0;
+        for (s, st) in subtrees.iter().enumerate() {
+            for j in 0..8 {
+                let key = st.key ^ (1 << j);
+                let above = s == 0 || subtrees[s - 1].key < key;
+                let below = subtrees.get(s + 1).map_or(true, |next| key < next.key);
+                if above && below {
+                    std::fs::write(&path, &original).expect("write");
+                    patch_section(&path, SEC_TREE, |tree| {
+                        tree[offsets[s]..offsets[s] + 8].copy_from_slice(&key.to_ne_bytes());
+                    });
+                    assert_tree_corrupt("disagrees with its rows");
+                    flips += 1;
+                }
+            }
+        }
+        assert!(flips > 0, "no key could be flipped in order");
+        // A key bit past the 8-position words on the last (largest) key.
+        let last = subtrees.len() - 1;
+        let key = subtrees[last].key | 1 << 8;
+        std::fs::write(&path, &original).expect("write");
+        patch_section(&path, SEC_TREE, |tree| {
+            tree[offsets[last]..offsets[last] + 8].copy_from_slice(&key.to_ne_bytes());
+        });
+        assert_tree_corrupt("bits past the word length");
+        // A split bit past the 8-bit symbols.
+        std::fs::write(&path, &original).expect("write");
+        patch_section(&path, SEC_TREE, |tree| tree[split_bits[0]] = 8);
+        assert_tree_corrupt("split bit 8");
         std::fs::remove_file(&path).ok();
     }
 

@@ -2,7 +2,7 @@
 //! the index (MESSI with iSAX, SOFA with SFA) must return exactly the same
 //! nearest neighbors as a brute-force scan over the z-normalized data.
 
-use sofa_index::{Index, IndexConfig, Neighbor, QueryKind, RowFilter};
+use sofa_index::{Index, IndexConfig, Neighbor, NodeKind, QueryKind, RowFilter};
 use sofa_simd::euclidean_sq;
 use sofa_summaries::{ip_score, ISax, QueryContext, SaxConfig, Sfa, SfaConfig, Summarization};
 use std::sync::Arc;
@@ -444,23 +444,64 @@ fn last_leaf_tail_groups_at_arena_end_are_exact() {
     }
 }
 
-/// Every leaf's envelope must be exactly the per-position min/max of its
-/// rows' words, recomputed here from the index's word accessor.
+/// Every node's envelope must be exactly the per-position min/max of the
+/// words of the rows below it, recomputed here from the index's word
+/// accessor, and every row must lie on its ancestors' split side: bit
+/// `split_bit` of its symbol at `split_pos` is 0 under a left child and 1
+/// under a right one.
 fn assert_envelopes_match_words<S: Summarization>(index: &Index<S>, stage: &str) {
     let l = index.summarization().word_len();
     for (si, st) in index.subtrees().iter().enumerate() {
-        for leaf in st.leaves() {
-            let mut min = vec![u8::MAX; l];
-            let mut max = vec![0u8; l];
-            for &row in leaf.rows() {
-                for (j, &s) in index.word(row as usize).iter().enumerate() {
+        // Children have larger ids than their parents: a reverse sweep
+        // meets both children before the parent.
+        let mut want = vec![(vec![u8::MAX; l], vec![0u8; l]); st.nodes.len()];
+        for id in (0..st.nodes.len()).rev() {
+            let (mut min, mut max) = (vec![u8::MAX; l], vec![0u8; l]);
+            let words: Vec<&[u8]> = match &st.nodes[id].kind {
+                NodeKind::Leaf { rows, .. } => {
+                    rows.iter().map(|&r| index.word(r as usize)).collect()
+                }
+                NodeKind::Inner { left, right, .. } => {
+                    let (a, b) = (&want[*left as usize], &want[*right as usize]);
+                    vec![&a.0[..], &a.1[..], &b.0[..], &b.1[..]]
+                }
+            };
+            for word in words {
+                for (j, &s) in word.iter().enumerate() {
                     min[j] = min[j].min(s);
                     max[j] = max[j].max(s);
                 }
             }
-            let env = leaf.envelope().expect("leaves carry envelopes");
-            assert_eq!(env.min(), &min[..], "{stage}: subtree {si} leaf min symbols");
-            assert_eq!(env.max(), &max[..], "{stage}: subtree {si} leaf max symbols");
+            let env = &st.nodes[id].envelope;
+            assert_eq!(env.min(), &min[..], "{stage}: subtree {si} node {id} min symbols");
+            assert_eq!(env.max(), &max[..], "{stage}: subtree {si} node {id} max symbols");
+            want[id] = (min, max);
+        }
+        // Routing: walk down with the (position, bit, side) of every
+        // ancestor's split.
+        let mut stack = vec![(0u32, Vec::<(usize, u8, u8)>::new())];
+        while let Some((id, path)) = stack.pop() {
+            match &st.nodes[id as usize].kind {
+                NodeKind::Leaf { rows, .. } => {
+                    for &r in rows {
+                        let w = index.word(r as usize);
+                        for &(pos, bit, side) in &path {
+                            assert_eq!(
+                                (w[pos] >> bit) & 1,
+                                side,
+                                "{stage}: subtree {si} row {r} is on the wrong side of a split"
+                            );
+                        }
+                    }
+                }
+                NodeKind::Inner { left, right, split_pos, split_bit } => {
+                    for (child, side) in [(*left, 0u8), (*right, 1)] {
+                        let mut path = path.clone();
+                        path.push((usize::from(*split_pos), *split_bit, side));
+                        stack.push((child, path));
+                    }
+                }
+            }
         }
     }
 }
@@ -480,7 +521,7 @@ fn assert_envelope_bounds_tail_rows<S: Summarization>(index: &Index<S>, queries:
         let mut lut = Vec::new();
         ctx.lut_into(&mut lut);
         for leaf in index.subtrees().iter().flat_map(|st| st.leaves()) {
-            let env = leaf.envelope().expect("leaves carry envelopes");
+            let env = &leaf.envelope;
             let bound = ctx.envelope_mindist(env.min(), env.max());
             let tail = &leaf.rows()[leaf.pack().expect("a leaf").len as usize..];
             tails += tail.len();

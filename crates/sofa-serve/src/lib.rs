@@ -1,8 +1,9 @@
 //! Micro-batching serving front-end for the SOFA/MESSI indexes.
 //!
-//! The batch path answers queries ~2.3x faster per query than the
-//! single-query pool path (`BENCH_pr5.json`), but only callers who
-//! already hold a batch get it. This crate gives *concurrent
+//! The batch path answers a query for less CPU than the single-query
+//! pool path — one pool wake-up per batch instead of two per query, and
+//! lanes that each answer whole queries — but only callers who already
+//! hold a batch get it. This crate gives *concurrent
 //! single-query callers* the batch rate — the FAISS argument that
 //! batching is where CPU throughput lives, applied behind a queue:
 //!

@@ -14,14 +14,8 @@
 //! weights `w_j` make the sum a lower bound of the true squared Euclidean
 //! distance (Parseval factors for SFA, segment lengths for SAX).
 //!
-//! Two word kernels are provided here:
-//!
-//! * [`mindist_scalar`] — reference implementation with per-position `if`s;
-//! * [`mindist_node`] — variable-cardinality variant for tree nodes, where
-//!   each position carries only a bit-prefix of its symbol and the interval
-//!   is the union of all bins sharing that prefix.
-//!
-//! Every candidate word the index prices goes through a third, in
+//! [`mindist_scalar`] is the reference word kernel, with per-position
+//! `if`s. Every candidate word the index prices goes through a second, in
 //! `sofa-simd`: [`QueryContext::lut_into`] tabulates the per-position
 //! term `w_j · dist_j²` for all 256 symbols once per query, and
 //! `lut_lower_bound` prices 8 words per call by summing table entries,
@@ -30,8 +24,11 @@
 //! Algorithm 3 (8 candidates per SIMD call, branch-free, early
 //! abandoning) with the three-way interval test moved into the table.
 //! [`QueryContext::envelope_mindist`] prices a whole set of words at once
-//! from its per-position min/max symbols (an index leaf's envelope) with
-//! the same operations, so it never exceeds any member's table sum.
+//! from its per-position min/max symbols (an index node's envelope) with
+//! the same operations, so it never exceeds any member's table sum; it is
+//! the index's only node bound. [`RootLbd`] prices a subtree's root key —
+//! the half-lines its top bits pin — in a few bit operations, equal to
+//! the envelope bound of those half-lines.
 
 use crate::traits::Summarization;
 use sofa_simd::LUT_STRIDE;
@@ -60,8 +57,6 @@ pub struct QueryEnv {
     weights: Vec<f32>,
     /// Alphabet size (shared across positions).
     alphabet: usize,
-    /// Bits per symbol.
-    bits: u8,
 }
 
 impl QueryEnv {
@@ -86,7 +81,6 @@ impl QueryEnv {
             hi,
             weights: (0..l).map(|j| summarization.weight(j)).collect(),
             alphabet,
-            bits: summarization.symbol_bits(),
         }
     }
 
@@ -120,28 +114,6 @@ pub(crate) fn symbols_interval(
     let lo = if lo_sym == 0 { f32::NEG_INFINITY } else { bp[lo_sym - 1] };
     let hi = if hi_sym + 1 >= alphabet { f32::INFINITY } else { bp[hi_sym] };
     (lo, hi)
-}
-
-/// Interval covered by a node's `bits`-bit `prefix` at one position: the
-/// union of all full-cardinality symbols sharing the prefix, unbounded
-/// for zero-bit (unconstrained) positions.
-#[inline]
-#[must_use]
-pub(crate) fn prefix_interval(
-    prefix: u8,
-    bits: u8,
-    symbol_bits: u8,
-    alphabet: usize,
-    bp: &[f32],
-) -> (f32, f32) {
-    debug_assert!(bits <= symbol_bits);
-    if bits == 0 {
-        return (f32::NEG_INFINITY, f32::INFINITY);
-    }
-    let shift = symbol_bits - bits;
-    let lo_sym = (prefix as usize) << shift;
-    let hi_sym = (((prefix as usize) + 1) << shift) - 1;
-    symbols_interval(bp, alphabet, lo_sym, hi_sym)
 }
 
 /// Precomputed query-side state for mindist evaluation against many words
@@ -256,8 +228,7 @@ impl<'a> QueryContext<'a> {
     /// operations of [`QueryContext::lut_into`], in the same order, on an
     /// interval that contains each member symbol's interval, so the result
     /// is `<=` every member word's symbol-table sum in `f32` — and `>=`
-    /// [`RootLbd::eval`] and [`mindist_node`] of any prefix label the
-    /// members share.
+    /// [`RootLbd::eval`] of the root key the members share.
     ///
     /// # Panics
     /// Panics if either slice is shorter than the word length.
@@ -351,7 +322,9 @@ impl RootLbd {
     }
 
     /// Squared lower bound between the query and the subtree with root
-    /// key `key` — equal to `mindist_node` over the root's 1-bit prefixes.
+    /// key `key` — bit for bit the [`QueryContext::envelope_mindist`] of
+    /// the key's half-lines (position `j` spans the lower half of the
+    /// alphabet when key bit `j` is 0, the upper half when it is 1).
     #[inline]
     #[must_use]
     pub fn eval(&self, key: u64) -> f32 {
@@ -392,35 +365,6 @@ pub fn mindist_scalar(ctx: &QueryContext<'_>, word: &[u8]) -> f32 {
     for j in 0..word.len() {
         let s = word[j] as usize;
         let (lo, hi) = env.interval(j, s, s);
-        let d = interval_dist(ctx.values[j], lo, hi);
-        sum += env.weights[j] * d * d;
-    }
-    sum
-}
-
-/// Mindist (squared) between the query and a *node* summary with variable
-/// cardinality: position `j` stores only the `bits[j]` most significant
-/// bits of its symbol, so the symbol is known only up to the range of
-/// full-cardinality symbols sharing that prefix. Used to order and prune
-/// index subtrees (a superset interval can only shrink the distance, so the
-/// bound stays valid).
-///
-/// # Panics
-/// Panics if slice lengths disagree with the context's word length.
-#[must_use]
-#[allow(clippy::needless_range_loop)] // parallel indexing into prefixes/bits/values
-pub fn mindist_node(ctx: &QueryContext<'_>, prefixes: &[u8], bits: &[u8]) -> f32 {
-    assert_eq!(prefixes.len(), ctx.word_len());
-    assert_eq!(bits.len(), ctx.word_len());
-    let env = ctx.env();
-    let full_bits = env.bits;
-    let mut sum = 0.0f32;
-    for j in 0..prefixes.len() {
-        let b = bits[j];
-        if b == 0 {
-            continue; // interval covers everything: distance 0
-        }
-        let (lo, hi) = prefix_interval(prefixes[j], b, full_bits, env.alphabet, &env.tables[j]);
         let d = interval_dist(ctx.values[j], lo, hi);
         sum += env.weights[j] * d * d;
     }
@@ -625,9 +569,19 @@ mod tests {
         }
     }
 
+    /// The envelope of every symbol sharing each of `word`'s top `bits`
+    /// bits (of `symbol_bits`): what a tree node knows of the word when
+    /// it has split that deep at every position.
+    fn prefix_envelope(word: &[u8], bits: u8, symbol_bits: u8) -> (Vec<u8>, Vec<u8>) {
+        let span = (1usize << (symbol_bits - bits)) - 1;
+        let min: Vec<u8> = word.iter().map(|&s| (usize::from(s) & !span) as u8).collect();
+        let max = min.iter().map(|&s| (usize::from(s) | span) as u8).collect();
+        (min, max)
+    }
+
     #[test]
     fn node_mindist_lower_bounds_leaf_mindist() {
-        // Coarsening the cardinality must never increase the distance.
+        // Widening a node's envelope must never increase the distance.
         let n = 64;
         let data = dataset(300, n, mixed_signal);
         let sfa =
@@ -639,13 +593,8 @@ mod tests {
             let w = t.word(c, 8);
             let leaf = mindist_scalar(&ctx, &w);
             for bits in 0u8..=8 {
-                let prefixes: Vec<u8> = if bits == 0 {
-                    vec![0; 8]
-                } else {
-                    w.iter().map(|&s| s >> (8 - bits)).collect()
-                };
-                let bvec = vec![bits; 8];
-                let node = mindist_node(&ctx, &prefixes, &bvec);
+                let (min, max) = prefix_envelope(&w, bits, 8);
+                let node = ctx.envelope_mindist(&min, &max);
                 assert!(
                     node <= leaf * (1.0 + 1e-4) + 1e-5,
                     "bits={bits}: node={node} > leaf={leaf}"
@@ -655,30 +604,36 @@ mod tests {
     }
 
     #[test]
-    fn root_lbd_matches_mindist_node_on_one_bit_prefixes() {
+    fn root_lbd_matches_envelope_mindist_on_half_lines() {
         let n = 64;
         let data = dataset(300, n, mixed_signal);
+        let queries = dataset(12, n, |r, t| mixed_signal(r + 900, t + 3));
         let sfa =
             Sfa::learn(&data, n, &SfaConfig { word_len: 16, alphabet: 256, ..Default::default() });
-        let mut t = sfa.transformer();
-        let q = &data[4 * n..5 * n];
-        let ctx = QueryContext::new(&sfa, q);
-        let root = RootLbd::new(&ctx);
-        for c in data.chunks(n).take(100) {
-            let w = t.word(c, 16);
-            // Root key: top bit of each symbol; compare the fast XOR
-            // evaluation with the generic node mindist at bits = 1.
-            let mut key = 0u64;
-            let prefixes: Vec<u8> = w.iter().map(|&s| s >> 7).collect();
-            for (j, &p) in prefixes.iter().enumerate() {
-                key |= u64::from(p) << j;
+        let sax = ISax::new(n, &SaxConfig { word_len: 8, alphabet: 16 });
+        for summ in [&sfa as &dyn Summarization, &sax] {
+            let l = summ.word_len();
+            let mut t = summ.transformer();
+            let top = summ.symbol_bits() - 1;
+            for q in queries.chunks(n) {
+                let ctx = QueryContext::new(summ, q);
+                let root = RootLbd::new(&ctx);
+                for c in data.chunks(n).take(100) {
+                    // Each row's root key, and the half-lines it pins:
+                    // `prefix_envelope` at one bit per position.
+                    let w = t.word(c, l);
+                    let key =
+                        w.iter().enumerate().fold(0u64, |k, (j, &s)| k | u64::from(s >> top) << j);
+                    let (min, max) = prefix_envelope(&w, 1, summ.symbol_bits());
+                    let fast = root.eval(key);
+                    let envelope = ctx.envelope_mindist(&min, &max);
+                    assert_eq!(
+                        fast.to_bits(),
+                        envelope.to_bits(),
+                        "fast={fast} envelope={envelope}"
+                    );
+                }
             }
-            let fast = root.eval(key);
-            let generic = mindist_node(&ctx, &prefixes, &[1u8; 16]);
-            assert!(
-                (fast - generic).abs() <= 1e-4 * generic.max(1.0),
-                "fast={fast} generic={generic}"
-            );
         }
     }
 
@@ -722,7 +677,8 @@ mod tests {
             Sfa::learn(&data, n, &SfaConfig { word_len: 4, alphabet: 16, ..Default::default() });
         let q = &data[..n];
         let ctx = QueryContext::new(&sfa, q);
-        assert_eq!(mindist_node(&ctx, &[0, 0, 0, 0], &[0, 0, 0, 0]), 0.0);
+        // No known bit at any position: the envelope spans the alphabet.
+        assert_eq!(ctx.envelope_mindist(&[0; 4], &[15; 4]), 0.0);
     }
 
     #[test]
@@ -736,7 +692,7 @@ mod tests {
         for c in data.chunks(n).take(30) {
             let w = t.word(c, 8);
             let leaf = mindist_scalar(&ctx, &w);
-            let node = mindist_node(&ctx, &w, &[8; 8]);
+            let node = ctx.envelope_mindist(&w, &w);
             assert!((leaf - node).abs() < 1e-5);
         }
     }
@@ -760,11 +716,10 @@ mod tests {
                 assert!(score >= 0.0, "IP score must stay non-negative: {score}");
                 let leaf_bound = ip_bound_from_mindist(n, mindist_scalar(&ctx, &w));
                 assert!(leaf_bound <= score, "leaf bound {leaf_bound} > score {score}");
-                // Coarser (node-prefix) mindists give looser, still-valid
+                // Coarser (node envelope) mindists give looser, still-valid
                 // bounds.
-                let prefixes: Vec<u8> = w.iter().map(|&s| s >> 4).collect();
-                let node_bound =
-                    ip_bound_from_mindist(n, mindist_node(&ctx, &prefixes, &[2u8; 16]));
+                let (min, max) = prefix_envelope(&w, 2, 6);
+                let node_bound = ip_bound_from_mindist(n, ctx.envelope_mindist(&min, &max));
                 assert!(node_bound <= score, "node bound {node_bound} > score {score}");
             }
         }
@@ -924,8 +879,6 @@ mod tests {
                         .fold(0u64, |k, (j, (&p, &b))| k | (u64::from(p >> (b - 1)) << j));
                     let gate = root.eval(key);
                     assert!(env >= gate, "case {case}: envelope {env} < root gate {gate}");
-                    let node = mindist_node(&ctx, &prefixes, &bits);
-                    assert!(env >= node, "case {case}: envelope {env} < node bound {node}");
                     // Every member, on every kernel tier, in 8-lane groups
                     // padded by repeating the last word.
                     let mut padded = words.clone();

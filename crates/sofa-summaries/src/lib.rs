@@ -20,10 +20,10 @@
 //! breakpoint-interval representation ([`traits::Summarization`]) lets one
 //! generic tree index (crate `sofa-index`) host either summarization: a
 //! symbol denotes an interval between learned (SFA) or fixed (SAX)
-//! breakpoints, a bit-prefix of a symbol denotes the union of adjacent
-//! intervals (the iSAX variable-cardinality trick that drives node splits),
-//! and the LBD between a query's *exact* values and a word is the weighted
-//! sum of squared distances to those intervals ([`lbd`]).
+//! breakpoints, a run of adjacent symbols (a tree node's min..max symbol
+//! envelope) denotes the union of their intervals, and the LBD between a
+//! query's *exact* values and a word is the weighted sum of squared
+//! distances to those intervals ([`lbd`]).
 //!
 //! The paper's Algorithm 3 prices 8 candidates per SIMD call, branch-free,
 //! with early abandoning against the best-so-far distance. Here the index
@@ -50,8 +50,8 @@ pub mod traits;
 
 pub use dft::DftSummary;
 pub use lbd::{
-    ip_bound_from_mindist, ip_from_score, ip_l2_radius, ip_score, mindist_node, mindist_scalar,
-    QueryContext, QueryEnv, RootLbd, IP_MARGIN_SCALE,
+    ip_bound_from_mindist, ip_from_score, ip_l2_radius, ip_score, mindist_scalar, QueryContext,
+    QueryEnv, RootLbd, IP_MARGIN_SCALE,
 };
 pub use mcb::{BinningStrategy, CoeffPos, CoefficientSelection, McbConfig, McbModel};
 pub use numeric::{Apca, ApcaSegment, OrthoPoly, Pla};

@@ -6,8 +6,9 @@
 //! z-normalized series values are N(0,1). The indexable variant iSAX reads
 //! the symbols as bit strings so that a prefix of a symbol denotes a
 //! coarser quantization (half the bins per dropped bit); the tree index
-//! uses those prefixes as node labels. At full cardinality (8 bits = 256
-//! symbols, the paper's default) iSAX and SAX coincide.
+//! keys its subtrees by the top bit of every symbol and splits nodes on
+//! single symbol bits. At full cardinality (8 bits = 256 symbols, the
+//! paper's default) iSAX and SAX coincide.
 
 use crate::paa::Paa;
 use crate::traits::{SeriesTransformer, Summarization, TransformScratch, DEFAULT_ALPHABET};
