@@ -23,7 +23,7 @@ use crate::config::IndexConfig;
 use crate::node::{root_key, NodeKind, Subtree};
 use crate::{Index, IndexError};
 use sofa_exec::ExecPool;
-use sofa_simd::znormalize;
+use sofa_simd::znormalize_finite;
 use sofa_summaries::Summarization;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -37,8 +37,8 @@ impl<S: Summarization> Index<S> {
     /// when the buffer can be handed over — it avoids even that copy.
     ///
     /// # Errors
-    /// Returns [`IndexError::BadDataset`] for an empty buffer or one that
-    /// is not a whole number of series.
+    /// Returns [`IndexError::BadDataset`] for an empty buffer, one that
+    /// is not a whole number of series, or one holding a NaN or ±inf.
     pub fn build(
         summarization: S,
         raw_data: &[f32],
@@ -52,8 +52,8 @@ impl<S: Summarization> Index<S> {
     /// held, halving peak build memory versus copy-based ingest.
     ///
     /// # Errors
-    /// Returns [`IndexError::BadDataset`] for an empty buffer or one that
-    /// is not a whole number of series.
+    /// Returns [`IndexError::BadDataset`] for an empty buffer, one that
+    /// is not a whole number of series, or one holding a NaN or ±inf.
     pub fn build_owned(
         summarization: S,
         data: Vec<f32>,
@@ -69,8 +69,8 @@ impl<S: Summarization> Index<S> {
     /// (`config.num_threads` only sizes pools the index creates itself).
     ///
     /// # Errors
-    /// Returns [`IndexError::BadDataset`] for an empty buffer or one that
-    /// is not a whole number of series.
+    /// Returns [`IndexError::BadDataset`] for an empty buffer, one that
+    /// is not a whole number of series, or one holding a NaN or ±inf.
     pub fn build_with_pool(
         summarization: S,
         mut data: Vec<f32>,
@@ -105,27 +105,38 @@ impl<S: Summarization> Index<S> {
         let mut keys = vec![0u64; n_series];
         let lanes = pool.threads();
         let rows_per_chunk = n_series.div_ceil(lanes);
+        let first_bad = AtomicUsize::new(usize::MAX);
         pool.run(|scope| {
-            let summarization = &summarization;
-            for ((data_chunk, words_chunk), keys_chunk) in data
+            let (summarization, first_bad) = (&summarization, &first_bad);
+            for (c, ((data_chunk, words_chunk), keys_chunk)) in data
                 .chunks_mut(rows_per_chunk * n)
                 .zip(words.chunks_mut(rows_per_chunk * l))
                 .zip(keys.chunks_mut(rows_per_chunk))
+                .enumerate()
             {
                 scope.spawn(move || {
                     let mut transformer = summarization.transformer();
-                    for ((series, word), key) in data_chunk
+                    for (i, ((series, word), key)) in data_chunk
                         .chunks_mut(n)
                         .zip(words_chunk.chunks_mut(l))
                         .zip(keys_chunk.iter_mut())
+                        .enumerate()
                     {
-                        znormalize(series);
+                        if !znormalize_finite(series) {
+                            first_bad.fetch_min(c * rows_per_chunk + i, Ordering::Relaxed);
+                        }
                         transformer.word_into(series, word);
                         *key = root_key(word, symbol_bits);
                     }
                 });
             }
         });
+        let first_bad = first_bad.into_inner();
+        if first_bad < n_series {
+            return Err(IndexError::BadDataset(format!(
+                "row {first_bad} holds a NaN or infinite value"
+            )));
+        }
         let transform_secs = t0.elapsed().as_secs_f64();
 
         // --- Phase 2: group rows by root key.

@@ -33,7 +33,8 @@ impl<S: Summarization> Index<S> {
     /// for a rebuild.
     ///
     /// # Errors
-    /// Returns [`IndexError::BadQuery`] if the series length mismatches.
+    /// Returns [`IndexError::BadQuery`] if the series length mismatches
+    /// or the series holds a NaN or ±inf; the index is then unchanged.
     pub fn insert(&mut self, series: &[f32]) -> Result<u32, IndexError> {
         let row = self.insert_without_repack(series)?;
         self.maybe_auto_repack();
@@ -61,7 +62,9 @@ impl<S: Summarization> Index<S> {
         // next storage slot (the arena end), so every packed run stays in
         // place; the row joins its leaf's tail.
         let mut z = series.to_vec();
-        sofa_simd::znormalize(&mut z);
+        if !sofa_simd::znormalize_finite(&mut z) {
+            return Err(IndexError::BadQuery("series holds a NaN or infinite value".into()));
+        }
         let mut word = vec![0u8; self.word_len];
         self.summarization.transformer().word_into(&z, &mut word);
         // Lossless: `next_row <= u32::MAX` was checked above.
@@ -136,12 +139,20 @@ impl<S: Summarization> Index<S> {
     ///
     /// # Errors
     /// Returns [`IndexError::BadDataset`] if the buffer is not a whole
-    /// number of series.
+    /// number of series, and [`IndexError::BadQuery`] if it holds a NaN
+    /// or ±inf; either leaves the index unchanged.
     pub fn insert_all(&mut self, buffer: &[f32]) -> Result<u32, IndexError> {
         if buffer.is_empty() || buffer.len() % self.series_len != 0 {
             return Err(IndexError::BadDataset(
                 "buffer must be a non-empty whole number of series".into(),
             ));
+        }
+        // Checked before the first append, so a refused burst adds no row.
+        if let Some(i) = buffer.iter().position(|x| !x.is_finite()) {
+            return Err(IndexError::BadQuery(format!(
+                "series {} of the buffer holds a NaN or infinite value",
+                i / self.series_len
+            )));
         }
         // Checked: with exactly u32::MAX + 1 rows already stored the
         // plain cast would wrap the returned first-row id to 0 (the
@@ -321,6 +332,47 @@ mod tests {
                 );
             }
             assert!(stats.leaves_collected > 0 || stats.nodes_pruned > 0, "{stats:?}");
+        }
+    }
+
+    #[test]
+    fn non_finite_rows_are_refused_at_build_and_insert() {
+        let n = 32;
+        let sax = || ISax::new(n, &SaxConfig { word_len: 8, alphabet: 256 });
+        let config = || IndexConfig::with_threads(2).leaf_capacity(8);
+        let mut idx = Index::build(sax(), &dataset(100, n, 0), config()).expect("build");
+        let state = |idx: &Index<ISax>| {
+            let leaves: Vec<Vec<u32>> = idx
+                .subtrees()
+                .iter()
+                .flat_map(|st| st.leaves())
+                .map(|l| l.rows().to_vec())
+                .collect();
+            (idx.n_series(), idx.slot_to_row.len(), idx.tail_rows, leaves)
+        };
+        let before = state(&idx);
+        let q = dataset(1, n, 500);
+        let answer = idx.knn(&q, 3).expect("query");
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut data = dataset(50, n, 7);
+            data[17 * n + 5] = bad;
+            match Index::build(sax(), &data, config()).err() {
+                Some(IndexError::BadDataset(detail)) => {
+                    assert!(detail.contains("row 17"), "{detail}")
+                }
+                other => panic!("{bad}: expected BadDataset, got {other:?}"),
+            }
+            // A burst holding one bad row appends none of its rows.
+            match idx.insert_all(&data) {
+                Err(IndexError::BadQuery(detail)) => {
+                    assert!(detail.contains("series 17"), "{detail}")
+                }
+                other => panic!("{bad}: expected BadQuery, got {other:?}"),
+            }
+            let one = idx.insert(&data[17 * n..18 * n]);
+            assert!(matches!(one, Err(IndexError::BadQuery(_))), "{bad}: {one:?}");
+            assert!(state(&idx) == before, "{bad}: a refused insert changed the index");
+            assert_eq!(idx.knn(&q, 3).expect("query"), answer, "{bad}");
         }
     }
 

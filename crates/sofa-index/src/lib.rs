@@ -67,6 +67,7 @@ pub use sofa_exec::ExecPool;
 pub use stats::IndexStats;
 
 use sofa_summaries::Summarization;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Errors surfaced while building or querying an index.
@@ -291,23 +292,29 @@ impl<S: Summarization> Index<S> {
 ///
 /// The one ingest-normalization implementation shared by the facade and
 /// the baselines (the index's own build instead fuses normalization into
-/// its transform phase).
+/// its transform phase). Returns the first row that held a NaN or ±inf
+/// (normalized to all zeros), if any.
 ///
 /// # Panics
 /// Panics if `series_len` is zero or the buffer is not a whole number of
 /// series (a trailing partial row would otherwise be silently mangled).
-pub fn znormalize_rows(data: &mut [f32], series_len: usize, pool: &ExecPool) {
+pub fn znormalize_rows(data: &mut [f32], series_len: usize, pool: &ExecPool) -> Option<usize> {
     assert!(series_len > 0, "series length must be positive");
     assert_eq!(data.len() % series_len, 0, "buffer must hold whole series");
     let n_rows = data.len() / series_len;
-    let rows_per_chunk = n_rows.div_ceil(pool.threads());
+    let rows_per_chunk = n_rows.div_ceil(pool.threads()).max(1);
+    let first_bad = AtomicUsize::new(usize::MAX);
     pool.run(|scope| {
-        for chunk in data.chunks_mut(rows_per_chunk.max(1) * series_len) {
+        for (c, chunk) in data.chunks_mut(rows_per_chunk * series_len).enumerate() {
+            let first_bad = &first_bad;
             scope.spawn(move || {
-                for row in chunk.chunks_mut(series_len) {
-                    sofa_simd::znormalize(row);
+                for (i, row) in chunk.chunks_mut(series_len).enumerate() {
+                    if !sofa_simd::znormalize_finite(row) {
+                        first_bad.fetch_min(c * rows_per_chunk + i, Ordering::Relaxed);
+                    }
                 }
             });
         }
     });
+    Some(first_bad.into_inner()).filter(|&row| row < n_rows)
 }

@@ -4,12 +4,12 @@
 //! [`Index::open`] can serve straight out of a memory mapping with zero
 //! deserialization of the two big arenas (series data, words) — the
 //! FAISS-style "attach, don't rebuild" pattern — and each leaf's quant
-//! codes are served from the mapping the same way. Small structures
-//! (tree topology, leaf packs, quantizer grid, per-row error bounds) are
-//! rehydrated into their owned in-memory forms; they are a small
-//! fraction of the file.
+//! codes are served from the mapping the same way. The file stores only
+//! what the build produced and an open cannot derive; the small
+//! structures (tree, leaf packs, quantizer grid, per-row error bounds)
+//! are rehydrated into their owned in-memory forms.
 //!
-//! ## File format (version 8)
+//! ## File format (version 9)
 //!
 //! ```text
 //! offset 0   magic            b"SOFASNAP"
@@ -25,9 +25,43 @@
 //!        …   header digest    u64 (the digest of everything above)
 //! ```
 //!
-//! Sections follow, each 64-byte aligned (so mapped `f32`/`u32` arenas
-//! are always correctly aligned) and independently checksummed. Every
-//! validation — magic, version, endianness, header checksum, section
+//! Sections follow in this order, each 64-byte aligned (so mapped
+//! `f32`/`u32` arenas are always correctly aligned) and independently
+//! checksummed; counts are `u64` unless noted:
+//!
+//! ```text
+//! meta           series length, word length, rows, leaf capacity;
+//!                auto-repack flag u8 and percentage u32; build timings
+//!                2 × f64
+//! summarization  the model (SnapshotSummarization)
+//! data           rows × series length f32, in slot order
+//! words          rows × word length u8, in slot order
+//! mapping        slot_to_row: rows × u32
+//! tree           per subtree (to the section end): key, node count;
+//!                per node a tag u8, then
+//!                  leaf:  packed length u32, tail count u32, tail rows u32
+//!                  inner: children 2 × u32, split position u16, bit u8
+//! quant          only with a quantizer grid: scale f32, series length ×
+//!                f32 minima; per leaf a has-codes u8, then ⌈len/8⌉·8 ×
+//!                series length code bytes and ⌈len/8⌉·8 f64 error bounds
+//! ```
+//!
+//! An open derives the rest: `row_to_slot` by inverting the slot map
+//! (filling the inverse is the permutation check), every node's symbol
+//! envelope from the word arena, each quant block's counts from its
+//! leaf's packed length, whether a grid exists from the quant section's
+//! presence, the subtree count from the tree section's length, and each
+//! leaf's pack start and packed rows by one walk over the slots. The walk
+//! takes leaves in (subtree, node) order — the order
+//! [`Index::repack_leaves`] lays packed runs out in — and skips every
+//! slot that holds a tail row (inserted since the last repack, or orphaned
+//! when an insert split a packed leaf); each leaf with a packed length
+//! starts at the first slot not skipped, and its packed rows are the rows
+//! of its run. The walk fails closed on a run that reaches a tail slot or
+//! the arena end, on a slot no leaf claims, and on a tail slot below the
+//! first subtree with a tail (a repack keeps that prefix in place).
+//!
+//! Every validation — magic, version, endianness, header checksum, section
 //! bounds, section checksums, layout parameters, structural invariants —
 //! runs **before** any pointer into the mapping is formed or any decoded
 //! value is trusted; corrupt, truncated and foreign files fail closed
@@ -56,13 +90,14 @@
 
 use crate::arena::Arena;
 use crate::config::IndexConfig;
-use crate::node::{LeafCodes, LeafPack, Node, NodeKind, Subtree, SymbolEnvelope};
+use crate::node::{LeafPack, Node, NodeKind, Subtree, SymbolEnvelope, QUANT_REFINE_MAX_LEN};
 use crate::{Index, IndexError};
 use sofa_exec::{failpoint, ExecPool};
-use sofa_mmap::{Advice, Mmap};
+use sofa_mmap::{Advice, Mmap, Pod};
 use sofa_summaries::{
     CoeffPos, ISax, McbModel, QuantBlock, QuantGrid, SaxConfig, Sfa, Summarization,
 };
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
@@ -72,7 +107,7 @@ use std::sync::Arc;
 /// First 8 bytes of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SOFASNAP";
 /// The one format version this build writes and reads.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 8;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 9;
 /// Failpoint fired before each section write (torn-write injection).
 pub const SNAPSHOT_WRITE_FAILPOINT: &str = "sofa-index::snapshot::write";
 /// Failpoint fired before the final atomic rename.
@@ -89,29 +124,32 @@ const SEC_DATA: u32 = 3;
 const SEC_WORDS: u32 = 4;
 const SEC_MAPPING: u32 = 5;
 const SEC_TREE: u32 = 6;
-const SEC_PACKS: u32 = 7;
 const SEC_QUANT: u32 = 9;
 
-fn section_name(id: u32) -> &'static str {
-    match id {
-        SEC_META => "meta",
-        SEC_SUMM => "summarization",
-        SEC_DATA => "data",
-        SEC_WORDS => "words",
-        SEC_MAPPING => "mapping",
-        SEC_TREE => "tree",
-        SEC_PACKS => "leaf-packs",
-        SEC_QUANT => "quant",
-        _ => "unknown",
-    }
+/// One kind of section the format knows.
+struct SectionKind {
+    id: u32,
+    name: &'static str,
+    /// Whether every file holds it (only the quant section is optional:
+    /// its presence says the index has a quantizer grid).
+    required: bool,
 }
 
-fn kind_name(kind: u32) -> &'static str {
-    match kind {
-        1 => "SFA",
-        2 => "iSAX",
-        _ => "unknown",
-    }
+/// The format's one section table: the writer lays sections out in this
+/// order, the reader rejects ids not in it and files missing a required
+/// one, and errors and [`describe`] name sections by it.
+const SECTIONS: [SectionKind; 7] = [
+    SectionKind { id: SEC_META, name: "meta", required: true },
+    SectionKind { id: SEC_SUMM, name: "summarization", required: true },
+    SectionKind { id: SEC_DATA, name: "data", required: true },
+    SectionKind { id: SEC_WORDS, name: "words", required: true },
+    SectionKind { id: SEC_MAPPING, name: "mapping", required: true },
+    SectionKind { id: SEC_TREE, name: "tree", required: true },
+    SectionKind { id: SEC_QUANT, name: "quant", required: false },
+];
+
+fn section_name(id: u32) -> &'static str {
+    SECTIONS.iter().find(|s| s.id == id).map_or("unknown", |s| s.name)
 }
 
 /// Bytes per digest chunk: the unit of work [`digests`] hands to a lane.
@@ -229,56 +267,16 @@ fn layout(section: &str, detail: impl Into<String>) -> IndexError {
 }
 
 // ---------------------------------------------------------------------
-// Little encode helpers (writer-native byte order throughout).
+// Encoding (writer-native byte order throughout).
 
 /// `usize` → `u64`, lossless on every supported target (≤ 64-bit).
 fn u64_of(x: usize) -> u64 {
     x as u64
 }
 
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_ne_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_ne_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_ne_bytes());
-}
-
-fn put_f32(out: &mut Vec<u8>, v: f32) {
-    out.extend_from_slice(&v.to_ne_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_ne_bytes());
-}
-
-fn put_len(out: &mut Vec<u8>, n: usize) {
-    put_u64(out, u64_of(n));
-}
-
-fn put_u32_slice(out: &mut Vec<u8>, vals: &[u32]) {
+/// Appends `vals` in writer-native byte order — the format's one encoder.
+fn put<T: Pod>(out: &mut Vec<u8>, vals: &[T]) {
     out.extend_from_slice(sofa_mmap::as_bytes(vals));
-}
-
-fn put_f32_slice(out: &mut Vec<u8>, vals: &[f32]) {
-    out.extend_from_slice(sofa_mmap::as_bytes(vals));
-}
-
-fn put_f64_slice(out: &mut Vec<u8>, vals: &[f64]) {
-    out.extend_from_slice(sofa_mmap::as_bytes(vals));
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_len(out, s.len());
-    out.extend_from_slice(s.as_bytes());
 }
 
 fn align_up(x: u64, a: u64) -> u64 {
@@ -310,12 +308,6 @@ impl<'a> SectionReader<'a> {
         corrupt(self.section, detail)
     }
 
-    /// Bytes not yet consumed.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
     /// Consumes exactly `n` bytes.
     ///
     /// # Errors
@@ -329,133 +321,50 @@ impl<'a> SectionReader<'a> {
         Ok(out)
     }
 
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], IndexError> {
-        let b = self.take(N)?;
-        b.try_into().map_err(|_| self.invalid("internal read-size mismatch"))
-    }
-
-    /// Reads one `u8`.
+    /// Reads one native-endian value.
     ///
     /// # Errors
     /// [`IndexError::SnapshotCorrupt`] on truncation.
-    pub fn u8(&mut self) -> Result<u8, IndexError> {
-        Ok(self.array::<1>()?[0])
+    pub fn get<T: Pod + Default>(&mut self) -> Result<T, IndexError> {
+        let mut v = T::default();
+        let bytes = self.take(std::mem::size_of::<T>())?;
+        sofa_mmap::as_bytes_mut(std::slice::from_mut(&mut v)).copy_from_slice(bytes);
+        Ok(v)
     }
 
-    /// Reads one native-endian `u16`.
-    ///
-    /// # Errors
-    /// [`IndexError::SnapshotCorrupt`] on truncation.
-    pub fn u16(&mut self) -> Result<u16, IndexError> {
-        Ok(u16::from_ne_bytes(self.array()?))
-    }
-
-    /// Reads one native-endian `u32`.
-    ///
-    /// # Errors
-    /// [`IndexError::SnapshotCorrupt`] on truncation.
-    pub fn u32(&mut self) -> Result<u32, IndexError> {
-        Ok(u32::from_ne_bytes(self.array()?))
-    }
-
-    /// Reads one native-endian `u64`.
-    ///
-    /// # Errors
-    /// [`IndexError::SnapshotCorrupt`] on truncation.
-    pub fn u64(&mut self) -> Result<u64, IndexError> {
-        Ok(u64::from_ne_bytes(self.array()?))
-    }
-
-    /// Reads one native-endian `f32`.
-    ///
-    /// # Errors
-    /// [`IndexError::SnapshotCorrupt`] on truncation.
-    pub fn f32(&mut self) -> Result<f32, IndexError> {
-        Ok(f32::from_ne_bytes(self.array()?))
-    }
-
-    /// Reads one native-endian `f64`.
-    ///
-    /// # Errors
-    /// [`IndexError::SnapshotCorrupt`] on truncation.
-    pub fn f64(&mut self) -> Result<f64, IndexError> {
-        Ok(f64::from_ne_bytes(self.array()?))
-    }
-
-    /// Reads a `u64` count and converts it to `usize` (checked).
+    /// Reads `n` native-endian values. The bytes are bounds-checked
+    /// before anything is allocated, so a hostile `n` cannot drive a
+    /// huge allocation.
     ///
     /// # Errors
     /// [`IndexError::SnapshotCorrupt`] on truncation or overflow.
-    pub fn count(&mut self) -> Result<usize, IndexError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| self.invalid(format!("count {v} exceeds the address space")))
+    pub fn vec<T: Pod + Default>(&mut self, n: usize) -> Result<Vec<T>, IndexError> {
+        let len = n
+            .checked_mul(std::mem::size_of::<T>())
+            .ok_or_else(|| self.invalid(format!("element count {n} overflows the byte range")))?;
+        let bytes = self.take(len)?;
+        let mut out = vec![T::default(); n];
+        sofa_mmap::as_bytes_mut(&mut out).copy_from_slice(bytes);
+        Ok(out)
     }
 
-    /// Like [`SectionReader::count`], additionally rejecting counts whose
-    /// elements (each at least `elem_min_bytes` on disk) could not fit in
-    /// the section's remaining bytes — so hostile counts can never drive
-    /// huge allocations or long loops.
+    /// Reads a `u64` count and converts it to `usize`, rejecting a count
+    /// of elements that could not fit in the section's remaining bytes
+    /// when each takes at least `elem_bytes` of them (0: no bound) — so a
+    /// hostile count can never drive a long loop.
     ///
     /// # Errors
     /// [`IndexError::SnapshotCorrupt`] on truncation, overflow, or an
     /// impossible count.
-    pub fn bounded_count(&mut self, elem_min_bytes: usize) -> Result<usize, IndexError> {
-        let n = self.count()?;
-        let min = n
-            .checked_mul(elem_min_bytes.max(1))
-            .ok_or_else(|| self.invalid(format!("count {n} overflows the section extent")))?;
-        if min > self.remaining() {
-            return Err(self.invalid(format!(
-                "count {n} cannot fit in the {} remaining section bytes",
-                self.remaining()
-            )));
-        }
-        Ok(n)
-    }
-
-    /// Reads `n` raw bytes into an owned buffer.
-    ///
-    /// # Errors
-    /// [`IndexError::SnapshotCorrupt`] on truncation.
-    pub fn byte_vec(&mut self, n: usize) -> Result<Vec<u8>, IndexError> {
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn elem_bytes(&mut self, n: usize, size: usize) -> Result<&'a [u8], IndexError> {
-        let total = n
-            .checked_mul(size)
-            .ok_or_else(|| self.invalid(format!("element count {n} overflows the byte range")))?;
-        self.take(total)
-    }
-
-    /// Reads `n` native-endian `u32` values.
-    ///
-    /// # Errors
-    /// [`IndexError::SnapshotCorrupt`] on truncation or overflow.
-    pub fn u32_vec(&mut self, n: usize) -> Result<Vec<u32>, IndexError> {
-        let bytes = self.elem_bytes(n, 4)?;
-        Ok(bytes.chunks_exact(4).map(|c| u32::from_ne_bytes([c[0], c[1], c[2], c[3]])).collect())
-    }
-
-    /// Reads `n` native-endian `f32` values.
-    ///
-    /// # Errors
-    /// [`IndexError::SnapshotCorrupt`] on truncation or overflow.
-    pub fn f32_vec(&mut self, n: usize) -> Result<Vec<f32>, IndexError> {
-        let bytes = self.elem_bytes(n, 4)?;
-        Ok(bytes.chunks_exact(4).map(|c| f32::from_ne_bytes([c[0], c[1], c[2], c[3]])).collect())
-    }
-
-    /// Reads `n` native-endian `f64` values.
-    ///
-    /// # Errors
-    /// [`IndexError::SnapshotCorrupt`] on truncation or overflow.
-    pub fn f64_vec(&mut self, n: usize) -> Result<Vec<f64>, IndexError> {
-        let bytes = self.elem_bytes(n, 8)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_ne_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-            .collect())
+    pub fn count(&mut self, elem_bytes: usize) -> Result<usize, IndexError> {
+        let v: u64 = self.get()?;
+        let remaining = self.buf.len() - self.pos;
+        usize::try_from(v)
+            .ok()
+            .filter(|&n| n.checked_mul(elem_bytes).is_some_and(|b| b <= remaining))
+            .ok_or_else(|| {
+                self.invalid(format!("count {v} cannot fit in the {remaining} remaining bytes"))
+            })
     }
 
     /// Asserts the section was consumed exactly — trailing bytes mean the
@@ -496,50 +405,51 @@ pub trait SnapshotSummarization: Summarization + Sized {
     fn decode_summarization(r: &mut SectionReader<'_>) -> Result<Self, IndexError>;
 }
 
+/// The SFA model: its name, the series length, the alphabet and the word
+/// length (`u64` each, the name's length first), then per position its
+/// coefficient `u16` and imaginary flag `u8`, per position its
+/// `alphabet - 1` breakpoints, and per position its weight and its
+/// variance (`f32` each).
 impl SnapshotSummarization for Sfa {
     const KIND: u32 = 1;
     const KIND_NAME: &'static str = "SFA";
 
     fn encode_summarization(&self, out: &mut Vec<u8>) {
         let model = self.model();
-        put_str(out, self.name());
-        put_len(out, model.series_len);
-        put_len(out, model.alphabet);
-        put_len(out, model.positions.len());
+        put(out, &[u64_of(self.name().len())]);
+        put(out, self.name().as_bytes());
+        put(out, &[model.series_len, model.alphabet, model.positions.len()].map(u64_of));
         for p in &model.positions {
-            put_u16(out, p.coeff);
-            put_u8(out, u8::from(p.imag));
+            put(out, &[p.coeff]);
+            put(out, &[u8::from(p.imag)]);
         }
         for bin in &model.bins {
-            put_len(out, bin.len());
-            put_f32_slice(out, bin);
+            put(out, bin);
         }
-        put_len(out, model.weights.len());
-        put_f32_slice(out, &model.weights);
-        put_len(out, model.variances.len());
-        put_f32_slice(out, &model.variances);
+        put(out, &model.weights);
+        put(out, &model.variances);
     }
 
     fn decode_summarization(r: &mut SectionReader<'_>) -> Result<Self, IndexError> {
-        let name_len = r.bounded_count(1)?;
-        let name = String::from_utf8(r.byte_vec(name_len)?)
+        let name_len = r.count(1)?;
+        let name = String::from_utf8(r.vec(name_len)?)
             .map_err(|_| r.invalid("model name is not UTF-8"))?;
-        let series_len = r.count()?;
+        let series_len = r.count(0)?;
         if series_len == 0 {
             return Err(r.invalid("series length is zero"));
         }
-        let alphabet = r.count()?;
+        let alphabet = r.count(0)?;
         if !(alphabet.is_power_of_two() && (2..=256).contains(&alphabet)) {
             return Err(r.invalid(format!("alphabet {alphabet} is not a power of two in [2, 256]")));
         }
-        let word_len = r.bounded_count(3)?;
+        let word_len = r.count(3)?;
         if word_len == 0 || word_len > crate::node::MAX_WORD_LEN {
             return Err(r.invalid(format!("word length {word_len} out of range 1..=64")));
         }
         let mut positions = Vec::with_capacity(word_len);
         for _ in 0..word_len {
-            let coeff = r.u16()?;
-            let imag = r.u8()?;
+            let coeff: u16 = r.get()?;
+            let imag: u8 = r.get()?;
             if imag > 1 {
                 return Err(r.invalid(format!("coefficient imag flag {imag} is not a bool")));
             }
@@ -555,14 +465,7 @@ impl SnapshotSummarization for Sfa {
         }
         let mut bins = Vec::with_capacity(word_len);
         for j in 0..word_len {
-            let bl = r.bounded_count(4)?;
-            if bl != alphabet - 1 {
-                return Err(r.invalid(format!(
-                    "breakpoint table {j} holds {bl} entries, alphabet {alphabet} requires {}",
-                    alphabet - 1
-                )));
-            }
-            let table = r.f32_vec(bl)?;
+            let table: Vec<f32> = r.vec(alphabet - 1)?;
             if table.iter().any(|v| !v.is_finite()) {
                 return Err(r.invalid(format!("breakpoint table {j} contains non-finite values")));
             }
@@ -571,35 +474,29 @@ impl SnapshotSummarization for Sfa {
             }
             bins.push(table);
         }
-        let wl = r.bounded_count(4)?;
-        if wl != word_len {
-            return Err(r.invalid(format!("{wl} weights for {word_len} positions")));
-        }
-        let weights = r.f32_vec(wl)?;
+        let weights: Vec<f32> = r.vec(word_len)?;
         if weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
             return Err(r.invalid("weights must be finite and non-negative"));
         }
-        let vl = r.bounded_count(4)?;
-        let variances = r.f32_vec(vl)?;
+        let variances = r.vec(word_len)?;
         let model = McbModel { positions, bins, weights, series_len, alphabet, variances };
         Ok(Sfa::from_parts(model, name))
     }
 }
 
+/// The iSAX model: series length, word length and alphabet, `u64` each.
 impl SnapshotSummarization for ISax {
     const KIND: u32 = 2;
     const KIND_NAME: &'static str = "iSAX";
 
     fn encode_summarization(&self, out: &mut Vec<u8>) {
-        put_len(out, self.series_len());
-        put_len(out, self.word_len());
-        put_len(out, self.alphabet());
+        put(out, &[self.series_len(), self.word_len(), self.alphabet()].map(u64_of));
     }
 
     fn decode_summarization(r: &mut SectionReader<'_>) -> Result<Self, IndexError> {
-        let series_len = r.count()?;
-        let word_len = r.count()?;
-        let alphabet = r.count()?;
+        let series_len = r.count(0)?;
+        let word_len = r.count(0)?;
+        let alphabet = r.count(0)?;
         if series_len == 0 {
             return Err(r.invalid("series length is zero"));
         }
@@ -672,32 +569,37 @@ pub struct SnapshotInfo {
     pub capabilities: SnapshotCapabilities,
 }
 
-struct SectionEntry {
-    id: u32,
-    offset: usize,
-    len: usize,
-    checksum: u64,
+/// A file whose header, section table and section digests verified.
+struct Verified<'a> {
+    bytes: &'a [u8],
+    kind: u32,
+    /// The section table, in file order.
+    sections: Vec<SectionInfo>,
 }
 
-fn header_u32(bytes: &[u8], off: usize) -> Result<u32, IndexError> {
-    let b = bytes.get(off..off + 4).ok_or_else(|| fmt_err("header", "truncated header"))?;
-    Ok(u32::from_ne_bytes([b[0], b[1], b[2], b[3]]))
-}
-
-fn header_u64(bytes: &[u8], off: usize) -> Result<u64, IndexError> {
-    let b = bytes.get(off..off + 8).ok_or_else(|| fmt_err("header", "truncated header"))?;
-    Ok(u64::from_ne_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+impl<'a> Verified<'a> {
+    /// Section `id`'s bytes and its offset in the file.
+    fn section(&self, id: u32) -> Result<(&'a [u8], usize), IndexError> {
+        let s = self
+            .sections
+            .iter()
+            .find(|s| s.id == id)
+            .ok_or_else(|| fmt_err(section_name(id), "section missing"))?;
+        // Lossless: `parse_and_verify` bounded the range by the file length.
+        let (offset, len) = (s.offset as usize, s.len as usize);
+        Ok((&self.bytes[offset..offset + len], offset))
+    }
 }
 
 /// Validates magic, version, endianness, the header checksum, and every
-/// section's bounds and checksum. Returns the summarization kind and the
-/// verified table. Nothing in the file is trusted before this returns.
-/// Hashing every byte is most of an open's time, so with a `pool` every
-/// chunk of every section is hashed by whichever lane claims it.
-fn parse_and_verify(
-    bytes: &[u8],
+/// section's id, bounds and checksum. Nothing in the file is trusted
+/// before this returns. Hashing every byte is most of an open's time, so
+/// with a `pool` every chunk of every section is hashed by whichever lane
+/// claims it.
+fn parse_and_verify<'a>(
+    bytes: &'a [u8],
     pool: Option<&ExecPool>,
-) -> Result<(u32, Vec<SectionEntry>), IndexError> {
+) -> Result<Verified<'a>, IndexError> {
     if bytes.len() < HEADER_FIXED {
         return Err(fmt_err(
             "header",
@@ -707,7 +609,8 @@ fn parse_and_verify(
     if bytes[..8] != SNAPSHOT_MAGIC {
         return Err(fmt_err("header", "bad magic — not a SOFA snapshot"));
     }
-    let version = header_u32(bytes, 8)?;
+    let mut h = SectionReader::new(&bytes[8..], "header");
+    let version: u32 = h.get()?;
     if version != SNAPSHOT_FORMAT_VERSION {
         return Err(fmt_err(
             "header",
@@ -716,68 +619,53 @@ fn parse_and_verify(
             ),
         ));
     }
-    let endian = header_u32(bytes, 12)?;
-    if endian != ENDIAN_TAG {
+    if h.get::<u32>()? != ENDIAN_TAG {
         return Err(fmt_err("header", "snapshot was written with a different byte order"));
     }
-    let kind = header_u32(bytes, 16)?;
-    let n = header_u32(bytes, 20)?;
+    let kind = h.get()?;
+    let n: u32 = h.get()?;
     if n == 0 || n > 64 {
         return Err(fmt_err("header", format!("implausible section count {n}")));
     }
-    let n = n as usize;
-    let table_end = HEADER_FIXED + TABLE_ENTRY * n;
-    let header_len = table_end + 8;
-    if bytes.len() < header_len {
+    let table_end = HEADER_FIXED + TABLE_ENTRY * n as usize;
+    let header_len = u64_of(table_end + 8);
+    if u64_of(bytes.len()) < header_len {
         return Err(fmt_err("header", "truncated section table"));
     }
-    let stored = header_u64(bytes, table_end)?;
+    let stored: u64 = SectionReader::new(&bytes[table_end..], "header").get()?;
     if digests(&[&bytes[..table_end]], None)[0] != stored {
         return Err(corrupt("header", "header checksum mismatch"));
     }
-    let mut entries = Vec::with_capacity(n);
-    for i in 0..n {
-        let base = HEADER_FIXED + TABLE_ENTRY * i;
-        let id = header_u32(bytes, base)?;
-        let name = section_name(id);
-        if name == "unknown" {
+    let mut sections: Vec<SectionInfo> = Vec::with_capacity(n as usize);
+    for _ in 0..n {
+        let id: u32 = h.get()?;
+        h.take(4)?;
+        let (offset, len, checksum): (u64, u64, u64) = (h.get()?, h.get()?, h.get()?);
+        let Some(name) = SECTIONS.iter().find(|s| s.id == id).map(|s| s.name) else {
             return Err(fmt_err("header", format!("unknown section id {id}")));
-        }
-        let offset = usize::try_from(header_u64(bytes, base + 8)?)
-            .map_err(|_| fmt_err(name, "section offset exceeds the address space"))?;
-        let len = usize::try_from(header_u64(bytes, base + 16)?)
-            .map_err(|_| fmt_err(name, "section length exceeds the address space"))?;
-        let checksum = header_u64(bytes, base + 24)?;
-        if offset.checked_add(len).map_or(true, |end| end > bytes.len()) {
+        };
+        if offset.checked_add(len).map_or(true, |end| end > u64_of(bytes.len())) {
             return Err(fmt_err(name, "section range out of bounds"));
         }
         if offset < header_len {
             return Err(fmt_err(name, "section overlaps the header"));
         }
-        if entries.iter().any(|e: &SectionEntry| e.id == id) {
+        if sections.iter().any(|s| s.id == id) {
             return Err(fmt_err(name, "duplicate section"));
         }
-        entries.push(SectionEntry { id, offset, len, checksum });
+        sections.push(SectionInfo { id, name, offset, len, checksum });
     }
-    let sections: Vec<&[u8]> = entries.iter().map(|e| &bytes[e.offset..e.offset + e.len]).collect();
-    let sums = digests(&sections, pool);
+    if let Some(s) = SECTIONS.iter().find(|s| s.required && sections.iter().all(|e| e.id != s.id)) {
+        return Err(fmt_err(s.name, "section missing"));
+    }
+    let file = Verified { bytes, kind, sections };
+    let slices = file.sections.iter().map(|s| file.section(s.id).map(|(b, _)| b));
+    let sums = digests(&slices.collect::<Result<Vec<_>, _>>()?, pool);
     // Checked in table order, so the first corrupt section is reported.
-    if let Some((e, _)) = entries.iter().zip(&sums).find(|(e, &sum)| e.checksum != sum) {
-        return Err(corrupt(section_name(e.id), "section checksum mismatch"));
+    if let Some((s, _)) = file.sections.iter().zip(&sums).find(|(s, &sum)| s.checksum != sum) {
+        return Err(corrupt(s.name, "section checksum mismatch"));
     }
-    Ok((kind, entries))
-}
-
-fn section_slice<'a>(
-    bytes: &'a [u8],
-    entries: &[SectionEntry],
-    id: u32,
-) -> Result<&'a [u8], IndexError> {
-    let e = entries
-        .iter()
-        .find(|e| e.id == id)
-        .ok_or_else(|| fmt_err(section_name(id), "section missing"))?;
-    Ok(&bytes[e.offset..e.offset + e.len])
+    Ok(file)
 }
 
 /// Parses and checksum-verifies a snapshot file's header and section
@@ -790,30 +678,21 @@ fn section_slice<'a>(
 /// *contents* are only fully validated by [`Index::open`]).
 pub fn describe<P: AsRef<Path>>(path: P) -> Result<SnapshotInfo, IndexError> {
     let bytes = std::fs::read(path).map_err(|e| io_err("read", &e))?;
-    let (kind, entries) = parse_and_verify(&bytes, None)?;
-    let meta = decode_meta(section_slice(&bytes, &entries, SEC_META)?)?;
+    let file = parse_and_verify(&bytes, None)?;
+    let meta = decode_meta(file.section(SEC_META)?.0)?;
     Ok(SnapshotInfo {
         format_version: SNAPSHOT_FORMAT_VERSION,
-        summarization_kind: kind,
+        summarization_kind: file.kind,
         file_len: u64_of(bytes.len()),
-        sections: entries
-            .iter()
-            .map(|e| SectionInfo {
-                id: e.id,
-                name: section_name(e.id),
-                offset: u64_of(e.offset),
-                len: u64_of(e.len),
-                checksum: e.checksum,
-            })
-            .collect(),
         capabilities: SnapshotCapabilities {
             n_rows: meta.n_slots,
             series_len: meta.series_len,
             word_len: meta.word_len,
             leaf_capacity: meta.leaf_capacity,
-            quant_grid_present: meta.grid_present,
+            quant_grid_present: file.section(SEC_QUANT).is_ok(),
             kernel_tier: sofa_simd::active_tier().name(),
         },
+        sections: file.sections,
     })
 }
 
@@ -834,20 +713,6 @@ impl Drop for TmpGuard {
     }
 }
 
-enum SecPayload<'a> {
-    Owned(Vec<u8>),
-    Borrowed(&'a [u8]),
-}
-
-impl SecPayload<'_> {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            SecPayload::Owned(v) => v,
-            SecPayload::Borrowed(b) => b,
-        }
-    }
-}
-
 const ZERO_PAD: [u8; SECTION_ALIGN as usize] = [0; SECTION_ALIGN as usize];
 
 /// The header and section table of a file holding `sections` (id,
@@ -862,26 +727,20 @@ fn seal_header(
     let n = sections.len();
     let mut header = Vec::with_capacity(HEADER_FIXED + TABLE_ENTRY * n + 8);
     header.extend_from_slice(&SNAPSHOT_MAGIC);
-    put_u32(&mut header, SNAPSHOT_FORMAT_VERSION);
-    put_u32(&mut header, ENDIAN_TAG);
-    put_u32(&mut header, kind);
-    // The section list is a fixed enumeration of at most 9 entries.
-    put_u32(&mut header, n as u32);
+    // The section list is a fixed enumeration of at most 7 entries.
+    put(&mut header, &[SNAPSHOT_FORMAT_VERSION, ENDIAN_TAG, kind, n as u32]);
     let bytes: Vec<&[u8]> = sections.iter().map(|&(_, b)| b).collect();
     let sums = digests(&bytes, pool);
     let mut cursor = align_up(u64_of(HEADER_FIXED + TABLE_ENTRY * n + 8), SECTION_ALIGN);
     let mut offsets = Vec::with_capacity(n);
     for (&(id, bytes), sum) in sections.iter().zip(sums) {
-        put_u32(&mut header, id);
-        put_u32(&mut header, 0);
-        put_u64(&mut header, cursor);
-        put_u64(&mut header, u64_of(bytes.len()));
-        put_u64(&mut header, sum);
+        put(&mut header, &[id, 0]);
+        put(&mut header, &[cursor, u64_of(bytes.len()), sum]);
         offsets.push(cursor);
         cursor = align_up(cursor + u64_of(bytes.len()), SECTION_ALIGN);
     }
     let seal = digests(&[&header], None)[0];
-    put_u64(&mut header, seal);
+    put(&mut header, &[seal]);
     (header, offsets)
 }
 
@@ -901,8 +760,9 @@ impl<S: SnapshotSummarization> Index<S> {
     /// [`IndexError::SnapshotIo`] on any filesystem failure.
     pub fn snapshot<P: AsRef<Path>>(&self, path: P) -> Result<u64, IndexError> {
         let path = path.as_ref();
-        let encoded = self.encode_sections();
-        let sections: Vec<(u32, &[u8])> = encoded.iter().map(|(id, p)| (*id, p.bytes())).collect();
+        let encoded: Vec<(u32, Cow<'_, [u8]>)> =
+            SECTIONS.iter().filter_map(|s| Some((s.id, self.encode_section(s.id)?))).collect();
+        let sections: Vec<(u32, &[u8])> = encoded.iter().map(|(id, b)| (*id, &b[..])).collect();
         let (header, offsets) = seal_header(S::KIND, &sections, Some(&self.pool));
 
         let file_name =
@@ -939,109 +799,67 @@ impl<S: SnapshotSummarization> Index<S> {
         Ok(pos)
     }
 
-    fn encode_sections(&self) -> Vec<(u32, SecPayload<'_>)> {
-        let mut sections = Vec::with_capacity(9);
-        sections.push((SEC_META, SecPayload::Owned(self.encode_meta())));
-        let mut summ = Vec::new();
-        self.summarization.encode_summarization(&mut summ);
-        sections.push((SEC_SUMM, SecPayload::Owned(summ)));
-        sections.push((SEC_DATA, SecPayload::Borrowed(sofa_mmap::as_bytes(&self.data[..]))));
-        sections.push((SEC_WORDS, SecPayload::Borrowed(&self.words[..])));
-        let mut mapping = Vec::with_capacity(8 * self.row_to_slot.len());
-        put_u32_slice(&mut mapping, &self.row_to_slot);
-        put_u32_slice(&mut mapping, &self.slot_to_row);
-        sections.push((SEC_MAPPING, SecPayload::Owned(mapping)));
-        sections.push((SEC_TREE, SecPayload::Owned(self.encode_tree())));
-        sections.push((SEC_PACKS, SecPayload::Owned(self.encode_packs())));
-        if self.quant_grid.is_some() {
-            sections.push((SEC_QUANT, SecPayload::Owned(self.encode_quant())));
-        }
-        sections
-    }
-
-    fn encode_meta(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(96);
-        put_len(&mut out, self.series_len);
-        put_len(&mut out, self.word_len);
-        put_len(&mut out, self.slot_to_row.len());
-        put_len(&mut out, self.config.leaf_capacity);
-        put_len(&mut out, self.subtrees.len());
-        match self.config.auto_repack_pct {
-            Some(pct) => {
-                put_u8(&mut out, 1);
-                put_u32(&mut out, pct);
-            }
-            None => {
-                put_u8(&mut out, 0);
-                put_u32(&mut out, 0);
-            }
-        }
-        put_u8(&mut out, u8::from(self.quant_grid.is_some()));
-        put_f64(&mut out, self.build_breakdown.0);
-        put_f64(&mut out, self.build_breakdown.1);
-        out
-    }
-
-    fn encode_tree(&self) -> Vec<u8> {
+    /// The bytes of section `id` (laid out as the module doc says), or
+    /// `None` for the quant section of an index without a grid. The
+    /// arenas and the slot map are written straight from memory.
+    fn encode_section(&self, id: u32) -> Option<Cow<'_, [u8]>> {
         let mut out = Vec::new();
-        for st in &self.subtrees {
-            put_u64(&mut out, st.key);
-            put_len(&mut out, st.nodes.len());
-            for node in &st.nodes {
-                match &node.kind {
-                    NodeKind::Leaf { rows, .. } => {
-                        put_u8(&mut out, 0);
-                        put_len(&mut out, rows.len());
-                        put_u32_slice(&mut out, rows);
-                    }
-                    NodeKind::Inner { left, right, split_pos, split_bit } => {
-                        put_u8(&mut out, 1);
-                        put_u32(&mut out, *left);
-                        put_u32(&mut out, *right);
-                        put_u16(&mut out, *split_pos);
-                        put_u8(&mut out, *split_bit);
+        match id {
+            SEC_META => {
+                let c = &self.config;
+                let lens =
+                    [self.series_len, self.word_len, self.slot_to_row.len(), c.leaf_capacity];
+                put(&mut out, &lens.map(u64_of));
+                put(&mut out, &[u8::from(c.auto_repack_pct.is_some())]);
+                put(&mut out, &[c.auto_repack_pct.unwrap_or(0)]);
+                put(&mut out, &[self.build_breakdown.0, self.build_breakdown.1]);
+            }
+            SEC_SUMM => self.summarization.encode_summarization(&mut out),
+            SEC_DATA => return Some(Cow::Borrowed(sofa_mmap::as_bytes(&self.data[..]))),
+            SEC_WORDS => return Some(Cow::Borrowed(&self.words[..])),
+            SEC_MAPPING => return Some(Cow::Borrowed(sofa_mmap::as_bytes(&self.slot_to_row))),
+            SEC_TREE => {
+                for st in &self.subtrees {
+                    put(&mut out, &[st.key, u64_of(st.nodes.len())]);
+                    for node in &st.nodes {
+                        match &node.kind {
+                            NodeKind::Leaf { rows, pack } => {
+                                let tail = &rows[pack.len as usize..];
+                                put(&mut out, &[0u8]);
+                                // Lossless: a leaf holds at most every row.
+                                put(&mut out, &[pack.len, tail.len() as u32]);
+                                put(&mut out, tail);
+                            }
+                            NodeKind::Inner { left, right, split_pos, split_bit } => {
+                                put(&mut out, &[1u8]);
+                                put(&mut out, &[*left, *right]);
+                                put(&mut out, &[*split_pos]);
+                                put(&mut out, &[*split_bit]);
+                            }
+                        }
                     }
                 }
             }
+            SEC_QUANT => {
+                let grid = self.quant_grid.as_ref()?;
+                put(&mut out, &[grid.scale()]);
+                put(&mut out, grid.mins());
+                for pack in self.packs() {
+                    put(&mut out, &[u8::from(pack.quant.is_some())]);
+                    if let Some(qb) = &pack.quant {
+                        put(&mut out, qb.codes());
+                        put(&mut out, qb.errs());
+                    }
+                }
+            }
+            _ => unreachable!("section {id} is not in the section table"),
         }
-        out
+        Some(Cow::Owned(out))
     }
 
     /// Every leaf's pack, in file order.
     fn packs(&self) -> impl Iterator<Item = &LeafPack> {
         self.subtrees.iter().flat_map(|st| st.nodes.iter()).filter_map(Node::pack)
-    }
-
-    fn encode_packs(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        for pack in self.packs() {
-            put_u32(&mut out, pack.start);
-            put_len(&mut out, pack.len as usize);
-        }
-        out
-    }
-
-    fn encode_quant(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let Some(grid) = self.quant_grid.as_ref() else { return out };
-        put_len(&mut out, grid.series_len());
-        put_f32(&mut out, grid.scale());
-        put_f32_slice(&mut out, grid.mins());
-        put_len(&mut out, self.packs().count());
-        for pack in self.packs() {
-            match &pack.quant {
-                None => put_u8(&mut out, 0),
-                Some(qb) => {
-                    put_u8(&mut out, 1);
-                    put_len(&mut out, qb.n());
-                    put_len(&mut out, qb.codes().len());
-                    out.extend_from_slice(qb.codes());
-                    put_len(&mut out, qb.errs().len());
-                    put_f64_slice(&mut out, qb.errs());
-                }
-            }
-        }
-        out
     }
 }
 
@@ -1053,14 +871,12 @@ struct Meta {
     word_len: usize,
     n_slots: usize,
     leaf_capacity: usize,
-    n_subtrees: usize,
     auto_repack_pct: Option<u32>,
-    grid_present: bool,
     build_breakdown: (f64, f64),
 }
 
 fn decode_flag(r: &mut SectionReader<'_>, what: &str) -> Result<bool, IndexError> {
-    match r.u8()? {
+    match r.get::<u8>()? {
         0 => Ok(false),
         1 => Ok(true),
         v => Err(r.invalid(format!("{what} flag {v} is not a bool"))),
@@ -1069,15 +885,13 @@ fn decode_flag(r: &mut SectionReader<'_>, what: &str) -> Result<bool, IndexError
 
 fn decode_meta(buf: &[u8]) -> Result<Meta, IndexError> {
     let mut r = SectionReader::new(buf, "meta");
-    let series_len = r.count()?;
-    let word_len = r.count()?;
-    let n_slots = r.count()?;
-    let leaf_capacity = r.count()?;
-    let n_subtrees = r.count()?;
+    let series_len = r.count(0)?;
+    let word_len = r.count(0)?;
+    let n_slots = r.count(0)?;
+    let leaf_capacity = r.count(0)?;
     let has_auto = decode_flag(&mut r, "auto-repack")?;
-    let auto_pct = r.u32()?;
-    let grid_present = decode_flag(&mut r, "grid-present")?;
-    let build_breakdown = (r.f64()?, r.f64()?);
+    let auto_pct = r.get()?;
+    let build_breakdown = (r.get()?, r.get()?);
     r.finish()?;
     if series_len == 0 {
         return Err(layout("meta", "series length is zero"));
@@ -1097,144 +911,132 @@ fn decode_meta(buf: &[u8]) -> Result<Meta, IndexError> {
     if leaf_capacity == 0 {
         return Err(layout("meta", "leaf capacity is zero"));
     }
-    if grid_present && series_len > crate::node::QUANT_REFINE_MAX_LEN {
-        return Err(layout(
-            "meta",
-            format!(
-                "quantizer grid for length-{series_len} series, past the tier's cap of {}",
-                crate::node::QUANT_REFINE_MAX_LEN
-            ),
-        ));
-    }
-    if n_subtrees == 0 || n_subtrees > n_slots {
-        return Err(layout(
-            "meta",
-            format!("implausible subtree count {n_subtrees} for {n_slots} rows"),
-        ));
-    }
     Ok(Meta {
         series_len,
         word_len,
         n_slots,
         leaf_capacity,
-        n_subtrees,
         auto_repack_pct: has_auto.then_some(auto_pct),
-        grid_present,
         build_breakdown,
     })
 }
 
-fn decode_mapping(buf: &[u8], meta: &Meta) -> Result<(Vec<u32>, Vec<u32>), IndexError> {
+/// Maps section `id` as the `n_slots × width` arena of `T` it must hold,
+/// without copying.
+fn map_arena<T: Pod>(
+    map: &Arc<Mmap>,
+    file: &Verified<'_>,
+    id: u32,
+    n_slots: usize,
+    width: usize,
+) -> Result<Arena<T>, IndexError> {
+    let name = section_name(id);
+    let (buf, offset) = file.section(id)?;
+    // `decode_meta` bounded `n_slots × width` by the address space.
+    let elems = n_slots * width;
+    let size = std::mem::size_of::<T>();
+    if elems.checked_mul(size) != Some(buf.len()) {
+        return Err(layout(
+            name,
+            format!(
+                "{name} arena holds {} bytes, layout requires {n_slots} rows x {width} x {size}",
+                buf.len()
+            ),
+        ));
+    }
+    Arena::mapped(Arc::clone(map), offset, elems).map_err(|d| fmt_err(name, d))
+}
+
+/// Reads the slot map and derives its inverse. Filling the inverse is
+/// the permutation check: a row out of range, or in two slots, fails
+/// closed (either would let a query read the wrong series for a row).
+fn decode_mapping(buf: &[u8], n_slots: usize) -> Result<(Vec<u32>, Vec<u32>), IndexError> {
     let mut r = SectionReader::new(buf, "mapping");
-    let row_to_slot = r.u32_vec(meta.n_slots)?;
-    let slot_to_row = r.u32_vec(meta.n_slots)?;
+    let slot_to_row: Vec<u32> = r.vec(n_slots)?;
     r.finish()?;
-    // The two arrays must be mutually inverse permutations of 0..n_slots;
-    // anything else would let a query read the wrong series for a row.
-    let mut seen = vec![false; meta.n_slots];
+    // `u32::MAX` marks a row not yet placed: no slot reaches it, as
+    // `decode_meta` bounds the row count by `u32::MAX`.
+    let mut row_to_slot = vec![u32::MAX; n_slots];
     for (slot, &row) in slot_to_row.iter().enumerate() {
-        let row = row as usize;
-        if row >= meta.n_slots {
-            return Err(corrupt("mapping", format!("slot {slot} maps to out-of-range row {row}")));
-        }
-        if seen[row] {
-            return Err(corrupt("mapping", format!("row {row} occupies two slots")));
-        }
-        seen[row] = true;
-        if row_to_slot[row] as usize != slot {
-            return Err(corrupt(
-                "mapping",
-                format!("row {row}: forward and inverse slot maps disagree"),
-            ));
+        match row_to_slot.get_mut(row as usize) {
+            None => {
+                return Err(corrupt(
+                    "mapping",
+                    format!("slot {slot} maps to out-of-range row {row}"),
+                ))
+            }
+            Some(s) if *s != u32::MAX => {
+                return Err(corrupt("mapping", format!("row {row} occupies two slots")))
+            }
+            // Lossless: slot < n_slots <= u32::MAX.
+            Some(s) => *s = slot as u32,
         }
     }
     Ok((row_to_slot, slot_to_row))
 }
 
-/// Parent-before-child with exactly one parent per non-root node — i.e.
-/// a well-formed binary tree rooted at node 0, with no cycles and no
-/// unreachable nodes (the builder emits exactly this shape).
-fn validate_tree_shape(nodes: &[Node]) -> Result<(), String> {
-    let mut referenced = vec![false; nodes.len()];
-    for (i, node) in nodes.iter().enumerate() {
-        if let NodeKind::Inner { left, right, .. } = node.kind {
-            for child in [left as usize, right as usize] {
-                if child <= i {
-                    return Err(format!("inner node {i} points backwards to node {child}"));
-                }
-                if referenced[child] {
-                    return Err(format!("node {child} has two parents"));
-                }
-                referenced[child] = true;
-            }
-        }
-    }
-    for (i, &r) in referenced.iter().enumerate().skip(1) {
-        if !r {
-            return Err(format!("node {i} is unreachable from the subtree root"));
-        }
-    }
-    Ok(())
-}
-
-/// Decodes the forest. Returns the subtrees (empty packs until
-/// [`decode_packs`], empty envelopes until [`rebuild_envelopes`]) plus the
-/// (subtree, node) position of every leaf, in file order — the order of
-/// the leaf-packs and quant sections.
-#[allow(clippy::type_complexity)]
+/// Decodes the forest: subtrees follow one another to the section's
+/// end. Each leaf comes back holding only its tail rows and its packed
+/// length ([`place_packs`] derives the rest), each node with an empty
+/// envelope ([`rebuild_envelopes`] fills them). Returns the subtrees and
+/// which rows are tail rows.
 fn decode_tree(
     buf: &[u8],
     meta: &Meta,
     symbol_bits: u8,
-) -> Result<(Vec<Subtree>, Vec<(usize, usize)>), IndexError> {
+) -> Result<(Vec<Subtree>, Vec<bool>), IndexError> {
     let mut r = SectionReader::new(buf, "tree");
-    let mut subtrees = Vec::with_capacity(meta.n_subtrees);
-    let mut leaves = Vec::new();
-    let mut seen_rows = vec![false; meta.n_slots];
-    let mut prev_key = None;
-    for si in 0..meta.n_subtrees {
-        let key = r.u64()?;
-        if prev_key.is_some_and(|p| key <= p) {
+    let mut subtrees: Vec<Subtree> = Vec::new();
+    let mut is_tail = vec![false; meta.n_slots];
+    while r.pos < r.buf.len() {
+        let si = subtrees.len();
+        let key: u64 = r.get()?;
+        if subtrees.last().is_some_and(|prev| key <= prev.key) {
             return Err(r.invalid("subtree keys are not strictly ascending"));
         }
         // Lossless: `decode_meta` bounds the word length by 64.
         if key.checked_shr(meta.word_len as u32).is_some_and(|high| high != 0) {
             return Err(r.invalid(format!("subtree key {key:#x} has bits past the word length")));
         }
-        prev_key = Some(key);
-        // A node is at least a tag and a row count.
-        let n_nodes = r.bounded_count(9)?;
-        if n_nodes == 0 {
-            return Err(r.invalid(format!("subtree {si} has no nodes")));
-        }
+        // A node is at least a tag and two `u32`.
+        let n_nodes = r.count(9)?;
+        // Whether each node has a parent: every child comes after its one
+        // parent, so once every node but the root has one, the nodes form
+        // one tree rooted at node 0 (the shape the builder emits).
+        let mut parented = vec![false; n_nodes];
         let mut nodes = Vec::with_capacity(n_nodes);
         for ni in 0..n_nodes {
-            let kind = match r.u8()? {
+            let kind = match r.get::<u8>()? {
                 0 => {
-                    let n_rows = r.bounded_count(4)?;
-                    let rows = r.u32_vec(n_rows)?;
+                    let len = r.get()?;
+                    let n_tail: u32 = r.get()?;
+                    let rows: Vec<u32> = r.vec(n_tail as usize)?;
                     for &row in &rows {
-                        let row = row as usize;
-                        if row >= meta.n_slots {
-                            return Err(r.invalid(format!("leaf holds out-of-range row {row}")));
+                        match is_tail.get_mut(row as usize) {
+                            None => {
+                                return Err(r.invalid(format!("leaf holds out-of-range row {row}")))
+                            }
+                            Some(true) => {
+                                return Err(r.invalid(format!("row {row} appears in two tails")))
+                            }
+                            Some(tail) => *tail = true,
                         }
-                        if seen_rows[row] {
-                            return Err(r.invalid(format!("row {row} appears in two leaves")));
-                        }
-                        seen_rows[row] = true;
                     }
-                    leaves.push((si, ni));
-                    NodeKind::Leaf { rows, pack: LeafPack::default() }
+                    NodeKind::Leaf { rows, pack: LeafPack { len, ..LeafPack::default() } }
                 }
                 1 => {
-                    let left = r.u32()?;
-                    let right = r.u32()?;
-                    let split_pos = r.u16()?;
-                    let split_bit = r.u8()?;
-                    if left as usize >= n_nodes || right as usize >= n_nodes {
-                        return Err(r.invalid(format!(
-                            "inner node {ni} of subtree {si} points outside its {n_nodes} nodes"
-                        )));
+                    let (left, right): (u32, u32) = (r.get()?, r.get()?);
+                    let (split_pos, split_bit): (u16, u8) = (r.get()?, r.get()?);
+                    for child in [left, right] {
+                        match parented.get_mut(child as usize) {
+                            Some(seen) if child as usize > ni && !*seen => *seen = true,
+                            _ => {
+                                return Err(r.invalid(format!(
+                                    "inner node {ni} of subtree {si} has a child {child} out of \
+                                     range, before it or shared"
+                                )))
+                            }
+                        }
                     }
                     if usize::from(split_pos) >= meta.word_len {
                         return Err(r.invalid(format!(
@@ -1253,78 +1055,71 @@ fn decode_tree(
             };
             nodes.push(Node { envelope: SymbolEnvelope::empty(meta.word_len), kind });
         }
-        validate_tree_shape(&nodes).map_err(|d| corrupt("tree", format!("subtree {si}: {d}")))?;
+        if parented.iter().skip(1).any(|&seen| !seen) || nodes.is_empty() {
+            return Err(r.invalid(format!("subtree {si} is not one tree rooted at node 0")));
+        }
         subtrees.push(Subtree { key, nodes });
     }
-    r.finish()?;
-    if let Some(row) = seen_rows.iter().position(|&s| !s) {
-        return Err(corrupt("tree", format!("row {row} is missing from every leaf")));
-    }
-    Ok((subtrees, leaves))
+    Ok((subtrees, is_tail))
 }
 
-/// Attaches every leaf's pack (and its quant block, when the file has a
-/// quantizer) after checking it: the packed run covers at most the leaf's
-/// rows, lies in the arena and holds exactly its first `len` rows in
-/// order; its codes cover exactly the run; and the tail-free subtrees
-/// before the first tail sit packed back to back from slot 0, which is
-/// where [`Index::repack_leaves`] expects them.
-fn decode_packs(
-    buf: &[u8],
-    meta: &Meta,
-    leaves: &[(usize, usize)],
+/// The slot walk of the module doc: gives every leaf with a packed
+/// length its run's start and, ahead of its tail, the rows of that run.
+/// Every row then sits in exactly one leaf: a tail row in the tail that
+/// lists it, any other row in the one run that claims its slot.
+fn place_packs(
     subtrees: &mut [Subtree],
     slot_to_row: &[u32],
-    quant: Vec<Option<LeafCodes>>,
+    is_tail: &[bool],
 ) -> Result<(), IndexError> {
-    let mut r = SectionReader::new(buf, "leaf-packs");
-    let mut quant = quant.into_iter();
-    for &(si, ni) in leaves {
-        let start = r.u32()?;
-        let n = r.count()?;
-        let NodeKind::Leaf { rows, pack, .. } = &mut subtrees[si].nodes[ni].kind else {
-            return Err(corrupt("leaf-packs", "pack attached to a non-leaf node"));
-        };
-        if n > rows.len() {
-            return Err(corrupt(
-                "leaf-packs",
-                format!("pack of {n} candidates on a leaf of {} rows", rows.len()),
-            ));
-        }
-        let start_us = start as usize;
-        if start_us.checked_add(n).map_or(true, |e| e > meta.n_slots) {
-            return Err(corrupt(
-                "leaf-packs",
-                format!("pack run {start_us}..+{n} exceeds the arena"),
-            ));
-        }
-        // The pack's contiguous slot run must hold exactly its rows in
-        // order — refinement reads series by `start + lane`.
-        if slot_to_row[start_us..start_us + n] != rows[..n] {
-            return Err(corrupt("leaf-packs", "a packed slot holds a different row"));
-        }
-        let codes = quant.next().flatten();
-        if let Some(qb) = codes.as_ref().filter(|qb| qb.n() != n) {
-            return Err(corrupt(
-                "leaf-packs",
-                format!("quant block of {} candidates on a pack of {n} rows", qb.n()),
-            ));
-        }
-        // Lossless: n <= rows.len(), a u32 row count.
-        *pack = LeafPack { start, len: n as u32, quant: codes };
-    }
-    r.finish()?;
-    let mut cursor = 0u32;
-    for st in subtrees.iter().take_while(|st| !st.has_tail()) {
-        for pack in st.nodes.iter().filter_map(Node::pack) {
-            if pack.start != cursor && pack.len > 0 {
-                return Err(corrupt(
-                    "leaf-packs",
-                    format!("packed run at slot {} is out of place", pack.start),
-                ));
+    let tail_slot = |slot: usize| is_tail[slot_to_row[slot] as usize];
+    let mut cursor = 0usize;
+    let mut tails_begun = false;
+    for st in subtrees {
+        // Leaves hold only their tail rows so far.
+        tails_begun |= st.leaves().any(|leaf| !leaf.rows().is_empty());
+        for node in &mut st.nodes {
+            let NodeKind::Leaf { rows, pack } = &mut node.kind else { continue };
+            let len = pack.len as usize;
+            if len == 0 {
+                continue;
             }
-            cursor += pack.len;
+            while cursor < slot_to_row.len() && tail_slot(cursor) {
+                if !tails_begun {
+                    return Err(corrupt(
+                        "tree",
+                        format!(
+                            "tail row {} at slot {cursor} sits below the first subtree with a tail",
+                            slot_to_row[cursor]
+                        ),
+                    ));
+                }
+                cursor += 1;
+            }
+            let run = cursor
+                .checked_add(len)
+                .and_then(|end| slot_to_row.get(cursor..end))
+                .filter(|run| run.iter().all(|&row| !is_tail[row as usize]))
+                .ok_or_else(|| {
+                    corrupt(
+                        "tree",
+                        format!(
+                            "packed run of {len} rows at slot {cursor} reaches a tail slot or \
+                             the arena end"
+                        ),
+                    )
+                })?;
+            // Lossless: cursor < n_slots <= u32::MAX.
+            pack.start = cursor as u32;
+            *rows = [run, &rows[..]].concat();
+            cursor += len;
         }
+    }
+    if let Some(slot) = (cursor..slot_to_row.len()).find(|&slot| !tail_slot(slot)) {
+        return Err(corrupt(
+            "tree",
+            format!("slot {slot} holds row {}, which no leaf claims", slot_to_row[slot]),
+        ));
     }
     Ok(())
 }
@@ -1375,55 +1170,54 @@ fn rebuild_envelopes(
     Ok(())
 }
 
-/// Decodes the quantizer grid and one optional code block per leaf, in
-/// file order; [`decode_packs`] checks each block against its pack. The
-/// codes stay in the mapping (`map`, with the section at `offset`): only
-/// the per-row error bounds are copied out.
+/// Decodes the quantizer grid of a `series_len` index and attaches each
+/// leaf's code block, in leaf order. A block covers its leaf's packed
+/// run, so its code and error-bound counts follow from the packed length
+/// ([`QuantBlock::from_parts`] checks the shape). The codes stay in the
+/// mapping (`map`, with the section at `offset`): only the per-row error
+/// bounds are copied out.
 fn decode_quant(
     map: &Arc<Mmap>,
-    offset: usize,
-    buf: &[u8],
-    meta: &Meta,
-    n_leaves: usize,
-) -> Result<(QuantGrid, Vec<Option<LeafCodes>>), IndexError> {
-    let mut r = SectionReader::new(buf, "quant");
-    let series_len = r.bounded_count(4)?;
-    let scale = r.f32()?;
-    let mins = r.f32_vec(series_len)?;
-    let grid = QuantGrid::from_parts(series_len, scale, mins).map_err(|d| corrupt("quant", d))?;
-    if grid.series_len() != meta.series_len {
+    (buf, offset): (&[u8], usize),
+    series_len: usize,
+    subtrees: &mut [Subtree],
+) -> Result<QuantGrid, IndexError> {
+    // Series longer than the tier covers leave no grid: the refine path
+    // quantizes queries into a buffer of the cap's length.
+    if series_len > QUANT_REFINE_MAX_LEN {
         return Err(layout(
             "quant",
             format!(
-                "quantizer is for length-{series_len} series, index holds length {}",
-                meta.series_len
+                "quantizer grid for length-{series_len} series, past the tier's cap of \
+                 {QUANT_REFINE_MAX_LEN}"
             ),
         ));
     }
-    let n_packs = r.count()?;
-    if n_packs != n_leaves {
-        return Err(r.invalid(format!("{n_packs} quant entries for {n_leaves} leaves")));
-    }
-    let mut blocks = Vec::with_capacity(n_leaves);
-    for _ in 0..n_leaves {
-        if !decode_flag(&mut r, "has-quant")? {
-            blocks.push(None);
+    let mut r = SectionReader::new(buf, "quant");
+    let scale = r.get()?;
+    let mins = r.vec(series_len)?;
+    let grid = QuantGrid::from_parts(series_len, scale, mins).map_err(|d| corrupt("quant", d))?;
+    for node in subtrees.iter_mut().flat_map(|st| &mut st.nodes) {
+        let NodeKind::Leaf { pack, .. } = &mut node.kind else { continue };
+        if !decode_flag(&mut r, "has-codes")? {
             continue;
         }
-        let n = r.count()?;
-        let codes_len = r.bounded_count(1)?;
+        let n = pack.len as usize;
+        let lanes = n.div_ceil(sofa_simd::BLOCK_LANES) * sofa_simd::BLOCK_LANES;
+        let codes_len = lanes
+            .checked_mul(series_len)
+            .ok_or_else(|| r.invalid(format!("codes for {n} rows overflow the byte range")))?;
         let at = offset + r.pos;
         r.take(codes_len)?;
         let codes =
             Arena::mapped(Arc::clone(map), at, codes_len).map_err(|d| corrupt("quant", d))?;
-        let errs_len = r.bounded_count(8)?;
-        let errs = r.f64_vec(errs_len)?;
-        blocks.push(Some(
-            QuantBlock::from_parts(&grid, n, codes, errs).map_err(|d| corrupt("quant", d))?,
-        ));
+        let errs = r.vec(lanes)?;
+        let block =
+            QuantBlock::from_parts(&grid, n, codes, errs).map_err(|d| corrupt("quant", d))?;
+        pack.quant = Some(block);
     }
     r.finish()?;
-    Ok((grid, blocks))
+    Ok(grid)
 }
 
 impl<S: SnapshotSummarization> Index<S> {
@@ -1453,78 +1247,38 @@ impl<S: SnapshotSummarization> Index<S> {
         pool: Arc<ExecPool>,
     ) -> Result<Self, IndexError> {
         let path = path.as_ref();
-        let file = File::open(path).map_err(|e| io_err("open", &e))?;
-        let map = Arc::new(Mmap::map(&file).map_err(|e| io_err("mmap", &e))?);
+        let f = File::open(path).map_err(|e| io_err("open", &e))?;
+        let map = Arc::new(Mmap::map(&f).map_err(|e| io_err("mmap", &e))?);
         // The checksum sweep below touches every byte front to back —
         // let the kernel read ahead aggressively for that pass.
         map.advise(Advice::Sequential);
-        let bytes = map.as_bytes();
-        let (kind, entries) = parse_and_verify(bytes, Some(&pool))?;
-        if kind != S::KIND {
-            return Err(fmt_err(
-                "header",
-                format!("snapshot holds a {} index, expected {}", kind_name(kind), S::KIND_NAME),
-            ));
+        let file = parse_and_verify(map.as_bytes(), Some(&pool))?;
+        if file.kind != S::KIND {
+            let (kind, want, name) = (file.kind, S::KIND, S::KIND_NAME);
+            let detail =
+                format!("snapshot holds summarization kind {kind}, expected {want} ({name})");
+            return Err(fmt_err("header", detail));
         }
 
-        let meta = decode_meta(section_slice(bytes, &entries, SEC_META)?)?;
-        let mut summ_reader =
-            SectionReader::new(section_slice(bytes, &entries, SEC_SUMM)?, "summarization");
+        let meta = decode_meta(file.section(SEC_META)?.0)?;
+        let mut summ_reader = SectionReader::new(file.section(SEC_SUMM)?.0, "summarization");
         let summarization = S::decode_summarization(&mut summ_reader)?;
         summ_reader.finish()?;
-        if summarization.series_len() != meta.series_len {
+        let model = (summarization.series_len(), summarization.word_len());
+        if model != (meta.series_len, meta.word_len) {
             return Err(layout(
                 "summarization",
                 format!(
-                    "model summarizes length-{} series, meta declares {}",
-                    summarization.series_len(),
-                    meta.series_len
-                ),
-            ));
-        }
-        if summarization.word_len() != meta.word_len {
-            return Err(layout(
-                "summarization",
-                format!(
-                    "model produces {}-symbol words, meta declares {}",
-                    summarization.word_len(),
-                    meta.word_len
+                    "model for length-{} series and {}-symbol words, meta declares {} and {}",
+                    model.0, model.1, meta.series_len, meta.word_len
                 ),
             ));
         }
 
         // The two big arenas: bounds/alignment-validated windows into the
         // mapping — this is the zero-deserialization core of the open.
-        let data_entry = section_slice(bytes, &entries, SEC_DATA)?;
-        let data_elems = meta.n_slots * meta.series_len;
-        if data_entry.len() != data_elems * 4 {
-            return Err(layout(
-                "data",
-                format!(
-                    "data arena holds {} bytes, layout requires {} (rows x series length x 4)",
-                    data_entry.len(),
-                    data_elems * 4
-                ),
-            ));
-        }
-        let words_entry = section_slice(bytes, &entries, SEC_WORDS)?;
-        let words_elems = meta.n_slots * meta.word_len;
-        if words_entry.len() != words_elems {
-            return Err(layout(
-                "words",
-                format!(
-                    "word arena holds {} bytes, layout requires {} (rows x word length)",
-                    words_entry.len(),
-                    words_elems
-                ),
-            ));
-        }
-        let data_off = entries.iter().find(|e| e.id == SEC_DATA).map_or(0, |e| e.offset);
-        let words_off = entries.iter().find(|e| e.id == SEC_WORDS).map_or(0, |e| e.offset);
-        let data = Arena::mapped(Arc::clone(&map), data_off, data_elems)
-            .map_err(|d| fmt_err("data", d))?;
-        let words = Arena::mapped(Arc::clone(&map), words_off, words_elems)
-            .map_err(|d| fmt_err("words", d))?;
+        let data = map_arena(&map, &file, SEC_DATA, meta.n_slots, meta.series_len)?;
+        let words: Arena<u8> = map_arena(&map, &file, SEC_WORDS, meta.n_slots, meta.word_len)?;
         // A symbol past the alphabet has no interval: the per-row bound
         // would index past the breakpoint table. Reject it here (the
         // checksums do not, as they are not a MAC).
@@ -1543,47 +1297,15 @@ impl<S: SnapshotSummarization> Index<S> {
         }
 
         let (row_to_slot, slot_to_row) =
-            decode_mapping(section_slice(bytes, &entries, SEC_MAPPING)?, &meta)?;
-        let (mut subtrees, leaves) = decode_tree(
-            section_slice(bytes, &entries, SEC_TREE)?,
-            &meta,
-            summarization.symbol_bits(),
-        )?;
-        let (quant_grid, quant) = if meta.grid_present {
-            let Some(entry) = entries.iter().find(|e| e.id == SEC_QUANT) else {
-                return Err(layout(
-                    "quant",
-                    "meta declares a quantizer but the section is missing",
-                ));
-            };
-            let buf = section_slice(bytes, &entries, SEC_QUANT)?;
-            let (grid, blocks) = decode_quant(&map, entry.offset, buf, &meta, leaves.len())?;
-            (Some(grid), blocks)
-        } else {
-            if section_slice(bytes, &entries, SEC_QUANT).is_ok() {
-                return Err(layout(
-                    "quant",
-                    "quant section present but meta declares no quantizer",
-                ));
-            }
-            (None, Vec::new())
-        };
-        decode_packs(
-            section_slice(bytes, &entries, SEC_PACKS)?,
-            &meta,
-            &leaves,
-            &mut subtrees,
-            &slot_to_row,
-            quant,
-        )?;
-        rebuild_envelopes(
-            &mut subtrees,
-            &words,
-            &row_to_slot,
-            meta.word_len,
-            summarization.symbol_bits(),
-        )?;
-        let tail_rows = subtrees.iter().flat_map(|st| &st.nodes).map(Node::tail_len).sum();
+            decode_mapping(file.section(SEC_MAPPING)?.0, meta.n_slots)?;
+        let symbol_bits = summarization.symbol_bits();
+        let (mut subtrees, is_tail) = decode_tree(file.section(SEC_TREE)?.0, &meta, symbol_bits)?;
+        place_packs(&mut subtrees, &slot_to_row, &is_tail)?;
+        let quant = file.section(SEC_QUANT).ok();
+        let quant_grid =
+            quant.map(|q| decode_quant(&map, q, meta.series_len, &mut subtrees)).transpose()?;
+        rebuild_envelopes(&mut subtrees, &words, &row_to_slot, meta.word_len, symbol_bits)?;
+        let tail_rows = is_tail.iter().filter(|&&tail| tail).count();
 
         // Validation is done; from here on the mapping serves leaf
         // refinements, which land on arbitrary slot runs — sequential
@@ -1704,10 +1426,10 @@ mod tests {
         let info = describe(&path).expect("describe");
         assert_eq!(info.format_version, SNAPSHOT_FORMAT_VERSION);
         assert_eq!(info.summarization_kind, <ISax as SnapshotSummarization>::KIND);
+        // Every section of the table, in its order; quant iff a grid.
+        assert!(idx.quant_grid.is_some(), "a length-64 index trains a grid");
         let names: Vec<&str> = info.sections.iter().map(|s| s.name).collect();
-        for want in ["meta", "summarization", "data", "words", "mapping", "tree", "leaf-packs"] {
-            assert!(names.contains(&want), "missing section {want}: {names:?}");
-        }
+        assert_eq!(names, SECTIONS.map(|s| s.name));
         for s in &info.sections {
             assert_eq!(s.offset % 64, 0, "section {} misaligned", s.name);
             assert!(s.offset + s.len <= info.file_len);
@@ -1718,9 +1440,16 @@ mod tests {
         assert_eq!(caps.series_len, 64);
         assert_eq!(caps.word_len, 8);
         assert_eq!(caps.leaf_capacity, 25);
-        assert_eq!(caps.quant_grid_present, idx.quant_grid.is_some());
+        assert!(caps.quant_grid_present);
         assert_eq!(caps.kernel_tier, sofa_simd::active_tier().name());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn readme_names_the_format_version() {
+        let readme = include_str!("../../../README.md");
+        let want = format!("format version {SNAPSHOT_FORMAT_VERSION}:");
+        assert!(readme.contains(&want), "the README's on-disk format must say {want:?}");
     }
 
     #[test]
@@ -1756,10 +1485,12 @@ mod tests {
         // interval blocks and version 4 files per-subtree stale-leaf
         // counts and has-pack flags, none of which this build reads;
         // version 5 files seal their sections with another checksum,
-        // version 6 files carry two quant-switch flags in their meta and
-        // version 7 files a prefix label on every tree node. The version
-        // check rejects them before any section is interpreted.
-        for version in [1u32, 2, 3, 4, 5, 6, 7] {
+        // version 6 files carry two quant-switch flags in their meta,
+        // version 7 files a prefix label on every tree node and version 8
+        // files a leaf-packs section and both directions of the slot map.
+        // The version check rejects them before any section is
+        // interpreted.
+        for version in [1u32, 2, 3, 4, 5, 6, 7, 8] {
             idx.snapshot(&path).expect("snapshot");
             let mut bytes = std::fs::read(&path).expect("read");
             bytes[8..12].copy_from_slice(&version.to_ne_bytes());
@@ -1779,11 +1510,11 @@ mod tests {
     }
 
     #[test]
-    fn grid_flag_past_the_tier_length_cap_fails_closed() {
-        // Series longer than the quant tier covers leave no grid; a meta
-        // section that claims one anyway must not reach the refine path,
-        // whose query codes live in a buffer of the cap's length.
-        let n = crate::node::QUANT_REFINE_MAX_LEN + 8;
+    fn quant_section_past_the_tier_length_cap_fails_closed() {
+        // Series longer than the quant tier covers leave no grid; a quant
+        // section for them must not reach the refine path, whose query
+        // codes live in a buffer of the cap's length.
+        let n = QUANT_REFINE_MAX_LEN + 8;
         let sax = ISax::new(n, &SaxConfig { word_len: 8, alphabet: 256 });
         let idx =
             Index::build(sax, &dataset(60, n), IndexConfig::with_threads(2).leaf_capacity(25))
@@ -1792,12 +1523,21 @@ mod tests {
         let path = tmp_path("grid-cap");
         idx.snapshot(&path).expect("snapshot");
         assert!(!describe(&path).expect("describe").capabilities.quant_grid_present);
-        // Meta: five u64 lengths, the auto-repack flag and percentage,
-        // then the grid-present flag.
-        patch_section(&path, SEC_META, |meta| meta[45] = 1);
+        // The file's sections plus a valid grid with no codes on any leaf.
+        let mut quant = Vec::new();
+        put(&mut quant, &[1.0f32]);
+        put(&mut quant, &vec![0.0f32; n]);
+        put(&mut quant, &vec![0u8; idx.packs().count()]);
+        let bytes = std::fs::read(&path).expect("read");
+        let file = parse_and_verify(&bytes, None).expect("valid snapshot");
+        let mut sections: Vec<(u32, &[u8])> =
+            file.sections.iter().map(|s| (s.id, file.section(s.id).expect("section").0)).collect();
+        sections.push((SEC_QUANT, &quant));
+        std::fs::write(&path, assemble(ISax::KIND, &sections, None)).expect("write");
+        assert!(describe(&path).expect("describe").capabilities.quant_grid_present);
         match Index::<ISax>::open(&path) {
             Err(IndexError::SnapshotLayout { section, detail }) => {
-                assert_eq!(section, "meta");
+                assert_eq!(section, "quant");
                 assert!(detail.contains("cap"), "{detail}");
             }
             Err(other) => panic!("expected SnapshotLayout, got {other:?}"),
@@ -1811,54 +1551,131 @@ mod tests {
     /// checks of `open` can object.
     fn patch_section(path: &Path, id: u32, patch: impl FnOnce(&mut [u8])) {
         let mut bytes = std::fs::read(path).expect("read");
-        let (_, entries) = parse_and_verify(&bytes, None).expect("valid snapshot");
-        let (i, e) = entries.iter().enumerate().find(|(_, e)| e.id == id).expect("section");
-        let section = e.offset..e.offset + e.len;
+        let file = parse_and_verify(&bytes, None).expect("valid snapshot");
+        let i = file.sections.iter().position(|s| s.id == id).expect("section");
+        let (buf, offset) = file.section(id).expect("section");
+        let (section, n_sections) = (offset..offset + buf.len(), file.sections.len());
         patch(&mut bytes[section.clone()]);
         let sum = digests(&[&bytes[section]], None)[0];
         let entry = HEADER_FIXED + TABLE_ENTRY * i;
         bytes[entry + 24..entry + 32].copy_from_slice(&sum.to_ne_bytes());
-        let table_end = HEADER_FIXED + TABLE_ENTRY * entries.len();
+        let table_end = HEADER_FIXED + TABLE_ENTRY * n_sections;
         let header_sum = digests(&[&bytes[..table_end]], None)[0];
         bytes[table_end..table_end + 8].copy_from_slice(&header_sum.to_ne_bytes());
         std::fs::write(path, &bytes).expect("write");
     }
 
-    /// Opens `path` expecting a `SnapshotCorrupt` in the leaf-packs
-    /// section whose detail mentions `want`.
-    fn assert_pack_corrupt(path: &Path, want: &str) {
+    /// Opens `path` expecting a `SnapshotCorrupt` in `section` whose
+    /// detail mentions `want`.
+    fn assert_corrupt(path: &Path, section: &str, want: &str) {
         match Index::<ISax>::open(path) {
-            Err(IndexError::SnapshotCorrupt { section, detail }) => {
-                assert_eq!(section, "leaf-packs", "{detail}");
+            Err(IndexError::SnapshotCorrupt { section: got, detail }) => {
+                assert_eq!(got, section, "{detail}");
                 assert!(detail.contains(want), "{detail}");
             }
             Err(other) => panic!("expected SnapshotCorrupt, got {other:?}"),
-            Ok(_) => panic!("a bad pack must fail the open"),
+            Ok(_) => panic!("a corrupt {section} section must fail the open ({want})"),
         }
     }
 
+    /// The byte offset in the tree section of each subtree and of each of
+    /// its nodes. The section holds per subtree a u64 key and a u64 node
+    /// count, then per node a tag byte and either a u32 packed length, a
+    /// u32 tail count and the tail rows (leaf) or two u32 children, a u16
+    /// position and a u8 bit (inner).
+    fn tree_offsets(subtrees: &[Subtree]) -> Vec<(usize, Vec<usize>)> {
+        let mut at = 0;
+        let mut offsets = Vec::new();
+        for st in subtrees {
+            let start = at;
+            at += 16;
+            let mut nodes = Vec::new();
+            for node in &st.nodes {
+                nodes.push(at);
+                at += if node.is_leaf() { 9 + 4 * node.tail_len() } else { 12 };
+            }
+            offsets.push((start, nodes));
+        }
+        offsets
+    }
+
     #[test]
-    fn pack_longer_than_its_leaf_or_its_codes_fails_closed() {
+    fn packed_length_past_its_run_fails_closed() {
         let idx = sax_index(300);
-        let leaves: Vec<&Node> = idx.subtrees().iter().flat_map(|st| st.leaves()).collect();
-        // A leaf-packs entry is a u32 start and a u64 length, in leaf order.
-        let set_len = |k: usize, len: usize| {
-            move |packs: &mut [u8]| {
-                packs[12 * k + 4..12 * k + 12].copy_from_slice(&u64_of(len).to_ne_bytes());
+        let st = &idx.subtrees()[0];
+        let (ni, leaf) = st.nodes.iter().enumerate().find(|(_, n)| n.is_leaf()).expect("leaf");
+        let len = leaf.pack().expect("pack").len;
+        let at = tree_offsets(idx.subtrees())[0].1[ni];
+        let set_len = |len: u32| {
+            move |tree: &mut [u8]| {
+                tree[at + 1..at + 5].copy_from_slice(&len.to_ne_bytes());
             }
         };
         let path = tmp_path("pack-len");
         idx.snapshot(&path).expect("snapshot");
-        patch_section(&path, SEC_PACKS, set_len(0, leaves[0].rows().len() + 1));
-        assert_pack_corrupt(&path, "candidates on a leaf of");
+        let original = std::fs::read(&path).expect("read");
+        // One row too many shifts every later run by a slot, so the last
+        // one runs past the arena end.
+        patch_section(&path, SEC_TREE, set_len(len + 1));
+        assert_corrupt(&path, "tree", "the arena end");
+        // One row too few leaves the last slot to no leaf.
+        std::fs::write(&path, &original).expect("write");
+        patch_section(&path, SEC_TREE, set_len(len - 1));
+        assert_corrupt(&path, "tree", "which no leaf claims");
+        std::fs::remove_file(&path).ok();
+    }
 
-        // Packing only the first row of a leaf whose codes cover all of it
-        // leaves a quant block sized past the packed run.
-        let k = leaves.iter().position(|leaf| leaf.rows().len() > 1).expect("a two-row leaf");
-        assert!(leaves[k].pack().and_then(|p| p.quant.as_ref()).is_some(), "leaf has codes");
+    #[test]
+    fn tail_row_below_the_first_tail_or_in_a_packed_run_fails_closed() {
+        let mut idx = sax_index(300);
+        // A copy of a row of a leaf with room joins that leaf's tail, as
+        // row 300 at slot 300, so every subtree before it stays tail-free.
+        let (s, row) = idx.subtrees()[1..]
+            .iter()
+            .zip(1..)
+            .find_map(|(st, s)| {
+                let leaf = st.leaves().find(|leaf| (2..25).contains(&leaf.rows().len()))?;
+                Some((s, leaf.rows()[0] as usize))
+            })
+            .expect("a leaf with room past the first subtree");
+        idx.insert(&dataset(300, 64)[row * 64..(row + 1) * 64]).expect("insert");
+        let subtrees = idx.subtrees();
+        assert_eq!(subtrees.iter().position(Subtree::has_tail), Some(s));
+        assert_eq!(idx.row_to_slot[300], 300);
+        let leaf = subtrees[s].leaves().find(|leaf| leaf.rows().contains(&300)).expect("leaf");
+        let packed = leaf.pack().expect("pack");
+        let swap = |a: usize| {
+            move |map: &mut [u8]| {
+                for i in 0..4 {
+                    map.swap(4 * a + i, 4 * 300 + i);
+                }
+            }
+        };
+        let path = tmp_path("tail-slot");
         idx.snapshot(&path).expect("snapshot");
-        patch_section(&path, SEC_PACKS, set_len(k, 1));
-        assert_pack_corrupt(&path, "on a pack of 1 rows");
+        let original = std::fs::read(&path).expect("read");
+        // Slot 0 opens the prefix a repack keeps in place.
+        patch_section(&path, SEC_MAPPING, swap(0));
+        assert_corrupt(&path, "tree", "sits below the first subtree with a tail");
+        std::fs::write(&path, &original).expect("write");
+        patch_section(&path, SEC_MAPPING, swap(packed.start as usize + 1));
+        assert_corrupt(&path, "tree", "reaches a tail slot");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn slot_map_that_is_not_a_permutation_fails_closed() {
+        let idx = sax_index(300);
+        let path = tmp_path("mapping");
+        idx.snapshot(&path).expect("snapshot");
+        let original = std::fs::read(&path).expect("read");
+        let set_slot_0 =
+            |row: u32| move |map: &mut [u8]| map[..4].copy_from_slice(&row.to_ne_bytes());
+        patch_section(&path, SEC_MAPPING, set_slot_0(300));
+        assert_corrupt(&path, "mapping", "out-of-range row 300");
+        std::fs::write(&path, &original).expect("write");
+        patch_section(&path, SEC_MAPPING, set_slot_0(idx.slot_to_row[1]));
+        assert_corrupt(&path, "mapping", "occupies two slots");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1869,32 +1686,22 @@ mod tests {
             Index::build(sax, &dataset(2000, 64), IndexConfig::with_threads(2).leaf_capacity(25))
                 .expect("build");
         let subtrees = idx.subtrees();
-        // Tree section: per subtree a u64 key and a u64 node count, then
-        // per node a tag byte and either a u64 row count and the rows
-        // (leaf) or two u32 children, a u16 position and a u8 bit (inner).
-        let mut offsets = vec![0usize];
-        let mut split_bits = Vec::new();
-        for st in subtrees {
-            let mut at = offsets.last().copied().expect("offset") + 16;
-            for node in &st.nodes {
-                if !node.is_leaf() {
-                    split_bits.push(at + 11);
-                }
-                at += if node.is_leaf() { 9 + 4 * node.rows().len() } else { 12 };
-            }
-            offsets.push(at);
-        }
+        let offsets = tree_offsets(subtrees);
+        // An inner node's split bit follows its tag, children and position.
+        let split_bits: Vec<usize> = subtrees
+            .iter()
+            .zip(&offsets)
+            .flat_map(|(st, (_, nodes))| st.nodes.iter().zip(nodes))
+            .filter(|(node, _)| !node.is_leaf())
+            .map(|(_, &at)| at + 11)
+            .collect();
         assert!(!split_bits.is_empty(), "the index must split a leaf");
         let path = tmp_path("tree-key");
         idx.snapshot(&path).expect("snapshot");
         let original = std::fs::read(&path).expect("read");
-        let assert_tree_corrupt = |want: &str| match Index::<ISax>::open(&path) {
-            Err(IndexError::SnapshotCorrupt { section, detail }) => {
-                assert_eq!(section, "tree", "{detail}");
-                assert!(detail.contains(want), "{detail}");
-            }
-            Err(other) => panic!("expected SnapshotCorrupt, got {other:?}"),
-            Ok(_) => panic!("a tree that disagrees with its rows must fail the open"),
+        let set_key = |s: usize, key: u64| {
+            let at = offsets[s].0;
+            move |tree: &mut [u8]| tree[at..at + 8].copy_from_slice(&key.to_ne_bytes())
         };
         // Every single-bit flip of a key that keeps the keys ascending.
         let mut flips = 0;
@@ -1905,10 +1712,8 @@ mod tests {
                 let below = subtrees.get(s + 1).map_or(true, |next| key < next.key);
                 if above && below {
                     std::fs::write(&path, &original).expect("write");
-                    patch_section(&path, SEC_TREE, |tree| {
-                        tree[offsets[s]..offsets[s] + 8].copy_from_slice(&key.to_ne_bytes());
-                    });
-                    assert_tree_corrupt("disagrees with its rows");
+                    patch_section(&path, SEC_TREE, set_key(s, key));
+                    assert_corrupt(&path, "tree", "disagrees with its rows");
                     flips += 1;
                 }
             }
@@ -1916,56 +1721,13 @@ mod tests {
         assert!(flips > 0, "no key could be flipped in order");
         // A key bit past the 8-position words on the last (largest) key.
         let last = subtrees.len() - 1;
-        let key = subtrees[last].key | 1 << 8;
         std::fs::write(&path, &original).expect("write");
-        patch_section(&path, SEC_TREE, |tree| {
-            tree[offsets[last]..offsets[last] + 8].copy_from_slice(&key.to_ne_bytes());
-        });
-        assert_tree_corrupt("bits past the word length");
+        patch_section(&path, SEC_TREE, set_key(last, subtrees[last].key | 1 << 8));
+        assert_corrupt(&path, "tree", "bits past the word length");
         // A split bit past the 8-bit symbols.
         std::fs::write(&path, &original).expect("write");
         patch_section(&path, SEC_TREE, |tree| tree[split_bits[0]] = 8);
-        assert_tree_corrupt("split bit 8");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn swapped_packed_runs_fail_closed_as_out_of_place() {
-        let idx = sax_index(300);
-        assert_eq!(idx.tail_rows, 0, "a fresh build has no tails");
-        let packs: Vec<&LeafPack> = idx.packs().collect();
-        // Two leaves with packed runs of one length, the first at slot 0.
-        let n = packs[0].len;
-        assert_eq!(packs[0].start, 0);
-        let k = (1..packs.len()).find(|&k| packs[k].len == n).expect("two equal-length leaves");
-        let (a, b) = (0usize, packs[k].start as usize);
-        let n = n as usize;
-        let path = tmp_path("out-of-place");
-        idx.snapshot(&path).expect("snapshot");
-        // Swap the two runs in the leaf packs (u32 start, u64 length each)...
-        patch_section(&path, SEC_PACKS, |buf| {
-            buf[..4].copy_from_slice(&u32::try_from(b).expect("slot").to_ne_bytes());
-            buf[12 * k..12 * k + 4].copy_from_slice(&0u32.to_ne_bytes());
-        });
-        // ...and in both directions of the row <-> slot map, so every pack
-        // still holds its leaf's rows and the map stays a bijection.
-        patch_section(&path, SEC_MAPPING, |buf| {
-            let (fwd, inv) = buf.split_at_mut(4 * idx.n_series());
-            let get = |m: &[u8], i: usize| {
-                u32::from_ne_bytes(m[4 * i..4 * i + 4].try_into().expect("u32"))
-            };
-            let set = |m: &mut [u8], i: usize, v: u32| {
-                m[4 * i..4 * i + 4].copy_from_slice(&v.to_ne_bytes());
-            };
-            for i in 0..n {
-                let (row_a, row_b) = (get(inv, a + i), get(inv, b + i));
-                set(inv, a + i, row_b);
-                set(inv, b + i, row_a);
-                set(fwd, row_a as usize, u32::try_from(b + i).expect("slot"));
-                set(fwd, row_b as usize, u32::try_from(a + i).expect("slot"));
-            }
-        });
-        assert_pack_corrupt(&path, &format!("packed run at slot {b} is out of place"));
+        assert_corrupt(&path, "tree", "split bit 8");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1983,10 +1745,10 @@ mod tests {
             .collect()
     }
 
-    /// A file laid out as the writer lays it out: the sealed header, then
-    /// each section at its offset.
-    fn assemble(sections: &[(u32, &[u8])], pool: Option<&ExecPool>) -> Vec<u8> {
-        let (mut file, offsets) = seal_header(1, sections, pool);
+    /// A file of summarization `kind` laid out as the writer lays it out:
+    /// the sealed header, then each section at its offset.
+    fn assemble(kind: u32, sections: &[(u32, &[u8])], pool: Option<&ExecPool>) -> Vec<u8> {
+        let (mut file, offsets) = seal_header(kind, sections, pool);
         for (&(_, bytes), off) in sections.iter().zip(offsets) {
             file.resize(usize::try_from(off).expect("offset"), 0);
             file.extend_from_slice(bytes);
@@ -1997,27 +1759,27 @@ mod tests {
     #[test]
     fn chunked_digest_is_independent_of_pool_and_matches_the_writer() {
         const C: usize = DIGEST_CHUNK;
-        let ids = [SEC_META, SEC_SUMM, SEC_DATA, SEC_WORDS, SEC_MAPPING, SEC_TREE, SEC_PACKS];
+        let ids = SECTIONS.map(|s| s.id);
         let lens = [0, 1, 31, 32, 33, C - 1, C, C + 1, 3 * C + 5];
         let pools = [ExecPool::new(1), ExecPool::new(2), ExecPool::new(4)];
         let pools: Vec<Option<&ExecPool>> =
             std::iter::once(None).chain(pools.iter().map(Some)).collect();
-        // Every length lands in one of two files (section ids are unique).
-        for group in [&lens[..7], &lens[7..]] {
+        // Every length lands in one of two files of one section per id.
+        for group in [&lens[..7], &lens[2..]] {
             let data: Vec<Vec<u8>> =
                 group.iter().enumerate().map(|(i, &len)| filler(len, i as u64)).collect();
             let sections: Vec<(u32, &[u8])> =
                 ids.iter().zip(&data).map(|(&id, d)| (id, d.as_slice())).collect();
             let bytes: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
             let one_by_one: Vec<u64> = bytes.iter().map(|b| digests(&[b], None)[0]).collect();
-            let file = assemble(&sections, None);
-            let (_, table) = parse_and_verify(&file, None).expect("writer's table verifies");
-            let written: Vec<u64> = table.iter().map(|e| e.checksum).collect();
+            let file = assemble(1, &sections, None);
+            let table = parse_and_verify(&file, None).expect("writer's table verifies").sections;
+            let written: Vec<u64> = table.iter().map(|s| s.checksum).collect();
             assert_eq!(written, one_by_one, "writer's table, lengths {group:?}");
             for pool in &pools {
                 let threads = pool.map(ExecPool::threads);
                 assert_eq!(digests(&bytes, *pool), one_by_one, "pool {threads:?}, {group:?}");
-                assert_eq!(assemble(&sections, *pool), file, "pool {threads:?} writer");
+                assert_eq!(assemble(1, &sections, *pool), file, "pool {threads:?} writer");
                 parse_and_verify(&file, *pool).expect("verifies on every pool");
             }
             // The length is part of every digest, so even the all-empty
@@ -2030,13 +1792,13 @@ mod tests {
 
         // Two corrupt sections: the first in table order is reported,
         // whichever lane finishes first.
-        let data: Vec<Vec<u8>> = (0..4).map(|i| filler(C + 100 * i, i as u64)).collect();
+        let data: Vec<Vec<u8>> = (0..6).map(|i| filler(C + 100 * i, i as u64)).collect();
         let sections: Vec<(u32, &[u8])> =
             ids.iter().zip(&data).map(|(&id, d)| (id, d.as_slice())).collect();
-        let mut file = assemble(&sections, None);
-        let (_, table) = parse_and_verify(&file, None).expect("valid");
-        file[table[1].offset + C + 3] ^= 0x80;
-        file[table[3].offset + 7] ^= 0x01;
+        let mut file = assemble(1, &sections, None);
+        let table = parse_and_verify(&file, None).expect("valid").sections;
+        file[table[1].offset as usize + C + 3] ^= 0x80;
+        file[table[3].offset as usize + 7] ^= 0x01;
         for pool in &pools {
             match parse_and_verify(&file, *pool) {
                 Err(IndexError::SnapshotCorrupt { section, .. }) => {
@@ -2056,14 +1818,7 @@ mod tests {
         let path = tmp_path("alphabet");
         idx.snapshot(&path).expect("snapshot");
         patch_section(&path, SEC_WORDS, |words| words[3] = 200);
-        match Index::<ISax>::open(&path) {
-            Err(IndexError::SnapshotCorrupt { section, detail }) => {
-                assert_eq!(section, "words");
-                assert!(detail.contains("symbol 200"), "{detail}");
-            }
-            Err(other) => panic!("expected SnapshotCorrupt, got {other:?}"),
-            Ok(_) => panic!("out-of-alphabet symbol must fail the open"),
-        }
+        assert_corrupt(&path, "words", "symbol 200");
         std::fs::remove_file(&path).ok();
     }
 

@@ -109,6 +109,19 @@ pub fn as_bytes<T: Pod>(vals: &[T]) -> &[u8] {
     unsafe { std::slice::from_raw_parts(vals.as_ptr().cast::<u8>(), std::mem::size_of_val(vals)) }
 }
 
+/// Views a typed slice as mutable raw bytes, so values can be filled
+/// from unaligned bytes by a plain copy (always valid: any bytes written
+/// through it form a valid `Pod` value).
+#[must_use]
+pub fn as_bytes_mut<T: Pod>(vals: &mut [T]) -> &mut [u8] {
+    // SAFETY: the slice is exclusively borrowed for the returned
+    // lifetime, the length is exactly its byte extent, and `T: Pod`
+    // makes every byte pattern written through the view a valid `T`.
+    unsafe {
+        std::slice::from_raw_parts_mut(vals.as_mut_ptr().cast::<u8>(), std::mem::size_of_val(vals))
+    }
+}
+
 /// A read-only mapping of an entire file.
 ///
 /// On Unix this is a `PROT_READ` / `MAP_PRIVATE` `mmap(2)` of the file,

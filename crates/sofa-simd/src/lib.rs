@@ -65,4 +65,4 @@ pub use quant::{
     quant_lower_bound_scalar, QUANT_MAX_POSITIONS,
 };
 pub use vector::{F32x8, Mask8, LANES};
-pub use znorm::{znormalize, znormalize_into, ZNormStats};
+pub use znorm::{znormalize, znormalize_finite, znormalize_into, ZNormStats};

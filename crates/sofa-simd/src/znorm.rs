@@ -47,15 +47,25 @@ impl ZNormStats {
 
 /// Z-normalizes `series` in place. Constant series become all zeros.
 pub fn znormalize(series: &mut [f32]) {
+    znormalize_finite(series);
+}
+
+/// [`znormalize`], reporting whether every value of `series` was finite.
+/// A series holding a NaN or ±inf becomes all zeros and returns `false`.
+/// The check costs no extra pass: the `f64` sums behind [`ZNormStats`]
+/// are finite iff every value is, and so is the mean.
+pub fn znormalize_finite(series: &mut [f32]) -> bool {
     let stats = ZNormStats::compute(series);
-    if stats.std < MIN_STD {
+    let finite = stats.mean.is_finite();
+    if !finite || stats.std < MIN_STD {
         series.fill(0.0);
-        return;
+        return finite;
     }
     let inv = 1.0 / stats.std;
     for x in series.iter_mut() {
         *x = (*x - stats.mean) * inv;
     }
+    true
 }
 
 /// Z-normalizes `series` into `out` (same length), leaving the input intact.

@@ -256,7 +256,8 @@ impl Builder {
     /// [`Builder::build_sofa_owned`] to avoid even that copy.
     ///
     /// # Errors
-    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer.
+    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer, or
+    /// one holding a NaN or infinite value.
     pub fn build_sofa(&self, data: &[f32], series_len: usize) -> Result<SofaIndex, IndexError> {
         self.build_sofa_owned(data.to_vec(), series_len)
     }
@@ -268,7 +269,8 @@ impl Builder {
     /// path used to hold two).
     ///
     /// # Errors
-    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer.
+    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer, or
+    /// one holding a NaN or infinite value.
     pub fn build_sofa_owned(
         &self,
         mut data: Vec<f32>,
@@ -284,7 +286,11 @@ impl Builder {
         // index stores (and measures distances between) z-normalized
         // series. Normalization is idempotent, so normalizing in place
         // here and handing the same buffer to the index builder is safe.
-        sofa_index::znormalize_rows(&mut data, series_len, &pool);
+        // A NaN or ±inf row would poison the SFA model (or stop its
+        // learning), so the pass that normalizes every row refuses it.
+        if let Some(row) = sofa_index::znormalize_rows(&mut data, series_len, &pool) {
+            return Err(IndexError::BadDataset(format!("row {row} holds a NaN or infinite value")));
+        }
         let cfg = SfaConfig {
             word_len: self.word_len,
             alphabet: self.alphabet,
@@ -327,7 +333,8 @@ impl Builder {
     /// [`Builder::build_messi_owned`] to avoid even that copy.
     ///
     /// # Errors
-    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer.
+    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer, or
+    /// one holding a NaN or infinite value.
     pub fn build_messi(&self, data: &[f32], series_len: usize) -> Result<MessiIndex, IndexError> {
         self.build_messi_owned(data.to_vec(), series_len)
     }
@@ -336,7 +343,8 @@ impl Builder {
     /// `data` (z-normalized in place, no duplicate ever held).
     ///
     /// # Errors
-    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer.
+    /// Returns [`IndexError::BadDataset`] on an empty or ragged buffer, or
+    /// one holding a NaN or infinite value.
     pub fn build_messi_owned(
         &self,
         data: Vec<f32>,

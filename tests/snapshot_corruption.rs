@@ -58,7 +58,8 @@ fn truncation_at_every_section_boundary_fails_closed() {
     idx.snapshot(&path).expect("snapshot");
     let bytes = std::fs::read(&path).expect("read");
     let info = describe(&path).expect("describe");
-    assert!(info.sections.len() >= 8, "expected a full section table");
+    // Meta, summarization, data, words, mapping, tree and quant.
+    assert_eq!(info.sections.len(), 7, "expected a full section table");
 
     let mut cuts: Vec<usize> = vec![0, 1, 8, 16, bytes.len() - 1];
     for s in &info.sections {

@@ -233,14 +233,33 @@ fn snapshot_with_leaf_tails_reopens_with_identical_answers_and_stats() {
     let pool = ExecPool::shared(1);
     let mut live = Builder::default()
         .pool(Arc::clone(&pool))
-        .leaf_capacity(40)
+        .leaf_capacity(10)
         .sample_ratio(0.5)
         .auto_repack_pct(None)
         .build_sofa(&data, n)
         .expect("build");
+    // Which (subtree key, node) holds a packed run before the inserts.
+    let packed_before: Vec<(u64, usize)> = live
+        .subtrees()
+        .iter()
+        .flat_map(|st| {
+            let packed = st.nodes.iter().map(|n| n.pack().is_some_and(|p| p.len > 0));
+            packed.enumerate().filter(|&(_, p)| p).map(move |(i, _)| (st.key, i))
+        })
+        .collect();
+    let keys_before: Vec<u64> = live.subtrees().iter().map(|st| st.key).collect();
     live.insert_all(&extra).expect("insert");
     let stats = live.stats();
     assert!(stats.packed_leaves < stats.leaves, "inserts must leave tails: {stats:?}");
+    // The inserts split a packed leaf, orphaning its run, and opened a new
+    // subtree: the open's slot walk must skip both kinds of tail slot.
+    let subtrees = live.subtrees();
+    let split = packed_before.iter().any(|&(key, i)| {
+        subtrees.iter().find(|st| st.key == key).is_some_and(|st| !st.nodes[i].is_leaf())
+    });
+    assert!(split, "the inserts must split a packed leaf");
+    let new_subtree = subtrees.iter().any(|st| !keys_before.contains(&st.key));
+    assert!(new_subtree, "the inserts must open a subtree");
 
     // Written before any compaction: the file carries each leaf's packed
     // length, and the tails come back from the tree and the slot map.
@@ -248,6 +267,16 @@ fn snapshot_with_leaf_tails_reopens_with_identical_answers_and_stats() {
     live.snapshot(&path).expect("snapshot");
     let opened = Builder::default().pool(Arc::clone(&pool)).open_sofa(&path).expect("open");
     std::fs::remove_file(&path).ok();
+    // Every leaf comes back with its rows, its pack start and its length.
+    assert_eq!(opened.subtrees().len(), live.subtrees().len());
+    for (a, b) in live.subtrees().iter().zip(opened.subtrees()) {
+        assert_eq!((a.key, a.nodes.len()), (b.key, b.nodes.len()));
+        for (i, (x, y)) in a.nodes.iter().zip(&b.nodes).enumerate() {
+            assert_eq!(x.rows(), y.rows(), "subtree {:#x} node {i}", a.key);
+            let run = |n: &sofa::index::Node| n.pack().map(|p| (p.start, p.len));
+            assert_eq!(run(x), run(y), "subtree {:#x} node {i}", a.key);
+        }
+    }
     let reopened = opened.stats();
     assert_eq!(
         (reopened.leaves, reopened.packed_leaves, reopened.fallback_leaf_pct),

@@ -4,7 +4,7 @@
 //! facade) and is meant to catch facade regressions in seconds.
 
 use sofa::baselines::FlatL2;
-use sofa::Builder;
+use sofa::{Builder, IndexError};
 
 /// ~200 short series with mild cluster structure so pruning has work to do.
 fn tiny_dataset(rows: usize, n: usize) -> Vec<f32> {
@@ -92,4 +92,20 @@ fn facade_rejects_malformed_input_cheaply() {
     let idx =
         Builder::default().word_len(8).sample_ratio(1.0).build_sofa(&data, 16).expect("build");
     assert!(idx.nn(&[0.0; 15]).is_err(), "query length mismatch must error");
+}
+
+#[test]
+fn facade_refuses_non_finite_rows() {
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut data = tiny_dataset(20, 16);
+        data[7 * 16 + 3] = bad;
+        // Every row is sampled, so the model would learn from the bad one.
+        let sofa = Builder::default().word_len(8).sample_ratio(1.0).build_sofa(&data, 16);
+        match sofa.err() {
+            Some(IndexError::BadDataset(detail)) => assert!(detail.contains("row 7"), "{detail}"),
+            other => panic!("{bad}: expected BadDataset, got {other:?}"),
+        }
+        let messi = Builder::default().word_len(8).build_messi(&data, 16);
+        assert!(matches!(messi.err(), Some(IndexError::BadDataset(_))), "{bad}");
+    }
 }
