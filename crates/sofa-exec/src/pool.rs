@@ -261,8 +261,9 @@ impl ExecPool {
     /// stack frame rather than a fresh box, and the scope state comes
     /// from the pool's cache — so a warm broadcast performs **zero heap
     /// allocations**, which is what extends the serving path's
-    /// zero-allocation guarantee to pool-parallel single queries (two
-    /// broadcasts per query: collect, refine).
+    /// zero-allocation guarantee to queries on several lanes (each query
+    /// makes two [`ExecPool::broadcast_limit`] calls, collect and refine,
+    /// which are plain calls when it runs on one lane).
     ///
     /// # Panics
     /// Re-raises the first panic from any lane, after all lanes finish.

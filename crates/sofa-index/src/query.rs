@@ -46,13 +46,16 @@
 //! word bound in `f32` (same operations, wider interval), so it prunes
 //! only nodes the word bound would empty, and answers are unchanged.
 //!
-//! Parallel phases execute on the index's persistent
-//! [`sofa_exec::ExecPool`] (no per-query thread spawning), and every
-//! per-query buffer — context values, query word, symbol table, queues,
-//! k-NN heap, range hit list, DFS stacks — comes from a pooled
-//! crate-private query scratch, so the steady-state serial path
-//! performs zero heap allocations and [`Index::knn_batch`] lanes reuse
-//! one scratch per lane across the whole mini-batch.
+//! Every query takes one path: collect and refine each run as one
+//! [`sofa_exec::ExecPool::broadcast_limit`] over the query's lanes —
+//! every pool lane for a direct call or a batch of one, a single lane
+//! (a plain call) for each member of a larger batch, whose lanes split
+//! the queries instead. Every per-query buffer — context values, query
+//! word, symbol table, queues, k-NN heap, range hit list, DFS stacks —
+//! comes from a pooled crate-private query scratch, so a warm query
+//! performs zero heap allocations on any lane count and
+//! [`Index::knn_batch`] lanes reuse one scratch per lane across the
+//! whole mini-batch.
 
 use crate::bsf::{IpNeighbor, Neighbor};
 use crate::filter::RowFilter;
@@ -66,7 +69,7 @@ use sofa_simd::{dot, znormalize};
 use sofa_simd::{lut_lower_bound, quant_lower_bound, quant_lower_bound_masked, BLOCK_LANES};
 use sofa_summaries::{QueryContext, RootLbd, Summarization};
 use std::cmp::Reverse;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Minimum word-bound survivors in an 8-lane group before the quantized
@@ -80,6 +83,13 @@ use std::sync::Arc;
 /// its on/off arms on one index (`repro` throughput profile, 1-core AVX2
 /// container), and has not been re-tuned on `perfbench` since.
 const QUANT_MIN_SURVIVORS: usize = 6;
+
+/// Subtrees a collect lane claims per step of the shared counter. One
+/// atomic per chunk rather than per subtree keeps a one-lane query's
+/// collect as cheap as a plain loop (about 40 atomics on a forest of
+/// 2.5k subtrees), and lanes still balance over the many chunks such a
+/// forest holds.
+const COLLECT_CHUNK: usize = 64;
 
 /// Counters describing how much work one query performed — the raw
 /// material for the paper's pruning-power discussion (§V-E).
@@ -132,20 +142,25 @@ pub struct QueryStats {
     pub cancelled: usize,
 }
 
-#[derive(Default)]
-struct AtomicStats {
-    leaves_collected: AtomicUsize,
-    leaves_refined: AtomicUsize,
-    nodes_pruned: AtomicUsize,
-    series_lbd_checked: AtomicUsize,
-    series_refined: AtomicUsize,
-    queues_abandoned: AtomicUsize,
-    block_groups_swept: AtomicUsize,
-    block_lanes_abandoned: AtomicUsize,
-    quant_groups_swept: AtomicUsize,
-    quant_lanes_killed: AtomicUsize,
-    predicate_lanes_masked: AtomicUsize,
-    refine_bytes: AtomicUsize,
+impl QueryStats {
+    /// Adds `other`'s work into `self`: each lane counts one phase in its
+    /// own `QueryStats` and adds it into the query's total once.
+    pub(crate) fn add(&mut self, other: &QueryStats) {
+        self.leaves_collected += other.leaves_collected;
+        self.leaves_refined += other.leaves_refined;
+        self.nodes_pruned += other.nodes_pruned;
+        self.series_lbd_checked += other.series_lbd_checked;
+        self.series_refined += other.series_refined;
+        self.queues_abandoned += other.queues_abandoned;
+        self.block_groups_swept += other.block_groups_swept;
+        self.block_lanes_abandoned += other.block_lanes_abandoned;
+        self.quant_groups_swept += other.quant_groups_swept;
+        self.quant_lanes_killed += other.quant_lanes_killed;
+        self.predicate_lanes_masked += other.predicate_lanes_masked;
+        self.range_hits += other.range_hits;
+        self.refine_bytes += other.refine_bytes;
+        self.cancelled += other.cancelled;
+    }
 }
 
 /// Per-query scratch of the quantized refine tier: the query's codes
@@ -162,27 +177,6 @@ struct QuantScratch {
 impl QuantScratch {
     fn new() -> Self {
         Self { codes: [0; crate::node::QUANT_REFINE_MAX_LEN], err_q: f64::NAN }
-    }
-}
-
-impl AtomicStats {
-    fn snapshot(&self) -> QueryStats {
-        QueryStats {
-            leaves_collected: self.leaves_collected.load(Ordering::Relaxed),
-            leaves_refined: self.leaves_refined.load(Ordering::Relaxed),
-            nodes_pruned: self.nodes_pruned.load(Ordering::Relaxed),
-            series_lbd_checked: self.series_lbd_checked.load(Ordering::Relaxed),
-            series_refined: self.series_refined.load(Ordering::Relaxed),
-            queues_abandoned: self.queues_abandoned.load(Ordering::Relaxed),
-            block_groups_swept: self.block_groups_swept.load(Ordering::Relaxed),
-            block_lanes_abandoned: self.block_lanes_abandoned.load(Ordering::Relaxed),
-            quant_groups_swept: self.quant_groups_swept.load(Ordering::Relaxed),
-            quant_lanes_killed: self.quant_lanes_killed.load(Ordering::Relaxed),
-            predicate_lanes_masked: self.predicate_lanes_masked.load(Ordering::Relaxed),
-            range_hits: 0,
-            refine_bytes: self.refine_bytes.load(Ordering::Relaxed),
-            cancelled: 0,
-        }
     }
 }
 
@@ -269,11 +263,15 @@ impl QueryKind {
         }
     }
 
-    /// The `k` the scratch's result set is armed with (range queries
-    /// don't use the k-NN set; 1 keeps the reset cheap).
-    fn set_k(&self) -> usize {
+    /// The `k` the scratch's result set is armed with: at most the
+    /// `rows` the index holds, since no answer holds more and the set
+    /// reserves room for `k` (range queries don't use the k-NN set; 1
+    /// keeps the reset cheap).
+    fn set_k(&self, rows: usize) -> usize {
         match self {
-            QueryKind::Knn { k } | QueryKind::KnnFiltered { k, .. } | QueryKind::Ip { k } => *k,
+            QueryKind::Knn { k } | QueryKind::KnnFiltered { k, .. } | QueryKind::Ip { k } => {
+                (*k).min(rows).max(1)
+            }
             QueryKind::Range { .. } => 1,
         }
     }
@@ -349,8 +347,7 @@ impl<S: Summarization> Index<S> {
     ) -> Result<QueryStats, IndexError> {
         kind.validate(query, self.series_len, Some(self.n_series()))?;
         let mut scratch = self.scratch();
-        let stats =
-            self.query_on_scratch(&mut scratch, query, kind, None, self.pool.threads() == 1);
+        let stats = self.query_on_scratch(&mut scratch, query, kind, None, self.pool.threads());
         drain_results(&mut scratch, kind, out);
         Ok(stats)
     }
@@ -461,14 +458,15 @@ impl<S: Summarization> Index<S> {
     /// A mixed batch: query `i` (row-major in `queries`) runs as
     /// `kinds[i]` into `outs[i]` (cleared first, best first; see
     /// [`QueryKind`] for each kind's encoding). Queries are distributed
-    /// across the worker pool — each runs the serial per-query path, so
-    /// a batch keeps every lane busy with zero intra-query
-    /// synchronization (the FAISS mini-batch model the paper uses for
-    /// its flat competitor, applied to the tree). A batch of `m` queries
-    /// runs on `min(m, threads())` pool lanes, each lane reusing one
-    /// pooled scratch for every query it claims, so a warm batch
-    /// allocates nothing; a lone query keeps intra-query parallelism.
-    /// This is the engine behind micro-batching front-ends.
+    /// across the worker pool and each runs the same per-query funnel
+    /// as [`Index::query_into`] on the one lane that claimed it, so a
+    /// batch keeps every lane busy with zero intra-query synchronization
+    /// (the FAISS mini-batch model the paper uses for its flat
+    /// competitor, applied to the tree). A batch of `m` queries runs on
+    /// `min(m, threads())` pool lanes, each lane reusing one pooled
+    /// scratch for every query it claims, so a warm batch allocates
+    /// nothing; a batch of one runs on every lane, as a direct call
+    /// does. This is the engine behind micro-batching front-ends.
     ///
     /// Exactly one [`crate::IndexStats::queries_served`] count is
     /// recorded per answered slot, the same as `m` individual calls.
@@ -509,10 +507,10 @@ impl<S: Summarization> Index<S> {
         Ok(())
     }
 
-    /// Validated batch execution: a lone query keeps intra-query
-    /// parallelism; otherwise pool lanes claim queries off an atomic
-    /// counter and run the serial per-query path, one pooled scratch per
-    /// lane for the whole batch.
+    /// Validated batch execution: pool lanes claim queries off an atomic
+    /// counter, one pooled scratch per lane for the whole batch. A lone
+    /// query runs on every pool lane; in a larger batch each query runs on
+    /// the one lane that claimed it.
     fn batch_dispatch(
         &self,
         queries: &[f32],
@@ -520,30 +518,8 @@ impl<S: Summarization> Index<S> {
         outs: &[Mutex<Vec<Neighbor>>],
         cancels: &[CancelToken],
     ) {
-        let n_queries = outs.len();
-        if n_queries == 1 {
-            // A lone query still gets intra-query parallelism, with the
-            // token (if any) threaded through the phases.
-            let mut scratch = self.scratch();
-            let stats = self.query_on_scratch(
-                &mut scratch,
-                queries,
-                &kinds[0],
-                cancels.first(),
-                self.pool.threads() == 1,
-            );
-            if stats.cancelled == 0 {
-                drain_results(&mut scratch, &kinds[0], &mut outs[0].lock());
-            }
-            return;
-        }
-        if self.pool.threads() == 1 {
-            let mut scratch = self.scratch();
-            for i in 0..n_queries {
-                self.batch_query_on_scratch(&mut scratch, queries, kinds, outs, cancels, i);
-            }
-            return;
-        }
+        let (n, n_queries) = (self.series_len, outs.len());
+        let lanes = if n_queries == 1 { self.pool.threads() } else { 1 };
         let next_query = AtomicUsize::new(0);
         // A tick smaller than the pool leaves the excess lanes asleep:
         // per-tick dispatch cost scales with the queries available.
@@ -557,81 +533,74 @@ impl<S: Summarization> Index<S> {
                 if i >= n_queries {
                     break;
                 }
-                self.batch_query_on_scratch(&mut scratch, queries, kinds, outs, cancels, i);
+                let query = &queries[i * n..(i + 1) * n];
+                let stats =
+                    self.query_on_scratch(&mut scratch, query, &kinds[i], cancels.get(i), lanes);
+                // A cancelled query leaves its slot untouched: the caller
+                // treats it as unanswered.
+                if stats.cancelled == 0 {
+                    drain_results(&mut scratch, &kinds[i], &mut outs[i].lock());
+                }
             }
         });
     }
 
-    /// One batch lane's handling of query `i`: run the serial per-query
-    /// path with its token (if any); on completion write the output slot
-    /// and mark the token complete, on cancellation leave the slot
-    /// untouched (the caller must treat unmarked slots as unanswered).
-    fn batch_query_on_scratch(
-        &self,
-        scratch: &mut QueryScratch,
-        queries: &[f32],
-        kinds: &[QueryKind],
-        outs: &[Mutex<Vec<Neighbor>>],
-        cancels: &[CancelToken],
-        i: usize,
-    ) {
-        let n = self.series_len;
-        let query = &queries[i * n..(i + 1) * n];
-        let stats = self.query_on_scratch(scratch, query, &kinds[i], cancels.get(i), true);
-        if stats.cancelled == 0 {
-            drain_results(scratch, &kinds[i], &mut outs[i].lock());
-        }
-    }
-
-    /// Normalizes `query` into the scratch and answers it as `kind` —
-    /// on the pool when `serial` is false, inline otherwise. The results
-    /// are left in the scratch (`knn` or `range` per the kind); if
-    /// `cancel` fired the snapshot has `cancelled == 1` and the scratch
-    /// contents must be discarded.
+    /// Normalizes `query` into the scratch and answers it as `kind` on
+    /// `lanes` pool lanes, then records it in the index-lifetime
+    /// counters. The results are left in the scratch (`knn` or `range`
+    /// per the kind); if `cancel` fired the returned stats have
+    /// `cancelled == 1` and the scratch contents must be discarded.
     fn query_on_scratch(
         &self,
         scratch: &mut QueryScratch,
         query: &[f32],
         kind: &QueryKind,
         cancel: Option<&CancelToken>,
-        serial: bool,
+        lanes: usize,
     ) -> QueryStats {
-        if fired(cancel) {
-            // Expired before any work: skip even the query transform.
-            return self.finish_query(&AtomicStats::default(), true);
+        let mut stats = QueryStats::default();
+        // A query expired before any work skips even the transform.
+        if !fired(cancel) {
+            self.prepare_scratch(scratch, query, kind.set_k(self.n_series()));
+            let s: &QueryScratch = scratch;
+            let ctx = QueryContext::borrowed(&self.query_env, &s.values);
+            let knn = KnnBound { set: &s.knn };
+            stats = match kind {
+                QueryKind::Knn { .. } => self.drive(s, &ctx, &knn, None, true, lanes, cancel),
+                QueryKind::KnnFiltered { filter, .. } => {
+                    self.drive(s, &ctx, &knn, Some(filter), true, lanes, cancel)
+                }
+                QueryKind::Range { r_sq } => {
+                    // No approximate seed: the radius is fixed (seeding
+                    // can't tighten it), and the hit list has no row
+                    // dedup, so scoring the home leaf twice would
+                    // double-report.
+                    let pb = RangeBound { r_sq: *r_sq, hits: &s.range };
+                    self.drive(s, &ctx, &pb, None, false, lanes, cancel)
+                }
+                QueryKind::Ip { .. } => {
+                    let pb = IpBound { set: &s.knn, n: self.series_len };
+                    self.drive(s, &ctx, &pb, None, true, lanes, cancel)
+                }
+            };
         }
-        self.prepare_scratch(scratch, query, kind.set_k());
-        let s: &QueryScratch = scratch;
-        let ctx = QueryContext::borrowed(&self.query_env, &s.values);
-        let stats = AtomicStats::default();
-        let knn = KnnBound { set: &s.knn };
-        match kind {
-            QueryKind::Knn { .. } => self.drive(s, &ctx, &knn, None, true, serial, &stats, cancel),
-            QueryKind::KnnFiltered { filter, .. } => {
-                self.drive(s, &ctx, &knn, Some(filter), true, serial, &stats, cancel);
-            }
-            QueryKind::Range { r_sq } => {
-                // No approximate seed: the radius is fixed (seeding can't
-                // tighten it), and the hit list has no row dedup, so
-                // scoring the home leaf twice would double-report.
-                let pb = RangeBound { r_sq: *r_sq, hits: &s.range };
-                self.drive(s, &ctx, &pb, None, false, serial, &stats, cancel);
-            }
-            QueryKind::Ip { .. } => {
-                let pb = IpBound { set: &s.knn, n: self.series_len };
-                self.drive(s, &ctx, &pb, None, true, serial, &stats, cancel);
-            }
+        // One cancellation verdict decides both the answer and the audit:
+        // an abandoned query keeps the partial work it burned in its
+        // counters but reports no hits.
+        stats.cancelled = usize::from(fired(cancel));
+        if stats.cancelled == 0 && matches!(kind, QueryKind::Range { .. }) {
+            stats.range_hits = scratch.range.get_mut().len();
         }
-        let mut snapshot = self.finish_query(&stats, fired(cancel));
-        if snapshot.cancelled == 0 && matches!(kind, QueryKind::Range { .. }) {
-            snapshot.range_hits = s.range.lock().len();
-        }
-        snapshot
+        self.counters.record(&stats);
+        stats
     }
 
-    /// Runs the three funnel phases under one [`PruneBound`] policy: the
-    /// optional approximate seed, then collect, then refine — serially
-    /// inline or with pool lanes claiming subtrees/queues.
+    /// Runs the three funnel phases under one [`PruneBound`] policy on
+    /// `lanes` pool lanes: the optional approximate seed, then collect
+    /// (lanes claim subtrees, [`COLLECT_CHUNK`] at a time), then refine
+    /// (each lane drains the queues from its own). Each lane counts its
+    /// work in its own [`QueryStats`] and adds it into the returned
+    /// total once per phase. On one lane each phase is a plain call.
     #[allow(clippy::too_many_arguments)]
     fn drive<B: PruneBound>(
         &self,
@@ -640,28 +609,34 @@ impl<S: Summarization> Index<S> {
         pb: &B,
         filter: Option<&RowFilter>,
         seed: bool,
-        serial: bool,
-        stats: &AtomicStats,
+        lanes: usize,
         cancel: Option<&CancelToken>,
-    ) {
+    ) -> QueryStats {
         // --- Phase 1: approximate search seeds the bound (skipped for
         // range queries, whose bound is fixed).
         if seed {
             self.approximate_into(&s.q, &s.qword, ctx, &s.root_lbd, pb, filter);
         }
+        let total = Mutex::new(QueryStats::default());
 
         // --- Phase 2: collect unpruned leaves into priority queues.
-        let push_counter = AtomicUsize::new(0);
-        if serial {
-            {
-                let mut stack = s.lanes[0].lock();
-                for (i, subtree) in self.subtrees.iter().enumerate() {
+        let (next_chunk, push_counter) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let n_subtrees = self.subtrees.len();
+        self.pool.broadcast_limit(lanes, |lane| {
+            let mut stats = QueryStats::default();
+            let mut stack = s.lanes[lane].lock();
+            'claim: loop {
+                let first = next_chunk.fetch_add(COLLECT_CHUNK, Ordering::Relaxed);
+                if first >= n_subtrees {
+                    break;
+                }
+                for i in first..(first + COLLECT_CHUNK).min(n_subtrees) {
                     if fired(cancel) {
-                        break;
+                        break 'claim;
                     }
                     debug_assert!(i <= u32::MAX as usize, "subtree index exceeds u32");
                     self.collect_subtree(
-                        subtree,
+                        &self.subtrees[i],
                         i as u32,
                         ctx,
                         &s.root_lbd,
@@ -669,66 +644,23 @@ impl<S: Summarization> Index<S> {
                         &s.queues,
                         &push_counter,
                         &mut stack,
-                        stats,
+                        &mut stats,
                         cancel,
                     );
                 }
             }
-            if !fired(cancel) {
-                self.refine_from_queues(
-                    0, &s.q, &s.lut, &s.queues, &s.done, pb, filter, stats, cancel,
-                );
-            }
-            return;
-        }
-        // Pool lanes claim subtrees off an atomic counter.
-        let next_subtree = AtomicUsize::new(0);
-        self.pool.broadcast(|lane| {
-            let mut stack = s.lanes[lane].lock();
-            loop {
-                let i = next_subtree.fetch_add(1, Ordering::Relaxed);
-                if i >= self.subtrees.len() || fired(cancel) {
-                    break;
-                }
-                debug_assert!(i <= u32::MAX as usize, "subtree index exceeds u32");
-                self.collect_subtree(
-                    &self.subtrees[i],
-                    i as u32,
-                    ctx,
-                    &s.root_lbd,
-                    pb,
-                    &s.queues,
-                    &push_counter,
-                    &mut stack,
-                    stats,
-                    cancel,
-                );
-            }
+            total.lock().add(&stats);
         });
 
         // --- Phase 3: refine from the queues, one lane per worker slot.
         if !fired(cancel) {
-            self.pool.broadcast(|worker| {
-                self.refine_from_queues(
-                    worker, &s.q, &s.lut, &s.queues, &s.done, pb, filter, stats, cancel,
-                );
+            self.pool.broadcast_limit(lanes, |lane| {
+                let mut stats = QueryStats::default();
+                self.refine_from_queues(lane, s, pb, filter, &mut stats, cancel);
+                total.lock().add(&stats);
             });
         }
-    }
-
-    /// Snapshots one query's counters and routes it to the right
-    /// index-lifetime audit: `queries_served` for completed queries,
-    /// `queries_cancelled` for abandoned ones (whose partial sweep work
-    /// is still visible in the returned per-query counters).
-    fn finish_query(&self, stats: &AtomicStats, cancelled: bool) -> QueryStats {
-        let mut snapshot = stats.snapshot();
-        if cancelled {
-            snapshot.cancelled = 1;
-            self.counters.record_cancelled();
-        } else {
-            self.record_query_counters(&snapshot);
-        }
-        snapshot
+        total.into_inner()
     }
 
     /// Fills the scratch's per-query state: normalized query, context
@@ -747,21 +679,6 @@ impl<S: Summarization> Index<S> {
         ctx.word_into(&mut s.qword);
         s.root_lbd.rebuild(&ctx);
         ctx.lut_into(&mut s.lut);
-    }
-
-    /// Mirrors one query's sweep counters into the index-lifetime totals
-    /// reported by [`crate::IndexStats`].
-    fn record_query_counters(&self, stats: &QueryStats) {
-        self.counters.record_query();
-        self.counters.record_block_sweep(
-            stats.block_groups_swept as u64,
-            stats.block_lanes_abandoned as u64,
-        );
-        self.counters.record_quant_sweep(
-            stats.quant_groups_swept as u64,
-            stats.quant_lanes_killed as u64,
-            stats.refine_bytes as u64,
-        );
     }
 
     /// Approximate 1-NN only (the paper's "Approximate Search" stage used
@@ -871,14 +788,14 @@ impl<S: Summarization> Index<S> {
         queues: &[Mutex<LeafQueue>],
         push_counter: &AtomicUsize,
         stack: &mut Vec<u32>,
-        stats: &AtomicStats,
+        stats: &mut QueryStats,
         cancel: Option<&CancelToken>,
     ) {
         // The precomputed XOR-penalty evaluation prices the whole subtree
         // from its key in a few bit operations (this gate runs for every
         // subtree of every query).
         if pb.prunes(root_lbd.eval(subtree.key)) {
-            stats.nodes_pruned.fetch_add(1, Ordering::Relaxed);
+            stats.nodes_pruned += 1;
             return;
         }
         stack.clear();
@@ -890,13 +807,13 @@ impl<S: Summarization> Index<S> {
             let node = &subtree.nodes[id as usize];
             let lbd = ctx.envelope_mindist(node.envelope.min(), node.envelope.max());
             if pb.prunes(lbd) {
-                stats.nodes_pruned.fetch_add(1, Ordering::Relaxed);
+                stats.nodes_pruned += 1;
                 continue;
             }
             match &node.kind {
                 NodeKind::Leaf { .. } => {
                     push_leaf(lbd, subtree_idx, id, queues, push_counter);
-                    stats.leaves_collected.fetch_add(1, Ordering::Relaxed);
+                    stats.leaves_collected += 1;
                 }
                 NodeKind::Inner { left, right, .. } => {
                     stack.push(*left);
@@ -909,20 +826,16 @@ impl<S: Summarization> Index<S> {
     /// Drains queues starting at `worker`'s own queue: pop the minimum
     /// leaf, abandon the whole queue once its minimum is pruned by the
     /// policy, otherwise refine the leaf's series.
-    #[allow(clippy::too_many_arguments)]
     fn refine_from_queues<B: PruneBound>(
         &self,
         worker: usize,
-        q: &[f32],
-        lut: &[f32],
-        queues: &[Mutex<LeafQueue>],
-        done: &[AtomicBool],
+        s: &QueryScratch,
         pb: &B,
         filter: Option<&RowFilter>,
-        stats: &AtomicStats,
+        stats: &mut QueryStats,
         cancel: Option<&CancelToken>,
     ) {
-        let nq = queues.len();
+        let (queues, done, nq) = (&s.queues, &s.done, s.queues.len());
         let mut quant = QuantScratch::new();
         loop {
             let mut progressed = false;
@@ -946,10 +859,10 @@ impl<S: Summarization> Index<S> {
                     // Everything left in this queue has a larger lower
                     // bound: abandon it wholesale (paper §IV-C).
                     done[qi].store(true, Ordering::Release);
-                    stats.queues_abandoned.fetch_add(1, Ordering::Relaxed);
+                    stats.queues_abandoned += 1;
                     continue;
                 }
-                self.refine_leaf(entry, q, lut, pb, filter, stats, &mut quant, cancel);
+                self.refine_leaf(entry, &s.q, &s.lut, pb, filter, stats, &mut quant, cancel);
             }
             if !progressed && done.iter().all(|d| d.load(Ordering::Acquire)) {
                 break;
@@ -993,7 +906,7 @@ impl<S: Summarization> Index<S> {
         lut: &[f32],
         pb: &B,
         filter: Option<&RowFilter>,
-        stats: &AtomicStats,
+        stats: &mut QueryStats,
         qscratch: &mut QuantScratch,
         cancel: Option<&CancelToken>,
     ) {
@@ -1004,7 +917,7 @@ impl<S: Summarization> Index<S> {
         let NodeKind::Leaf { rows, pack, .. } = &subtree.nodes[entry.node as usize].kind else {
             unreachable!("queues only hold leaves")
         };
-        stats.leaves_refined.fetch_add(1, Ordering::Relaxed);
+        stats.leaves_refined += 1;
         let (start, packed) = (pack.start as usize, pack.len as usize);
         let slot_of = |r: usize| leaf_slot(&self.row_to_slot, rows, pack, r);
         let n = self.series_len;
@@ -1150,14 +1063,14 @@ impl<S: Summarization> Index<S> {
         // group, quant codes 8 bytes per position per group, exact rows n
         // f32 each.
         let bytes = n_groups * BLOCK_LANES * l + quant_groups * n * BLOCK_LANES + refined * n * 4;
-        stats.series_lbd_checked.fetch_add(n_rows - predicate_masked, Ordering::Relaxed);
-        stats.series_refined.fetch_add(refined, Ordering::Relaxed);
-        stats.block_groups_swept.fetch_add(n_groups, Ordering::Relaxed);
-        stats.block_lanes_abandoned.fetch_add(lanes_abandoned, Ordering::Relaxed);
-        stats.quant_groups_swept.fetch_add(quant_groups, Ordering::Relaxed);
-        stats.quant_lanes_killed.fetch_add(quant_killed, Ordering::Relaxed);
-        stats.predicate_lanes_masked.fetch_add(predicate_masked, Ordering::Relaxed);
-        stats.refine_bytes.fetch_add(bytes, Ordering::Relaxed);
+        stats.series_lbd_checked += n_rows - predicate_masked;
+        stats.series_refined += refined;
+        stats.block_groups_swept += n_groups;
+        stats.block_lanes_abandoned += lanes_abandoned;
+        stats.quant_groups_swept += quant_groups;
+        stats.quant_lanes_killed += quant_killed;
+        stats.predicate_lanes_masked += predicate_masked;
+        stats.refine_bytes += bytes;
     }
 }
 

@@ -7,9 +7,9 @@
 //! owned by a [`QueryScratch`] with no lifetimes attached, so the index
 //! keeps a pool of them (one per worker lane in the steady state) and
 //! each query checks one out, resets it, and returns it on drop. After
-//! warm-up the serial `knn` path performs **zero** heap allocations
-//! (asserted by the workspace's counting-allocator test), and batch lanes
-//! reuse one scratch for every query they claim.
+//! warm-up a query performs **zero** heap allocations on one lane or on
+//! all of them (asserted by the workspace's counting-allocator test),
+//! and batch lanes reuse one scratch for every query they claim.
 
 use crate::bsf::{KnnSet, Neighbor};
 use parking_lot::Mutex;

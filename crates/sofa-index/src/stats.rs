@@ -10,7 +10,7 @@
 //! portable tier, or the block sweep never abandoning) is observable from
 //! production stats rather than only from benchmarks.
 
-use crate::{Index, NodeKind};
+use crate::{Index, NodeKind, QueryStats};
 use sofa_summaries::Summarization;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -41,23 +41,21 @@ pub(crate) struct KernelCounters {
 }
 
 impl KernelCounters {
-    pub(crate) fn record_query(&self) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_cancelled(&self) {
-        self.queries_cancelled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_block_sweep(&self, groups: u64, lanes_abandoned: u64) {
-        self.block_groups_swept.fetch_add(groups, Ordering::Relaxed);
-        self.block_lanes_abandoned.fetch_add(lanes_abandoned, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_quant_sweep(&self, groups: u64, lanes_killed: u64, bytes: u64) {
-        self.quant_groups_swept.fetch_add(groups, Ordering::Relaxed);
-        self.quant_lanes_killed.fetch_add(lanes_killed, Ordering::Relaxed);
-        self.refine_bytes.fetch_add(bytes, Ordering::Relaxed);
+    /// Adds one finished query to the totals. A cancelled query produced
+    /// no answer, so it moves only `queries_cancelled`; an answered one
+    /// counts once in `queries` and adds its sweep work.
+    pub(crate) fn record(&self, stats: &QueryStats) {
+        let add = |total: &AtomicU64, n: usize| total.fetch_add(n as u64, Ordering::Relaxed);
+        if stats.cancelled != 0 {
+            add(&self.queries_cancelled, 1);
+            return;
+        }
+        add(&self.queries, 1);
+        add(&self.block_groups_swept, stats.block_groups_swept);
+        add(&self.block_lanes_abandoned, stats.block_lanes_abandoned);
+        add(&self.quant_groups_swept, stats.quant_groups_swept);
+        add(&self.quant_lanes_killed, stats.quant_lanes_killed);
+        add(&self.refine_bytes, stats.refine_bytes);
     }
 }
 
@@ -270,5 +268,51 @@ mod tests {
         let after = idx.stats();
         assert_eq!(after.queries_served, 1);
         assert!(after.block_groups_swept > 0, "block sweep never ran: {after:?}");
+    }
+
+    #[test]
+    fn kernel_totals_are_the_sums_of_the_query_stats() {
+        use crate::{QueryKind, RowFilter};
+        use parking_lot::Mutex;
+        use sofa_exec::CancelToken;
+        use std::sync::Arc;
+
+        let sax = ISax::new(64, &SaxConfig { word_len: 8, alphabet: 256 });
+        let data = dataset(600, 64);
+        let idx = Index::build(sax, &data, IndexConfig::with_threads(1).leaf_capacity(40)).unwrap();
+        let filter = Arc::new(RowFilter::from_fn(600, |r| r % 3 != 0));
+        let kinds = [
+            QueryKind::Knn { k: 50 },
+            QueryKind::KnnFiltered { k: 20, filter },
+            QueryKind::Range { r_sq: 40.0 },
+            QueryKind::Ip { k: 30 },
+        ];
+        let (mut sum, mut out, mut queries) = (QueryStats::default(), Vec::new(), 0);
+        for (i, q) in data.chunks_exact(64).step_by(23).enumerate() {
+            sum.add(&idx.query_into(q, &kinds[i % kinds.len()], &mut out).unwrap());
+            queries += 1;
+        }
+        assert!(sum.block_lanes_abandoned > 0 && sum.quant_groups_swept > 0, "{sum:?}");
+        let s = idx.stats();
+        assert_eq!(s.queries_served, queries);
+        assert_eq!(s.queries_cancelled, 0);
+        assert_eq!(s.block_groups_swept, sum.block_groups_swept as u64);
+        assert_eq!(s.block_lanes_abandoned, sum.block_lanes_abandoned as u64);
+        assert_eq!(s.quant_groups_swept, sum.quant_groups_swept as u64);
+        assert_eq!(s.quant_lanes_killed, sum.quant_lanes_killed as u64);
+        let bytes = s.refine_bytes_per_query * s.queries_served as f64;
+        assert_eq!(bytes.round() as usize, sum.refine_bytes);
+
+        // Batch members whose token has already fired move only
+        // `queries_cancelled`, and their slots stay unwritten.
+        let fired = CancelToken::new();
+        fired.cancel();
+        let outs = [Mutex::new(Vec::new()), Mutex::new(Vec::new())];
+        let pair = [QueryKind::Knn { k: 5 }, QueryKind::Range { r_sq: 40.0 }];
+        idx.query_batch_into_cancel(&data[..128], &pair, &outs, &[fired.clone(), fired]).unwrap();
+        assert!(outs.iter().all(|out| out.lock().is_empty()));
+        let after = idx.stats();
+        assert_eq!(after.queries_cancelled, 2);
+        assert_eq!(IndexStats { queries_cancelled: 0, ..after }, s);
     }
 }

@@ -372,7 +372,8 @@ impl<S: Summarization> ShardedIndex<S> {
             }
             match kind {
                 QueryKind::Knn { k } | QueryKind::KnnFiltered { k, .. } | QueryKind::Ip { k } => {
-                    set.reset(*k);
+                    // No merged answer holds more than every shard's rows.
+                    set.reset((*k).min(self.n_series).max(1));
                     for (s, &base) in self.bases.iter().enumerate() {
                         if degraded[s].load(Ordering::Acquire) {
                             continue;

@@ -113,6 +113,69 @@ impl Oracle {
     }
 }
 
+impl Oracle {
+    /// The answer to `query` as `kind`, in the funnel's encoding (`Ip`
+    /// rows carry their Parseval score in `dist_sq`).
+    fn answer(&self, query: &[f32], kind: &QueryKind) -> Vec<Neighbor> {
+        match kind {
+            QueryKind::Knn { k } => self.knn(query, *k, |_| true),
+            QueryKind::KnnFiltered { k, filter } => self.knn(query, *k, |r| filter.admits(r)),
+            QueryKind::Range { r_sq } => self.range(query, *r_sq),
+            QueryKind::Ip { k } => self
+                .top_ip(query, *k)
+                .into_iter()
+                .map(|w| Neighbor { row: w.row, dist_sq: ip_score(self.n, w.ip) })
+                .collect(),
+        }
+    }
+}
+
+/// One index reached through every query path: direct calls, batches,
+/// the serve coalescer and a shard merge over the same rows.
+struct Paths {
+    index: Arc<SofaIndex>,
+    server: Server<Arc<SofaIndex>>,
+    sharded: ShardedSofaIndex,
+}
+
+impl Paths {
+    fn build(data: &[f32], n: usize, threads: usize, shards: usize) -> Self {
+        let builder = Builder::default().threads(threads).leaf_capacity(24).sample_ratio(0.4);
+        let index = Arc::new(builder.clone().build_sofa(data, n).expect("build"));
+        let server = Server::new(Arc::clone(&index), ServeConfig::new());
+        let sharded = builder.build_sofa_sharded(data, n, shards).expect("sharded build");
+        Paths { index, server, sharded }
+    }
+
+    /// Every path's answer to `query` as `kind`: direct `query_into`, a
+    /// batch of one, each member of a batch of two, the server and the
+    /// shards.
+    fn answers(&self, query: &[f32], kind: &QueryKind) -> Vec<(&'static str, Vec<Neighbor>)> {
+        let mut direct = Vec::new();
+        self.index.query_into(query, kind, &mut direct).expect("direct");
+        let mut all = vec![("direct", direct)];
+        for (tag, m) in [("batch of one", 1), ("batch of two", 2)] {
+            let outs: Vec<_> = (0..m).map(|_| Default::default()).collect();
+            let kinds = vec![kind.clone(); m];
+            self.index
+                .query_batch_into_cancel(&query.repeat(m), &kinds, outs.as_slice(), &[])
+                .expect("batch");
+            all.extend(outs.into_iter().map(|out| (tag, out.into_inner())));
+        }
+        all.push(("served", self.server.query(query, kind.clone()).expect("served")));
+        all.push(("sharded", self.sharded.query(query, kind.clone()).expect("sharded")));
+        all
+    }
+
+    /// Asserts that every path answers `query` as `kind` with `want`, bit
+    /// for bit.
+    fn assert_all(&self, query: &[f32], kind: &QueryKind, want: &[Neighbor], tag: &str) {
+        for (path, got) in self.answers(query, kind) {
+            assert_bits_eq(&got, want, &format!("{tag} {path} {kind:?}"));
+        }
+    }
+}
+
 fn assert_bits_eq(got: &[Neighbor], want: &[Neighbor], tag: &str) {
     assert_eq!(got.len(), want.len(), "{tag}: cardinality");
     for (rank, (g, w)) in got.iter().zip(want.iter()).enumerate() {
@@ -508,4 +571,84 @@ fn non_finite_queries_are_rejected_on_every_path() {
         &want,
         "served",
     );
+}
+
+/// A `k` above the row count is answered with every row on every path,
+/// as `k = n` would be: the result sets are armed with at most the rows
+/// the index holds, so a huge `k` neither overflows (`usize::MAX`) nor
+/// reserves memory by it (2^36 rows aborted the process). `knn_batch`
+/// takes the same door.
+#[test]
+fn huge_k_is_answered_as_k_equals_n_on_every_path() {
+    let n = 32;
+    let count = 90;
+    let data = dataset(count, n, 31);
+    let oracle = Oracle::new(&data, n);
+    let paths = Paths::build(&data, n, 2, 3);
+    let filter = Arc::new(RowFilter::from_fn(count, |r| r % 3 != 0));
+    let kinds = |k: usize| {
+        [
+            QueryKind::Knn { k },
+            QueryKind::KnnFiltered { k, filter: Arc::clone(&filter) },
+            QueryKind::Ip { k },
+        ]
+    };
+    for qi in [0, 41, 89] {
+        let q = &data[qi * n..][..n];
+        for k in [count + 1, 1usize << 36, usize::MAX] {
+            for (huge, at_n) in kinds(k).iter().zip(kinds(count).iter()) {
+                let mut want = Vec::new();
+                paths.index.query_into(q, at_n, &mut want).expect("k = n");
+                assert_bits_eq(&want, &oracle.answer(q, at_n), &format!("q{qi} k = n {at_n:?}"));
+                paths.assert_all(q, huge, &want, &format!("q{qi} k={k}"));
+            }
+            let batch = paths.index.knn_batch(&q.repeat(3), k).expect("knn_batch");
+            for got in &batch {
+                assert_bits_eq(got, &oracle.knn(q, count, |_| true), &format!("q{qi} knn_batch"));
+            }
+        }
+    }
+}
+
+/// The hostile inputs of the exactness roadmap, on all four kinds and
+/// every path, against the brute-force oracle bit for bit: `k` above the
+/// row count, filters admitting fewer than `k` rows (and none), radius 0
+/// and `f32::MAX`, and a one-row index.
+#[test]
+fn hostile_inputs_match_the_oracle_on_every_path() {
+    let n = 32;
+    for (count, shards) in [(100, 3), (1, 1)] {
+        let data = dataset(count, n, 37);
+        let oracle = Oracle::new(&data, n);
+        for threads in [1, 2] {
+            let paths = Paths::build(&data, n, threads, shards);
+            let three = Arc::new(RowFilter::from_fn(count, |r| r % 37 == 5));
+            let kinds = [
+                QueryKind::Knn { k: 1 },
+                QueryKind::Knn { k: count + 900 },
+                QueryKind::KnnFiltered { k: 10, filter: three },
+                QueryKind::KnnFiltered { k: 3, filter: Arc::new(RowFilter::none(count)) },
+                QueryKind::KnnFiltered { k: count + 1, filter: Arc::new(RowFilter::all(count)) },
+                QueryKind::Range { r_sq: 0.0 },
+                QueryKind::Range { r_sq: f32::MAX },
+                QueryKind::Ip { k: 1 },
+                QueryKind::Ip { k: count + 900 },
+            ];
+            for qi in [0, count / 2, count - 1] {
+                let q = &data[qi * n..][..n];
+                for kind in &kinds {
+                    let want = oracle.answer(q, kind);
+                    let tag = format!("rows={count} threads={threads} q{qi}");
+                    paths.assert_all(q, kind, &want, &tag);
+                }
+            }
+            if count == 100 {
+                // The oracle itself sees the shapes the inputs promise.
+                let q = &data[..n];
+                assert_eq!(oracle.answer(q, &kinds[1]).len(), count, "k > n: every row");
+                assert_eq!(oracle.answer(q, &kinds[2]).len(), 3, "3-row filter at k = 10");
+                assert_eq!(oracle.answer(q, &kinds[6]).len(), count, "radius f32::MAX");
+            }
+        }
+    }
 }
