@@ -13,40 +13,41 @@
 //! created once per index (or shared between indexes) and reused across
 //! all calls:
 //!
-//! * [`ExecPool::run`] opens a *scope*: closures spawned inside it may
-//!   borrow from the caller's stack (like [`std::thread::scope`]), and
-//!   `run` does not return until every spawned task has finished.
-//! * [`ExecPool::broadcast`] runs one closure per parallel lane — the
-//!   shape used by the atomic-counter work loops of the build and query
-//!   phases.
-//! * The calling thread *participates*: it executes its own scope's
-//!   queued tasks while waiting for the scope to drain, so a pool of
-//!   `t` threads provides `t` parallel lanes using `t - 1` background
-//!   workers, a 1-lane pool degenerates to plain serial execution with
-//!   no synchronization, and nested `run` calls cannot deadlock (a
-//!   blocked caller keeps draining its own scope instead of sleeping
-//!   while it has queued work). Waiting callers never execute *other*
-//!   scopes' tasks, so a short query sharing the pool with a long build
-//!   keeps its latency.
-//! * Panics inside tasks are caught, the scope is still drained, and the
-//!   first payload is re-thrown from `run` on the caller — the same
-//!   observable behavior as a panicking scoped thread.
+//! * [`ExecPool::broadcast`] runs one closure once per parallel lane —
+//!   the one way onto the pool, and the shape of the atomic-counter work
+//!   loops of the build and query phases. The closure may borrow from
+//!   the caller's stack (like [`std::thread::scope`]): the call does not
+//!   return until every lane has finished.
+//!   [`ExecPool::broadcast_limit`] caps the lane count for small batches.
+//! * The calling thread *participates*: it runs lane 0 itself and then
+//!   executes its own broadcast's still-queued lanes, so a pool of `t`
+//!   threads provides `t` parallel lanes using `t - 1` background
+//!   workers, a 1-lane pool degenerates to a plain call with no
+//!   synchronization, and a lane that broadcasts again cannot deadlock
+//!   (a blocked caller keeps draining its own lanes instead of sleeping
+//!   while some are queued). Waiting callers never execute *other*
+//!   broadcasts' lanes, so a short query sharing the pool with a long
+//!   build keeps its latency.
+//! * Panics inside lanes are caught, the broadcast is still drained, and
+//!   the first payload is re-thrown on the caller — the same observable
+//!   behavior as a panicking scoped thread.
 //! * Dropping the pool signals shutdown and joins the workers.
 //!
-//! Multiple caller threads may `run` scopes on one shared pool
-//! concurrently; tasks from all scopes interleave on the same queue
-//! ("work-stealing-lite": one shared injector queue, chunked tasks, no
+//! Multiple caller threads may broadcast on one shared pool
+//! concurrently; lanes from all broadcasts interleave on the same queue
+//! ("work-stealing-lite": one shared injector queue, chunky lanes, no
 //! per-worker deques).
 //!
 //! # Safety
 //!
-//! This is the one crate in the workspace that is not `#![forbid(unsafe_code)]`:
-//! handing a borrowing closure to a *persistent* thread requires erasing
-//! its lifetime, exactly as `crossbeam`/`rayon` do internally. The single
-//! `unsafe` block lives in [`Scope::spawn`] and is sound because `run`
-//! blocks until every spawned task has completed before returning, and
-//! the `'scope` lifetime (made invariant) necessarily outlives the `run`
-//! call — see the safety comment at the transmute.
+//! This crate is not `#![forbid(unsafe_code)]`: handing a borrowing
+//! closure to a *persistent* thread requires erasing its lifetime,
+//! exactly as `crossbeam`/`rayon` do internally. The one erasure is the
+//! broadcast task in `pool.rs`: each queued lane carries a raw pointer to
+//! the caller's `Fn(usize) + Sync` closure, and
+//! [`ExecPool::broadcast_limit`] blocks until every lane has run — even
+//! when lane 0 panics — so the pointer never outlives the closure. See
+//! the safety comments at `Task` and at the push.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -55,5 +56,5 @@ pub mod failpoint;
 mod pool;
 pub mod sync;
 
-pub use pool::{ExecPool, Scope};
+pub use pool::ExecPool;
 pub use sync::{install_panic_note_hook, CancelToken};

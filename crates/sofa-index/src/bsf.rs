@@ -125,14 +125,15 @@ pub struct KnnSet {
 }
 
 impl KnnSet {
-    /// Creates a set tracking the `k` nearest neighbors.
+    /// Creates a set tracking the `k` nearest neighbors. The heap grows
+    /// with the neighbors offered, not with `k`, so any `k` is safe.
     ///
     /// # Panics
     /// Panics if `k == 0`.
     #[must_use]
     pub fn new(k: usize) -> Self {
         assert!(k >= 1, "k must be at least 1");
-        KnnSet { k, heap: Mutex::new(Vec::with_capacity(k + 1)), bound: AtomicDistance::new() }
+        KnnSet { k, heap: Mutex::new(Vec::new()), bound: AtomicDistance::new() }
     }
 
     /// The current pruning bound (k-th best squared distance, or `+inf`).
@@ -144,7 +145,7 @@ impl KnnSet {
 
     /// Re-arms the set for a fresh query tracking `k` neighbors, reusing
     /// the heap allocation (allocation-free once the capacity has reached
-    /// the largest `k` served). This is what lets one pooled
+    /// the most neighbors a query held). This is what lets one pooled
     /// [`crate::Index`] scratch serve every query of a lane.
     ///
     /// # Panics
@@ -152,9 +153,7 @@ impl KnnSet {
     pub fn reset(&mut self, k: usize) {
         assert!(k >= 1, "k must be at least 1");
         self.k = k;
-        let heap = self.heap.get_mut();
-        heap.clear();
-        heap.reserve(k + 1);
+        self.heap.get_mut().clear();
         self.bound.store(f32::INFINITY);
     }
 
@@ -245,6 +244,32 @@ mod tests {
             }
         });
         assert_eq!(d.load(), 1.0);
+    }
+
+    #[test]
+    fn huge_k_grows_with_the_offers() {
+        // The heap must not be sized by `k`: `k + 1` overflows at
+        // `usize::MAX`, and reserving 2^40 entries aborts the process.
+        let offers = [(7u32, 3.0f32), (2, 1.0), (9, 3.0), (4, 0.5), (2, 1.0)];
+        let expect = {
+            let set = KnnSet::new(offers.len());
+            for (row, dist_sq) in offers {
+                set.offer(Neighbor { row, dist_sq });
+            }
+            set.into_sorted()
+        };
+        assert_eq!(expect.len(), 4, "the duplicate row is dropped");
+        let mut set = KnnSet::new(usize::MAX);
+        for k in [usize::MAX, 1 << 40] {
+            set.reset(k);
+            for (row, dist_sq) in offers {
+                set.offer(Neighbor { row, dist_sq });
+            }
+            assert_eq!(set.bound(), f32::INFINITY, "fewer than k neighbors");
+            let mut out = Vec::new();
+            set.drain_sorted_into(&mut out);
+            assert_eq!(out, expect, "k = {k}");
+        }
     }
 
     #[test]

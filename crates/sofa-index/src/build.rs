@@ -21,7 +21,7 @@
 use crate::arena::Arena;
 use crate::config::IndexConfig;
 use crate::node::{root_key, NodeKind, Subtree};
-use crate::{Index, IndexError};
+use crate::{for_each_chunk, Index, IndexError};
 use sofa_exec::ExecPool;
 use sofa_simd::znormalize_finite;
 use sofa_summaries::Summarization;
@@ -106,29 +106,24 @@ impl<S: Summarization> Index<S> {
         let lanes = pool.threads();
         let rows_per_chunk = n_series.div_ceil(lanes);
         let first_bad = AtomicUsize::new(usize::MAX);
-        pool.run(|scope| {
-            let (summarization, first_bad) = (&summarization, &first_bad);
-            for (c, ((data_chunk, words_chunk), keys_chunk)) in data
-                .chunks_mut(rows_per_chunk * n)
-                .zip(words.chunks_mut(rows_per_chunk * l))
-                .zip(keys.chunks_mut(rows_per_chunk))
+        let chunks = data
+            .chunks_mut(rows_per_chunk * n)
+            .zip(words.chunks_mut(rows_per_chunk * l))
+            .zip(keys.chunks_mut(rows_per_chunk))
+            .collect();
+        for_each_chunk(&pool, chunks, |c, ((data_chunk, words_chunk), keys_chunk)| {
+            let mut transformer = summarization.transformer();
+            for (i, ((series, word), key)) in data_chunk
+                .chunks_mut(n)
+                .zip(words_chunk.chunks_mut(l))
+                .zip(keys_chunk.iter_mut())
                 .enumerate()
             {
-                scope.spawn(move || {
-                    let mut transformer = summarization.transformer();
-                    for (i, ((series, word), key)) in data_chunk
-                        .chunks_mut(n)
-                        .zip(words_chunk.chunks_mut(l))
-                        .zip(keys_chunk.iter_mut())
-                        .enumerate()
-                    {
-                        if !znormalize_finite(series) {
-                            first_bad.fetch_min(c * rows_per_chunk + i, Ordering::Relaxed);
-                        }
-                        transformer.word_into(series, word);
-                        *key = root_key(word, symbol_bits);
-                    }
-                });
+                if !znormalize_finite(series) {
+                    first_bad.fetch_min(c * rows_per_chunk + i, Ordering::Relaxed);
+                }
+                transformer.word_into(series, word);
+                *key = root_key(word, symbol_bits);
             }
         });
         let first_bad = first_bad.into_inner();
@@ -279,29 +274,26 @@ impl<S: Summarization> Index<S> {
         let quant_grid = self.quant_grid.as_ref();
         let suffix = &mut self.subtrees[first..];
         let per_lane = suffix.len().div_ceil(self.pool.threads()).max(1);
-        self.pool.run(|scope| {
-            for (chunk, base_chunk) in suffix.chunks_mut(per_lane).zip(bases.chunks(per_lane)) {
-                scope.spawn(move || {
-                    for (st, &base) in chunk.iter_mut().zip(base_chunk) {
-                        let mut next = base;
-                        for node in &mut st.nodes {
-                            let NodeKind::Leaf { rows, pack, .. } = &mut node.kind else {
-                                continue;
-                            };
-                            // Lossless: slots are < n_series <= u32::MAX.
-                            pack.start = next as u32;
-                            if pack.len as usize != rows.len() {
-                                let run = &data[next * n..(next + rows.len()) * n];
-                                pack.len = rows.len() as u32;
-                                pack.quant = quant_grid.and_then(|grid| {
-                                    let qb = sofa_summaries::QuantBlock::build(grid, run, n)?;
-                                    Some(qb.map_codes(Arena::from))
-                                });
-                            }
-                            next += rows.len();
-                        }
+        let chunks = suffix.chunks_mut(per_lane).zip(bases.chunks(per_lane)).collect();
+        for_each_chunk(&self.pool, chunks, |_, (chunk, base_chunk)| {
+            for (st, &base) in chunk.iter_mut().zip(base_chunk) {
+                let mut next = base;
+                for node in &mut st.nodes {
+                    let NodeKind::Leaf { rows, pack, .. } = &mut node.kind else {
+                        continue;
+                    };
+                    // Lossless: slots are < n_series <= u32::MAX.
+                    pack.start = next as u32;
+                    if pack.len as usize != rows.len() {
+                        let run = &data[next * n..(next + rows.len()) * n];
+                        pack.len = rows.len() as u32;
+                        pack.quant = quant_grid.and_then(|grid| {
+                            let qb = sofa_summaries::QuantBlock::build(grid, run, n)?;
+                            Some(qb.map_codes(Arena::from))
+                        });
                     }
-                });
+                    next += rows.len();
+                }
             }
         });
         self.tail_rows = 0;

@@ -304,17 +304,58 @@ pub fn znormalize_rows(data: &mut [f32], series_len: usize, pool: &ExecPool) -> 
     let n_rows = data.len() / series_len;
     let rows_per_chunk = n_rows.div_ceil(pool.threads()).max(1);
     let first_bad = AtomicUsize::new(usize::MAX);
-    pool.run(|scope| {
-        for (c, chunk) in data.chunks_mut(rows_per_chunk * series_len).enumerate() {
-            let first_bad = &first_bad;
-            scope.spawn(move || {
-                for (i, row) in chunk.chunks_mut(series_len).enumerate() {
-                    if !sofa_simd::znormalize_finite(row) {
-                        first_bad.fetch_min(c * rows_per_chunk + i, Ordering::Relaxed);
-                    }
-                }
-            });
+    let chunks = data.chunks_mut(rows_per_chunk * series_len).collect();
+    for_each_chunk(pool, chunks, |c, chunk| {
+        for (i, row) in chunk.chunks_mut(series_len).enumerate() {
+            if !sofa_simd::znormalize_finite(row) {
+                first_bad.fetch_min(c * rows_per_chunk + i, Ordering::Relaxed);
+            }
         }
     });
     Some(first_bad.into_inner()).filter(|&row| row < n_rows)
+}
+
+/// Runs `f(c, chunk)` once for every chunk `c` of `chunks` on the pool:
+/// the shape of the build's data-parallel passes, which split their
+/// arenas into one disjoint `&mut` chunk per lane. Lanes claim chunks off
+/// an atomic counter and move each one out of its own lock, which only
+/// its claimer ever takes.
+pub(crate) fn for_each_chunk<T: Send>(
+    pool: &ExecPool,
+    chunks: Vec<T>,
+    f: impl Fn(usize, T) + Sync,
+) {
+    let chunks: Vec<parking_lot::Mutex<Option<T>>> =
+        chunks.into_iter().map(|chunk| parking_lot::Mutex::new(Some(chunk))).collect();
+    let next = AtomicUsize::new(0);
+    pool.broadcast_limit(chunks.len(), |_| loop {
+        let c = next.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = chunks.get(c) else { break };
+        f(c, slot.lock().take().expect("each chunk is claimed once"));
+    });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn for_each_chunk_hands_each_chunk_to_one_lane() {
+        // Disjoint `&mut` chunks, fewer, as many as and more than the
+        // lanes: every chunk runs exactly once, with its own index.
+        for threads in [1, 2, 3] {
+            let pool = ExecPool::new(threads);
+            for n_chunks in [0, 1, threads, threads + 2] {
+                let mut data = vec![0u64; n_chunks * 5];
+                let chunks = data.chunks_mut(5).collect();
+                for_each_chunk(&pool, chunks, |c, chunk: &mut [u64]| {
+                    for (j, x) in chunk.iter_mut().enumerate() {
+                        *x += (c * 5 + j) as u64 + 1;
+                    }
+                });
+                let expect: Vec<u64> = (1..=data.len() as u64).collect();
+                assert_eq!(data, expect, "{n_chunks} chunks on {threads} lanes");
+            }
+        }
+    }
 }

@@ -1,9 +1,11 @@
 //! Read-only memory mapping plus checked byte ↔ typed-slice
 //! reinterpretation — the unsafe kernel of the snapshot subsystem.
 //!
-//! Every other crate in the workspace is `#![forbid(unsafe_code)]`; this
-//! one concentrates the two unavoidable unsafe operations of mmap-based
-//! serving into a surface small enough to audit in one sitting:
+//! Every other crate in the workspace but two is `#![forbid(unsafe_code)]`
+//! (`sofa-exec` erases one closure lifetime per broadcast, `sofa-simd`'s
+//! `arch` module calls `std::arch` kernels); this one concentrates the
+//! two unavoidable unsafe operations of mmap-based serving into a surface
+//! small enough to audit in one sitting:
 //!
 //! * [`Mmap`] — a read-only, private mapping of a whole file, unmapped on
 //!   drop. On non-Unix targets the type degrades to an owned read of the

@@ -64,7 +64,7 @@ pub struct ShardedIndex<S: Summarization> {
     /// Global row id of each shard's row 0 (cumulative row counts).
     bases: Vec<u32>,
     /// Fan-out pool: one lane per shard drives that shard's own pool.
-    fan: Arc<ExecPool>,
+    fan: ExecPool,
     series_len: usize,
     n_series: usize,
     /// Logical queries answered. Each *shard*'s
@@ -92,16 +92,6 @@ impl<S: Summarization> ShardedIndex<S> {
     /// lengths disagree; [`IndexError::TooManyRows`] if the combined
     /// row count exceeds the `u32` id space.
     pub fn new(shards: Vec<Index<S>>) -> Result<Self, IndexError> {
-        let fan = ExecPool::shared(shards.len());
-        Self::with_pool(shards, fan)
-    }
-
-    /// [`ShardedIndex::new`] with a caller-supplied fan-out pool (for
-    /// sharing one pool across several sharded indexes).
-    ///
-    /// # Errors
-    /// As [`ShardedIndex::new`].
-    pub fn with_pool(shards: Vec<Index<S>>, fan: Arc<ExecPool>) -> Result<Self, IndexError> {
         if shards.is_empty() {
             return Err(IndexError::BadDataset("a sharded index needs at least one shard".into()));
         }
@@ -128,9 +118,9 @@ impl<S: Summarization> ShardedIndex<S> {
         };
         let degraded = (0..bases.len()).map(|_| AtomicBool::new(false)).collect();
         Ok(ShardedIndex {
+            fan: ExecPool::new(shards.len()),
             shards,
             bases,
-            fan,
             series_len,
             n_series,
             queries_served: AtomicU64::new(0),
@@ -288,7 +278,6 @@ impl<S: Summarization> ShardedIndex<S> {
         if m == 0 {
             return Ok(());
         }
-        let n_shards = self.shards.len();
         let was_degraded = !self.degraded_shards().is_empty();
         if was_degraded && self.degraded_mode == DegradedMode::FailFast {
             panic!("sharded index has quarantined shards {:?} (FailFast)", self.degraded_shards());
@@ -331,30 +320,20 @@ impl<S: Summarization> ShardedIndex<S> {
         let degraded = &self.degraded;
         let shard_kinds = &shard_kinds;
         let panicked = AtomicBool::new(false);
-        let lanes = self.fan.threads().min(n_shards).max(1);
-        self.fan.broadcast_limit(n_shards, |lane| {
-            let mut s = lane;
-            while s < n_shards {
-                // A panicking shard is quarantined here, not propagated:
-                // the post-broadcast policy decides what that means.
-                let kinds_for_s: &[QueryKind] = if needs_rebase { &shard_kinds[s] } else { kinds };
-                if !degraded[s].load(Ordering::Acquire)
-                    && catch_unwind(AssertUnwindSafe(|| {
-                        shards[s]
-                            .query_batch_into_cancel(
-                                queries,
-                                kinds_for_s,
-                                &shard_outs[s][..m],
-                                cancels,
-                            )
-                            .expect("tick inputs were validated");
-                    }))
-                    .is_err()
-                {
-                    degraded[s].store(true, Ordering::Release);
-                    panicked.store(true, Ordering::Relaxed);
-                }
-                s += lanes;
+        self.fan.broadcast(|s| {
+            // A panicking shard is quarantined here, not propagated: the
+            // post-broadcast policy decides what that means.
+            let kinds_for_s: &[QueryKind] = if needs_rebase { &shard_kinds[s] } else { kinds };
+            if !degraded[s].load(Ordering::Acquire)
+                && catch_unwind(AssertUnwindSafe(|| {
+                    shards[s]
+                        .query_batch_into_cancel(queries, kinds_for_s, &shard_outs[s][..m], cancels)
+                        .expect("tick inputs were validated");
+                }))
+                .is_err()
+            {
+                degraded[s].store(true, Ordering::Release);
+                panicked.store(true, Ordering::Relaxed);
             }
         });
         if panicked.load(Ordering::Relaxed) && self.degraded_mode == DegradedMode::FailFast {

@@ -7,7 +7,7 @@
 
 use sofa::baselines::FlatL2;
 use sofa::summaries::Summarization;
-use sofa::{describe, Builder, ExecPool, MessiIndex, QueryKind, ServeConfig, Server, SofaIndex};
+use sofa::{describe, Builder, ExecPool, QueryKind, ServeConfig, Server, SofaIndex};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -101,8 +101,10 @@ fn messi_round_trip_matches_live_and_flat() {
 
     let path = tmp_path("messi");
     live.snapshot(&path).expect("snapshot");
-    let opened = MessiIndex::open(&path).expect("open");
+    let pool = ExecPool::shared(2);
+    let opened = Builder::default().pool(Arc::clone(&pool)).open_messi(&path).expect("open");
     assert!(opened.is_mapped());
+    assert!(Arc::ptr_eq(opened.pool(), &pool));
 
     let queries = dataset(100, n, 91_000);
     for (qi, q) in queries.chunks(n).enumerate() {
