@@ -81,7 +81,9 @@ use std::sync::Arc;
 /// kill several rows at a quarter of their `f32` traffic, clear the
 /// bar. The value was set when the quantized tier was introduced, from
 /// its on/off arms on one index (`repro` throughput profile, 1-core AVX2
-/// container), and has not been re-tuned on `perfbench` since.
+/// container). Re-measured on `perfbench` at leaf capacity 500: a gate
+/// of 3 saves CPU on the 256-value workloads but costs the smooth
+/// 96-value one, whose rows sit in L3 and scan cheaply, so it stays 6.
 const QUANT_MIN_SURVIVORS: usize = 6;
 
 /// Subtrees a collect lane claims per step of the shared counter. One

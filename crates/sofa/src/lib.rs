@@ -132,19 +132,19 @@ pub struct Builder {
 
 impl Default for Builder {
     fn default() -> Self {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let index = IndexConfig::default();
         Builder {
             word_len: 16,
             alphabet: 256,
-            leaf_capacity: 20_000,
-            threads,
+            leaf_capacity: index.leaf_capacity,
+            threads: index.num_threads,
             sample_ratio: 0.01,
             min_sample: 256,
             binning: BinningStrategy::EquiWidth,
             selection: CoefficientSelection::HighestVariance,
             seed: 0x50FA,
             pool: None,
-            auto_repack_pct: IndexConfig::default().auto_repack_pct,
+            auto_repack_pct: index.auto_repack_pct,
         }
     }
 }
@@ -164,7 +164,7 @@ impl Builder {
         self
     }
 
-    /// Leaf capacity (default 20,000).
+    /// Leaf capacity (default: that of [`IndexConfig::default`]).
     #[must_use]
     pub fn leaf_capacity(mut self, cap: usize) -> Self {
         self.leaf_capacity = cap;
@@ -495,6 +495,13 @@ mod tests {
         assert_eq!(sofa.summarization().model().word_len(), 8);
         assert_eq!(sofa.summarization().model().alphabet, 64);
         assert!(sofa.stats().max_leaf_size <= 25 || sofa.stats().leaves == 1);
+    }
+
+    #[test]
+    fn builder_defaults_come_from_index_config() {
+        let (facade, index) = (Builder::default().index_config(), IndexConfig::default());
+        assert_eq!(facade.leaf_capacity, index.leaf_capacity);
+        assert_eq!(facade.auto_repack_pct, index.auto_repack_pct);
     }
 
     #[test]

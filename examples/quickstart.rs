@@ -28,8 +28,7 @@ fn main() {
 
     println!("building SOFA index (SFA word length 16, alphabet 256)...");
     let t = Instant::now();
-    let index =
-        Builder::default().leaf_capacity(1000).build_sofa(&data, series_len).expect("index build");
+    let index = Builder::default().build_sofa(&data, series_len).expect("index build");
     println!(
         "  built in {:.2?}: {} subtrees, {} leaves, avg depth {:.1}",
         t.elapsed(),

@@ -28,16 +28,12 @@ fn main() {
 
     println!("building SOFA and MESSI indexes...");
     let t = Instant::now();
-    let sofa = Builder::default()
-        .leaf_capacity(1000)
-        .build_sofa(dataset.data(), dataset.series_len())
-        .expect("sofa build");
+    let sofa =
+        Builder::default().build_sofa(dataset.data(), dataset.series_len()).expect("sofa build");
     let sofa_build = t.elapsed();
     let t = Instant::now();
-    let messi = Builder::default()
-        .leaf_capacity(1000)
-        .build_messi(dataset.data(), dataset.series_len())
-        .expect("messi build");
+    let messi =
+        Builder::default().build_messi(dataset.data(), dataset.series_len()).expect("messi build");
     let messi_build = t.elapsed();
     println!("  SOFA  built in {sofa_build:.2?} | MESSI built in {messi_build:.2?}");
     println!(

@@ -30,10 +30,8 @@ fn main() {
 
     println!("building SOFA index and FlatL2 baseline...");
     let t = Instant::now();
-    let sofa = Builder::default()
-        .leaf_capacity(1000)
-        .build_sofa(dataset.data(), dataset.series_len())
-        .expect("sofa build");
+    let sofa =
+        Builder::default().build_sofa(dataset.data(), dataset.series_len()).expect("sofa build");
     println!("  SOFA built in {:.2?}", t.elapsed());
     let t = Instant::now();
     let flat = FlatL2::new(dataset.data(), dataset.series_len(), threads);

@@ -16,8 +16,8 @@
 use sofa::simd::{dot, euclidean_sq_early_abandon, znormalize};
 use sofa::summaries::{ip_from_score, ip_score};
 use sofa::{
-    Builder, IndexError, IpNeighbor, Neighbor, QueryKind, RowFilter, ServeConfig, ServeError,
-    Server, ShardedSofaIndex, SofaIndex,
+    Builder, IndexConfig, IndexError, IpNeighbor, Neighbor, QueryKind, RowFilter, ServeConfig,
+    ServeError, Server, ShardedSofaIndex, SofaIndex,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -59,6 +59,14 @@ impl Oracle {
             znormalize(row);
         }
         Oracle { rows, n, count: data.len() / n }
+    }
+
+    /// Appends rows inserted online: `insert` z-normalizes each row once.
+    fn insert(&mut self, data: &[f32]) {
+        let start = self.rows.len();
+        self.rows.extend_from_slice(data);
+        self.rows[start..].chunks_mut(self.n).for_each(znormalize);
+        self.count = self.rows.len() / self.n;
     }
 
     fn znorm_query(&self, query: &[f32]) -> Vec<f32> {
@@ -147,22 +155,10 @@ impl Paths {
         Paths { index, server, sharded }
     }
 
-    /// Every path's answer to `query` as `kind`: direct `query_into`, a
-    /// batch of one, each member of a batch of two, the server and the
-    /// shards.
+    /// Every path's answer to `query` as `kind`: the unsharded paths of
+    /// [`unsharded_answers`] and the shards.
     fn answers(&self, query: &[f32], kind: &QueryKind) -> Vec<(&'static str, Vec<Neighbor>)> {
-        let mut direct = Vec::new();
-        self.index.query_into(query, kind, &mut direct).expect("direct");
-        let mut all = vec![("direct", direct)];
-        for (tag, m) in [("batch of one", 1), ("batch of two", 2)] {
-            let outs: Vec<_> = (0..m).map(|_| Default::default()).collect();
-            let kinds = vec![kind.clone(); m];
-            self.index
-                .query_batch_into_cancel(&query.repeat(m), &kinds, outs.as_slice(), &[])
-                .expect("batch");
-            all.extend(outs.into_iter().map(|out| (tag, out.into_inner())));
-        }
-        all.push(("served", self.server.query(query, kind.clone()).expect("served")));
+        let mut all = unsharded_answers(&self.index, &self.server, query, kind);
         all.push(("sharded", self.sharded.query(query, kind.clone()).expect("sharded")));
         all
     }
@@ -174,6 +170,30 @@ impl Paths {
             assert_bits_eq(&got, want, &format!("{tag} {path} {kind:?}"));
         }
     }
+}
+
+/// `index`'s answer to `query` as `kind` on every unsharded path: direct
+/// `query_into`, a batch of one, each member of a batch of two, and
+/// `server`.
+fn unsharded_answers(
+    index: &SofaIndex,
+    server: &Server<Arc<SofaIndex>>,
+    query: &[f32],
+    kind: &QueryKind,
+) -> Vec<(&'static str, Vec<Neighbor>)> {
+    let mut direct = Vec::new();
+    index.query_into(query, kind, &mut direct).expect("direct");
+    let mut all = vec![("direct", direct)];
+    for (tag, m) in [("batch of one", 1), ("batch of two", 2)] {
+        let outs: Vec<_> = (0..m).map(|_| Default::default()).collect();
+        let kinds = vec![kind.clone(); m];
+        index
+            .query_batch_into_cancel(&query.repeat(m), &kinds, outs.as_slice(), &[])
+            .expect("batch");
+        all.extend(outs.into_iter().map(|out| (tag, out.into_inner())));
+    }
+    all.push(("served", server.query(query, kind.clone()).expect("served")));
+    all
 }
 
 fn assert_bits_eq(got: &[Neighbor], want: &[Neighbor], tag: &str) {
@@ -651,4 +671,100 @@ fn hostile_inputs_match_the_oracle_on_every_path() {
             }
         }
     }
+}
+
+/// `count` rows around `protos` prototypes, each its prototype plus
+/// seeded noise of amplitude 0.02, so most rows share a few root keys.
+fn concentrated(count: usize, n: usize, protos: usize, seed: u64) -> Vec<f32> {
+    let mut state = seed;
+    let mut noise = move || {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        ((state >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 0.04
+    };
+    (0..count)
+        .flat_map(|r| (0..n).map(move |t| (r % protos, t as f32)))
+        .map(|(p, x)| {
+            let p = p as f32;
+            (x * 0.19 + p * 1.7).sin() + 0.6 * (x * (0.31 + p * 0.17)).cos() + noise()
+        })
+        .collect()
+}
+
+/// All four kinds against the oracle, bit for bit, on every unsharded
+/// path of `index`.
+fn assert_kinds_exact(index: &Arc<SofaIndex>, oracle: &Oracle, queries: &[f32], tag: &str) {
+    let n = oracle.n;
+    let server = Server::new(Arc::clone(index), ServeConfig::new());
+    let filter = Arc::new(RowFilter::from_fn(oracle.count, |r| r % 3 != 0));
+    for (qi, q) in queries.chunks(n).enumerate() {
+        let r_sq = oracle.dists(q, |_| true)[15].dist_sq;
+        let kinds = [
+            QueryKind::Knn { k: 10 },
+            QueryKind::KnnFiltered { k: 10, filter: Arc::clone(&filter) },
+            QueryKind::Range { r_sq },
+            QueryKind::Ip { k: 10 },
+        ];
+        for kind in &kinds {
+            let want = oracle.answer(q, kind);
+            for (path, got) in unsharded_answers(index, &server, q, kind) {
+                assert_bits_eq(&got, &want, &format!("{tag} q{qi} {path} {kind:?}"));
+            }
+        }
+    }
+}
+
+/// At the default leaf capacity (no override) on rows concentrated
+/// enough that subtrees split, every kind stays exact on the direct,
+/// batch and served paths: after the build, after inserts that split
+/// packed leaves, and after a snapshot round trip. An index reopens at
+/// the capacity stored in its file, whatever the default.
+#[test]
+fn default_leaf_capacity_splits_and_stays_exact_through_inserts_and_reopen() {
+    let n = 64;
+    let cap = IndexConfig::default().leaf_capacity;
+    let (base, extra) = (4 * cap, cap / 2);
+    let rows = concentrated(base, n, 3, 41);
+    // One prototype's rows, so they crowd the same leaves.
+    let inserts = concentrated(extra, n, 1, 42);
+    let fresh = concentrated(4, n, 3, 43);
+    let queries: Vec<f32> =
+        [&rows[..n], &rows[(base / 2) * n..][..n], &inserts[(extra - 1) * n..], &fresh[..]]
+            .concat();
+
+    let mut oracle = Oracle::new(&rows, n);
+    let mut index = Arc::new(Builder::default().build_sofa(&rows, n).expect("build"));
+    let built = index.stats();
+    assert_eq!(index.config().leaf_capacity, cap);
+    assert!(built.leaves > built.subtrees, "the default capacity must split: {built:?}");
+    assert_kinds_exact(&index, &oracle, &queries, "built");
+
+    // The burst splits leaves, and a split moves its leaf's packed rows
+    // into tails, so it crosses the auto-repack threshold; the last eight
+    // rows stay in tails.
+    let grow = Arc::get_mut(&mut index).expect("server released");
+    let (burst, trickle) = inserts.split_at((extra - 8) * n);
+    grow.insert_all(burst).expect("insert");
+    grow.insert_all(trickle).expect("insert");
+    oracle.insert(&inserts);
+    let grown = index.stats();
+    assert!(grown.leaves > built.leaves, "inserts must split leaves: {built:?} -> {grown:?}");
+    assert!(grown.fallback_leaf_pct > 0.0, "inserted rows sit in leaf tails: {grown:?}");
+    assert_kinds_exact(&index, &oracle, &queries, "inserted");
+
+    let reopen = |index: &SofaIndex, tag: &str| {
+        let path =
+            std::env::temp_dir().join(format!("sofa-query-types-{tag}-{}.idx", std::process::id()));
+        index.snapshot(&path).expect("snapshot");
+        let opened = Builder::default().open_sofa(&path);
+        let _ = std::fs::remove_file(&path);
+        opened.expect("open")
+    };
+    let reopened = Arc::new(reopen(&index, "default-cap"));
+    assert_eq!(reopened.config().leaf_capacity, cap);
+    assert_eq!(reopened.stats().leaves, grown.leaves);
+    assert_kinds_exact(&reopened, &oracle, &queries, "reopened");
+    // A file written at another capacity (the paper's 20,000) keeps it.
+    let paper = Builder::default().leaf_capacity(20_000).build_sofa(&rows, n).expect("build");
+    assert_eq!(reopen(&paper, "paper-cap").config().leaf_capacity, 20_000);
 }
