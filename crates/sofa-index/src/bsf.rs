@@ -1,78 +1,15 @@
 //! Shared best-so-far (BSF) state for parallel query answering.
 //!
 //! MESSI's workers share one BSF value that every pruning decision reads
-//! and every improved real distance tightens (paper §IV-C). We store the
-//! squared distance as `f32` bits in an [`std::sync::atomic::AtomicU32`]:
-//! for non-negative IEEE-754 floats the bit pattern is monotone in the
-//! value, so a CAS-min on the bits is a CAS-min on the distance.
-//!
-//! For k-NN the BSF is the *k-th best* distance; [`KnnSet`] keeps the k
-//! best neighbors in a mutex-protected bounded max-heap and mirrors the
-//! k-th distance into an [`AtomicDistance`] so the hot pruning path stays
-//! lock-free.
+//! and every improved real distance tightens (paper §IV-C). For k-NN the
+//! BSF is the *k-th best* distance: [`KnnSet`] keeps the k best neighbors
+//! in a mutex-protected heap and mirrors the k-th distance, as `f32` bits,
+//! into one [`std::sync::atomic::AtomicU32`] that every worker loads
+//! without the lock, so the hot pruning path stays lock-free.
 
 use parking_lot::Mutex;
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU32, Ordering as AtomicOrdering};
-
-/// A lock-free, monotonically decreasing non-negative `f32`.
-#[derive(Debug)]
-pub struct AtomicDistance {
-    bits: AtomicU32,
-}
-
-impl AtomicDistance {
-    /// Starts at `+inf` (no candidate yet).
-    #[must_use]
-    pub fn new() -> Self {
-        AtomicDistance { bits: AtomicU32::new(f32::INFINITY.to_bits()) }
-    }
-
-    /// Current value.
-    #[inline]
-    #[must_use]
-    pub fn load(&self) -> f32 {
-        f32::from_bits(self.bits.load(AtomicOrdering::Acquire))
-    }
-
-    /// Lowers the value to `candidate` if it improves. Returns `true` when
-    /// this call updated the stored value.
-    ///
-    /// # Panics
-    /// Debug-asserts that `candidate` is non-negative (bit-ordering trick
-    /// requires it).
-    pub fn fetch_min(&self, candidate: f32) -> bool {
-        debug_assert!(candidate >= 0.0, "distances must be non-negative");
-        let new_bits = candidate.to_bits();
-        let mut current = self.bits.load(AtomicOrdering::Acquire);
-        loop {
-            if f32::from_bits(current) <= candidate {
-                return false;
-            }
-            match self.bits.compare_exchange_weak(
-                current,
-                new_bits,
-                AtomicOrdering::AcqRel,
-                AtomicOrdering::Acquire,
-            ) {
-                Ok(_) => return true,
-                Err(actual) => current = actual,
-            }
-        }
-    }
-
-    /// Overwrites the value unconditionally (used to seed the BSF after
-    /// the approximate-search phase).
-    pub fn store(&self, value: f32) {
-        self.bits.store(value.to_bits(), AtomicOrdering::Release);
-    }
-}
-
-impl Default for AtomicDistance {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// One answer: a row id and its squared z-normalized Euclidean distance.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -121,7 +58,9 @@ pub struct KnnSet {
     k: usize,
     /// Max-heap on distance: the root is the current k-th best.
     heap: Mutex<Vec<Neighbor>>,
-    bound: AtomicDistance,
+    /// The `f32` bits of [`KnnSet::bound`], written under the heap's lock
+    /// and read without it.
+    bound: AtomicU32,
 }
 
 impl KnnSet {
@@ -133,14 +72,19 @@ impl KnnSet {
     #[must_use]
     pub fn new(k: usize) -> Self {
         assert!(k >= 1, "k must be at least 1");
-        KnnSet { k, heap: Mutex::new(Vec::new()), bound: AtomicDistance::new() }
+        KnnSet { k, heap: Mutex::new(Vec::new()), bound: AtomicU32::new(f32::INFINITY.to_bits()) }
     }
 
     /// The current pruning bound (k-th best squared distance, or `+inf`).
     #[inline]
     #[must_use]
     pub fn bound(&self) -> f32 {
-        self.bound.load()
+        f32::from_bits(self.bound.load(AtomicOrdering::Acquire))
+    }
+
+    /// Publishes a new pruning bound to the lock-free readers.
+    fn store_bound(&self, value: f32) {
+        self.bound.store(value.to_bits(), AtomicOrdering::Release);
     }
 
     /// Re-arms the set for a fresh query tracking `k` neighbors, reusing
@@ -154,7 +98,7 @@ impl KnnSet {
         assert!(k >= 1, "k must be at least 1");
         self.k = k;
         self.heap.get_mut().clear();
-        self.bound.store(f32::INFINITY);
+        self.store_bound(f32::INFINITY);
     }
 
     /// Moves the neighbors found (best first) into `out`, leaving the set
@@ -193,7 +137,7 @@ impl KnnSet {
             heap.pop();
         }
         if heap.len() == self.k {
-            self.bound.store(heap.last().expect("non-empty").dist_sq);
+            self.store_bound(heap.last().expect("non-empty").dist_sq);
         }
         true
     }
@@ -218,33 +162,6 @@ impl KnnSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn atomic_distance_min_semantics() {
-        let d = AtomicDistance::new();
-        assert_eq!(d.load(), f32::INFINITY);
-        assert!(d.fetch_min(5.0));
-        assert!(!d.fetch_min(7.0));
-        assert_eq!(d.load(), 5.0);
-        assert!(d.fetch_min(1.5));
-        assert_eq!(d.load(), 1.5);
-        assert!(d.fetch_min(0.0));
-        assert_eq!(d.load(), 0.0);
-    }
-
-    #[test]
-    fn atomic_distance_concurrent_min() {
-        // Contend on one pool's lanes instead of ad-hoc spawned threads:
-        // scoped borrows mean no `Arc` cloning and no join bookkeeping.
-        let d = AtomicDistance::new();
-        let pool = sofa_exec::ExecPool::new(8);
-        pool.broadcast(|lane| {
-            for i in 0..1000 {
-                d.fetch_min(((lane * 1000 + i) % 997) as f32 + 1.0);
-            }
-        });
-        assert_eq!(d.load(), 1.0);
-    }
 
     #[test]
     fn huge_k_grows_with_the_offers() {

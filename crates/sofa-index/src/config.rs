@@ -14,8 +14,8 @@ pub struct IndexConfig {
     /// collections. The trade-off: a smaller leaf has a tighter envelope
     /// bound, so fewer rows reach the word lower bound and the exact scan,
     /// but more leaves mean more collect, queue and build work, and the
-    /// approximate seed scans a smaller home leaf, so refine starts from a
-    /// looser k-th distance. On 200k–400k-row collections no leaf splits
+    /// seed refines a smaller home leaf, so the rest of refine starts from
+    /// a looser k-th distance. On 200k–400k-row collections no leaf splits
     /// at 20,000. The same sweep on such collections (capacities 100 to
     /// 20,000) chose 500: on mixed-frequency data a query checks about
     /// half the word lower bounds of 20,000 and scans about a third of the

@@ -7,14 +7,14 @@
 //! over the admitted subset alone.
 //!
 //! The engine evaluates the predicate *inside* the pruning funnel rather
-//! than post-filtering a wider answer: refine-phase lane groups AND the
-//! bitmap into the SIMD sweep's lane mask (dead lanes price as `+inf`
-//! and accelerate whole-group abandons — see
-//! [`sofa_simd::lut_lower_bound`]), and the approximate seed
-//! phase skips rejected rows so the best-so-far never tightens on a row
-//! the caller excluded (which would make results *wrong*, not just
-//! slower: an inadmissible near neighbor must not shadow an admissible
-//! farther one).
+//! than post-filtering a wider answer: every leaf sweep — the home-leaf
+//! seed's and refine's alike — ANDs the bitmap into the SIMD sweep's
+//! lane mask (dead lanes price as `+inf` and accelerate whole-group
+//! abandons — see [`sofa_simd::lut_lower_bound`]) and never scores a
+//! rejected row, so the best-so-far never tightens on a row the caller
+//! excluded (which would make results *wrong*, not just slower: an
+//! inadmissible near neighbor must not shadow an admissible farther
+//! one).
 
 /// A dense row-id bitmap predicate for filtered queries.
 ///

@@ -18,7 +18,9 @@
 //! Query answering (paper §IV-C) follows GEMINI exactly:
 //!
 //! 1. **Approximate search** descends to the query's home leaf and
-//!    computes real distances there, seeding the best-so-far (BSF).
+//!    refines it with the same leaf sweep as step 3 (word bound, then
+//!    real distances), seeding the best-so-far (BSF). Collect skips that
+//!    leaf, so every leaf a query reads is swept once.
 //! 2. **Collect**: workers traverse subtrees in parallel, prune whole
 //!    subtrees whose root-key lower bound exceeds the BSF, price every
 //!    node behind that gate by its per-position min/max symbol envelope,
@@ -53,7 +55,7 @@ pub(crate) mod scratch;
 pub mod snapshot;
 pub mod stats;
 
-pub use bsf::{AtomicDistance, IpNeighbor, KnnSet, Neighbor};
+pub use bsf::{IpNeighbor, KnnSet, Neighbor};
 pub use config::IndexConfig;
 pub use filter::RowFilter;
 pub use node::{LeafPack, Node, NodeKind, Subtree, SymbolEnvelope};

@@ -1,6 +1,6 @@
 //! The pruning seam: one funnel, many query types.
 //!
-//! Every phase of the GEMINI funnel — approximate seed, collect, refine,
+//! Every phase of the GEMINI funnel — home-leaf seed, collect, refine,
 //! quantized middle tier — makes exactly three kinds of decisions:
 //!
 //! 1. *what threshold do kernels early-abandon against* (a squared-L2

@@ -1,7 +1,10 @@
 //! Exact query answering (paper §IV-C, Figure 5 stage 2).
 //!
-//! The three GEMINI phases — approximate seed, parallel collect, parallel
-//! refine — are documented on the crate root. All pruning decisions flow
+//! The three GEMINI phases — home-leaf seed, parallel collect, parallel
+//! refine — are documented on the crate root. One leaf-scoring routine,
+//! `Index::refine_leaf`, scores every leaf a query reads: the seed runs
+//! it on the query's home leaf, collect skips that leaf, and refine runs
+//! it on every leaf collect queued. All pruning decisions flow
 //! through one crate-private `PruneBound` policy object: the
 //! same funnel answers **k-NN** (shrinking k-th-best bound), **range**
 //! (fixed epsilon radius, strict pruning, ties at the radius kept), and
@@ -11,13 +14,13 @@
 //! policy's squared-L2 threshold.
 //!
 //! Filtered queries thread a [`RowFilter`] predicate *into* the funnel:
-//! the approximate seed skips rejected rows (so the bound never tightens
-//! on an inadmissible row — a correctness requirement, not an
-//! optimization), and the refine sweeps AND the per-group live mask into
-//! the SIMD kernels ([`lut_lower_bound`] / [`quant_lower_bound_masked`]),
-//! where dead lanes price as `+inf` and accelerate whole-group abandons.
-//! Live lanes stay bit-identical to the unfiltered sweep across every
-//! kernel tier.
+//! every leaf sweep, the seed's included, ANDs the per-group live mask
+//! into the SIMD kernels ([`lut_lower_bound`] /
+//! [`quant_lower_bound_masked`]), where dead lanes price as `+inf` and
+//! accelerate whole-group abandons. A rejected row is never scored, so
+//! the bound never tightens on an inadmissible row (a correctness
+//! requirement, not an optimization). Live lanes stay bit-identical to
+//! the unfiltered sweep across every kernel tier.
 //!
 //! The funnel narrows in four bounds, each tighter and costlier than the
 //! one before:
@@ -59,7 +62,7 @@
 
 use crate::bsf::{IpNeighbor, Neighbor};
 use crate::filter::RowFilter;
-use crate::node::{root_key, LeafPack, NodeKind, Subtree, MAX_WORD_LEN};
+use crate::node::{root_key, NodeKind, Subtree, MAX_WORD_LEN};
 use crate::prune::{IpBound, KnnBound, PruneBound, RangeBound};
 use crate::scratch::{LeafQueue, QueryScratch, QueueEntry};
 use crate::{Index, IndexError};
@@ -97,8 +100,9 @@ const COLLECT_CHUNK: usize = 64;
 /// material for the paper's pruning-power discussion (§V-E).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct QueryStats {
-    /// Leaves pushed into the priority queues: non-empty leaves whose
-    /// envelope bound the policy did not prune at collect time.
+    /// Leaves the query took up for refining: the seeded home leaf, plus
+    /// the leaves pushed into the priority queues (those whose envelope
+    /// bound the policy did not prune at collect time).
     pub leaves_collected: usize,
     /// Leaves whose series were actually examined.
     pub leaves_refined: usize,
@@ -109,7 +113,8 @@ pub struct QueryStats {
     /// Per-series lower-bound evaluations (predicate-rejected rows are
     /// never evaluated and excluded here).
     pub series_lbd_checked: usize,
-    /// Per-series exact evaluations (survived the LBD).
+    /// Per-series exact evaluations (survived the LBD), the home leaf's
+    /// seed scans included.
     pub series_refined: usize,
     /// Queues abandoned because their minimum exceeded the bound.
     pub queues_abandoned: usize,
@@ -133,8 +138,9 @@ pub struct QueryStats {
     /// Rows a range query returned (`d² <= r²`). Zero for k-NN/IP
     /// queries, whose answer count is just `min(k, candidates)`.
     pub range_hits: usize,
-    /// Estimated refine-phase bytes read: words swept + quant codes swept
-    /// + exact rows scanned. The funnel's bandwidth metric.
+    /// Estimated bytes the leaf sweeps read, the home leaf's seed
+    /// included: words swept + quant codes swept + exact rows scanned.
+    /// The funnel's bandwidth metric.
     pub refine_bytes: usize,
     /// 1 if this query was abandoned by cooperative cancellation (its
     /// deadline expired or it was shed mid-flight). A cancelled query
@@ -568,21 +574,17 @@ impl<S: Summarization> Index<S> {
             let ctx = QueryContext::borrowed(&self.query_env, &s.values);
             let knn = KnnBound { set: &s.knn };
             stats = match kind {
-                QueryKind::Knn { .. } => self.drive(s, &ctx, &knn, None, true, lanes, cancel),
+                QueryKind::Knn { .. } => self.drive(s, &ctx, &knn, None, lanes, cancel),
                 QueryKind::KnnFiltered { filter, .. } => {
-                    self.drive(s, &ctx, &knn, Some(filter), true, lanes, cancel)
+                    self.drive(s, &ctx, &knn, Some(filter), lanes, cancel)
                 }
                 QueryKind::Range { r_sq } => {
-                    // No approximate seed: the radius is fixed (seeding
-                    // can't tighten it), and the hit list has no row
-                    // dedup, so scoring the home leaf twice would
-                    // double-report.
                     let pb = RangeBound { r_sq: *r_sq, hits: &s.range };
-                    self.drive(s, &ctx, &pb, None, false, lanes, cancel)
+                    self.drive(s, &ctx, &pb, None, lanes, cancel)
                 }
                 QueryKind::Ip { .. } => {
                     let pb = IpBound { set: &s.knn, n: self.series_len };
-                    self.drive(s, &ctx, &pb, None, true, lanes, cancel)
+                    self.drive(s, &ctx, &pb, None, lanes, cancel)
                 }
             };
         }
@@ -598,28 +600,31 @@ impl<S: Summarization> Index<S> {
     }
 
     /// Runs the three funnel phases under one [`PruneBound`] policy on
-    /// `lanes` pool lanes: the optional approximate seed, then collect
-    /// (lanes claim subtrees, [`COLLECT_CHUNK`] at a time), then refine
-    /// (each lane drains the queues from its own). Each lane counts its
-    /// work in its own [`QueryStats`] and adds it into the returned
-    /// total once per phase. On one lane each phase is a plain call.
-    #[allow(clippy::too_many_arguments)]
+    /// `lanes` pool lanes: the seed refines the query's home leaf on the
+    /// calling thread, then collect (lanes claim subtrees,
+    /// [`COLLECT_CHUNK`] at a time, skipping the home leaf), then refine
+    /// (each lane drains the queues from its own). Every leaf is scored
+    /// by [`Index::refine_leaf`] exactly once, so a range query's hit
+    /// list sees each row once. Each lane counts its work in its own
+    /// [`QueryStats`] and adds it into the returned total once per phase.
+    /// On one lane each phase is a plain call.
     fn drive<B: PruneBound>(
         &self,
         s: &QueryScratch,
         ctx: &QueryContext<'_>,
         pb: &B,
         filter: Option<&RowFilter>,
-        seed: bool,
         lanes: usize,
         cancel: Option<&CancelToken>,
     ) -> QueryStats {
-        // --- Phase 1: approximate search seeds the bound (skipped for
-        // range queries, whose bound is fixed).
-        if seed {
-            self.approximate_into(&s.q, &s.qword, ctx, &s.root_lbd, pb, filter);
-        }
-        let total = Mutex::new(QueryStats::default());
+        // --- Phase 1: the home leaf seeds the bound (a k-NN or IP set
+        // then holds the home leaf's exact top k; a range radius is
+        // fixed, and its hits there are simply the first ones found).
+        let home = self.home_leaf(&s.qword, ctx, &s.root_lbd);
+        let mut seed = QueryStats { leaves_collected: 1, ..QueryStats::default() };
+        let mut quant = QuantScratch::new();
+        self.refine_leaf(home, &s.q, &s.lut, pb, filter, &mut seed, &mut quant, cancel);
+        let total = Mutex::new(seed);
 
         // --- Phase 2: collect unpruned leaves into priority queues.
         let (next_chunk, push_counter) = (AtomicUsize::new(0), AtomicUsize::new(0));
@@ -643,6 +648,7 @@ impl<S: Summarization> Index<S> {
                         ctx,
                         &s.root_lbd,
                         pb,
+                        &home,
                         &s.queues,
                         &push_counter,
                         &mut stack,
@@ -685,7 +691,8 @@ impl<S: Summarization> Index<S> {
 
     /// Approximate 1-NN only (the paper's "Approximate Search" stage used
     /// on its own): descend to the query's home leaf and return the best
-    /// real distance there. The answer is not guaranteed exact.
+    /// real distance there, found by the same leaf sweep that seeds
+    /// every exact query. The answer is not guaranteed exact.
     ///
     /// # Errors
     /// Returns [`IndexError::BadQuery`] on a length mismatch.
@@ -695,71 +702,48 @@ impl<S: Summarization> Index<S> {
         self.prepare_scratch(&mut scratch, query, 1);
         let s: &QueryScratch = &scratch;
         let ctx = QueryContext::borrowed(&self.query_env, &s.values);
-        self.approximate_into(&s.q, &s.qword, &ctx, &s.root_lbd, &KnnBound { set: &s.knn }, None);
+        let home = self.home_leaf(&s.qword, &ctx, &s.root_lbd);
+        let pb = KnnBound { set: &s.knn };
+        let (mut stats, mut quant) = (QueryStats::default(), QuantScratch::new());
+        self.refine_leaf(home, &s.q, &s.lut, &pb, None, &mut stats, &mut quant, None);
         s.knn.sorted().first().copied().ok_or_else(|| IndexError::BadQuery("index is empty".into()))
     }
 
-    /// Approximate search (paper §IV-C): identify the leaf with the
-    /// smallest lower-bound distance and seed the bound from its series.
+    /// The query's home leaf (paper §IV-C's approximate search): the
+    /// leaf whose series seed the bound before collect.
     ///
     /// The query's home subtree (exact root-key match) is tried first; the
     /// descent then follows the child with the smaller envelope bound,
     /// which is robust even when individual word bits of the query are
     /// noisy. When no subtree matches the key, the subtree whose root key
     /// has the smallest bound is used instead — evaluated through the
-    /// precomputed [`RootLbd`] table, once per subtree.
-    ///
-    /// Filtered queries skip rejected rows *before* scoring: a filtered
-    /// row must never tighten the bound, or an admissible farther
-    /// neighbor could be wrongly pruned.
-    fn approximate_into<B: PruneBound>(
-        &self,
-        q: &[f32],
-        qword: &[u8],
-        ctx: &QueryContext<'_>,
-        root_lbd: &RootLbd,
-        pb: &B,
-        filter: Option<&RowFilter>,
-    ) {
-        let admits = |row: u32| filter.map_or(true, |f| f.admits(row as usize));
+    /// precomputed [`RootLbd`] table, once per subtree. The entry is
+    /// never queued, so its `lbd` is the trivial bound 0.
+    fn home_leaf(&self, qword: &[u8], ctx: &QueryContext<'_>, root_lbd: &RootLbd) -> QueueEntry {
         let key = root_key(qword, self.summarization.symbol_bits());
         let subtree = match self.subtrees.binary_search_by_key(&key, |s| s.key) {
-            Ok(i) => &self.subtrees[i],
+            Ok(i) => i,
             Err(_) => {
-                let mut best = (f32::INFINITY, 0usize);
+                let mut best = (f32::INFINITY, 0);
                 for (i, st) in self.subtrees.iter().enumerate() {
                     let d = root_lbd.eval(st.key);
                     if d < best.0 {
                         best = (d, i);
                     }
                 }
-                &self.subtrees[best.1]
+                best.1
             }
         };
-        let mut node = &subtree.nodes[0];
-        loop {
-            match &node.kind {
-                NodeKind::Leaf { rows, pack, .. } => {
-                    for (r, &row) in rows.iter().enumerate() {
-                        // An abandoned distance (> bound) is rejected by
-                        // the policy's offer anyway, so no exactness
-                        // hazard here.
-                        if admits(row) {
-                            let slot = leaf_slot(&self.row_to_slot, rows, pack, r);
-                            pb.score_and_offer(q, self.series_at_slot(slot), row);
-                        }
-                    }
-                    return;
-                }
-                NodeKind::Inner { left, right, .. } => {
-                    let l = &subtree.nodes[*left as usize];
-                    let r = &subtree.nodes[*right as usize];
-                    let dl = ctx.envelope_mindist(l.envelope.min(), l.envelope.max());
-                    let dr = ctx.envelope_mindist(r.envelope.min(), r.envelope.max());
-                    node = if dl <= dr { l } else { r };
-                }
-            }
+        let nodes = &self.subtrees[subtree].nodes;
+        let price = |id: u32| {
+            let envelope = &nodes[id as usize].envelope;
+            ctx.envelope_mindist(envelope.min(), envelope.max())
+        };
+        let mut node = 0;
+        while let NodeKind::Inner { left, right, .. } = &nodes[node as usize].kind {
+            node = if price(*left) <= price(*right) { *left } else { *right };
         }
+        QueueEntry { lbd: 0.0, subtree: subtree as u32, node }
     }
 
     /// Prices one subtree against the bound and pushes its surviving
@@ -778,7 +762,8 @@ impl<S: Summarization> Index<S> {
     ///
     /// Collect is filter-agnostic: the bounds hold for every row under a
     /// node, admitted or not, so pruning decisions are unchanged and the
-    /// predicate is applied at refine granularity.
+    /// predicate is applied at refine granularity. The `home` leaf is
+    /// skipped unpriced: the seed has already refined it.
     #[allow(clippy::too_many_arguments)]
     fn collect_subtree<B: PruneBound>(
         &self,
@@ -787,6 +772,7 @@ impl<S: Summarization> Index<S> {
         ctx: &QueryContext<'_>,
         root_lbd: &RootLbd,
         pb: &B,
+        home: &QueueEntry,
         queues: &[Mutex<LeafQueue>],
         push_counter: &AtomicUsize,
         stack: &mut Vec<u32>,
@@ -805,6 +791,9 @@ impl<S: Summarization> Index<S> {
         while let Some(id) = stack.pop() {
             if fired(cancel) {
                 return;
+            }
+            if subtree_idx == home.subtree && id == home.node {
+                continue; // the seed refined it
             }
             let node = &subtree.nodes[id as usize];
             let lbd = ctx.envelope_mindist(node.envelope.min(), node.envelope.max());
@@ -921,7 +910,15 @@ impl<S: Summarization> Index<S> {
         };
         stats.leaves_refined += 1;
         let (start, packed) = (pack.start as usize, pack.len as usize);
-        let slot_of = |r: usize| leaf_slot(&self.row_to_slot, rows, pack, r);
+        // Storage slot of the leaf's `r`-th row: in place within its
+        // packed run, through `row_to_slot` in its tail.
+        let slot_of = |r: usize| {
+            if r < packed {
+                start + r
+            } else {
+                self.row_to_slot[rows[r] as usize] as usize
+            }
+        };
         let n = self.series_len;
         let l = self.word_len;
         let n_rows = rows.len();
@@ -1073,17 +1070,6 @@ impl<S: Summarization> Index<S> {
         stats.quant_lanes_killed += quant_killed;
         stats.predicate_lanes_masked += predicate_masked;
         stats.refine_bytes += bytes;
-    }
-}
-
-/// Storage slot of a leaf's `r`-th row: in place within its packed run,
-/// through `row_to_slot` in its tail.
-#[inline]
-fn leaf_slot(row_to_slot: &[u32], rows: &[u32], pack: &LeafPack, r: usize) -> usize {
-    if r < pack.len as usize {
-        pack.start as usize + r
-    } else {
-        row_to_slot[rows[r] as usize] as usize
     }
 }
 

@@ -1129,7 +1129,7 @@ fn place_packs(
 /// map, then each inner node's from its children, children first (every
 /// child's id is larger than its parent's, so a reverse sweep sees both
 /// children before the parent). Then checks every subtree's key against
-/// its rows: the root gate and the approximate seed's home-subtree search
+/// its rows: the root gate and the seed's home-subtree search
 /// trust the key, so each non-empty root envelope's min and max symbol
 /// at position `j` must both carry key bit `j` as their top bit.
 fn rebuild_envelopes(

@@ -318,13 +318,27 @@ fn stats_reflect_pruning() {
     let sax = ISax::new(n, &SaxConfig { word_len: 16, alphabet: 256 });
     let index =
         Index::build(sax, &data, IndexConfig::with_threads(2).leaf_capacity(32)).expect("build");
+    let filter = Arc::new(RowFilter::from_fn(2000, |r| r % 3 != 0));
+    let mut out = Vec::new();
     for q in queries.chunks(n) {
-        let (_, stats) = index.knn_with_stats(q, 1).expect("query");
-        // The refinement must touch no more series than exist, and the LBD
-        // must have filtered at least some real-distance computations.
-        assert!(stats.series_lbd_checked <= 2000);
-        assert!(stats.series_refined <= stats.series_lbd_checked);
-        assert!(stats.leaves_refined <= stats.leaves_collected);
+        index.query_into(q, &QueryKind::Knn { k: 5 }, &mut out).expect("knn");
+        let kinds = [
+            QueryKind::Knn { k: 5 },
+            QueryKind::KnnFiltered { k: 5, filter: Arc::clone(&filter) },
+            QueryKind::Range { r_sq: out[4].dist_sq },
+            QueryKind::Ip { k: 5 },
+        ];
+        for kind in &kinds {
+            let stats = index.query_into(q, kind, &mut out).expect("query");
+            // The refinement must touch no more series than exist, and the
+            // LBD must have filtered at least some real-distance
+            // computations.
+            assert!(stats.series_lbd_checked <= 2000, "{kind:?}");
+            assert!(stats.series_refined <= stats.series_lbd_checked, "{kind:?}");
+            assert!(stats.leaves_refined <= stats.leaves_collected, "{kind:?}");
+            // Every kind, range included, refines its home leaf first.
+            assert!(stats.leaves_refined >= 1, "{kind:?}");
+        }
     }
 }
 

@@ -23,7 +23,7 @@ use sofa_index::{
 };
 use sofa_summaries::Summarization;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// What a [`ShardedIndex`] does once a shard has panicked and been
@@ -63,7 +63,9 @@ pub struct ShardedIndex<S: Summarization> {
     shards: Vec<Index<S>>,
     /// Global row id of each shard's row 0 (cumulative row counts).
     bases: Vec<u32>,
-    /// Fan-out pool: one lane per shard drives that shard's own pool.
+    /// Fan-out pool of `min(shards, available parallelism)` lanes: each
+    /// lane claims shards off a shared counter and drives each claimed
+    /// shard's own pool.
     fan: ExecPool,
     series_len: usize,
     n_series: usize,
@@ -85,7 +87,9 @@ pub struct ShardedIndex<S: Summarization> {
 
 impl<S: Summarization> ShardedIndex<S> {
     /// Assembles shards (ordered by global row range) into one logical
-    /// index, with a fresh one-lane-per-shard fan-out pool.
+    /// index, with a fresh fan-out pool of one lane per shard, capped at
+    /// the machine's available parallelism (so the shard count never
+    /// decides how many threads are spawned).
     ///
     /// # Errors
     /// [`IndexError::BadDataset`] if `shards` is empty or the series
@@ -117,8 +121,9 @@ impl<S: Summarization> ShardedIndex<S> {
             set: KnnSet::new(1),
         };
         let degraded = (0..bases.len()).map(|_| AtomicBool::new(false)).collect();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         Ok(ShardedIndex {
-            fan: ExecPool::new(shards.len()),
+            fan: ExecPool::new(shards.len().min(cores)),
             shards,
             bases,
             series_len,
@@ -240,9 +245,9 @@ impl<S: Summarization> ShardedIndex<S> {
     /// Answers one mixed-kind tick of queries (row-major, kind
     /// `kinds[i]` for query `i`) into `outs[i]` (cleared first, best
     /// first, global row ids) — the [`crate::TickExec`] entry point,
-    /// shaped for the coalescer. The fan-out pool runs one lane per
-    /// shard, each lane driving its shard's batch engine over the whole
-    /// tick; per-slot merging is then kind-aware:
+    /// shaped for the coalescer. The fan-out pool's lanes claim shards
+    /// off a shared counter, each claimed shard's batch engine running
+    /// over the whole tick; per-slot merging is then kind-aware:
     ///
     /// * k-NN, filtered k-NN and inner-product slots merge through the
     ///   reusable [`KnnSet`] with shard rows rebased to global ids (an
@@ -320,7 +325,12 @@ impl<S: Summarization> ShardedIndex<S> {
         let degraded = &self.degraded;
         let shard_kinds = &shard_kinds;
         let panicked = AtomicBool::new(false);
-        self.fan.broadcast(|s| {
+        let next_shard = AtomicUsize::new(0);
+        self.fan.broadcast(|_| loop {
+            let s = next_shard.fetch_add(1, Ordering::Relaxed);
+            if s >= shards.len() {
+                break;
+            }
             // A panicking shard is quarantined here, not propagated: the
             // post-broadcast policy decides what that means.
             let kinds_for_s: &[QueryKind] = if needs_rebase { &shard_kinds[s] } else { kinds };
@@ -446,10 +456,13 @@ mod tests {
     fn sharded_knn_is_bit_identical_to_unsharded() {
         let data = dataset(300, 7);
         let whole = build(&data, 2);
-        for n_shards in [1, 2, 3] {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for n_shards in [1, 2, 3, 8] {
             let parts = sharded(&data, n_shards, 1);
             assert_eq!(parts.n_series(), 300);
             assert_eq!(parts.n_shards(), n_shards);
+            // More shards than cores share the cores' lanes.
+            assert_eq!(parts.fan.threads(), n_shards.min(cores));
             for qi in (0..300).step_by(29) {
                 let q = &data[qi * LEN..(qi + 1) * LEN];
                 for k in [1, 5] {

@@ -728,9 +728,18 @@ fn default_leaf_capacity_splits_and_stays_exact_through_inserts_and_reopen() {
     // One prototype's rows, so they crowd the same leaves.
     let inserts = concentrated(extra, n, 1, 42);
     let fresh = concentrated(4, n, 3, 43);
-    let queries: Vec<f32> =
-        [&rows[..n], &rows[(base / 2) * n..][..n], &inserts[(extra - 1) * n..], &fresh[..]]
-            .concat();
+    // A mirrored row: its root key matches no subtree of these three
+    // prototypes' rows, so the seed descends from the subtree the root
+    // gate prices lowest.
+    let mirrored: Vec<f32> = rows[..n].iter().map(|v| -v).collect();
+    let queries: Vec<f32> = [
+        &rows[..n],
+        &rows[(base / 2) * n..][..n],
+        &inserts[(extra - 1) * n..],
+        &fresh[..],
+        &mirrored[..],
+    ]
+    .concat();
 
     let mut oracle = Oracle::new(&rows, n);
     let mut index = Arc::new(Builder::default().build_sofa(&rows, n).expect("build"));
