@@ -1,7 +1,7 @@
 //! Extension experiment: fault injection against the serving stack
 //! (`ext-chaos`).
 //!
-//! Three scenarios, all on real SOFA index builds:
+//! Two scenarios, both on a real SOFA index build:
 //!
 //! 1. **Chaos**: the open-loop harness drives the server while a
 //!    controller thread keeps arming failpoints — tick panics
@@ -18,10 +18,6 @@
 //!    the p99 sojourn of *answered* queries stays bounded by the
 //!    configured deadline — overload degrades into refusals, not into
 //!    unbounded latency for the admitted.
-//! 3. **Degraded shards**: a 2-way sharded index with one shard
-//!    quarantined serves flagged partial answers
-//!    ([`sofa::DegradedMode::ServePartial`]) — exact over the surviving
-//!    rows, counted in `degraded_answers`.
 
 use super::Suite;
 use crate::report::{f1, f2, Report};
@@ -29,8 +25,7 @@ use sofa::baselines::FlatL2;
 use sofa::exec::failpoint::{self, FailAction};
 use sofa::serve::TICK_FAILPOINT;
 use sofa::{
-    AdmissionPolicy, Builder, DegradedMode, Neighbor, QueryKind, ServeConfig, ServeError, Server,
-    SofaIndex,
+    AdmissionPolicy, Builder, Neighbor, QueryKind, ServeConfig, ServeError, Server, SofaIndex,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -109,7 +104,7 @@ fn drive(
     start.elapsed().as_secs_f64()
 }
 
-/// `ext-chaos`: fault injection, load shedding and degraded shards.
+/// `ext-chaos`: fault injection and load shedding.
 pub fn ext_chaos(suite: &Suite) -> Report {
     let mut r = Report::new("ext-chaos", "serving robustness under fault injection");
     let threads = suite.cfg.max_threads();
@@ -280,35 +275,6 @@ pub fn ext_chaos(suite: &Suite) -> Report {
     r.metric("shed_deadline_us", deadline_us);
     r.metric("shed_p99_sojourn_us", stats.p99_sojourn_us);
     r.metric("shed_p50_sojourn_us", stats.p50_sojourn_us);
-
-    // ---- Scenario 3: degraded shards serve flagged partial answers. -
-    let sharded = Builder::default()
-        .threads(threads)
-        .leaf_capacity(suite.cfg.leaf_capacity)
-        .sample_ratio(suite.cfg.sample_ratio)
-        .build_sofa_sharded(dataset.data(), n, 2)
-        .expect("sharded build")
-        .with_degraded_mode(DegradedMode::ServePartial);
-    let shard0_rows = sharded.shards()[0].n_series() as u32;
-    sharded.mark_degraded(0);
-    let mut partial_ok = 0u64;
-    for q in queries.chunks(n) {
-        let got = sharded.query(q, QueryKind::Knn { k: 1 }).expect("degraded query");
-        assert!(
-            got.iter().all(|nb| nb.row >= shard0_rows),
-            "a quarantined shard's rows must not appear in partial answers"
-        );
-        partial_ok += 1;
-    }
-    assert_eq!(sharded.degraded_answers(), partial_ok);
-    r.para(&format!(
-        "Degraded shards: with shard 0 of 2 quarantined under \
-         ServePartial, all {partial_ok} queries were answered from the \
-         surviving shard (no quarantined rows leaked) and each answer \
-         was counted in degraded_answers for the caller to see.",
-    ));
-    r.metric("degraded_answers", sharded.degraded_answers() as f64);
-    r.metric("degraded_shards", sharded.degraded_shards().len() as f64);
 
     r
 }

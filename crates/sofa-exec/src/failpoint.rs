@@ -4,8 +4,8 @@
 //! collector loop, the pool worker lanes, the refine funnel — that does
 //! nothing in production but can be armed at runtime by a test or the
 //! `ext-chaos` experiment to panic, sleep, or return an error at that
-//! exact site. This is how the robustness layer (per-tick containment,
-//! shard degradation, deadline shedding) is exercised deterministically
+//! exact site. This is how the robustness layer (per-tick containment
+//! and solo retry, deadline shedding) is exercised deterministically
 //! instead of hoping a real fault shows up.
 //!
 //! The cost when disarmed is two relaxed atomic loads and a predictable

@@ -81,8 +81,9 @@ pub enum IndexError {
     BadQuery(String),
     /// The build (or an insert) would exceed `u32::MAX` rows — row ids,
     /// storage slots and leaf row lists are all `u32`, so a larger index
-    /// would silently truncate ids. Shard the dataset across indexes
-    /// instead.
+    /// would silently truncate ids. Sharding does not lift this limit:
+    /// a sharded index answers with global `u32` row ids, so its shards
+    /// together may hold at most `u32::MAX` rows.
     TooManyRows {
         /// The row count that was requested.
         rows: usize,

@@ -19,7 +19,7 @@
 //! * [`ShardedIndex`] — N-way row-partitioned sharding with a per-shard
 //!   [`sofa_exec::ExecPool`] and a zero-allocation top-k merge through
 //!   the existing [`sofa_index::KnnSet`] drain, so one logical index
-//!   spans cores (and sidesteps the `u32` row-id ceiling). A sharded
+//!   spans cores (its merged row ids stay global `u32`s). A sharded
 //!   index answers bit-identically to an unsharded one over the same
 //!   rows: z-normalization is per-row and ties resolve by global row id
 //!   in both.
@@ -45,9 +45,8 @@
 //! * **Self-healing ticks** — a panicking executor aborts only its own
 //!   tick: the collector retries the tick's tickets one-per-tick to
 //!   isolate the offender ([`ServeError::Aborted`]) and keeps serving.
-//! * **Degraded shards** ([`DegradedMode`]) — a panicking shard is
-//!   quarantined; the sharded index either fails fast or serves partial
-//!   answers from the surviving shards, per config.
+//!   A panicking shard of a [`ShardedIndex`] is such an executor panic:
+//!   it fails its tick, and every later tick queries every shard.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,7 +56,7 @@ mod shard;
 mod stats;
 
 pub use server::{AdmissionPolicy, ServeConfig, ServeError, Server, TICK_FAILPOINT};
-pub use shard::{DegradedMode, ShardedIndex};
+pub use shard::ShardedIndex;
 pub use stats::ServeStats;
 
 pub use sofa_exec::CancelToken;
@@ -117,13 +116,6 @@ pub trait TickExec: Send + Sync + 'static {
         outs: &[ResultSlot],
         cancels: &[CancelToken],
     );
-
-    /// Answers served from a degraded executor (e.g. with one shard
-    /// quarantined), if the executor tracks that. Non-degradable
-    /// executors report 0.
-    fn degraded_answers(&self) -> u64 {
-        0
-    }
 }
 
 impl<S: Summarization + 'static> TickExec for Index<S> {
@@ -164,10 +156,6 @@ impl<S: Summarization + 'static> TickExec for ShardedIndex<S> {
     ) {
         self.query_tick_cancel(queries, kinds, outs, cancels).expect("server-validated tick");
     }
-
-    fn degraded_answers(&self) -> u64 {
-        ShardedIndex::degraded_answers(self)
-    }
 }
 
 impl<T: TickExec + ?Sized> TickExec for std::sync::Arc<T> {
@@ -187,9 +175,5 @@ impl<T: TickExec + ?Sized> TickExec for std::sync::Arc<T> {
         cancels: &[CancelToken],
     ) {
         (**self).run_tick(queries, kinds, outs, cancels);
-    }
-
-    fn degraded_answers(&self) -> u64 {
-        (**self).degraded_answers()
     }
 }

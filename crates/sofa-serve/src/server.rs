@@ -303,7 +303,7 @@ impl<E: TickExec> Server<E> {
 
     /// Snapshot of the coalescing and robustness counters.
     pub fn stats(&self) -> ServeStats {
-        self.inner.counters.snapshot(self.inner.exec.degraded_answers())
+        self.inner.counters.snapshot()
     }
 
     /// Submits one query of any [`QueryKind`] and blocks until its

@@ -12,37 +12,24 @@
 //! z-normalization is per-row, distances are per-row, and ties resolve
 //! by global row id on both paths.
 //!
-//! Sharding is also the designed escape hatch for
-//! [`IndexError::TooManyRows`]: each shard owns its own `u32` row-id
-//! space, the merge output uses global `u32` ids.
+//! Sharding does not lift the `u32` row-id limit: merged answers carry
+//! global `u32` ids, so [`ShardedIndex::new`] returns
+//! [`IndexError::TooManyRows`] once the shards' combined row count
+//! exceeds `u32::MAX`.
+//!
+//! A shard that panics fails its tick like any executor panic: the
+//! fan-out re-raises it once every lane has finished, and behind a
+//! [`crate::Server`] the tick's containment and solo retry handle it.
+//! A query only reads the shards, so no shard needs fencing off after.
 
 use crate::{CancelToken, ResultSlot};
 use sofa_exec::sync::lock;
 use sofa_index::{
-    validate_batch, ExecPool, Index, IndexError, IndexStats, KnnSet, Neighbor, QueryKind, RowFilter,
+    validate_batch, ExecPool, Index, IndexError, KnnSet, Neighbor, QueryKind, RowFilter,
 };
 use sofa_summaries::Summarization;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// What a [`ShardedIndex`] does once a shard has panicked and been
-/// quarantined.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DegradedMode {
-    /// Every subsequent tick panics immediately (the default). Behind a
-    /// [`crate::Server`] the panic is contained per tick, so submitters
-    /// see [`crate::ServeError::Aborted`] rather than wrong answers;
-    /// direct callers of [`ShardedIndex::query_tick_cancel`] observe the panic.
-    #[default]
-    FailFast,
-    /// Subsequent ticks skip quarantined shards and answer from the
-    /// survivors. Answers are exact *over the surviving rows* but may
-    /// miss neighbors owned by the quarantined shards; every such
-    /// answer is counted in [`ShardedIndex::degraded_answers`] so the
-    /// caller can see it was served degraded.
-    ServePartial,
-}
 
 /// Reusable merge state: per-shard, per-slot result buffers plus the
 /// top-k set. Warm ticks reuse every buffer in here.
@@ -70,19 +57,12 @@ pub struct ShardedIndex<S: Summarization> {
     series_len: usize,
     n_series: usize,
     /// Logical queries answered. Each *shard*'s
-    /// [`IndexStats::queries_served`] also counts every logical query
-    /// (each query visits every shard), so shard counters measure
-    /// per-shard work while this field is the one-count-per-query
-    /// figure comparable to an unsharded index.
+    /// [`sofa_index::IndexStats::queries_served`] also counts every
+    /// logical query (each query visits every shard), so shard counters
+    /// measure per-shard work while this field is the
+    /// one-count-per-query figure comparable to an unsharded index.
     queries_served: AtomicU64,
     merge: Mutex<MergeScratch>,
-    /// Per-shard quarantine flags: set when a shard panics inside a
-    /// tick (or via [`ShardedIndex::mark_degraded`]), never cleared.
-    degraded: Vec<AtomicBool>,
-    degraded_mode: DegradedMode,
-    /// Answers served while at least one shard was quarantined
-    /// ([`DegradedMode::ServePartial`] only).
-    degraded_answers: AtomicU64,
 }
 
 impl<S: Summarization> ShardedIndex<S> {
@@ -120,7 +100,6 @@ impl<S: Summarization> ShardedIndex<S> {
             shard_outs: (0..shards.len()).map(|_| Vec::new()).collect(),
             set: KnnSet::new(1),
         };
-        let degraded = (0..bases.len()).map(|_| AtomicBool::new(false)).collect();
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         Ok(ShardedIndex {
             fan: ExecPool::new(shards.len().min(cores)),
@@ -130,56 +109,7 @@ impl<S: Summarization> ShardedIndex<S> {
             n_series,
             queries_served: AtomicU64::new(0),
             merge: Mutex::new(merge),
-            degraded,
-            degraded_mode: DegradedMode::default(),
-            degraded_answers: AtomicU64::new(0),
         })
-    }
-
-    /// Sets what happens after a shard is quarantined (default
-    /// [`DegradedMode::FailFast`]).
-    #[must_use]
-    pub fn with_degraded_mode(mut self, mode: DegradedMode) -> Self {
-        self.degraded_mode = mode;
-        self
-    }
-
-    /// The configured degraded-shard behavior.
-    #[must_use]
-    pub fn degraded_mode(&self) -> DegradedMode {
-        self.degraded_mode
-    }
-
-    /// Quarantines shard `s` by hand — the operational escape hatch for
-    /// tests and for sidelining a shard known to be bad.
-    ///
-    /// # Panics
-    /// If `s` is not a valid shard number.
-    pub fn mark_degraded(&self, s: usize) {
-        self.degraded[s].store(true, Ordering::Release);
-    }
-
-    /// Is shard `s` quarantined?
-    ///
-    /// # Panics
-    /// If `s` is not a valid shard number.
-    #[must_use]
-    pub fn is_degraded(&self, s: usize) -> bool {
-        self.degraded[s].load(Ordering::Acquire)
-    }
-
-    /// Quarantined shard numbers, ascending.
-    #[must_use]
-    pub fn degraded_shards(&self) -> Vec<usize> {
-        (0..self.degraded.len()).filter(|&s| self.is_degraded(s)).collect()
-    }
-
-    /// Answers served while at least one shard was quarantined — 0
-    /// unless [`DegradedMode::ServePartial`] is active and a shard has
-    /// failed.
-    #[must_use]
-    pub fn degraded_answers(&self) -> u64 {
-        self.degraded_answers.load(Ordering::Relaxed)
     }
 
     /// Length of every indexed series.
@@ -208,17 +138,12 @@ impl<S: Summarization> ShardedIndex<S> {
 
     /// Logical queries answered by this sharded index — one count per
     /// query, the figure comparable to an unsharded
-    /// [`IndexStats::queries_served`]. (Each shard's own counter also
-    /// advances once per logical query, measuring per-shard work.)
+    /// [`sofa_index::IndexStats::queries_served`]. (Each shard's own
+    /// counter also advances once per logical query, measuring
+    /// per-shard work.)
     #[must_use]
     pub fn queries_served(&self) -> u64 {
         self.queries_served.load(Ordering::Relaxed)
-    }
-
-    /// Per-shard index statistics, in shard order.
-    #[must_use]
-    pub fn shard_stats(&self) -> Vec<IndexStats> {
-        self.shards.iter().map(Index::stats).collect()
     }
 
     /// Answers a single query of any [`QueryKind`] across all shards,
@@ -234,7 +159,7 @@ impl<S: Summarization> ShardedIndex<S> {
     /// rejects the query.
     ///
     /// # Panics
-    /// As [`ShardedIndex::query_tick_cancel`].
+    /// If a shard panics (see [`ShardedIndex::query_tick_cancel`]).
     pub fn query(&self, query: &[f32], kind: QueryKind) -> Result<Vec<Neighbor>, IndexError> {
         let slot = [ResultSlot::new(Vec::new())];
         self.query_tick_cancel(query, std::slice::from_ref(&kind), &slot, &[])?;
@@ -253,7 +178,7 @@ impl<S: Summarization> ShardedIndex<S> {
     ///   reusable [`KnnSet`] with shard rows rebased to global ids (an
     ///   IP score rides in `dist_sq` and merges by the same
     ///   ascending-best order).
-    /// * Range slots concatenate every surviving shard's hits, rebase,
+    /// * Range slots concatenate every shard's hits, rebase,
     ///   and sort by `(dist_sq, row)` — identical to an unsharded range
     ///   sweep.
     ///
@@ -268,9 +193,8 @@ impl<S: Summarization> ShardedIndex<S> {
     /// rebased slice).
     ///
     /// # Panics
-    /// In [`DegradedMode::FailFast`] (the default), panics when a shard
-    /// panics during the tick or is already quarantined — behind a
-    /// [`crate::Server`] the panic is contained per tick.
+    /// Re-raises a shard's panic once every fan-out lane has finished;
+    /// behind a [`crate::Server`] the panic is contained per tick.
     pub fn query_tick_cancel(
         &self,
         queries: &[f32],
@@ -282,10 +206,6 @@ impl<S: Summarization> ShardedIndex<S> {
         let m = kinds.len();
         if m == 0 {
             return Ok(());
-        }
-        let was_degraded = !self.degraded_shards().is_empty();
-        if was_degraded && self.degraded_mode == DegradedMode::FailFast {
-            panic!("sharded index has quarantined shards {:?} (FailFast)", self.degraded_shards());
         }
         // A global row filter must become shard-local before fan-out:
         // each shard validates filters against its own row count and
@@ -322,35 +242,18 @@ impl<S: Summarization> ShardedIndex<S> {
         }
         let shard_outs: &[Vec<ResultSlot>] = shard_outs;
         let shards = &self.shards;
-        let degraded = &self.degraded;
         let shard_kinds = &shard_kinds;
-        let panicked = AtomicBool::new(false);
         let next_shard = AtomicUsize::new(0);
         self.fan.broadcast(|_| loop {
             let s = next_shard.fetch_add(1, Ordering::Relaxed);
             if s >= shards.len() {
                 break;
             }
-            // A panicking shard is quarantined here, not propagated: the
-            // post-broadcast policy decides what that means.
             let kinds_for_s: &[QueryKind] = if needs_rebase { &shard_kinds[s] } else { kinds };
-            if !degraded[s].load(Ordering::Acquire)
-                && catch_unwind(AssertUnwindSafe(|| {
-                    shards[s]
-                        .query_batch_into_cancel(queries, kinds_for_s, &shard_outs[s][..m], cancels)
-                        .expect("tick inputs were validated");
-                }))
-                .is_err()
-            {
-                degraded[s].store(true, Ordering::Release);
-                panicked.store(true, Ordering::Relaxed);
-            }
+            shards[s]
+                .query_batch_into_cancel(queries, kinds_for_s, &shard_outs[s][..m], cancels)
+                .expect("tick inputs were validated");
         });
-        if panicked.load(Ordering::Relaxed) && self.degraded_mode == DegradedMode::FailFast {
-            drop(guard);
-            panic!("shard(s) {:?} panicked during tick (FailFast)", self.degraded_shards());
-        }
-        let any_degraded = was_degraded || panicked.load(Ordering::Relaxed);
         let mut answered = 0u64;
         for (slot, kind) in kinds.iter().enumerate().take(m) {
             // A fired token means some shard may have abandoned this
@@ -363,11 +266,8 @@ impl<S: Summarization> ShardedIndex<S> {
                 QueryKind::Knn { k } | QueryKind::KnnFiltered { k, .. } | QueryKind::Ip { k } => {
                     // No merged answer holds more than every shard's rows.
                     set.reset((*k).min(self.n_series).max(1));
-                    for (s, &base) in self.bases.iter().enumerate() {
-                        if degraded[s].load(Ordering::Acquire) {
-                            continue;
-                        }
-                        for nb in shard_outs[s][slot].lock().iter() {
+                    for (per_shard, &base) in shard_outs.iter().zip(&self.bases) {
+                        for nb in per_shard[slot].lock().iter() {
                             set.offer(Neighbor { row: nb.row + base, dist_sq: nb.dist_sq });
                         }
                     }
@@ -378,12 +278,9 @@ impl<S: Summarization> ShardedIndex<S> {
                 QueryKind::Range { .. } => {
                     let mut out = outs[slot].lock();
                     out.clear();
-                    for (s, &base) in self.bases.iter().enumerate() {
-                        if degraded[s].load(Ordering::Acquire) {
-                            continue;
-                        }
+                    for (per_shard, &base) in shard_outs.iter().zip(&self.bases) {
                         out.extend(
-                            shard_outs[s][slot]
+                            per_shard[slot]
                                 .lock()
                                 .iter()
                                 .map(|nb| Neighbor { row: nb.row + base, dist_sq: nb.dist_sq }),
@@ -395,9 +292,6 @@ impl<S: Summarization> ShardedIndex<S> {
             answered += 1;
         }
         self.queries_served.fetch_add(answered, Ordering::Relaxed);
-        if any_degraded {
-            self.degraded_answers.fetch_add(answered, Ordering::Relaxed);
-        }
         Ok(())
     }
 }
@@ -506,47 +400,9 @@ mod tests {
         parts.query_tick_cancel(&data[..2 * LEN], &kinds, &outs, &[]).unwrap();
         // 3 logical queries total; each shard also saw each of them once.
         assert_eq!(parts.queries_served(), 3);
-        for stats in parts.shard_stats() {
+        for stats in parts.shards().iter().map(Index::stats) {
             assert_eq!(stats.queries_served, 3);
         }
-    }
-
-    #[test]
-    fn serve_partial_skips_quarantined_shards_and_counts_degraded_answers() {
-        let data = dataset(300, 7);
-        let parts = sharded(&data, 3, 1).with_degraded_mode(DegradedMode::ServePartial);
-        let rows_per_shard = 100usize;
-        let q = &data[..LEN]; // row 0 lives in shard 0
-        let full = parts.query(q, QueryKind::Knn { k: 3 }).unwrap();
-        assert_eq!(full[0].row, 0);
-        parts.mark_degraded(0);
-        assert_eq!(parts.degraded_shards(), vec![0]);
-        // Same query, shard 0 quarantined: still answered, exactly over
-        // the surviving rows — nothing from shard 0 can appear.
-        let partial = parts.query(q, QueryKind::Knn { k: 3 }).unwrap();
-        assert_eq!(partial.len(), 3);
-        for nb in &partial {
-            assert!(
-                nb.row as usize >= rows_per_shard,
-                "row {} belongs to the quarantined shard",
-                nb.row
-            );
-        }
-        assert_eq!(parts.degraded_answers(), 1);
-        assert_eq!(parts.queries_served(), 2);
-    }
-
-    #[test]
-    fn fail_fast_mode_panics_once_a_shard_is_quarantined() {
-        let data = dataset(100, 9);
-        let parts = sharded(&data, 2, 1);
-        assert_eq!(parts.degraded_mode(), DegradedMode::FailFast);
-        parts.query(&data[..LEN], QueryKind::Knn { k: 1 }).unwrap();
-        parts.mark_degraded(1);
-        let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            parts.query(&data[..LEN], QueryKind::Knn { k: 1 })
-        }));
-        assert!(boom.is_err(), "FailFast must refuse to serve past a quarantined shard");
     }
 
     #[test]

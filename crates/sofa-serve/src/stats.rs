@@ -6,7 +6,7 @@
 //! how much *pruning work* each query cost, this reports how well the
 //! front-end *amortized* that work (tick fill), what the queueing added
 //! on top (depth, ticket sojourn), and how the robustness layer behaved
-//! (shed / expired / aborted / degraded counts, sojourn percentiles).
+//! (shed / expired / aborted counts, sojourn percentiles).
 
 use sofa_exec::sync::lock;
 use sofa_stats::Histogram;
@@ -116,7 +116,7 @@ impl StatCounters {
         Some(mean_tick_us * ticks_ahead)
     }
 
-    pub(crate) fn snapshot(&self, degraded_answers: u64) -> ServeStats {
+    pub(crate) fn snapshot(&self) -> ServeStats {
         let ticks = self.ticks.load(Ordering::Relaxed);
         let coalesced = self.coalesced.load(Ordering::Relaxed);
         let queries = self.queries.load(Ordering::Relaxed);
@@ -142,7 +142,6 @@ impl StatCounters {
             shed: self.shed.load(Ordering::Relaxed),
             expired: self.expired.load(Ordering::Relaxed),
             aborted: self.aborted.load(Ordering::Relaxed),
-            degraded_answers,
         }
     }
 }
@@ -205,10 +204,6 @@ pub struct ServeStats {
     pub expired: u64,
     /// Tickets aborted by panic containment ([`crate::ServeError::Aborted`]).
     pub aborted: u64,
-    /// Answers served while the executor was degraded (e.g. a
-    /// quarantined shard skipped) — 0 unless the executor both supports
-    /// degradation and was configured to serve through it.
-    pub degraded_answers: u64,
 }
 
 #[cfg(test)]
@@ -228,7 +223,7 @@ mod tests {
         c.note_shed();
         c.note_expired();
         c.note_aborted();
-        let s = c.snapshot(5);
+        let s = c.snapshot();
         assert_eq!(s.ticks, 2);
         assert_eq!(s.queries, 12);
         assert_eq!(s.max_tick_fill, 8);
@@ -236,12 +231,12 @@ mod tests {
         assert_eq!(s.max_queue_depth, 3);
         assert_eq!(s.max_ticket_wait_us, 100);
         assert!((s.mean_ticket_wait_us - 100.0).abs() < 1e-9);
-        assert_eq!((s.shed, s.expired, s.aborted, s.degraded_answers), (1, 1, 1, 5));
+        assert_eq!((s.shed, s.expired, s.aborted), (1, 1, 1));
     }
 
     #[test]
     fn empty_counters_snapshot_to_zeroes() {
-        assert_eq!(StatCounters::default().snapshot(0), ServeStats::default());
+        assert_eq!(StatCounters::default().snapshot(), ServeStats::default());
     }
 
     #[test]
@@ -254,7 +249,7 @@ mod tests {
         for _ in 0..5 {
             c.note_done(Duration::from_millis(10));
         }
-        let s = c.snapshot(0);
+        let s = c.snapshot();
         assert!(
             (80.0..=125.0).contains(&s.p50_sojourn_us),
             "p50 {} should sit near 100µs",

@@ -214,12 +214,6 @@ impl QuantGrid {
         let total: f64 = acc.iter().map(|&a| f64::from(a)).sum();
         total.sqrt() * self.qerr_mul + self.qerr_add
     }
-
-    /// Heap bytes held by the grid.
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.mins.capacity() * std::mem::size_of::<f32>()
-    }
 }
 
 /// One leaf's codes + per-row error bounds under a shared [`QuantGrid`]
@@ -287,13 +281,6 @@ impl QuantBlock {
     pub fn map_codes<D>(self, f: impl FnOnce(Vec<u8>) -> D) -> QuantBlock<D> {
         let Self { n, series_len, scale, slack, codes, errs } = self;
         QuantBlock { n, series_len, scale, slack, codes: f(codes), errs }
-    }
-
-    /// Heap bytes held by the block (codes dominate: ~1 byte per stored
-    /// value, a quarter of the `f32` arena it shadows).
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.codes.capacity() + self.errs.capacity() * std::mem::size_of::<f64>()
     }
 }
 

@@ -67,8 +67,8 @@
 //!
 //! * [`SofaIndex`] — the paper's contribution: SFA + tree index.
 //! * [`MessiIndex`] — the same tree over iSAX: the MESSI baseline.
-//! * [`ShardedSofaIndex`] / [`ShardedMessiIndex`] — N-way row-partitioned
-//!   shards behind one logical index, and [`Server`], the coalescing
+//! * [`ShardedSofaIndex`] — N-way row-partitioned SOFA shards behind one
+//!   logical index, and [`Server`], the coalescing
 //!   front-end that answers concurrent single queries in batch ticks.
 //! * [`baselines::UcrScan`] / [`baselines::FlatL2`] — the paper's other
 //!   competitors (parallel SIMD scan; FAISS-flat-style brute force).
@@ -103,8 +103,7 @@ pub use sofa_index::{
     IndexConfig, IndexError, IndexStats, IpNeighbor, Neighbor, QueryKind, QueryStats, RowFilter,
 };
 pub use sofa_serve::{
-    AdmissionPolicy, DegradedMode, ServeConfig, ServeError, ServeStats, Server, ShardedIndex,
-    TickExec,
+    AdmissionPolicy, ServeConfig, ServeError, ServeStats, Server, ShardedIndex, TickExec,
 };
 pub use sofa_summaries::{BinningStrategy, CoefficientSelection};
 
@@ -112,9 +111,10 @@ use sofa_index::Index;
 use sofa_summaries::{ISax, SaxConfig, Sfa, SfaConfig};
 use std::sync::Arc;
 
-/// The constructor of [`SofaIndex`] and [`MessiIndex`] (plain, sharded or
-/// reopened from a snapshot) with the paper's defaults: it learns the SFA
-/// model from the z-normalized data and sizes the worker pool.
+/// The constructor of [`SofaIndex`], [`MessiIndex`] (plain or reopened
+/// from a snapshot) and [`ShardedSofaIndex`] with the paper's defaults:
+/// it learns the SFA model from the z-normalized data and sizes the
+/// worker pool.
 #[derive(Clone, Debug)]
 pub struct Builder {
     word_len: usize,
@@ -386,24 +386,6 @@ impl Builder {
         ShardedIndex::new(shards)
     }
 
-    /// [`Builder::build_sofa_sharded`] for the MESSI (iSAX) tree.
-    ///
-    /// # Errors
-    /// As [`Builder::build_sofa_sharded`].
-    pub fn build_messi_sharded(
-        &self,
-        data: &[f32],
-        series_len: usize,
-        n_shards: usize,
-    ) -> Result<ShardedMessiIndex, IndexError> {
-        let (per_shard, builder) = self.shard_plan(data, series_len, n_shards)?;
-        let shards = data
-            .chunks(per_shard * series_len)
-            .map(|chunk| builder.build_messi_owned(chunk.to_vec(), series_len))
-            .collect::<Result<Vec<_>, _>>()?;
-        ShardedIndex::new(shards)
-    }
-
     /// Validates a sharded build and derives the rows-per-shard split
     /// and the per-shard builder (thread budget divided across shards
     /// unless a shared pool overrides it).
@@ -442,9 +424,6 @@ pub type MessiIndex = Index<ISax>;
 
 /// An N-way sharded SOFA index (see [`Builder::build_sofa_sharded`]).
 pub type ShardedSofaIndex = ShardedIndex<Sfa>;
-
-/// An N-way sharded MESSI index (see [`Builder::build_messi_sharded`]).
-pub type ShardedMessiIndex = ShardedIndex<ISax>;
 
 #[cfg(test)]
 mod tests {
